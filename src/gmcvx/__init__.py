@@ -29,6 +29,6 @@ from .conditions import (  # noqa: F401
     implication_chain_report,
     orthogonal_factors_from_gamma,
 )
-from .coupling import MartingaleKernel, build_kernel, sample, sample_batch  # noqa: F401
+from .coupling import MartingaleKernel, build_kernel, sample_batch  # noqa: F401
 from .psdfeas import EngineConfig, FeasibilityTask, solve  # noqa: F401
 from .rng import CounterRng  # noqa: F401

@@ -5,29 +5,35 @@ Subcommands
 ``check``    run one condition checker on a problem file, optionally
              emitting a certificate file bound to the input by digest.
 ``sweep``    evaluate checkers over a two-parameter grid described by a
-             JSON spec with expression-valued matrix entries.
+             JSON spec with expression-valued matrix entries (numbers,
+             the two axis names, ``pi``, ``+ - * / **``, unary ``-``/``+``
+             and sqrt, abs, min, max, exp, log, sin, cos).
 ``couple``   sample the mean-preserving coupling given a problem and a
              stored coupling certificate; writes sample CSV and prints
              martingale diagnostics as JSON.
 ``mcverify`` expectation-suite comparison of the target law against the
              mixture (evidence only).
 
-Exit codes: 0 holds, 1 fails, 2 unknown, 64 malformed JSON, 65 invariant
-violation, 66 usage or IO error.
+Exit codes: 0 holds, 1 fails, 2 unknown, 64 malformed JSON or sweep
+expression, 65 invariant violation (including a sweep expression that
+fails or is non-finite at a cell), 66 usage or IO error.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
 import json
 import math
+import operator
 import sys
 
 import numpy as np
 
 from . import __version__, coupling, cxverify, matcore, psdfeas, sweep as sweep_mod
 from .conditions import (
+    CHECKERS,
     ChainViolation,
     CorrelCertificate,
     GammaWitness,
@@ -38,14 +44,8 @@ from .conditions import (
     SingularM,
     Status,
     Verdict,
-    check_dominated_by_single,
-    check_inecov,
-    check_inecovf,
-    check_inegsqrt,
-    find_correl_certificate,
     implication_chain_report,
-    validate_correl_certificate,
-    validate_gamma_witness,
+    run_checker,
 )
 from .rng import CounterRng
 
@@ -55,6 +55,8 @@ EXIT_UNKNOWN = 2
 EXIT_BAD_JSON = 64
 EXIT_INVARIANT = 65
 EXIT_USAGE = 66
+
+_CSV_CHUNK = 4096  # sample rows formatted per write in ``couple``
 
 _STATUS_EXIT = {Status.HOLDS: EXIT_HOLDS, Status.FAILS: EXIT_FAILS, Status.UNKNOWN: EXIT_UNKNOWN}
 
@@ -247,17 +249,9 @@ def cmd_check(args) -> int:
             raise CliFailure(EXIT_BAD_JSON, "cannot interpret the candidate-basis file")
 
     try:
-        if args.condition == "inegsqrt":
-            verdict = check_inegsqrt(prob, cfg)
-        elif args.condition == "inecov":
-            verdict = check_inecov(prob, engine_cfg, cfg, seed=args.seed)
-        elif args.condition == "inecovf":
-            verdict = check_inecovf(prob, engine_cfg, cfg, seed=args.seed)
-        elif args.condition == "correl":
-            verdict = find_correl_certificate(prob, extra_m=extra_m, seed=args.seed)
-        elif args.condition == "dominates":
-            verdict = check_dominated_by_single(prob)
-        else:  # chain
+        if args.condition != "chain":
+            verdict = run_checker(args.condition, prob, cfg, engine_cfg, args.seed, extra_m=extra_m)
+        else:
             report = implication_chain_report(prob, cfg, engine_cfg, seed=args.seed)
             if report.inecov.holds:
                 verdict = Verdict(Status.HOLDS, report.inecov.margin, None, report.as_dict())
@@ -279,45 +273,111 @@ def cmd_check(args) -> int:
     return _STATUS_EXIT[verdict.status]
 
 
+# name: (function, fewest arguments, most arguments or None)
+_EXPR_FUNCTIONS = {
+    "sqrt": (math.sqrt, 1, 1),
+    "abs": (abs, 1, 1),
+    "min": (min, 2, None),
+    "max": (max, 2, None),
+    "exp": (math.exp, 1, 1),
+    "log": (math.log, 1, 2),
+    "sin": (math.sin, 1, 1),
+    "cos": (math.cos, 1, 1),
+}
+_EXPR_OPERATORS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.Pow: operator.pow,
+    ast.USub: operator.neg,
+    ast.UAdd: operator.pos,
+}
+
+
+def _compile_expr(node, axis_names):
+    """Turn an allow-listed expression node into a function of the axis values.
+
+    Numbers are read as floats, so no entry can start unbounded integer
+    arithmetic; every other node type raises ValueError.
+    """
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        const = float(node.value)
+        return lambda v: const
+    if isinstance(node, ast.Name) and node.id in axis_names:
+        k = axis_names.index(node.id)
+        return lambda v: v[k]
+    if isinstance(node, ast.Name) and node.id == "pi":
+        return lambda v: math.pi
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _EXPR_OPERATORS:
+        op, arg = _EXPR_OPERATORS[type(node.op)], _compile_expr(node.operand, axis_names)
+        return lambda v: op(arg(v))
+    if isinstance(node, ast.BinOp) and type(node.op) in _EXPR_OPERATORS:
+        op = _EXPR_OPERATORS[type(node.op)]
+        lhs, rhs = _compile_expr(node.left, axis_names), _compile_expr(node.right, axis_names)
+        return lambda v: op(lhs(v), rhs(v))
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in _EXPR_FUNCTIONS:
+        fn, fewest, most = _EXPR_FUNCTIONS[node.func.id]
+        if node.keywords or len(node.args) < fewest or (most is not None and len(node.args) > most):
+            raise ValueError(f"wrong arguments to {node.func.id}")
+        args = [_compile_expr(a, axis_names) for a in node.args]
+        return lambda v: fn(*[a(v) for a in args])
+    raise ValueError(f"{type(node).__name__} not allowed")
+
+
+def _spec_entry(entry, axis_names):
+    """Parse one sweep-spec entry once; the result evaluates it at a cell.
+
+    Unparsable or disallowed expressions fail here (exit 64); a math error
+    or a non-finite value at a cell fails there (exit 65).
+    """
+    try:
+        if isinstance(entry, str):  # leading blanks are dropped, as eval drops them
+            node = ast.parse(entry.lstrip(" \t"), mode="eval").body
+        else:
+            node = ast.Constant(float(entry))
+        expr = _compile_expr(node, axis_names)
+    except (SyntaxError, ValueError, OverflowError, RecursionError) as exc:
+        raise CliFailure(EXIT_BAD_JSON, f"bad sweep entry {entry!r}: {exc}")
+
+    def value(v) -> float:
+        try:
+            out = float(expr(v))
+        except (ArithmeticError, ValueError, TypeError) as exc:  # TypeError: complex powers
+            out = exc
+        if isinstance(out, float) and math.isfinite(out):
+            return out
+        where = f"{axis_names[0]}={v[0]!r}, {axis_names[1]}={v[1]!r}"
+        raise CliFailure(EXIT_INVARIANT, f"sweep entry {entry!r} at {where}: {out}")
+
+    return value
+
+
 def _template_from_doc(doc, axis_names):
+    """Parse the spec's problem once; the template evaluates it at each cell."""
     base = doc["problem"]
+    d = int(base["d"])
+
+    def entries(values):
+        return [_spec_entry(v, axis_names) for v in values]
+
+    target = [entries(row) for row in base["target"]]
+    comps = [
+        ([entries(row) for row in c["cov"]], entries(c.get("mean", [0.0] * d)))
+        for c in base["components"]
+    ]
 
     def build(v1: float, v2: float) -> MixtureProblem:
-        env = {
-            axis_names[0]: float(v1),
-            axis_names[1]: float(v2),
-            "sqrt": math.sqrt,
-            "abs": abs,
-            "min": min,
-            "max": max,
-            "pi": math.pi,
-            "exp": math.exp,
-            "log": math.log,
-            "sin": math.sin,
-            "cos": math.cos,
-        }
-
-        def leaf(value):
-            if isinstance(value, str):
-                return float(eval(value, {"__builtins__": {}}, env))  # noqa: S307 - trusted local spec
-            return float(value)
+        v = (float(v1), float(v2))
 
         def mat(rows):
-            return [[leaf(v) for v in row] for row in rows]
+            return np.asarray([[f(v) for f in row] for row in rows], dtype=float)
 
-        d = int(base["d"])
-        comps = [
-            {
-                "cov": mat(c["cov"]),
-                "mean": [leaf(v) for v in c.get("mean", [0.0] * d)],
-            }
-            for c in base["components"]
-        ]
         return MixtureProblem(
             p=np.asarray(base["p"], dtype=float),
-            covs=np.stack([np.asarray(c["cov"], dtype=float) for c in comps]),
-            target=np.asarray(mat(base["target"]), dtype=float),
-            means=np.stack([np.asarray(c["mean"], dtype=float) for c in comps]),
+            covs=np.stack([mat(cov) for cov, _ in comps]),
+            target=mat(target),
+            means=np.stack([np.asarray([f(v) for f in mean], dtype=float) for _, mean in comps]),
         )
 
     return build
@@ -356,15 +416,15 @@ def cmd_couple(args) -> int:
     xs, idx, ys = coupling.sample_batch(kernel, args.samples, rng)
     d = prob.d
     header = ",".join([f"x{k + 1}" for k in range(d)] + ["i"] + [f"y{k + 1}" for k in range(d)])
-    lines = [header]
-    for row in range(args.samples):
-        vals = [repr(float(v)) for v in xs[row]] + [str(int(idx[row]) + 1)] + [
-            repr(float(v)) for v in ys[row]
-        ]
-        lines.append(",".join(vals))
     try:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(header + "\n")
+            for part in range(0, args.samples, _CSV_CHUNK):  # chunks bound the Python lists alive
+                rows = slice(part, part + _CSV_CHUNK)
+                fh.writelines(
+                    ",".join([*map(repr, x), str(i), *map(repr, y)]) + "\n"
+                    for x, i, y in zip(xs[rows].tolist(), (idx[rows] + 1).tolist(), ys[rows].tolist())
+                )
     except OSError as exc:
         raise CliFailure(EXIT_USAGE, f"cannot write {args.out}: {exc}")
 
@@ -397,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run one condition checker")
     p_check.add_argument("--condition", required=True,
-                         choices=["inegsqrt", "inecov", "inecovf", "correl", "dominates", "chain"])
+                         choices=[*CHECKERS, "chain"])
     p_check.add_argument("--input", required=True)
     p_check.add_argument("--tol", type=float, default=None)
     p_check.add_argument("--seed", type=int, default=0)

@@ -18,8 +18,9 @@ against a finite Gaussian mixture, from strongest to weakest:
 
 Failures always carry a witness that re-verifies standalone; positive
 certificates re-validate through :func:`validate_gamma_witness` and
-:func:`validate_correl_certificate`. Everything is pure given (problem,
-config, seed), so checkers can run concurrently.
+:func:`validate_correl_certificate`. Callers that pick a checker by name
+(sweeps, the CLI) go through :func:`run_checker`. Everything is pure
+given (problem, config, seed), so checkers can run concurrently.
 """
 
 from __future__ import annotations
@@ -385,32 +386,6 @@ def check_inegsqrt(prob: MixtureProblem, cfg: SearchConfig | None = None) -> Ver
     return Verdict(Status.HOLDS, margin, None, diag)
 
 
-# ---------------------------------------------------------------------------
-# pair-contraction wrappers (the machinery lives next to the engine)
-# ---------------------------------------------------------------------------
-
-
-def contraction_ascent(prob: MixtureProblem, seed: int = 0, iters: int = 200):
-    """Best smallest slack eigenvalue over admissible pair blocks.
-
-    Delegates to :func:`gmcvx.psdfeas.contraction_ascent`; the value decides
-    pairwise feasibility (it is the maximum of a concave program), the
-    contractions build a witness, and the returned trace-one matrix feeds
-    :func:`dual_refutation_value` when the value is negative.
-    """
-    return psdfeas.contraction_ascent(prob.p, prob.covs, prob.target, seed=seed, iters=iters)
-
-
-def gamma_from_contractions(prob: MixtureProblem, ks) -> np.ndarray:
-    """Coupling matrix whose pair blocks come from the given contractions."""
-    return psdfeas.gamma_from_contractions(prob.p, prob.covs, ks)
-
-
-def dual_refutation_value(prob: MixtureProblem, y: np.ndarray) -> float:
-    """Re-verifiable refutation functional for the pairwise condition."""
-    return psdfeas.dual_refutation_value(prob.p, prob.covs, prob.target, y)
-
-
 def _colinear_structure(prob: MixtureProblem, tol: float = 1e-9):
     """Detect component covariances that are all multiples of one base."""
     norms = np.array([matcore.fro_norm(c) for c in prob.covs])
@@ -455,7 +430,7 @@ def _coupling_check(prob, cone, engine_cfg, search_cfg, extra_candidates, inegsq
     v5 = inegsqrt_verdict if inegsqrt_verdict is not None else check_inegsqrt(prob, search_cfg)
     diag: dict = {"inegsqrt_margin": v5.margin}
     if v5.fails:
-        return Verdict(Status.FAILS, v5.margin, v5.witness, {**diag, "refuted_by": "inegsqrt"}), None
+        return Verdict(Status.FAILS, v5.margin, v5.witness, {**diag, "refuted_by": "inegsqrt"})
 
     candidates = []
     for cand in extra_candidates:
@@ -467,10 +442,12 @@ def _coupling_check(prob, cone, engine_cfg, search_cfg, extra_candidates, inegsq
     ascent = None
     if cone == psdfeas.PAIRWISE or prob.n == 2:
         iters = search_cfg.ascent_iters if search_cfg is not None else 200
-        val, ks, y_avg = contraction_ascent(prob, seed=seed, iters=iters)
+        val, ks, y_avg = psdfeas.contraction_ascent(
+            prob.p, prob.covs, prob.target, seed=seed, iters=iters
+        )
         ascent = (val, ks, y_avg)
         diag["pair_ascent_margin"] = val
-        candidates.append(gamma_from_contractions(prob, ks))
+        candidates.append(psdfeas.gamma_from_contractions(prob.p, prob.covs, ks))
 
     task = psdfeas.FeasibilityTask(prob.p, prob.covs, prob.target, cone)
     out = psdfeas.solve(task, engine_cfg, candidates)
@@ -482,15 +459,15 @@ def _coupling_check(prob, cone, engine_cfg, search_cfg, extra_candidates, inegsq
         check = psdfeas.validate_gamma(task, out.gamma, max(engine_cfg.tol, 1e-9))
         diag.update(check)
         witness = GammaWitness(out.gamma, prob.n, prob.d)
-        return Verdict(Status.HOLDS, check["lmin_slack"], witness, diag), ascent
+        return Verdict(Status.HOLDS, check["lmin_slack"], witness, diag)
 
     tol_var = max(engine_cfg.tol, 1e-9) * (1.0 + prob.var_scale())
     if ascent is not None and ascent[0] < -tol_var and ascent[2] is not None:
-        fbar = dual_refutation_value(prob, ascent[2])
+        fbar = psdfeas.dual_refutation_value(prob.p, prob.covs, prob.target, ascent[2])
         diag["dual_bound"] = fbar
         if fbar < -tol_var:
-            return Verdict(Status.FAILS, ascent[0], ("dual", ascent[2]), diag), ascent
-    return Verdict(Status.UNKNOWN, -out.cone_dist, None, diag), ascent
+            return Verdict(Status.FAILS, ascent[0], ("dual", ascent[2]), diag)
+    return Verdict(Status.UNKNOWN, -out.cone_dist, None, diag)
 
 
 def check_inecov(
@@ -509,10 +486,9 @@ def check_inecov(
     program; when the projection engine merely stalls the verdict is
     Unknown with the residuals in the diagnostics.
     """
-    verdict, _ = _coupling_check(
+    return _coupling_check(
         prob, psdfeas.FULL, engine_cfg, search_cfg, extra_candidates, inegsqrt_verdict, seed
     )
-    return verdict
 
 
 def check_inecovf(
@@ -524,10 +500,9 @@ def check_inecovf(
     seed: int = 0,
 ) -> Verdict:
     """Pairwise relaxation: every 2d x 2d pair block PSD instead of the whole."""
-    verdict, _ = _coupling_check(
+    return _coupling_check(
         prob, psdfeas.PAIRWISE, engine_cfg, search_cfg, extra_candidates, inegsqrt_verdict, seed
     )
-    return verdict
 
 
 def validate_pairwise_blocks(prob: MixtureProblem, gamma, tol: float = 1e-8) -> dict:
@@ -535,17 +510,10 @@ def validate_pairwise_blocks(prob: MixtureProblem, gamma, tol: float = 1e-8) -> 
     if isinstance(gamma, GammaWitness):
         gamma = gamma.gamma
     gamma = matcore.symmetrize(gamma)
-    d = prob.d
     out = {}
     for i in range(prob.n):
         for j in range(i + 1, prob.n):
-            blk = np.block(
-                [
-                    [gamma[i * d : (i + 1) * d, i * d : (i + 1) * d], gamma[i * d : (i + 1) * d, j * d : (j + 1) * d]],
-                    [gamma[j * d : (j + 1) * d, i * d : (i + 1) * d], gamma[j * d : (j + 1) * d, j * d : (j + 1) * d]],
-                ]
-            )
-            ok, lmin = matcore.is_psd(blk, tol)
+            ok, lmin = matcore.is_psd(gamma[psdfeas.pair_index(prob.d, i, j)], tol)
             out[(i, j)] = (bool(ok), float(lmin))
     return out
 
@@ -674,9 +642,7 @@ def certificate_to_gamma(prob: MixtureProblem, cert: CorrelCertificate) -> np.nd
         for j in range(n):
             d_j = np.diag(cert.comp_scales[j])
             gamma[i * d : (i + 1) * d, j * d : (j + 1) * d] = minv @ d_i @ cert.corr @ d_j @ minv.T
-    for i in range(n):
-        gamma[i * d : (i + 1) * d, i * d : (i + 1) * d] = prob.covs[i]
-    return matcore.symmetrize(gamma)
+    return matcore.symmetrize(psdfeas.pin_blocks(gamma, prob.covs))
 
 
 def _commuting_basis(prob: MixtureProblem, seed: int, tol: float = 1e-8):
@@ -781,10 +747,13 @@ def check_n2_theta(prob: MixtureProblem, theta) -> Verdict:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (prob.d, prob.d):
         raise DimensionMismatch(f"expected block shape {(prob.d, prob.d)}, got {theta.shape}")
-    s1, s2 = prob.covs
-    block = np.block([[s1, theta], [theta.T, s2]])
+    d = prob.d
+    block = np.zeros((2 * d, 2 * d))
+    block[:d, d:], block[d:, :d] = theta, theta.T
+    block = psdfeas.pin_blocks(block, prob.covs)
     ok_b, lmin_b = matcore.is_psd(block)
     p1, p2 = prob.p
+    s1, s2 = prob.covs
     rhs = p1 * p1 * s1 + p2 * p2 * s2 + p1 * p2 * (theta + theta.T)
     gap = matcore.symmetrize(rhs - prob.target)
     ok_g, lmin_g = matcore.is_psd(gap)
@@ -832,6 +801,42 @@ def orthogonal_factors_from_gamma(prob: MixtureProblem, gamma, q: int | None = N
     diag = {"ortho_defect": float(ortho_defect), "slack_lmin": float(lmin)}
     verdict = Verdict(Status.HOLDS if ok else Status.FAILS, float(lmin), None, diag)
     return factors, verdict
+
+
+# ---------------------------------------------------------------------------
+# checker dispatch
+# ---------------------------------------------------------------------------
+
+CHECKERS = ("inegsqrt", "inecov", "inecovf", "correl", "dominates")
+
+
+def run_checker(
+    name: str,
+    prob: MixtureProblem,
+    search_cfg: SearchConfig | None,
+    engine_cfg: psdfeas.EngineConfig | None,
+    seed: int,
+    inegsqrt_verdict: Verdict | None = None,
+    extra_m=(),
+) -> Verdict:
+    """Run the checker registered under ``name`` (one of :data:`CHECKERS`).
+
+    ``inegsqrt_verdict`` is a directional verdict already computed for
+    ``prob``; it is returned for ``inegsqrt`` and handed to the coupling
+    checkers so the directional search runs once. ``extra_m`` feeds
+    user-supplied bases to ``correl``.
+    """
+    if name == "inegsqrt":
+        return inegsqrt_verdict if inegsqrt_verdict is not None else check_inegsqrt(prob, search_cfg)
+    if name == "inecov":
+        return check_inecov(prob, engine_cfg, search_cfg, inegsqrt_verdict=inegsqrt_verdict, seed=seed)
+    if name == "inecovf":
+        return check_inecovf(prob, engine_cfg, search_cfg, inegsqrt_verdict=inegsqrt_verdict, seed=seed)
+    if name == "correl":
+        return find_correl_certificate(prob, extra_m=extra_m, seed=seed)
+    if name == "dominates":
+        return check_dominated_by_single(prob)
+    raise ValueError(f"unknown checker {name!r}")
 
 
 # ---------------------------------------------------------------------------

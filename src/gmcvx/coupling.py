@@ -7,7 +7,8 @@ covariance, draw the joint component vector conditionally on its weighted
 block sum, then pick a component and shift by its mean. All Gaussian
 conditioning uses pseudo-inverses so singular covariances are fine, and
 all randomness comes from counter-based streams, so batches reproduce
-bit-identically regardless of scheduling.
+bit-identically. :func:`sample_batch` is the only sampler: a single draw
+at a given target point x is ``sample_batch(kernel, 1, rng, xs=x)``.
 
 The two classical pair couplings used as warm starts and references are
 exposed as :func:`wasserstein_blocks` (optimal quadratic transport) and
@@ -31,15 +32,6 @@ class InvalidGamma(ValueError):
 
 class BothSingular(ValueError):
     """Optimal-transport blocks need at least one nonsingular covariance."""
-
-
-@dataclass
-class CouplingSample:
-    """One joint draw: target draw x, component index, mixture draw y."""
-
-    x: np.ndarray
-    index: int
-    y: np.ndarray
 
 
 @dataclass
@@ -69,8 +61,7 @@ def build_kernel(prob: MixtureProblem, gamma, tol: float = 1e-7) -> MartingaleKe
     check = psdfeas.validate_gamma(task, gamma, tol)
     if not check["ok"]:
         raise InvalidGamma(f"witness does not validate: {check}")
-    for i in range(n):
-        gamma[i * d : (i + 1) * d, i * d : (i + 1) * d] = prob.covs[i]
+    gamma = psdfeas.pin_blocks(gamma, prob.covs)
 
     mix_cov = psdfeas.mix_compress(gamma, prob.p, d)
     mix_pinv = matcore.pinv_psd(matcore.clamp_psd(mix_cov))
@@ -96,7 +87,7 @@ def sample_batch(kernel: MartingaleKernel, n_samples: int, rng: CounterRng, xs: 
 
     When ``xs`` is omitted they are drawn from the centered target law.
     Consumption order of the stream is fixed, so results depend only on the
-    stream state, not on thread count or batching of downstream work.
+    stream state, not on batching of downstream work.
     """
     prob = kernel.prob
     d, n = prob.d, prob.n
@@ -110,13 +101,6 @@ def sample_batch(kernel: MartingaleKernel, n_samples: int, rng: CounterRng, xs: 
     blocks = ws.reshape(n_samples, n, d)[np.arange(n_samples), idx]
     ys = blocks + prob.means[idx]
     return xs, idx, ys
-
-
-def sample(kernel: MartingaleKernel, x, rng: CounterRng) -> CouplingSample:
-    """Single draw from the kernel at a given target point x."""
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    xs, idx, ys = sample_batch(kernel, 1, rng, xs=x)
-    return CouplingSample(xs[0], int(idx[0]), ys[0])
 
 
 def wasserstein_blocks(sigma1, sigma2, tol: float = 1e-8):

@@ -73,24 +73,6 @@ def fro_norm(a) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=float)))
 
 
-@dataclass
-class SpectralDecomp:
-    """Eigenvalues ascending, eigenvectors as orthogonal columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        q = self.eigenvectors
-        return _as_sym(q @ np.diag(self.eigenvalues) @ q.T)
-
-
-def eig_sym(a) -> SpectralDecomp:
-    """Spectral decomposition of a symmetric matrix (ascending eigenvalues)."""
-    w, q = np.linalg.eigh(_as_sym(a))
-    return SpectralDecomp(w, q)
-
-
 def jacobi_eigh(a, sweep_tol: float = 1e-13, max_sweeps: int = 60):
     """Cyclic Jacobi eigensolver, dependency-free reference implementation.
 
@@ -164,27 +146,23 @@ def clamp_psd(a) -> np.ndarray:
 
 def sqrt_psd(a, eps: float = EPS_PSD) -> np.ndarray:
     """Symmetric PSD square root; tiny negative eigenvalues are clamped."""
-    dec = eig_sym(a)
-    w = dec.eigenvalues
+    w, q = np.linalg.eigh(_as_sym(a))
     norm2 = float(max(abs(w[0]), abs(w[-1]))) if w.size else 0.0
     if w[0] < -eps * (1.0 + norm2):
         raise NotPSD(f"lambda_min={w[0]:.3e} below tolerance")
     root = np.sqrt(np.maximum(w, 0.0))
-    q = dec.eigenvectors
     return _as_sym((q * root) @ q.T)
 
 
 def pinv_psd(a, eps: float = EPS_PSD, rank_tol: float = RANK_TOL) -> np.ndarray:
     """Moore-Penrose pseudo-inverse of a PSD matrix via its spectrum."""
-    dec = eig_sym(a)
-    w = dec.eigenvalues
+    w, q = np.linalg.eigh(_as_sym(a))
     norm2 = float(max(abs(w[0]), abs(w[-1]))) if w.size else 0.0
     if w[0] < -eps * (1.0 + norm2):
         raise NotPSD(f"lambda_min={w[0]:.3e} below tolerance")
     lam_max = max(float(w[-1]), 0.0)
     cutoff = rank_tol * lam_max
     inv = np.where(w > cutoff, 1.0 / np.where(w > cutoff, w, 1.0), 0.0)
-    q = dec.eigenvectors
     return _as_sym((q * inv) @ q.T)
 
 
@@ -277,11 +255,11 @@ def polar_factor(theta, sigma, tol: float = 1e-8) -> np.ndarray:
     gram_gap = fro_norm(theta @ theta.T - sigma)
     if gram_gap > tol * (1.0 + fro_norm(sigma)):
         raise FactorMismatch(f"Theta Theta* differs from sigma by {gram_gap:.3e}")
-    dec = eig_sym(sigma)
-    lam = np.maximum(dec.eigenvalues, 0.0)
+    lam, vecs = np.linalg.eigh(sigma)
+    lam = np.maximum(lam, 0.0)
     lam_max = lam[-1] if lam.size else 0.0
     alive = lam > RANK_TOL * max(lam_max, 1e-300)
-    theta_eig = dec.eigenvectors.T @ theta  # rows follow eigenvalue order
+    theta_eig = vecs.T @ theta  # rows follow eigenvalue order
     w = np.zeros((d, q))
     live_rows: list[np.ndarray] = []
     for k in range(d):
@@ -293,7 +271,7 @@ def polar_factor(theta, sigma, tol: float = 1e-8) -> np.ndarray:
     for idx, k in enumerate(dead):
         w[k] = fill[idx]
     rest = np.array(fill[len(dead):]).reshape(q - d, q) if q > d else np.zeros((0, q))
-    top = dec.eigenvectors @ w
+    top = vecs @ w
     o = np.vstack([top, rest])
     ortho_gap = fro_norm(o @ o.T - np.eye(q))
     if ortho_gap > 1e-8 * (1.0 + q):

@@ -99,17 +99,24 @@ def offdiag_sym_sum(gamma: np.ndarray, task: FeasibilityTask) -> np.ndarray:
     return matcore.symmetrize(total - fixed)
 
 
-def _pin_blocks(gamma: np.ndarray, task: FeasibilityTask) -> np.ndarray:
-    out = gamma.copy()
-    for i in range(task.n):
-        sl = task.block_slice(i)
-        out[sl, sl] = task.blocks[i]
+def pin_blocks(gamma: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Copy of Gamma with its diagonal d-blocks set to ``blocks`` (n, d, d)."""
+    out = np.array(gamma, dtype=float)
+    d = blocks.shape[1]
+    for i, block in enumerate(blocks):
+        out[i * d : (i + 1) * d, i * d : (i + 1) * d] = block
     return out
+
+
+def pair_index(d: int, i: int, j: int):
+    """Index of the 2d x 2d pair block of components i and j, for reads and writes."""
+    rows = np.array([*range(i * d, (i + 1) * d), *range(j * d, (j + 1) * d)])
+    return rows[:, None], rows
 
 
 def _affine_project(task: FeasibilityTask, gamma: np.ndarray, slack: np.ndarray):
     """Orthogonal projection onto {blocks pinned, S = A Gamma A* - target}."""
-    gamma = _pin_blocks(gamma, task)
+    gamma = pin_blocks(gamma, task.blocks)
     v0 = offdiag_sym_sum(gamma, task)
     r = (v0 + task.offset - slack) / (1.0 + task.coupling)
     for i, j in task.pairs:
@@ -132,9 +139,7 @@ def cone_violation(task: FeasibilityTask, gamma: np.ndarray, slack: np.ndarray) 
     else:
         d_g = 0.0
         for i, j in task.pairs:
-            si, sj = task.block_slice(i), task.block_slice(j)
-            blk = np.block([[gamma[si, si], gamma[si, sj]], [gamma[sj, si], gamma[sj, sj]]])
-            d_g = max(d_g, _neg_part_norm(blk))
+            d_g = max(d_g, _neg_part_norm(gamma[pair_index(task.d, i, j)]))
     return max(d_g, _neg_part_norm(slack))
 
 
@@ -334,9 +339,7 @@ def gamma_from_contractions(p, blocks, ks) -> np.ndarray:
     pairs = contraction_pairs(p, blocks)
     n = len(p)
     d = blocks.shape[1]
-    gamma = np.zeros((n * d, n * d))
-    for i in range(n):
-        gamma[i * d : (i + 1) * d, i * d : (i + 1) * d] = blocks[i]
+    gamma = pin_blocks(np.zeros((n * d, n * d)), blocks)
     for (w, a_i, a_j, (i, j)), k in zip(pairs, ks):
         theta = a_i @ k @ a_j
         gamma[i * d : (i + 1) * d, j * d : (j + 1) * d] = theta
@@ -366,12 +369,8 @@ def default_candidates(task: FeasibilityTask) -> list[np.ndarray]:
     optimal-transport pair coupling when n = 2, and the cheap contraction
     construction (closed form for d = 1, angular grid for d = 2 pairs)."""
     n, d = task.n, task.d
-    cands = []
-    blockdiag = np.zeros((n * d, n * d))
-    for i in range(n):
-        sl = task.block_slice(i)
-        blockdiag[sl, sl] = task.blocks[i]
-    cands.append(blockdiag)
+    blockdiag = pin_blocks(np.zeros((n * d, n * d)), task.blocks)
+    cands = [blockdiag]
 
     shared = blockdiag.copy()
     for i, j in task.pairs:
@@ -414,7 +413,7 @@ def warm_start_from(task: FeasibilityTask, candidates) -> np.ndarray:
         cand = np.asarray(cand, dtype=float)
         if cand.shape != (task.n * task.d, task.n * task.d):
             continue
-        pinned = _pin_blocks(matcore.symmetrize(cand), task)
+        pinned = pin_blocks(matcore.symmetrize(cand), task.blocks)
         slack = mix_compress(pinned, task.p, task.d) - task.target
         res = cone_violation(task, pinned, slack)
         lmin_slack = float(np.linalg.eigvalsh(slack)[0])
@@ -422,20 +421,14 @@ def warm_start_from(task: FeasibilityTask, candidates) -> np.ndarray:
         if best_key is None or key < best_key:
             best, best_key = pinned, key
     if best is None:
-        best = _pin_blocks(np.zeros((task.n * task.d, task.n * task.d)), task)
+        best = pin_blocks(np.zeros((task.n * task.d, task.n * task.d)), task.blocks)
     return best
 
 
 def _project_psd_pair(gamma: np.ndarray, task: FeasibilityTask, i: int, j: int) -> np.ndarray:
-    si, sj = task.block_slice(i), task.block_slice(j)
-    blk = np.block([[gamma[si, si], gamma[si, sj]], [gamma[sj, si], gamma[sj, sj]]])
-    proj = matcore.clamp_psd(blk)
+    idx = pair_index(task.d, i, j)
     out = gamma.copy()
-    d = task.d
-    out[si, si] = proj[:d, :d]
-    out[si, sj] = proj[:d, d:]
-    out[sj, si] = proj[d:, :d]
-    out[sj, sj] = proj[d:, d:]
+    out[idx] = matcore.clamp_psd(gamma[idx])
     return out
 
 
@@ -504,12 +497,7 @@ def validate_gamma(task: FeasibilityTask, gamma: np.ndarray, tol: float) -> dict
     _, lmin_gamma = matcore.is_psd(gamma)
     _, lmin_slack = matcore.is_psd(slack)
     if task.cone == PAIRWISE:
-        lmin_pairs = []
-        for i, j in task.pairs:
-            si, sj = task.block_slice(i), task.block_slice(j)
-            blk = np.block([[gamma[si, si], gamma[si, sj]], [gamma[sj, si], gamma[sj, sj]]])
-            lmin_pairs.append(matcore.is_psd(blk)[1])
-        lmin_gamma = min(lmin_pairs)
+        lmin_gamma = min(matcore.is_psd(gamma[pair_index(task.d, i, j)])[1] for i, j in task.pairs)
     ok = block_err <= tol_abs and lmin_gamma >= -tol_abs and lmin_slack >= -tol_abs
     return {
         "ok": bool(ok),

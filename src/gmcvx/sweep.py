@@ -1,18 +1,20 @@
 """Two-parameter region maps and boundary thresholds for checker verdicts.
 
 A sweep evaluates selected checkers over a rectangular parameter grid,
-cell by cell with no state shared between cells, and writes the region as
+one cell after another in row order, and writes the region as
 deterministic CSV (``param1,param2,checker,status,margin``, shortest
-round-trip floats, LF endings). Cells whose template produces a
-non-PSD target covariance cannot carry a Gaussian law at all and are
-reported as failing with the offending eigenvalue as margin.
+round-trip floats, LF endings). Every checker goes through
+:func:`gmcvx.conditions.run_checker`, so a cell's verdict is exactly the
+direct call's; the directional search runs once per cell and is shared
+with the coupling checkers. Cells whose template produces a non-PSD
+target covariance cannot carry a Gaussian law at all and are reported as
+failing with the offending eigenvalue as margin.
 
 :func:`boundary_bisect` locates a verdict flip along one scalar parameter.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,20 +22,14 @@ import numpy as np
 
 from . import psdfeas
 from .conditions import (
+    CHECKERS,
     InvalidProblem,
     MixtureProblem,
     SearchConfig,
     Status,
-    Verdict,
-    check_dominated_by_single,
-    check_inecov,
-    check_inecovf,
     check_inegsqrt,
-    find_correl_certificate,
+    run_checker,
 )
-from .utils import thread_cap
-
-CHECKER_NAMES = ("inegsqrt", "inecov", "inecovf", "correl", "dominates")
 
 
 class BracketNotSeparating(RuntimeError):
@@ -68,7 +64,7 @@ class SweepSpec:
 
     def __post_init__(self):
         for name in self.checkers:
-            if name not in CHECKER_NAMES:
+            if name not in CHECKERS:
                 raise ValueError(f"unknown checker {name!r}")
 
 
@@ -91,20 +87,11 @@ def _evaluate_cell(spec: SweepSpec, v1: float, v2: float, search_cfg, engine_cfg
             RegionCell(v1, v2, name, Status.FAILS.value, margin) for name in spec.checkers
         ]
     cells = []
-    v5: Verdict | None = None
+    v5 = None
     if any(name in ("inegsqrt", "inecov", "inecovf") for name in spec.checkers):
         v5 = check_inegsqrt(prob, search_cfg)
     for name in spec.checkers:
-        if name == "inegsqrt":
-            verdict = v5
-        elif name == "inecov":
-            verdict = check_inecov(prob, engine_cfg, search_cfg, inegsqrt_verdict=v5, seed=spec.seed)
-        elif name == "inecovf":
-            verdict = check_inecovf(prob, engine_cfg, search_cfg, inegsqrt_verdict=v5, seed=spec.seed)
-        elif name == "correl":
-            verdict = find_correl_certificate(prob, seed=spec.seed)
-        else:
-            verdict = check_dominated_by_single(prob)
+        verdict = run_checker(name, prob, search_cfg, engine_cfg, spec.seed, inegsqrt_verdict=v5)
         cells.append(RegionCell(v1, v2, name, verdict.status.value, float(verdict.margin)))
     return cells
 
@@ -113,19 +100,14 @@ def run_sweep(
     spec: SweepSpec,
     search_cfg: SearchConfig | None = None,
     engine_cfg: psdfeas.EngineConfig | None = None,
-    threads: int | None = None,
 ) -> list[RegionCell]:
-    """Evaluate the grid; cells are independent and ordered by (row, col)."""
-    grid = [(v1, v2) for v1 in spec.axis1.values() for v2 in spec.axis2.values()]
-    workers = threads if threads is not None else thread_cap()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(
-                pool.map(lambda vv: _evaluate_cell(spec, vv[0], vv[1], search_cfg, engine_cfg), grid)
-            )
-    else:
-        chunks = [_evaluate_cell(spec, v1, v2, search_cfg, engine_cfg) for v1, v2 in grid]
-    return [cell for chunk in chunks for cell in chunk]
+    """Evaluate the grid cell by cell, ordered by (row, col)."""
+    return [
+        cell
+        for v1 in spec.axis1.values()
+        for v2 in spec.axis2.values()
+        for cell in _evaluate_cell(spec, v1, v2, search_cfg, engine_cfg)
+    ]
 
 
 def write_region_csv(cells: list[RegionCell], path) -> None:
@@ -157,22 +139,14 @@ def boundary_bisect(
     bracket; ends must disagree (Unknown at an end raises
     :class:`BracketNotSeparating`).
     """
-    if not callable(checker) and checker not in CHECKER_NAMES:
+    if not callable(checker) and checker not in CHECKERS:
         raise ValueError(f"unknown checker {checker!r}")
 
     def status_at(value: float) -> Status:
         prob = template(value)
         if callable(checker):
             return checker(prob).status
-        if checker == "inegsqrt":
-            return check_inegsqrt(prob, search_cfg).status
-        if checker == "inecov":
-            return check_inecov(prob, engine_cfg, search_cfg, seed=seed).status
-        if checker == "inecovf":
-            return check_inecovf(prob, engine_cfg, search_cfg, seed=seed).status
-        if checker == "correl":
-            return find_correl_certificate(prob, seed=seed).status
-        return check_dominated_by_single(prob).status
+        return run_checker(checker, prob, search_cfg, engine_cfg, seed).status
 
     s_lo = status_at(lo)
     s_hi = status_at(hi)

@@ -1,9 +1,8 @@
-"""Small shared helpers: scalar minimization and environment knobs."""
+"""Small shared helpers: scalar minimization."""
 
 from __future__ import annotations
 
 import math
-import os
 from typing import Callable
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -83,14 +82,3 @@ def refine_minimizer_by_slope(
             a, sa = mid, sm
     return 0.5 * (a + b)
 
-
-def thread_cap(default: int = 1) -> int:
-    """Parallelism cap taken from GMCVX_THREADS; invalid values fall back."""
-    raw = os.environ.get("GMCVX_THREADS")
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        return default
-    return max(1, value)

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from gmcvx import cli
+from gmcvx import cli, coupling
+from gmcvx.rng import CounterRng
 
 
 def write_json(path, doc):
@@ -211,6 +212,16 @@ def test_couple_deterministic_given_seed(tmp_path, capsys):
         run_cli(capsys, "couple", "--input", prob_path, "--gamma", str(cert_path),
                 "--samples", "200", "--seed", "9", "--out", str(out))
     assert a.read_bytes() == b.read_bytes()
+    # same bytes as formatting every numpy scalar on its own
+    doc = json.loads((tmp_path / "prob.json").read_text())
+    prob, digest = cli.problem_from_doc(doc)
+    kernel = coupling.build_kernel(prob, cli.load_certificate(str(cert_path), prob, digest))
+    xs, idx, ys = coupling.sample_batch(kernel, 200, CounterRng(9))
+    rows = ["x1,x2,i,y1,y2"] + [
+        ",".join([repr(float(v)) for v in xs[r]] + [str(int(idx[r]) + 1)] + [repr(float(v)) for v in ys[r]])
+        for r in range(200)
+    ]
+    assert a.read_bytes() == ("\n".join(rows) + "\n").encode()
 
 
 def test_mcverify_identical_laws(tmp_path, capsys):
@@ -248,7 +259,7 @@ def test_sweep_spec_with_expressions(tmp_path, capsys):
             "d": 2,
             "n": 2,
             "p": [0.5, 0.5],
-            "target": [["a", "b"], ["b", "a"]],
+            "target": [[" a", "b"], ["b", "a"]],  # leading blanks are accepted
             "components": [
                 {"cov": [[8.0, 0.0], [0.0, 4.0]]},
                 {"cov": [[4.0, 0.0], [0.0, 8.0]]},
@@ -263,6 +274,40 @@ def test_sweep_spec_with_expressions(tmp_path, capsys):
     assert lines[0] == "param1,param2,checker,status,margin"
     assert len(lines) == 1 + 3 * 3
     assert all(line.split(",")[3] == "holds" for line in lines[1:])
+
+
+@pytest.mark.parametrize(
+    "entry, code",
+    [
+        ("a +", 64),  # does not parse
+        ("().__class__.__mro__[1].__subclasses__()", 64),  # outside the grammar
+        ("__import__('os').getcwd()", 64),
+        ("sqrt(a, b)", 64),  # wrong arity
+        ("log(a - 5)", 65),  # math error at a = 5
+        ("a * 1e400", 65),  # non-finite value
+    ],
+)
+def test_sweep_expression_exit_codes(tmp_path, capsys, monkeypatch, entry, code):
+    spec = {
+        "axes": [
+            {"name": "a", "min": 5.0, "max": 5.5, "step": 0.5},
+            {"name": "b", "min": 0.0, "max": 0.0, "step": 1.0},
+        ],
+        "problem": {
+            "d": 2,
+            "n": 2,
+            "p": [0.5, 0.5],
+            "target": [[entry, "b"], ["b", "a"]],
+            "components": [{"cov": [[8.0, 0.0], [0.0, 4.0]]}, {"cov": [[4.0, 0.0], [0.0, 8.0]]}],
+        },
+    }
+    if code == 64:  # rejected while the spec is loaded, before any cell runs
+        monkeypatch.setattr(cli.sweep_mod, "run_sweep", lambda *a, **k: pytest.fail("cells ran"))
+    spec_path = write_json(tmp_path / "spec.json", spec)
+    out_path = tmp_path / "region.csv"
+    assert cli.main(["sweep", "--spec", spec_path, "--out", str(out_path)]) == code
+    assert "error:" in capsys.readouterr().err
+    assert not out_path.exists()
 
 
 def test_with_m_flag_feeds_user_bases(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 import families as fam
 from gmcvx import conditions as C
-from gmcvx import matcore
+from gmcvx import matcore, psdfeas
 from gmcvx.rng import CounterRng
 
 SQRT2 = math.sqrt(2.0)
@@ -150,10 +150,10 @@ def test_inecov_convexity_of_witnesses():
 
 def test_contraction_dual_refutes_outside_point():
     prob = fam.axis_swap_problem(6.1, 0.0)
-    val, ks, y = C.contraction_ascent(prob, iters=150)
+    val, ks, y = psdfeas.contraction_ascent(prob.p, prob.covs, prob.target, iters=150)
     assert val < -1e-6
     assert y is not None
-    assert C.dual_refutation_value(prob, y) < 0
+    assert psdfeas.dual_refutation_value(prob.p, prob.covs, prob.target, y) < 0
 
 
 # ---------------------------------------------------------------------------

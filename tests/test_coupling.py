@@ -26,9 +26,10 @@ def test_build_kernel_zero_residual_when_target_saturates():
     # z equals x when the residual covariance vanishes
     rng = CounterRng(1)
     x = np.array([0.3, -0.2])
-    out = coupling.sample(kernel, x, rng)
-    assert out.index in (0, 1)
-    assert np.all(np.isfinite(out.y))
+    xs, idx, ys = coupling.sample_batch(kernel, 1, rng, xs=x)
+    assert np.array_equal(xs[0], x)
+    assert idx[0] in (0, 1)
+    assert np.all(np.isfinite(ys[0]))
 
 
 def test_build_kernel_rejects_bad_witness():

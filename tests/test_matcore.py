@@ -73,12 +73,14 @@ def test_jacobi_eigenvectors_orthogonal():
     assert np.abs(q @ np.diag(w) @ q.T - a).max() < 1e-11 * (1.0 + np.abs(a).max())
 
 
-def test_eig_sym_reconstruction_and_orthogonality():
+def test_sqrt_psd_spectral_reconstruction_and_orthogonality():
+    # sqrt_psd, pinv_psd and polar_factor factor the symmetrised matrix with eigh
     a = rand_sym(11, 6, scale=4.0)
-    dec = matcore.eig_sym(a)
-    assert matcore.fro_norm(dec.reconstruct() - a) <= 1e-10 * (1.0 + matcore.fro_norm(a))
-    q = dec.eigenvectors
+    w, q = np.linalg.eigh(matcore.symmetrize(a))
+    assert matcore.fro_norm((q * w) @ q.T - a) <= 1e-10 * (1.0 + matcore.fro_norm(a))
     assert matcore.fro_norm(q @ q.T - np.eye(6)) <= 1e-10
+    root = matcore.sqrt_psd(a @ a)
+    assert matcore.fro_norm(root - (q * np.abs(w)) @ q.T) <= 1e-10 * (1.0 + matcore.fro_norm(a))
 
 
 def test_sqrt_psd_diagonal():

@@ -68,16 +68,35 @@ def test_rows_ordered_and_deterministic(tmp_path):
     assert header == "param1,param2,checker,status,margin"
 
 
-def test_threaded_sweep_matches_sequential():
+def test_sweep_cells_equal_direct_checker_calls():
+    # a = 0.5, b = 2 is a non-PSD target; the rest straddle the region boundary
     spec = S.SweepSpec(
         fam.axis_swap_problem,
-        S.Axis("a", 3.0, 5.0, 1.0),
-        S.Axis("b", -1.0, 1.0, 1.0),
-        ("inegsqrt",),
+        S.Axis("a", 0.5, 5.5, 2.5),
+        S.Axis("b", -1.0, 2.0, 1.5),
+        C.CHECKERS,
+        seed=2,
     )
-    seq = S.run_sweep(spec, search_cfg=LIGHT, threads=1)
-    par = S.run_sweep(spec, search_cfg=LIGHT, threads=4)
-    assert seq == par
+    engine = psdfeas.EngineConfig(max_iter=300)
+    cells = S.run_sweep(spec, search_cfg=LIGHT, engine_cfg=engine)
+    assert len(cells) == 3 * 3 * len(C.CHECKERS)
+    assert any(c.v1 == 0.5 and c.v2 == 2.0 for c in cells)
+    for cell in cells:
+        try:
+            prob = fam.axis_swap_problem(cell.v1, cell.v2)
+        except C.InvalidProblem as exc:
+            assert (cell.status, cell.margin) == ("fails", exc.lmin)
+            continue
+        verdict = C.run_checker(cell.checker, prob, LIGHT, engine, spec.seed)
+        assert (cell.status, cell.margin) == (verdict.status.value, float(verdict.margin))
+        named = {
+            "inegsqrt": lambda: C.check_inegsqrt(prob, LIGHT),
+            "inecov": lambda: C.check_inecov(prob, engine, LIGHT, seed=spec.seed),
+            "inecovf": lambda: C.check_inecovf(prob, engine, LIGHT, seed=spec.seed),
+            "correl": lambda: C.find_correl_certificate(prob, seed=spec.seed),
+            "dominates": lambda: C.check_dominated_by_single(prob),
+        }[cell.checker]()
+        assert (named.status, named.margin) == (verdict.status, verdict.margin)
 
 
 def test_holds_interval_contiguous_in_b():

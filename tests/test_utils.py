@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from gmcvx.utils import golden_section_minimize, refine_minimizer_by_slope, thread_cap
+from gmcvx.utils import golden_section_minimize, refine_minimizer_by_slope
 
 
 def test_golden_section_quadratic():
@@ -22,14 +22,3 @@ def test_refine_minimizer_beats_value_flatness():
     x1 = refine_minimizer_by_slope(f, x0)
     assert abs(x1 - 0.123456789) < 1e-9
 
-
-def test_thread_cap_env(monkeypatch):
-    monkeypatch.delenv("GMCVX_THREADS", raising=False)
-    assert thread_cap() == 1
-    assert thread_cap(default=3) == 3
-    monkeypatch.setenv("GMCVX_THREADS", "4")
-    assert thread_cap() == 4
-    monkeypatch.setenv("GMCVX_THREADS", "0")
-    assert thread_cap() == 1
-    monkeypatch.setenv("GMCVX_THREADS", "garbage")
-    assert thread_cap(default=2) == 2
