@@ -16,7 +16,8 @@ Subcommands
 
 Exit codes: 0 holds, 1 fails, 2 unknown, 64 malformed JSON or sweep
 expression, 65 invariant violation (including a sweep expression that
-fails or is non-finite at a cell), 66 usage or IO error.
+fails or is non-finite at a cell, and a sweep cell whose problem is
+invalid for any reason but a non-PSD target), 66 usage or IO error.
 """
 
 from __future__ import annotations
@@ -102,8 +103,6 @@ def problem_from_doc(doc) -> tuple[MixtureProblem, str]:
         raise CliFailure(EXIT_BAD_JSON, f"problem document missing or mistyped field: {exc}")
     if len(comps) != n or p.shape != (n,) or target.shape != (d, d):
         raise CliFailure(EXIT_INVARIANT, "problem document shapes are inconsistent")
-    if abs(float(p.sum()) - 1.0) > 1e-10 or np.any(p <= 0.0):
-        raise CliFailure(EXIT_INVARIANT, "weights must be positive and sum to one")
     covs = []
     means = []
     for k, comp in enumerate(comps):
@@ -118,11 +117,6 @@ def problem_from_doc(doc) -> tuple[MixtureProblem, str]:
             raise CliFailure(EXIT_INVARIANT, f"component {k} mean must have length {d}")
         covs.append(cov)
         means.append(mean)
-    for name, mat in [("target", target)] + [(f"component {k}", c) for k, c in enumerate(covs)]:
-        try:
-            matcore.require_symmetric(mat, tol=1e-12)
-        except matcore.InvalidMatrix as exc:
-            raise CliFailure(EXIT_INVARIANT, f"{name}: {exc}")
     try:
         prob = MixtureProblem(p=p, covs=np.stack(covs), target=target, means=np.stack(means))
     except InvalidProblem as exc:
@@ -393,7 +387,10 @@ def cmd_sweep(args) -> int:
         spec = sweep_mod.SweepSpec(template, axes[0], axes[1], checkers, seed)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise CliFailure(EXIT_BAD_JSON, f"bad sweep spec: {exc}")
-    cells = sweep_mod.run_sweep(spec, SearchConfig(seed=seed))
+    try:
+        cells = sweep_mod.run_sweep(spec, SearchConfig(seed=seed))
+    except InvalidProblem as exc:  # a non-PSD target is a "fails" cell, never raised
+        raise CliFailure(EXIT_INVARIANT, f"invalid sweep cell: {exc}")
     try:
         sweep_mod.write_region_csv(cells, args.out)
     except OSError as exc:

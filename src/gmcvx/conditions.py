@@ -36,8 +36,19 @@ from .rng import CounterRng
 from .utils import golden_section_minimize
 
 
+SYM_TOL = 1e-12  # relative asymmetry allowed in input covariances
+
+
 class InvalidProblem(ValueError):
-    """Mixture data violates shape, weight or PSD requirements."""
+    """Mixture data violates shape, weight, finiteness, symmetry or PSD requirements."""
+
+
+class TargetNotPSD(InvalidProblem):
+    """Target covariance has a negative eigenvalue ``lmin`` beyond tolerance."""
+
+    def __init__(self, lmin: float):
+        super().__init__(f"target covariance not PSD (lambda_min={lmin:.3e})")
+        self.lmin = lmin
 
 
 class SingularM(ValueError):
@@ -85,12 +96,21 @@ class Verdict:
         return self.status is Status.FAILS
 
 
+def _symmetric(name: str, a) -> np.ndarray:
+    try:
+        return matcore.require_symmetric(a, tol=SYM_TOL)
+    except matcore.InvalidMatrix as exc:
+        raise InvalidProblem(f"{name}: {exc}") from None
+
+
 @dataclass
 class MixtureProblem:
     """Target covariance, component weights/means/covariances.
 
     Weights must be in (0, 1) and sum to one; all covariances must be
-    symmetric PSD. Means default to zero and only matter for couplings and
+    finite, symmetric to ``SYM_TOL`` and PSD. Every violation raises
+    :class:`InvalidProblem` (:class:`TargetNotPSD` for the target's
+    spectrum). Means default to zero and only matter for couplings and
     expectation tests, where they must be centered under the weights.
     """
 
@@ -101,11 +121,11 @@ class MixtureProblem:
 
     def __post_init__(self):
         self.p = np.asarray(self.p, dtype=float).reshape(-1)
-        self.target = matcore.require_symmetric(self.target, tol=1e-8)
+        self.target = _symmetric("target", self.target)
         covs = np.asarray(self.covs, dtype=float)
         if covs.ndim != 3:
             raise InvalidProblem("component covariances must be a (n, d, d) array")
-        self.covs = np.stack([matcore.require_symmetric(c, tol=1e-8) for c in covs])
+        self.covs = np.stack([_symmetric(f"component {i}", c) for i, c in enumerate(covs)])
         n, d = self.covs.shape[0], self.target.shape[0]
         if self.covs.shape[1] != d:
             raise InvalidProblem("component and target dimensions differ")
@@ -113,7 +133,7 @@ class MixtureProblem:
             raise InvalidProblem("need at least two mixture components")
         if self.p.shape[0] != n:
             raise InvalidProblem("one weight per component required")
-        if np.any(self.p <= 0.0) or np.any(self.p >= 1.0):
+        if not np.all((self.p > 0.0) & (self.p < 1.0)):  # also rejects NaN
             raise InvalidProblem("weights must lie strictly in (0, 1)")
         if abs(self.p.sum() - 1.0) > 1e-12:
             raise InvalidProblem(f"weights sum to {self.p.sum()!r}, expected 1")
@@ -125,9 +145,7 @@ class MixtureProblem:
             raise InvalidProblem("means have non-finite entries")
         ok, lmin = matcore.is_psd(self.target)
         if not ok:
-            err = InvalidProblem(f"target covariance not PSD (lambda_min={lmin:.3e})")
-            err.lmin = lmin
-            raise err
+            raise TargetNotPSD(lmin)
         for i, cov in enumerate(self.covs):
             ok, lmin = matcore.is_psd(cov)
             if not ok:
@@ -439,17 +457,14 @@ def _coupling_check(prob, cone, engine_cfg, search_cfg, extra_candidates, inegsq
     if col is not None:
         candidates.append(col)
 
+    task = psdfeas.FeasibilityTask(prob.p, prob.covs, prob.target, cone)
     ascent = None
     if cone == psdfeas.PAIRWISE or prob.n == 2:
         iters = search_cfg.ascent_iters if search_cfg is not None else 200
-        val, ks, y_avg = psdfeas.contraction_ascent(
-            prob.p, prob.covs, prob.target, seed=seed, iters=iters
-        )
-        ascent = (val, ks, y_avg)
-        diag["pair_ascent_margin"] = val
-        candidates.append(psdfeas.gamma_from_contractions(prob.p, prob.covs, ks))
+        ascent = psdfeas.contraction_ascent(task, seed=seed, iters=iters)
+        diag["pair_ascent_margin"] = ascent[0]
+        candidates.append(psdfeas.gamma_from_contractions(task, ascent[1]))
 
-    task = psdfeas.FeasibilityTask(prob.p, prob.covs, prob.target, cone)
     out = psdfeas.solve(task, engine_cfg, candidates)
     diag["engine_iterations"] = out.iterations
     diag["cone_dist"] = out.cone_dist
@@ -463,7 +478,7 @@ def _coupling_check(prob, cone, engine_cfg, search_cfg, extra_candidates, inegsq
 
     tol_var = max(engine_cfg.tol, 1e-9) * (1.0 + prob.var_scale())
     if ascent is not None and ascent[0] < -tol_var and ascent[2] is not None:
-        fbar = psdfeas.dual_refutation_value(prob.p, prob.covs, prob.target, ascent[2])
+        fbar = psdfeas.dual_refutation_value(task, ascent[2])
         diag["dual_bound"] = fbar
         if fbar < -tol_var:
             return Verdict(Status.FAILS, ascent[0], ("dual", ascent[2]), diag)

@@ -12,15 +12,24 @@ constraints are handled one exact projection per constraint with Dykstra
 correction terms, cycling until both distances fall under tolerance. The
 engine never claims infeasibility: it either returns a feasible, exactly
 block-pinned Gamma or the residuals it got stuck at.
+
+The Dykstra solve and the pair-contraction program take one
+:class:`FeasibilityTask`, which computes what they share once: the
+pinned-block sum and its gap to the target up front, the block square
+roots and weighted root pairs on first use.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import matcore
+from .rng import CounterRng
+from .utils import golden_section_minimize
 
 FULL = "full"
 PAIRWISE = "pairwise"
@@ -58,9 +67,9 @@ class FeasibilityTask:
         # affine-projection constants: S = A Gamma A* - target couples the
         # free off-diagonal blocks through a single scalar correction
         self.coupling = 2.0 * sum((self.p[i] * self.p[j]) ** 2 for i, j in self.pairs)
-        self.offset = matcore.symmetrize(
-            np.einsum("i,ikl->kl", self.p**2, self.blocks) - self.target
-        )
+        # sum_i p_i^2 S_i, the part of A Gamma A* the pinned blocks fix
+        self.pinned_sum = np.einsum("i,ikl->kl", self.p**2, self.blocks)
+        self.offset = matcore.symmetrize(self.pinned_sum - self.target)
         self.scale = 1.0 + max(
             matcore.fro_norm(self.target),
             max(matcore.fro_norm(b) for b in self.blocks),
@@ -68,6 +77,19 @@ class FeasibilityTask:
 
     def block_slice(self, i: int) -> slice:
         return slice(i * self.d, (i + 1) * self.d)
+
+    @cached_property
+    def roots(self) -> list[np.ndarray]:
+        """PSD square roots of the diagonal blocks."""
+        return [matcore.sqrt_psd(b) for b in self.blocks]
+
+    @cached_property
+    def root_pairs(self) -> list[tuple]:
+        """``(p_i p_j, root_i, root_j, (i, j))`` for every pair i < j."""
+        return [
+            (float(self.p[i] * self.p[j]), self.roots[i], self.roots[j], (i, j))
+            for i, j in self.pairs
+        ]
 
 
 @dataclass
@@ -92,11 +114,8 @@ def mix_compress(gamma: np.ndarray, p: np.ndarray, d: int) -> np.ndarray:
 
 
 def offdiag_sym_sum(gamma: np.ndarray, task: FeasibilityTask) -> np.ndarray:
-    total = mix_compress(gamma, task.p, task.d)
-    fixed = np.einsum("i,ikl->kl", task.p**2, np.stack([
-        gamma[task.block_slice(i), task.block_slice(i)] for i in range(task.n)
-    ]))
-    return matcore.symmetrize(total - fixed)
+    """Off-diagonal part of ``A Gamma A*`` for a Gamma with pinned blocks."""
+    return matcore.symmetrize(mix_compress(gamma, task.p, task.d) - task.pinned_sum)
 
 
 def pin_blocks(gamma: np.ndarray, blocks: np.ndarray) -> np.ndarray:
@@ -151,20 +170,6 @@ def cone_violation(task: FeasibilityTask, gamma: np.ndarray, slack: np.ndarray) 
 # ---------------------------------------------------------------------------
 
 
-def contraction_pairs(p: np.ndarray, blocks: np.ndarray):
-    roots = [matcore.sqrt_psd(b) for b in blocks]
-    n = len(p)
-    return [
-        (float(p[i] * p[j]), roots[i], roots[j], (i, j))
-        for i in range(n)
-        for j in range(i + 1, n)
-    ]
-
-
-def base_gap(p: np.ndarray, blocks: np.ndarray, target: np.ndarray) -> np.ndarray:
-    return matcore.symmetrize(np.einsum("i,ikl->kl", np.asarray(p) ** 2, blocks) - target)
-
-
 def assemble_contraction_slack(c0: np.ndarray, pairs, ks) -> np.ndarray:
     h = c0.copy()
     for (w, a_i, a_j, _), k in zip(pairs, ks):
@@ -182,10 +187,6 @@ def clip_operator_ball(k: np.ndarray) -> np.ndarray:
 
 def _rotation_grid_2d(c0: np.ndarray, pair, count: int):
     """Best rotation or reflection contraction on a 2-d angular grid."""
-    import math
-
-    from .utils import golden_section_minimize
-
     w, a, b, _ = pair
     phis = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
     c, s = np.cos(phis), np.sin(phis)
@@ -252,7 +253,7 @@ def _coordinate_rotation_polish(c0, pairs, ks, passes: int = 8, count: int = 128
     return ks
 
 
-def contraction_ascent(p, blocks, target, seed: int = 0, iters: int = 200):
+def contraction_ascent(task: FeasibilityTask, seed: int = 0, iters: int = 200):
     """Maximize the smallest slack eigenvalue over the pair contractions.
 
     Supergradient ascent on a concave objective, with a closed form for
@@ -261,15 +262,9 @@ def contraction_ascent(p, blocks, target, seed: int = 0, iters: int = 200):
     the contractions, and a trace-one PSD average of bottom eigenvectors
     from the ascent tail (usable as a refutation functional).
     """
-    import math
-
-    from .rng import CounterRng
-
-    p = np.asarray(p, dtype=float)
-    blocks = np.asarray(blocks, dtype=float)
-    pairs = contraction_pairs(p, blocks)
-    c0 = base_gap(p, blocks, target)
-    d = target.shape[0]
+    pairs = task.root_pairs
+    c0 = task.offset
+    d = task.d
 
     def value_of(ks):
         return float(np.linalg.eigvalsh(assemble_contraction_slack(c0, pairs, ks))[0])
@@ -332,22 +327,23 @@ def contraction_ascent(p, blocks, target, seed: int = 0, iters: int = 200):
     return best_val, best_ks, y_avg
 
 
-def gamma_from_contractions(p, blocks, ks) -> np.ndarray:
-    """Coupling matrix whose pair blocks come from the contractions."""
-    p = np.asarray(p, dtype=float)
-    blocks = np.asarray(blocks, dtype=float)
-    pairs = contraction_pairs(p, blocks)
-    n = len(p)
-    d = blocks.shape[1]
-    gamma = pin_blocks(np.zeros((n * d, n * d)), blocks)
-    for (w, a_i, a_j, (i, j)), k in zip(pairs, ks):
-        theta = a_i @ k @ a_j
-        gamma[i * d : (i + 1) * d, j * d : (j + 1) * d] = theta
-        gamma[j * d : (j + 1) * d, i * d : (i + 1) * d] = theta.T
+def _pair_coupling(task: FeasibilityTask, thetas) -> np.ndarray:
+    """Gamma with pinned diagonal blocks and ``thetas`` as its (i, j) blocks, i < j."""
+    nd = task.n * task.d
+    gamma = pin_blocks(np.zeros((nd, nd)), task.blocks)
+    for (i, j), theta in zip(task.pairs, thetas):
+        si, sj = task.block_slice(i), task.block_slice(j)
+        gamma[si, sj] = theta
+        gamma[sj, si] = theta.T
     return gamma
 
 
-def dual_refutation_value(p, blocks, target, y: np.ndarray) -> float:
+def gamma_from_contractions(task: FeasibilityTask, ks) -> np.ndarray:
+    """Coupling matrix whose pair blocks come from the contractions."""
+    return _pair_coupling(task, [a_i @ k @ a_j for (_, a_i, a_j, _), k in zip(task.root_pairs, ks)])
+
+
+def dual_refutation_value(task: FeasibilityTask, y: np.ndarray) -> float:
     """Upper bound on the best pairwise slack at a PSD trace-one Y.
 
     A value below zero certifies that no admissible pair blocks can make
@@ -355,9 +351,8 @@ def dual_refutation_value(p, blocks, target, y: np.ndarray) -> float:
     condition (and with it the full coupling condition).
     """
     y = matcore.symmetrize(y)
-    pairs = contraction_pairs(p, blocks)
-    total = float(np.sum(y * base_gap(p, blocks, target)))
-    for w, a_i, a_j, _ in pairs:
+    total = float(np.sum(y * task.offset))
+    for w, a_i, a_j, _ in task.root_pairs:
         sv = np.linalg.svd(a_j @ y @ a_i, compute_uv=False)
         total += 2.0 * w * float(np.sum(sv))
     return total
@@ -368,35 +363,19 @@ def default_candidates(task: FeasibilityTask) -> list[np.ndarray]:
     (feasible when the target is dominated by every component), the
     optimal-transport pair coupling when n = 2, and the cheap contraction
     construction (closed form for d = 1, angular grid for d = 2 pairs)."""
-    n, d = task.n, task.d
-    blockdiag = pin_blocks(np.zeros((n * d, n * d)), task.blocks)
-    cands = [blockdiag]
-
-    shared = blockdiag.copy()
-    for i, j in task.pairs:
-        si, sj = task.block_slice(i), task.block_slice(j)
-        shared[si, sj] = task.target
-        shared[sj, si] = task.target.T
-    cands.append(shared)
-
-    if n == 2:
+    cands = [_pair_coupling(task, []), _pair_coupling(task, [task.target] * len(task.pairs))]
+    if task.n == 2:
         try:
-            root1 = matcore.sqrt_psd(task.blocks[0])
+            root1 = task.roots[0]
             inner = matcore.sqrt_psd(root1 @ task.blocks[1] @ root1)
             # theta = S1 S2* of the optimal quadratic coupling when blocks[0]
             # is nonsingular; degenerate cases just yield a weaker candidate
-            theta = root1 @ inner @ matcore.pinv_psd(root1)
-            wass = blockdiag.copy()
-            s0, s1 = task.block_slice(0), task.block_slice(1)
-            wass[s0, s1] = theta
-            wass[s1, s0] = theta.T
-            cands.append(wass)
+            cands.append(_pair_coupling(task, [root1 @ inner @ matcore.pinv_psd(root1)]))
         except matcore.NotPSD:
             pass
-
     if task.d == 1 or (task.n == 2 and task.d == 2):
-        _, ks, _ = contraction_ascent(task.p, task.blocks, task.target, iters=0)
-        cands.append(gamma_from_contractions(task.p, task.blocks, ks))
+        _, ks, _ = contraction_ascent(task, iters=0)
+        cands.append(gamma_from_contractions(task, ks))
     return cands
 
 
@@ -421,7 +400,7 @@ def warm_start_from(task: FeasibilityTask, candidates) -> np.ndarray:
         if best_key is None or key < best_key:
             best, best_key = pinned, key
     if best is None:
-        best = pin_blocks(np.zeros((task.n * task.d, task.n * task.d)), task.blocks)
+        best = _pair_coupling(task, [])
     return best
 
 

@@ -8,7 +8,9 @@ round-trip floats, LF endings). Every checker goes through
 direct call's; the directional search runs once per cell and is shared
 with the coupling checkers. Cells whose template produces a non-PSD
 target covariance cannot carry a Gaussian law at all and are reported as
-failing with the offending eigenvalue as margin.
+failing with the offending eigenvalue as margin; any other
+:class:`~gmcvx.conditions.InvalidProblem` from the template propagates
+out of :func:`run_sweep` (``gmcvx sweep`` exits 65).
 
 :func:`boundary_bisect` locates a verdict flip along one scalar parameter.
 """
@@ -23,10 +25,10 @@ import numpy as np
 from . import psdfeas
 from .conditions import (
     CHECKERS,
-    InvalidProblem,
     MixtureProblem,
     SearchConfig,
     Status,
+    TargetNotPSD,
     check_inegsqrt,
     run_checker,
 )
@@ -80,11 +82,10 @@ class RegionCell:
 def _evaluate_cell(spec: SweepSpec, v1: float, v2: float, search_cfg, engine_cfg) -> list[RegionCell]:
     try:
         prob = spec.template(v1, v2)
-    except InvalidProblem as exc:
+    except TargetNotPSD as exc:
         # no Gaussian law carries this target covariance: every condition fails
-        margin = float(getattr(exc, "lmin", -np.inf))
         return [
-            RegionCell(v1, v2, name, Status.FAILS.value, margin) for name in spec.checkers
+            RegionCell(v1, v2, name, Status.FAILS.value, float(exc.lmin)) for name in spec.checkers
         ]
     cells = []
     v5 = None

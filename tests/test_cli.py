@@ -105,6 +105,14 @@ def test_asymmetric_matrix_rejected(tmp_path, capsys):
     assert code == 65
 
 
+def test_nan_weights_are_invariant_violation(tmp_path, capsys):
+    doc = separation_doc()
+    doc["p"] = [float("nan"), float("nan")]  # json writes and reads NaN
+    prob = write_json(tmp_path / "prob.json", doc)
+    code, report = run_cli(capsys, "check", "--condition", "inegsqrt", "--input", prob)
+    assert (code, report) == (65, None)
+
+
 def test_malformed_json_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -306,6 +314,35 @@ def test_sweep_expression_exit_codes(tmp_path, capsys, monkeypatch, entry, code)
     spec_path = write_json(tmp_path / "spec.json", spec)
     out_path = tmp_path / "region.csv"
     assert cli.main(["sweep", "--spec", spec_path, "--out", str(out_path)]) == code
+    assert "error:" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "target",
+    [
+        [["a", 0, 0], [0, "a", 0], [0, 0, "a"]],  # 3 x 3 target, 2 x 2 components
+        [["a", 1], [0, "a"]],  # asymmetric
+    ],
+    ids=["target-size", "asymmetric-target"],
+)
+def test_sweep_invalid_cell_exits_65(tmp_path, capsys, target):
+    spec = {
+        "axes": [
+            {"name": "a", "min": 5.0, "max": 5.0, "step": 1.0},
+            {"name": "b", "min": 0.0, "max": 0.0, "step": 1.0},
+        ],
+        "problem": {
+            "d": 2,
+            "n": 2,
+            "p": [0.5, 0.5],
+            "target": target,
+            "components": [{"cov": [[8.0, 0.0], [0.0, 4.0]]}, {"cov": [[4.0, 0.0], [0.0, 8.0]]}],
+        },
+    }
+    spec_path = write_json(tmp_path / "spec.json", spec)
+    out_path = tmp_path / "region.csv"
+    assert cli.main(["sweep", "--spec", spec_path, "--out", str(out_path)]) == 65
     assert "error:" in capsys.readouterr().err
     assert not out_path.exists()
 

@@ -21,17 +21,30 @@ def test_problem_rejects_bad_weights():
         C.MixtureProblem(p=[0.5, 0.4], covs=np.stack([np.eye(1), np.eye(1)]), target=np.eye(1))
     with pytest.raises(C.InvalidProblem):
         C.MixtureProblem(p=[1.2, -0.2], covs=np.stack([np.eye(1), np.eye(1)]), target=np.eye(1))
+    with pytest.raises(C.InvalidProblem):  # NaN passes every comparison-based test
+        C.MixtureProblem(p=[math.nan, math.nan], covs=np.stack([np.eye(1), np.eye(1)]), target=np.eye(1))
 
 
 def test_problem_rejects_non_psd():
-    with pytest.raises(C.InvalidProblem):
+    with pytest.raises(C.TargetNotPSD) as info:
         fam.axis_swap_problem(1.0, 2.0)  # off-diagonal exceeds the diagonal
+    assert info.value.lmin == pytest.approx(-1.0)
     with pytest.raises(C.InvalidProblem):
         C.MixtureProblem(
             p=[0.5, 0.5],
             covs=np.stack([np.diag([1.0, -0.5]), np.eye(2)]),
             target=np.eye(2),
         )
+
+
+@pytest.mark.parametrize(
+    "target",
+    [[[1.0, 0.0], [math.nan, 1.0]], [[1.0, 1e-9], [0.0, 1.0]]],  # the second is asymmetric beyond 1e-12
+    ids=["nan-target", "asymmetric-target"],
+)
+def test_problem_rejects_non_finite_and_asymmetric_matrices(target):
+    with pytest.raises(C.InvalidProblem):
+        C.MixtureProblem(p=[0.5, 0.5], covs=np.stack([np.eye(2), np.eye(2)]), target=target)
 
 
 def test_problem_rejects_single_component():
@@ -150,10 +163,11 @@ def test_inecov_convexity_of_witnesses():
 
 def test_contraction_dual_refutes_outside_point():
     prob = fam.axis_swap_problem(6.1, 0.0)
-    val, ks, y = psdfeas.contraction_ascent(prob.p, prob.covs, prob.target, iters=150)
+    task = psdfeas.FeasibilityTask(prob.p, prob.covs, prob.target, psdfeas.PAIRWISE)
+    val, ks, y = psdfeas.contraction_ascent(task, iters=150)
     assert val < -1e-6
     assert y is not None
-    assert psdfeas.dual_refutation_value(prob.p, prob.covs, prob.target, y) < 0
+    assert psdfeas.dual_refutation_value(task, y) < 0
 
 
 # ---------------------------------------------------------------------------

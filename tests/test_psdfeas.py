@@ -112,11 +112,37 @@ def test_warm_start_empty_candidates_defaults_to_block_diagonal():
     assert np.abs(off).max() == 0.0
 
 
-def test_wasserstein_candidate_closes_pair_slack():
-    # n = 2 with a nonsingular first block: the transport candidate makes
-    # the weighted block sum as large as the analytic two-sided bound
+@pytest.mark.parametrize("index", [2, -1], ids=["wasserstein", "contraction"])
+def test_wasserstein_candidate_closes_pair_slack(index):
+    # n = 2, d = 2 with a nonsingular first block: the transport candidate
+    # (index 2) and the contraction candidate (last) both make the weighted
+    # block sum as large as the analytic two-sided bound
     prob = axis_swap_problem(3.0 + 2.0 * np.sqrt(2.0) - 1e-9, 0.0)
     task = psdfeas.FeasibilityTask(prob.p, prob.covs, prob.target, psdfeas.FULL)
-    cand = psdfeas.default_candidates(task)[-1]
+    cand = psdfeas.default_candidates(task)[index]
     mix = psdfeas.mix_compress(cand, task.p, 2)
     assert np.allclose(mix, (3.0 + 2.0 * np.sqrt(2.0)) * np.eye(2), atol=1e-9)
+
+
+def test_task_roots_computed_once_per_task(monkeypatch):
+    calls = []
+    real = matcore.sqrt_psd
+    monkeypatch.setattr(matcore, "sqrt_psd", lambda a: calls.append(1) or real(a))
+    # a full-cone solve with n = 3, d = 2 never needs the roots
+    task3, _ = random_instance(7, n=3, d=2)
+    assert psdfeas.solve(task3).feasible
+    assert calls == [] and "roots" not in vars(task3)
+
+    # the contraction ascent, its Gamma, the warm starts and the dual bound
+    # share the two block roots; the transport candidate adds one more root
+    prob = axis_swap_problem(6.1, 0.0)
+    task = psdfeas.FeasibilityTask(prob.p, prob.covs, prob.target, psdfeas.FULL)
+    _, ks, y = psdfeas.contraction_ascent(task, iters=20)
+    psdfeas.gamma_from_contractions(task, ks)
+    psdfeas.default_candidates(task)
+    psdfeas.dual_refutation_value(task, y)
+    assert len(calls) == 3
+    for root, block in zip(task.roots, task.blocks):
+        assert np.allclose(root @ root, block, atol=1e-12)
+    assert np.array_equal(task.offset, matcore.symmetrize(task.pinned_sum - task.target))
+
