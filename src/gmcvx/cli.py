@@ -14,10 +14,12 @@ Subcommands
 ``mcverify`` expectation-suite comparison of the target law against the
              mixture (evidence only).
 
-Exit codes: 0 holds, 1 fails, 2 unknown, 64 malformed JSON or sweep
-expression, 65 invariant violation (including a sweep expression that
-fails or is non-finite at a cell, and a sweep cell whose problem is
-invalid for any reason but a non-PSD target), 66 usage or IO error.
+Exit codes: 0 holds, 1 fails, 2 unknown, 64 malformed JSON, sweep
+expression or certificate field, 65 invariant violation (including a
+sweep expression that fails or is non-finite at a cell, a sweep cell
+whose problem is invalid for any reason but a non-PSD target, and a
+certificate matrix of the wrong shape or with non-finite entries), 66
+usage or IO error (including a sample count below the minimum).
 """
 
 from __future__ import annotations
@@ -206,29 +208,42 @@ def _emit_certificate(path: str, verdict: Verdict, digest: str, tol: float):
         fh.write("\n")
 
 
+def _certificate_array(doc, key: str) -> np.ndarray:
+    """Float array stored under ``key``: missing or mistyped exits 64, non-finite 65."""
+    try:
+        out = np.asarray(doc[key], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError: ragged or non-numeric
+        raise CliFailure(EXIT_BAD_JSON, f"certificate field {key!r} missing or mistyped: {exc}")
+    if not np.all(np.isfinite(out)):
+        raise CliFailure(EXIT_INVARIANT, f"certificate field {key!r} has non-finite entries")
+    return out
+
+
 def load_certificate(path: str, prob: MixtureProblem, digest: str):
+    """Read and validate a certificate file once: malformed fields exit 64,
+    wrong shapes and non-finite entries 65."""
     doc = _load_json(path)
+    if not isinstance(doc, dict):
+        raise CliFailure(EXIT_BAD_JSON, "certificate must be a JSON object")
     if doc.get("input_digest") not in (None, digest):
         raise CliFailure(EXIT_INVARIANT, "certificate digest does not match the problem file")
     kind = doc.get("kind")
     if kind == "gamma":
-        gamma = np.asarray(doc["gamma"], dtype=float)
+        gamma = _certificate_array(doc, "gamma")
+        nd = prob.n * prob.d
+        if gamma.shape != (nd, nd):
+            raise CliFailure(EXIT_INVARIANT, f"certificate gamma must be {nd} x {nd}, got shape {gamma.shape}")
         return GammaWitness(gamma, prob.n, prob.d)
     if kind == "correl":
-        return CorrelCertificate(
-            m=np.asarray(doc["m"], dtype=float),
-            corr=np.asarray(doc["corr"], dtype=float),
-            comp_scales=np.asarray(doc["comp_scales"], dtype=float),
-            mix_scale=np.asarray(doc["mix_scale"], dtype=float),
-            stacked=np.asarray(doc["stacked"], dtype=float),
-        )
+        fields = ("m", "corr", "comp_scales", "mix_scale", "stacked")
+        return CorrelCertificate(**{key: _certificate_array(doc, key) for key in fields})
     raise CliFailure(EXIT_BAD_JSON, f"unknown certificate kind {kind!r}")
 
 
 def cmd_check(args) -> int:
     doc = _load_json(args.input)
     prob, digest = problem_from_doc(doc)
-    cfg = SearchConfig(tol=args.tol, seed=args.seed) if args.tol else SearchConfig(seed=args.seed)
+    cfg = SearchConfig(seed=args.seed)
     engine_cfg = psdfeas.EngineConfig()
     extra_m = []
     if args.with_m:
@@ -400,6 +415,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_couple(args) -> int:
+    if args.samples < 2:  # the diagnostics use sample variances
+        raise CliFailure(EXIT_USAGE, f"--samples must be at least 2, got {args.samples}")
     doc = _load_json(args.input)
     prob, digest = problem_from_doc(doc)
     cert = load_certificate(args.gamma, prob, digest)
@@ -439,6 +456,8 @@ def cmd_couple(args) -> int:
 
 
 def cmd_mcverify(args) -> int:
+    if args.samples < 0:  # 0 skips the Monte Carlo tests
+        raise CliFailure(EXIT_USAGE, f"--samples must be at least 0, got {args.samples}")
     doc = _load_json(args.input)
     prob, digest = problem_from_doc(doc)
     lhs = cxverify.GaussianLaw(np.zeros(prob.d), prob.target)
@@ -456,7 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--condition", required=True,
                          choices=[*CHECKERS, "chain"])
     p_check.add_argument("--input", required=True)
-    p_check.add_argument("--tol", type=float, default=None)
     p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--emit-certificate", dest="emit_certificate", default=None)
     p_check.add_argument("--with-M", dest="with_m", default=None)

@@ -457,11 +457,11 @@ def _coupling_check(prob, cone, engine_cfg, search_cfg, extra_candidates, inegsq
     if col is not None:
         candidates.append(col)
 
-    task = psdfeas.FeasibilityTask(prob.p, prob.covs, prob.target, cone)
+    iters = (search_cfg or SearchConfig()).ascent_iters
+    task = psdfeas.FeasibilityTask(prob.p, prob.covs, prob.target, cone, seed=seed, ascent_iters=iters)
     ascent = None
     if cone == psdfeas.PAIRWISE or prob.n == 2:
-        iters = search_cfg.ascent_iters if search_cfg is not None else 200
-        ascent = psdfeas.contraction_ascent(task, seed=seed, iters=iters)
+        ascent = task.ascent
         diag["pair_ascent_margin"] = ascent[0]
         candidates.append(psdfeas.gamma_from_contractions(task, ascent[1]))
 
@@ -888,7 +888,8 @@ def implication_chain_report(
     """Run every checker and assert the implication chain is not inverted.
 
     Certificates found at a stronger level are handed down as warm starts,
-    so a stronger Holds always propagates. Any inversion (stronger Holds
+    so a stronger Holds always propagates. With two components inecovf is
+    inecov, so its verdict is reused. Any inversion (stronger Holds
     with weaker Fails beyond tolerance) raises :class:`ChainViolation`.
     """
     from . import cxverify  # local import to avoid a module cycle
@@ -901,12 +902,13 @@ def implication_chain_report(
     v3 = check_inecov(
         prob, engine_cfg, search_cfg, extra_candidates=extra, inegsqrt_verdict=v5, seed=seed
     )
-    extra_f = list(extra)
-    if v3.holds:
-        extra_f.append(v3.witness.gamma)
-    v3f = check_inecovf(
-        prob, engine_cfg, search_cfg, extra_candidates=extra_f, inegsqrt_verdict=v5, seed=seed
-    )
+    if prob.n == 2:
+        v3f = v3  # the one pair block is the whole coupling matrix: inecovf is inecov
+    else:
+        extra_f = extra + [v3.witness.gamma] if v3.holds else extra
+        v3f = check_inecovf(
+            prob, engine_cfg, search_cfg, extra_candidates=extra_f, inegsqrt_verdict=v5, seed=seed
+        )
     lhs = cxverify.GaussianLaw(np.zeros(prob.d), prob.target)
     suite = cxverify.default_suite(prob, seed=seed)
     v4 = cxverify.test_convex_order(lhs, prob, suite, mc_samples=mc_samples, seed=seed, z=5.0)

@@ -16,7 +16,8 @@ block-pinned Gamma or the residuals it got stuck at.
 The Dykstra solve and the pair-contraction program take one
 :class:`FeasibilityTask`, which computes what they share once: the
 pinned-block sum and its gap to the target up front, the block square
-roots and weighted root pairs on first use.
+roots, weighted root pairs and the pair-contraction ascent (with the
+task's seed and step count) on first use.
 """
 
 from __future__ import annotations
@@ -46,12 +47,18 @@ class EngineConfig:
 
 @dataclass
 class FeasibilityTask:
-    """Fixed diagonal blocks, weights, target and cone selector."""
+    """Fixed diagonal blocks, weights, target and cone selector.
+
+    Blocks must be exactly symmetric, as ``MixtureProblem`` leaves them.
+    ``seed`` and ``ascent_iters`` configure the pair-contraction :attr:`ascent`.
+    """
 
     p: np.ndarray
     blocks: np.ndarray  # (n, d, d)
     target: np.ndarray  # (d, d)
     cone: str = FULL
+    seed: int = 0
+    ascent_iters: int = 0
 
     def __post_init__(self):
         self.p = np.asarray(self.p, dtype=float)
@@ -69,7 +76,7 @@ class FeasibilityTask:
         self.coupling = 2.0 * sum((self.p[i] * self.p[j]) ** 2 for i, j in self.pairs)
         # sum_i p_i^2 S_i, the part of A Gamma A* the pinned blocks fix
         self.pinned_sum = np.einsum("i,ikl->kl", self.p**2, self.blocks)
-        self.offset = matcore.symmetrize(self.pinned_sum - self.target)
+        self.offset = self.pinned_sum - self.target  # difference of exactly symmetric terms
         self.scale = 1.0 + max(
             matcore.fro_norm(self.target),
             max(matcore.fro_norm(b) for b in self.blocks),
@@ -90,6 +97,11 @@ class FeasibilityTask:
             (float(self.p[i] * self.p[j]), self.roots[i], self.roots[j], (i, j))
             for i, j in self.pairs
         ]
+
+    @cached_property
+    def ascent(self) -> tuple:
+        """:func:`contraction_ascent` of this task, run once; callers share it."""
+        return contraction_ascent(self)
 
 
 @dataclass
@@ -115,7 +127,7 @@ def mix_compress(gamma: np.ndarray, p: np.ndarray, d: int) -> np.ndarray:
 
 def offdiag_sym_sum(gamma: np.ndarray, task: FeasibilityTask) -> np.ndarray:
     """Off-diagonal part of ``A Gamma A*`` for a Gamma with pinned blocks."""
-    return matcore.symmetrize(mix_compress(gamma, task.p, task.d) - task.pinned_sum)
+    return mix_compress(gamma, task.p, task.d) - task.pinned_sum
 
 
 def pin_blocks(gamma: np.ndarray, blocks: np.ndarray) -> np.ndarray:
@@ -175,7 +187,7 @@ def assemble_contraction_slack(c0: np.ndarray, pairs, ks) -> np.ndarray:
     for (w, a_i, a_j, _), k in zip(pairs, ks):
         t = a_i @ k @ a_j
         h += w * (t + t.T)
-    return matcore.symmetrize(h)
+    return h
 
 
 def clip_operator_ball(k: np.ndarray) -> np.ndarray:
@@ -253,14 +265,16 @@ def _coordinate_rotation_polish(c0, pairs, ks, passes: int = 8, count: int = 128
     return ks
 
 
-def contraction_ascent(task: FeasibilityTask, seed: int = 0, iters: int = 200):
+def contraction_ascent(task: FeasibilityTask):
     """Maximize the smallest slack eigenvalue over the pair contractions.
 
     Supergradient ascent on a concave objective, with a closed form for
     d = 1, an exact angular grid for a single d = 2 pair, and a cyclic
-    per-pair grid polish for several d = 2 pairs. Returns the best value,
-    the contractions, and a trace-one PSD average of bottom eigenvectors
-    from the ascent tail (usable as a refutation functional).
+    per-pair grid polish for several d = 2 pairs; ``task.ascent_iters``
+    steps from each start, one start drawn from ``task.seed``. Returns the
+    best value, the contractions, and a trace-one PSD average of bottom
+    eigenvectors from the ascent tail (usable as a refutation functional).
+    Read it through :attr:`FeasibilityTask.ascent`, which runs it once.
     """
     pairs = task.root_pairs
     c0 = task.offset
@@ -277,7 +291,8 @@ def contraction_ascent(task: FeasibilityTask, seed: int = 0, iters: int = 200):
         y = np.array([[1.0]]) if val < 0 else None
         return val, ks, y
 
-    rng = CounterRng(seed, stream=29)
+    iters = task.ascent_iters
+    rng = CounterRng(task.seed, stream=29)
     start_sets = [[np.zeros((d, d)) for _ in pairs], [np.eye(d) for _ in pairs]]
     if d == 2 and len(pairs) == 1:
         _, k_grid = _rotation_grid_2d(c0, pairs[0], 256)
@@ -361,8 +376,9 @@ def dual_refutation_value(task: FeasibilityTask, y: np.ndarray) -> float:
 def default_candidates(task: FeasibilityTask) -> list[np.ndarray]:
     """Canonical warm starts: block diagonal, shared-target off-diagonals
     (feasible when the target is dominated by every component), the
-    optimal-transport pair coupling when n = 2, and the cheap contraction
-    construction (closed form for d = 1, angular grid for d = 2 pairs)."""
+    optimal-transport pair coupling when n = 2, and the contraction
+    construction of the task's ascent (closed form for d = 1, angular grid
+    for a d = 2 pair)."""
     cands = [_pair_coupling(task, []), _pair_coupling(task, [task.target] * len(task.pairs))]
     if task.n == 2:
         try:
@@ -374,8 +390,7 @@ def default_candidates(task: FeasibilityTask) -> list[np.ndarray]:
         except matcore.NotPSD:
             pass
     if task.d == 1 or (task.n == 2 and task.d == 2):
-        _, ks, _ = contraction_ascent(task, iters=0)
-        cands.append(gamma_from_contractions(task, ks))
+        cands.append(gamma_from_contractions(task, task.ascent[1]))
     return cands
 
 

@@ -126,6 +126,14 @@ def test_usage_error_exit_code(tmp_path, capsys):
     assert code == 66
 
 
+def test_check_has_no_tolerance_option(tmp_path, capsys):
+    doc = exterior_doc()
+    doc["target"] = [[7.0, 0.0], [0.0, 7.0]]  # inegsqrt fails with margin -0.23
+    prob = write_json(tmp_path / "prob.json", doc)
+    code, report = run_cli(capsys, "check", "--condition", "inegsqrt", "--input", prob, "--tol", "nan")
+    assert (code, report) == (66, None)
+
+
 def test_certificate_round_trip_revalidates(tmp_path, capsys):
     prob_path = write_json(tmp_path / "prob.json", separation_doc())
     cert_path = tmp_path / "cert.json"
@@ -189,6 +197,48 @@ def test_certificate_digest_mismatch_rejected(tmp_path, capsys):
         "--samples", "10", "--out", str(tmp_path / "s.csv"),
     )
     assert code == 65
+
+
+@pytest.mark.parametrize(
+    "edit, code",
+    [
+        (lambda doc: doc["gamma"][0].pop(), 64),  # ragged
+        (lambda doc: [row.pop() for row in doc["gamma"]], 65),  # 4 x 3
+        (lambda doc: doc["gamma"][1].__setitem__(2, float("nan")), 65),
+        (lambda doc: doc.pop("gamma"), 64),
+    ],
+    ids=["ragged", "non-square", "nan-entry", "missing-gamma"],
+)
+def test_couple_rejects_malformed_certificate(tmp_path, capsys, edit, code):
+    prob_path = write_json(tmp_path / "prob.json", separation_doc())
+    cert_path = tmp_path / "cert.json"
+    run_cli(capsys, "check", "--condition", "inecov", "--input", prob_path,
+            "--emit-certificate", str(cert_path))
+    doc = json.loads(cert_path.read_text())
+    edit(doc)
+    write_json(cert_path, doc)
+    got, report = run_cli(
+        capsys, "couple", "--input", prob_path, "--gamma", str(cert_path),
+        "--samples", "10", "--out", str(tmp_path / "s.csv"),
+    )
+    assert (got, report) == (code, None)
+
+
+@pytest.mark.parametrize(
+    "command, samples",
+    [("couple", "0"), ("couple", "1"), ("couple", "-3"), ("mcverify", "-3")],
+)
+def test_sample_counts_below_minimum_are_usage_errors(tmp_path, capsys, command, samples):
+    prob_path = write_json(tmp_path / "prob.json", separation_doc())
+    cert_path = tmp_path / "cert.json"
+    run_cli(capsys, "check", "--condition", "inecov", "--input", prob_path,
+            "--emit-certificate", str(cert_path))
+    argv = {
+        "couple": ["--gamma", str(cert_path), "--out", str(tmp_path / "s.csv")],
+        "mcverify": [],
+    }[command]
+    code, report = run_cli(capsys, command, "--input", prob_path, "--samples", samples, *argv)
+    assert (code, report) == (66, None)
 
 
 def test_couple_outputs_samples_and_diagnostics(tmp_path, capsys):

@@ -163,11 +163,24 @@ def test_inecov_convexity_of_witnesses():
 
 def test_contraction_dual_refutes_outside_point():
     prob = fam.axis_swap_problem(6.1, 0.0)
-    task = psdfeas.FeasibilityTask(prob.p, prob.covs, prob.target, psdfeas.PAIRWISE)
-    val, ks, y = psdfeas.contraction_ascent(task, iters=150)
+    task = psdfeas.FeasibilityTask(prob.p, prob.covs, prob.target, psdfeas.PAIRWISE, ascent_iters=150)
+    val, ks, y = task.ascent
     assert val < -1e-6
     assert y is not None
     assert psdfeas.dual_refutation_value(task, y) < 0
+
+
+@pytest.mark.parametrize("ascent_iters", [0, 200])
+def test_coupling_check_runs_one_ascent(monkeypatch, ascent_iters):
+    # the margin, the warm starts and the dual bound share the task's ascent
+    tasks = []
+    real = psdfeas.contraction_ascent
+    monkeypatch.setattr(
+        psdfeas, "contraction_ascent", lambda task, *args, **kwargs: tasks.append(task) or real(task, *args, **kwargs)
+    )
+    v = C.check_inecov(fam.axis_swap_problem(5.0, 0.5), search_cfg=C.SearchConfig(ascent_iters=ascent_iters))
+    assert v.holds
+    assert len(tasks) == 1 and tasks[0].ascent_iters == ascent_iters
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +466,15 @@ def test_chain_interior_point_all_holds():
     assert report.inecovf.holds
     assert report.inegsqrt.holds
     assert report.order_evidence.holds
+
+
+def test_chain_two_components_decides_coupling_once(monkeypatch):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("inecovf decided again for two components")
+
+    monkeypatch.setattr(C, "check_inecovf", unexpected)
+    report = C.implication_chain_report(fam.axis_swap_problem(2.0, 1.0), mc_samples=2000)
+    assert report.inecovf is report.inecov
 
 
 def test_chain_scaled_up_target_all_fail():

@@ -136,8 +136,8 @@ def test_task_roots_computed_once_per_task(monkeypatch):
     # the contraction ascent, its Gamma, the warm starts and the dual bound
     # share the two block roots; the transport candidate adds one more root
     prob = axis_swap_problem(6.1, 0.0)
-    task = psdfeas.FeasibilityTask(prob.p, prob.covs, prob.target, psdfeas.FULL)
-    _, ks, y = psdfeas.contraction_ascent(task, iters=20)
+    task = psdfeas.FeasibilityTask(prob.p, prob.covs, prob.target, psdfeas.FULL, ascent_iters=20)
+    _, ks, y = task.ascent
     psdfeas.gamma_from_contractions(task, ks)
     psdfeas.default_candidates(task)
     psdfeas.dual_refutation_value(task, y)
