@@ -18,8 +18,18 @@ and margins) and the digest of its statuses alone. The search settings of
 the first two sets are imported from ``tests/test_acceptance.py``; the
 engine caps and sample count are the literals its criteria 2 and 6 pass.
 Run it on two checkouts and compare the output lines. Takes a few minutes.
+
+A full digest changes with any margin, however small the change. To see
+how large it is, save one checkout's records with ``--dump FILE`` and run
+the other with ``--compare FILE``: for each set and checker it prints the
+number of records, the status mismatches and the largest |margin change|.
+Set names as arguments restrict the run to those sets::
+
+    python3 scripts/verdict_digest.py --dump before.json        # on the old checkout
+    python3 scripts/verdict_digest.py --compare before.json     # on the new one
 """
 
+import argparse
 import hashlib
 import json
 import sys
@@ -42,13 +52,14 @@ def sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def json_digests(records: list[dict]) -> tuple[str, str]:
-    """Digests of ``[{name: {"status", "margin"}}]`` and of its statuses alone."""
+def json_digests(records: list[dict]) -> tuple[str, str, list]:
+    """Digests of ``[{name: {"status", "margin"}}]``, of its statuses alone, and its flat records."""
     statuses = [{name: v["status"] for name, v in rec.items()} for rec in records]
-    return sha(json.dumps(records, sort_keys=True)), sha(json.dumps(statuses, sort_keys=True))
+    flat = [[str(i), name, v["status"], v["margin"]] for i, rec in enumerate(records) for name, v in rec.items()]
+    return sha(json.dumps(records, sort_keys=True)), sha(json.dumps(statuses, sort_keys=True)), flat
 
 
-def region_digests() -> tuple[str, str]:
+def region_digests() -> tuple[str, str, list]:
     spec = S.SweepSpec(
         axis_swap_problem, S.Axis("a", 0.0, 6.0, 0.25), S.Axis("b", -6.0, 6.0, 0.25), C.CHECKERS
     )
@@ -59,10 +70,14 @@ def region_digests() -> tuple[str, str]:
         csv = path.read_bytes().decode("utf-8")
     # the margin is the last CSV column
     statuses = "".join(line.rsplit(",", 1)[0] + "\n" for line in csv.splitlines())
-    return sha(csv), sha(statuses)
+    flat = []
+    for line in csv.splitlines()[1:]:
+        a, b, checker, status, margin = line.split(",")
+        flat.append([f"{a},{b}", checker, status, float(margin)])
+    return sha(csv), sha(statuses), flat
 
 
-def chain_digests() -> tuple[str, str]:
+def chain_digests() -> tuple[str, str, list]:
     engine_cfg = psdfeas.EngineConfig(max_iter=1500)
     reports = [
         C.implication_chain_report(
@@ -73,7 +88,7 @@ def chain_digests() -> tuple[str, str]:
     return json_digests(reports)
 
 
-def defaults_digests() -> tuple[str, str]:
+def defaults_digests() -> tuple[str, str, list]:
     records = []
     for seed in range(30):
         prob = random_chain_problem(seed)
@@ -85,9 +100,50 @@ def defaults_digests() -> tuple[str, str]:
     return json_digests(records)
 
 
-def main() -> int:
-    for name, digests in (("region", region_digests), ("chain", chain_digests), ("defaults", defaults_digests)):
-        print(name, *digests(), flush=True)
+SETS = {"region": region_digests, "chain": chain_digests, "defaults": defaults_digests}
+
+
+def drift_lines(name: str, old: list, new: list) -> list[str]:
+    """Per checker: records, status mismatches and the largest |margin change| of ``new`` against ``old``."""
+    before = {(key, checker): (status, margin) for key, checker, status, margin in old}
+    stats: dict[str, list] = {}
+    for key, checker, status, margin in new:
+        row = stats.setdefault(checker, [0, 0, 0.0])
+        row[0] += 1
+        if (key, checker) not in before:
+            row[1] += 1
+            continue
+        old_status, old_margin = before.pop((key, checker))
+        row[1] += old_status != status
+        if old_margin != margin:  # equal infinities differ by nothing
+            row[2] = max(row[2], abs(margin - old_margin))
+    for key, checker in before:  # records the new run no longer has
+        stats.setdefault(checker, [0, 0, 0.0])[1] += 1
+    return [
+        f"drift {name} {checker} records={n} status_mismatches={bad} max_abs_dmargin={worst:.3e}"
+        for checker, (n, bad, worst) in sorted(stats.items())
+    ]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("sets", nargs="*", metavar="SET", help=f"one of {', '.join(SETS)} (default: all)")
+    parser.add_argument("--dump", metavar="FILE", help="write every (key, checker, status, margin) as JSON")
+    parser.add_argument("--compare", metavar="FILE", help="report drift against a file written by --dump")
+    args = parser.parse_args(argv)
+    unknown = sorted(set(args.sets) - set(SETS))
+    if unknown:
+        parser.error(f"unknown set(s): {', '.join(unknown)}")
+    saved = json.loads(Path(args.compare).read_text()) if args.compare else {}
+    dump = {}
+    for name in args.sets or SETS:
+        full, status, records = SETS[name]()
+        print(name, full, status, flush=True)
+        dump[name] = records
+        if name in saved:
+            print("\n".join(drift_lines(name, saved[name], records)), flush=True)
+    if args.dump:
+        Path(args.dump).write_text(json.dumps(dump))
     return 0
 
 

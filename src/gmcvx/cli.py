@@ -456,8 +456,8 @@ def cmd_couple(args) -> int:
 
 
 def cmd_mcverify(args) -> int:
-    if args.samples < 0:  # 0 skips the Monte Carlo tests
-        raise CliFailure(EXIT_USAGE, f"--samples must be at least 0, got {args.samples}")
+    if args.samples < 0 or args.samples == 1:  # 0 skips the Monte Carlo tests; one sample has no variance
+        raise CliFailure(EXIT_USAGE, f"--samples must be 0 or at least 2, got {args.samples}")
     doc = _load_json(args.input)
     prob, digest = problem_from_doc(doc)
     lhs = cxverify.GaussianLaw(np.zeros(prob.d), prob.target)

@@ -268,6 +268,31 @@ def _eigvector_starts(prob: MixtureProblem) -> np.ndarray:
     return np.vstack(vecs)
 
 
+def _h_on_circle(prob: MixtureProblem):
+    """d = 2: h at the direction (cos theta, sin theta), in float arithmetic.
+
+    Each quadratic form is A00 c^2 + 2 A01 c s + A11 s^2 with its three
+    coefficients read once, so an evaluation makes no numpy call; it agrees
+    with :func:`h_margin` to rounding.
+    """
+
+    def coeffs(a: np.ndarray) -> tuple[float, float, float]:
+        return float(a[0, 0]), 2.0 * float(a[0, 1]), float(a[1, 1])
+
+    t00, t01, t11 = coeffs(prob.target)
+    comps = [(p, *coeffs(c)) for p, c in zip(prob.p.tolist(), prob.covs)]
+
+    def h_of(theta: float) -> float:
+        c, s = math.cos(theta), math.sin(theta)
+        cc, cs, ss = c * c, c * s, s * s
+        mix = 0.0
+        for p, a00, a01, a11 in comps:
+            mix += p * math.sqrt(max(a00 * cc + a01 * cs + a11 * ss, 0.0))
+        return mix - math.sqrt(max(t00 * cc + t01 * cs + t11 * ss, 0.0))
+
+    return h_of
+
+
 def _sphere_search(prob: MixtureProblem, cfg: SearchConfig):
     """Multistart projected subgradient descent of h over the unit sphere.
 
@@ -291,10 +316,7 @@ def _sphere_search(prob: MixtureProblem, cfg: SearchConfig):
         hs = h_values(prob, grid)
         order = np.argsort(hs)
         width = np.pi / cfg.grid_points
-
-        def h_of(theta: float) -> float:
-            return h_margin(prob, np.array([math.cos(theta), math.sin(theta)]))
-
+        h_of = _h_on_circle(prob)
         for idx in order[:3]:
             theta, val = golden_section_minimize(
                 h_of, thetas[idx] - width, thetas[idx] + width, xtol=1e-12
@@ -324,6 +346,29 @@ def _sphere_search(prob: MixtureProblem, cfg: SearchConfig):
     return best_h, best_xi, diag
 
 
+def _pencil_lmin_2d(base: np.ndarray, w: float, s1: np.ndarray, s2: np.ndarray):
+    """d = 2: smallest eigenvalue of ``base + w (alpha s1 + s2 / alpha)`` at alpha = 10**t.
+
+    The three entries are affine in (alpha, 1/alpha) and are formed with the
+    same float operations as the matrix expression, so only the closed-form
+    eigenvalue departs from ``eigvalsh``, at rounding level.
+    """
+    w = float(w)
+    (b00, b01), (_, b11) = base.tolist()
+    (u00, u01), (_, u11) = s1.tolist()
+    (v00, v01), (_, v11) = s2.tolist()
+
+    def f(t: float) -> float:
+        alpha = 10.0**t
+        return matcore.lmin_sym2(
+            b00 + w * (alpha * u00 + v00 / alpha),
+            b01 + w * (alpha * u01 + v01 / alpha),
+            b11 + w * (alpha * u11 + v11 / alpha),
+        )
+
+    return f
+
+
 def _alpha_scan(prob: MixtureProblem, cfg: SearchConfig):
     """n = 2 cross check: scan the weighted two-sided bound over alpha > 0.
 
@@ -334,22 +379,27 @@ def _alpha_scan(prob: MixtureProblem, cfg: SearchConfig):
     """
     p1, p2 = prob.p
     s1, s2 = prob.covs
+    w = p1 * p2
     base = p1 * p1 * s1 + p2 * p2 * s2 - prob.target
 
     def pencil(alpha: float) -> np.ndarray:
-        return base + p1 * p2 * (alpha * s1 + s2 / alpha)
+        return base + w * (alpha * s1 + s2 / alpha)
 
     alphas = np.logspace(-6.0, 6.0, cfg.alpha_points)
     mats = (
         base[None, :, :]
-        + p1 * p2 * (alphas[:, None, None] * s1[None] + (1.0 / alphas)[:, None, None] * s2[None])
+        + w * (alphas[:, None, None] * s1[None] + (1.0 / alphas)[:, None, None] * s2[None])
     )
     lmins = np.linalg.eigvalsh(mats)[:, 0]
     k = int(np.argmin(lmins))
     logstep = 12.0 / max(cfg.alpha_points - 1, 1)
 
-    def f(t: float) -> float:
-        return float(np.linalg.eigvalsh(pencil(10.0**t))[0])
+    if prob.d == 2:
+        f = _pencil_lmin_2d(base, w, s1, s2)
+    else:
+
+        def f(t: float) -> float:
+            return float(np.linalg.eigvalsh(pencil(10.0**t))[0])
 
     t0 = math.log10(alphas[k])
     t_best, val = golden_section_minimize(f, t0 - logstep, t0 + logstep, xtol=1e-12)
@@ -463,7 +513,7 @@ def _coupling_check(prob, cone, engine_cfg, search_cfg, extra_candidates, inegsq
     if cone == psdfeas.PAIRWISE or prob.n == 2:
         ascent = task.ascent
         diag["pair_ascent_margin"] = ascent[0]
-        candidates.append(psdfeas.gamma_from_contractions(task, ascent[1]))
+        candidates.append(task.ascent_gamma)
 
     out = psdfeas.solve(task, engine_cfg, candidates)
     diag["engine_iterations"] = out.iterations

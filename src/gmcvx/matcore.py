@@ -14,6 +14,7 @@ tolerance on every symmetric input.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,6 +123,15 @@ def jacobi_eigh(a, sweep_tol: float = 1e-13, max_sweeps: int = 60):
 def spec_norm(a) -> float:
     w = np.linalg.eigvalsh(_as_sym(a))
     return float(max(abs(w[0]), abs(w[-1]))) if w.size else 0.0
+
+
+def lmin_sym2(m00: float, m01: float, m11: float) -> float:
+    """Smallest eigenvalue of the symmetric 2 x 2 matrix [[m00, m01], [m01, m11]].
+
+    Plain float arithmetic for scalar objectives evaluated many times; it
+    agrees with ``eigvalsh`` to rounding relative to the matrix norm.
+    """
+    return 0.5 * (m00 + m11) - math.hypot(0.5 * (m00 - m11), m01)
 
 
 def is_psd(a, eps: float = EPS_PSD) -> tuple[bool, float]:

@@ -103,6 +103,11 @@ class FeasibilityTask:
         """:func:`contraction_ascent` of this task, run once; callers share it."""
         return contraction_ascent(self)
 
+    @cached_property
+    def ascent_gamma(self) -> np.ndarray:
+        """Coupling matrix of the :attr:`ascent` contractions, one object for every caller."""
+        return gamma_from_contractions(self, self.ascent[1])
+
 
 @dataclass
 class FeasibilityOutcome:
@@ -197,6 +202,29 @@ def clip_operator_ball(k: np.ndarray) -> np.ndarray:
     return (u * np.minimum(s, 1.0)) @ vt
 
 
+def _rotation_lmin_2d(c0: np.ndarray, w: float, a: np.ndarray, b: np.ndarray, branch: float):
+    """Smallest eigenvalue of ``c0 + w (T + T')``, T = a K(phi) b, in float arithmetic.
+
+    K(phi) is the rotation (``branch`` 1) or reflection (``branch`` -1)
+    cos(phi) diag(1, branch) + sin(phi) [[0, -branch], [1, 0]], so the matrix
+    is c0 + cos(phi) P + sin(phi) Q with P and Q symmetrised once here.
+    """
+
+    def sym_part(k: np.ndarray) -> list:
+        t = a @ k @ b
+        return (w * (t + t.T)).tolist()
+
+    (z00, _), (z01, z11) = c0.tolist()  # the lower triangle, as eigvalsh reads it
+    (p00, p01), (_, p11) = sym_part(np.diag([1.0, branch]))
+    (q00, q01), (_, q11) = sym_part(np.array([[0.0, -branch], [1.0, 0.0]]))
+
+    def lmin_of(phi: float) -> float:
+        c, s = math.cos(phi), math.sin(phi)
+        return matcore.lmin_sym2(z00 + c * p00 + s * q00, z01 + c * p01 + s * q01, z11 + c * p11 + s * q11)
+
+    return lmin_of
+
+
 def _rotation_grid_2d(c0: np.ndarray, pair, count: int):
     """Best rotation or reflection contraction on a 2-d angular grid."""
     w, a, b, _ = pair
@@ -223,11 +251,10 @@ def _rotation_grid_2d(c0: np.ndarray, pair, count: int):
         lmins = np.linalg.eigvalsh(mats)[:, 0]
         idx = int(np.argmax(lmins))
         width = 2.0 * np.pi / count
+        lmin_of = _rotation_lmin_2d(c0, w, a, b, branch)
 
         def neg(phi: float) -> float:
-            kk = k_of(phi)
-            tt = a @ kk @ b
-            return -float(np.linalg.eigvalsh(c0 + w * (tt + tt.T))[0])
+            return -lmin_of(phi)
 
         phi_best, negval = golden_section_minimize(
             neg, phis[idx] - width, phis[idx] + width, xtol=1e-12
@@ -390,7 +417,7 @@ def default_candidates(task: FeasibilityTask) -> list[np.ndarray]:
         except matcore.NotPSD:
             pass
     if task.d == 1 or (task.n == 2 and task.d == 2):
-        cands.append(gamma_from_contractions(task, task.ascent[1]))
+        cands.append(task.ascent_gamma)
     return cands
 
 
@@ -399,11 +426,18 @@ def warm_start_from(task: FeasibilityTask, candidates) -> np.ndarray:
 
     Residuals within rounding of each other count as ties, broken toward
     the larger slack margin so already-feasible starts keep their slack.
+    A candidate object passed twice is scored once: its second key would
+    tie with the first, and ties keep the earlier candidate.
     """
     tie = 1e-12 * task.scale
     best = None
     best_key = None
+    candidates = list(candidates)  # keeps every object alive, so its id stays unique
+    scored = set()
     for cand in candidates:
+        if id(cand) in scored:
+            continue
+        scored.add(id(cand))
         cand = np.asarray(cand, dtype=float)
         if cand.shape != (task.n * task.d, task.n * task.d):
             continue

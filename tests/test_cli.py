@@ -226,7 +226,7 @@ def test_couple_rejects_malformed_certificate(tmp_path, capsys, edit, code):
 
 @pytest.mark.parametrize(
     "command, samples",
-    [("couple", "0"), ("couple", "1"), ("couple", "-3"), ("mcverify", "-3")],
+    [("couple", "0"), ("couple", "1"), ("couple", "-3"), ("mcverify", "1"), ("mcverify", "-3")],
 )
 def test_sample_counts_below_minimum_are_usage_errors(tmp_path, capsys, command, samples):
     prob_path = write_json(tmp_path / "prob.json", separation_doc())

@@ -111,6 +111,52 @@ def test_inegsqrt_congruence_invariance():
     assert checked >= 20
 
 
+def test_d2_closed_form_objectives_match_numpy():
+    # h on the circle and the n = 2 pencil, with rank-1 components and targets
+    rng = CounterRng(606)
+    for trial in range(60):
+        n = 2 + trial % 2
+        ranks = [2] * (n + 1)
+        ranks[trial % (n + 1)] = 1 if trial % 3 else 2
+        scale = 10.0 ** (4.0 * rng.uniforms(1)[0] - 2.0)
+        mats = [scale * fam.random_psd(rng, 2, r) for r in ranks]
+        raw = rng.uniforms(n) + 0.2
+        prob = C.MixtureProblem(p=raw / raw.sum(), covs=np.stack(mats[:n]), target=mats[n])
+        h_of = C._h_on_circle(prob)
+        for theta in np.pi * rng.uniforms(8):
+            ref = C.h_margin(prob, [math.cos(theta), math.sin(theta)])
+            assert abs(h_of(theta) - ref) <= 1e-12 * (1.0 + prob.std_scale())
+        if n == 2:
+            p1, p2 = prob.p
+            s1, s2 = prob.covs
+            base = p1 * p1 * s1 + p2 * p2 * s2 - prob.target
+            f = C._pencil_lmin_2d(base, p1 * p2, s1, s2)
+            for t in 12.0 * rng.uniforms(8) - 6.0:
+                pencil = base + p1 * p2 * (10.0**t * s1 + s2 / 10.0**t)
+                ref = np.linalg.eigvalsh(pencil)[0]
+                assert abs(f(t) - ref) <= 1e-12 * (1.0 + np.abs(pencil).max())
+
+
+def test_alpha_scan_closed_form_only_for_d2(monkeypatch):
+    prob2 = fam.axis_swap_problem(5.0, 0.5)
+    prob3 = C.MixtureProblem(
+        p=[0.5, 0.5], covs=np.stack([np.diag([3.0, 2.0, 1.0]), np.diag([1.0, 2.0, 3.0])]), target=np.eye(3)
+    )
+    shapes = []
+    real = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    C._alpha_scan(prob2, C.SearchConfig())
+    assert shapes == [(400, 2, 2)]  # the stacked grid only
+    shapes.clear()
+    C._alpha_scan(prob3, C.SearchConfig())
+    assert shapes[0] == (400, 3, 3) and len(shapes) > 1 and set(shapes[1:]) == {(3, 3)}
+
+
 # ---------------------------------------------------------------------------
 # coupling condition
 # ---------------------------------------------------------------------------
@@ -168,6 +214,23 @@ def test_contraction_dual_refutes_outside_point():
     assert val < -1e-6
     assert y is not None
     assert psdfeas.dual_refutation_value(task, y) < 0
+
+
+def test_n2_d2_check_scores_each_warm_start_once(monkeypatch):
+    # the check and the defaults hand over the same contraction coupling
+    scored, counts = [], []
+    real_score, real_warm = psdfeas.cone_violation, psdfeas.warm_start_from
+
+    def warm(task, candidates):
+        before = len(scored)
+        out = real_warm(task, candidates)
+        counts.append(len(scored) - before)
+        return out
+
+    monkeypatch.setattr(psdfeas, "warm_start_from", warm)
+    monkeypatch.setattr(psdfeas, "cone_violation", lambda *args: scored.append(1) or real_score(*args))
+    assert C.check_inecov(fam.axis_swap_problem(5.0, 0.5)).holds
+    assert counts == [4]
 
 
 @pytest.mark.parametrize("ascent_iters", [0, 200])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from families import axis_swap_problem, rank_deficient_pair, RANK_DEFICIENT_GAMMA
+from families import axis_swap_problem, random_psd, rank_deficient_pair, RANK_DEFICIENT_GAMMA
 from gmcvx import matcore, psdfeas
 from gmcvx.rng import CounterRng
 
@@ -51,6 +51,24 @@ def test_oracle_cross_check_random_instances(seed, cone):
     out = psdfeas.solve(task, psdfeas.EngineConfig(max_iter=3000))
     assert out.feasible, (out.cone_dist, out.iterations)
     assert psdfeas.validate_gamma(task, out.gamma, 1e-7)["ok"]
+
+
+def test_rotation_objective_matches_eigvalsh():
+    # closed-form lambda_min of the rotated slack against the matrix it stands for
+    rng = CounterRng(607)
+    for trial in range(40):
+        a = random_psd(rng, 2, 1 + trial % 2)
+        b = random_psd(rng, 2, 1 + (trial // 2) % 2)
+        g = 10.0 ** (4.0 * rng.uniforms(1)[0] - 2.0) * rng.normal_matrix(2, 2)
+        c0, w = g + g.T, float(rng.uniforms(1)[0])
+        for branch in (1.0, -1.0):
+            lmin_of = psdfeas._rotation_lmin_2d(c0, w, a, b, branch)
+            for phi in 2.0 * np.pi * rng.uniforms(6):
+                c, s = np.cos(phi), np.sin(phi)
+                t = a @ np.array([[c, -s * branch], [s, c * branch]]) @ b
+                slack = c0 + w * (t + t.T)
+                ref = np.linalg.eigvalsh(slack)[0]
+                assert abs(lmin_of(phi) - ref) <= 1e-12 * (1.0 + np.abs(slack).max())
 
 
 def test_monotone_residuals_per_sweep():
