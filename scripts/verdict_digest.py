@@ -22,8 +22,7 @@ Run it on two checkouts and compare the output lines. Takes a few minutes.
 A full digest changes with any margin, however small the change. To see
 how large it is, save one checkout's records with ``--dump FILE`` and run
 the other with ``--compare FILE``: for each set and checker it prints the
-number of records, the status mismatches and the largest |margin change|.
-Set names as arguments restrict the run to those sets::
+number of records, the status mismatches and the largest |margin change|::
 
     python3 scripts/verdict_digest.py --dump before.json        # on the old checkout
     python3 scripts/verdict_digest.py --compare before.json     # on the new one
@@ -127,17 +126,13 @@ def drift_lines(name: str, old: list, new: list) -> list[str]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("sets", nargs="*", metavar="SET", help=f"one of {', '.join(SETS)} (default: all)")
     parser.add_argument("--dump", metavar="FILE", help="write every (key, checker, status, margin) as JSON")
     parser.add_argument("--compare", metavar="FILE", help="report drift against a file written by --dump")
     args = parser.parse_args(argv)
-    unknown = sorted(set(args.sets) - set(SETS))
-    if unknown:
-        parser.error(f"unknown set(s): {', '.join(unknown)}")
     saved = json.loads(Path(args.compare).read_text()) if args.compare else {}
     dump = {}
-    for name in args.sets or SETS:
-        full, status, records = SETS[name]()
+    for name, digests in SETS.items():
+        full, status, records = digests()
         print(name, full, status, flush=True)
         dump[name] = records
         if name in saved:

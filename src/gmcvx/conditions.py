@@ -405,7 +405,7 @@ def _alpha_scan(prob: MixtureProblem, cfg: SearchConfig):
     t_best, val = golden_section_minimize(f, t0 - logstep, t0 + logstep, xtol=1e-12)
     if lmins[k] < val:
         t_best, val = t0, float(lmins[k])
-    w, q = np.linalg.eigh(pencil(10.0**t_best))
+    _, q = np.linalg.eigh(pencil(10.0**t_best))
     return float(val), 10.0**t_best, q[:, 0]
 
 

@@ -202,8 +202,8 @@ def clip_operator_ball(k: np.ndarray) -> np.ndarray:
     return (u * np.minimum(s, 1.0)) @ vt
 
 
-def _rotation_lmin_2d(c0: np.ndarray, w: float, a: np.ndarray, b: np.ndarray, branch: float):
-    """Smallest eigenvalue of ``c0 + w (T + T')``, T = a K(phi) b, in float arithmetic.
+def _rotation_neg_lmin_2d(c0: np.ndarray, w: float, a: np.ndarray, b: np.ndarray, branch: float):
+    """Negated smallest eigenvalue of ``c0 + w (T + T')``, T = a K(phi) b, in float arithmetic.
 
     K(phi) is the rotation (``branch`` 1) or reflection (``branch`` -1)
     cos(phi) diag(1, branch) + sin(phi) [[0, -branch], [1, 0]], so the matrix
@@ -218,11 +218,11 @@ def _rotation_lmin_2d(c0: np.ndarray, w: float, a: np.ndarray, b: np.ndarray, br
     (p00, p01), (_, p11) = sym_part(np.diag([1.0, branch]))
     (q00, q01), (_, q11) = sym_part(np.array([[0.0, -branch], [1.0, 0.0]]))
 
-    def lmin_of(phi: float) -> float:
+    def neg_lmin(phi: float) -> float:
         c, s = math.cos(phi), math.sin(phi)
-        return matcore.lmin_sym2(z00 + c * p00 + s * q00, z01 + c * p01 + s * q01, z11 + c * p11 + s * q11)
+        return -matcore.lmin_sym2(z00 + c * p00 + s * q00, z01 + c * p01 + s * q01, z11 + c * p11 + s * q11)
 
-    return lmin_of
+    return neg_lmin
 
 
 def _rotation_grid_2d(c0: np.ndarray, pair, count: int):
@@ -251,13 +251,8 @@ def _rotation_grid_2d(c0: np.ndarray, pair, count: int):
         lmins = np.linalg.eigvalsh(mats)[:, 0]
         idx = int(np.argmax(lmins))
         width = 2.0 * np.pi / count
-        lmin_of = _rotation_lmin_2d(c0, w, a, b, branch)
-
-        def neg(phi: float) -> float:
-            return -lmin_of(phi)
-
         phi_best, negval = golden_section_minimize(
-            neg, phis[idx] - width, phis[idx] + width, xtol=1e-12
+            _rotation_neg_lmin_2d(c0, w, a, b, branch), phis[idx] - width, phis[idx] + width, xtol=1e-12
         )
         if -negval > best[0]:
             best = (-negval, k_of(phi_best))
@@ -432,7 +427,6 @@ def warm_start_from(task: FeasibilityTask, candidates) -> np.ndarray:
     tie = 1e-12 * task.scale
     best = None
     best_key = None
-    candidates = list(candidates)  # keeps every object alive, so its id stays unique
     scored = set()
     for cand in candidates:
         if id(cand) in scored:

@@ -62,13 +62,13 @@ def test_rotation_objective_matches_eigvalsh():
         g = 10.0 ** (4.0 * rng.uniforms(1)[0] - 2.0) * rng.normal_matrix(2, 2)
         c0, w = g + g.T, float(rng.uniforms(1)[0])
         for branch in (1.0, -1.0):
-            lmin_of = psdfeas._rotation_lmin_2d(c0, w, a, b, branch)
+            neg_lmin = psdfeas._rotation_neg_lmin_2d(c0, w, a, b, branch)
             for phi in 2.0 * np.pi * rng.uniforms(6):
                 c, s = np.cos(phi), np.sin(phi)
                 t = a @ np.array([[c, -s * branch], [s, c * branch]]) @ b
                 slack = c0 + w * (t + t.T)
                 ref = np.linalg.eigvalsh(slack)[0]
-                assert abs(lmin_of(phi) - ref) <= 1e-12 * (1.0 + np.abs(slack).max())
+                assert abs(-neg_lmin(phi) - ref) <= 1e-12 * (1.0 + np.abs(slack).max())
 
 
 def test_monotone_residuals_per_sweep():
