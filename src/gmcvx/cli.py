@@ -208,14 +208,14 @@ def _emit_certificate(path: str, verdict: Verdict, digest: str, tol: float):
         fh.write("\n")
 
 
-def _certificate_array(doc, key: str) -> np.ndarray:
+def _float_array(doc, key, what: str = "certificate field") -> np.ndarray:
     """Float array stored under ``key``: missing or mistyped exits 64, non-finite 65."""
     try:
         out = np.asarray(doc[key], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:  # ValueError: ragged or non-numeric
-        raise CliFailure(EXIT_BAD_JSON, f"certificate field {key!r} missing or mistyped: {exc}")
+        raise CliFailure(EXIT_BAD_JSON, f"{what} {key!r} missing or mistyped: {exc}")
     if not np.all(np.isfinite(out)):
-        raise CliFailure(EXIT_INVARIANT, f"certificate field {key!r} has non-finite entries")
+        raise CliFailure(EXIT_INVARIANT, f"{what} {key!r} has non-finite entries")
     return out
 
 
@@ -229,15 +229,33 @@ def load_certificate(path: str, prob: MixtureProblem, digest: str):
         raise CliFailure(EXIT_INVARIANT, "certificate digest does not match the problem file")
     kind = doc.get("kind")
     if kind == "gamma":
-        gamma = _certificate_array(doc, "gamma")
+        gamma = _float_array(doc, "gamma")
         nd = prob.n * prob.d
         if gamma.shape != (nd, nd):
             raise CliFailure(EXIT_INVARIANT, f"certificate gamma must be {nd} x {nd}, got shape {gamma.shape}")
         return GammaWitness(gamma, prob.n, prob.d)
     if kind == "correl":
         fields = ("m", "corr", "comp_scales", "mix_scale", "stacked")
-        return CorrelCertificate(**{key: _certificate_array(doc, key) for key in fields})
+        return CorrelCertificate(**{key: _float_array(doc, key) for key in fields})
     raise CliFailure(EXIT_BAD_JSON, f"unknown certificate kind {kind!r}")
+
+
+def load_bases(path: str, d: int) -> list[np.ndarray]:
+    """Read a ``--with-M`` file once (``{"matrices": [...]}``, ``{"M": ...}`` or a
+    list of matrices): a malformed structure exits 64, a basis that is not
+    d x d or has a non-finite entry 65."""
+    doc = _load_json(path)
+    if isinstance(doc, dict) and "matrices" in doc:
+        doc = doc["matrices"]
+    elif isinstance(doc, dict) and "M" in doc:
+        doc = [doc["M"]]
+    if not isinstance(doc, list):
+        raise CliFailure(EXIT_BAD_JSON, "cannot interpret the candidate-basis file")
+    bases = [_float_array(doc, k, "candidate basis") for k in range(len(doc))]
+    for k, m in enumerate(bases):
+        if m.shape != (d, d):
+            raise CliFailure(EXIT_INVARIANT, f"candidate basis {k} must be {d} x {d}, got shape {m.shape}")
+    return bases
 
 
 def cmd_check(args) -> int:
@@ -245,17 +263,7 @@ def cmd_check(args) -> int:
     prob, digest = problem_from_doc(doc)
     cfg = SearchConfig(seed=args.seed)
     engine_cfg = psdfeas.EngineConfig()
-    extra_m = []
-    if args.with_m:
-        mdoc = _load_json(args.with_m)
-        if isinstance(mdoc, dict) and "matrices" in mdoc:
-            extra_m = [np.asarray(m, dtype=float) for m in mdoc["matrices"]]
-        elif isinstance(mdoc, dict) and "M" in mdoc:
-            extra_m = [np.asarray(mdoc["M"], dtype=float)]
-        elif isinstance(mdoc, list):
-            extra_m = [np.asarray(m, dtype=float) for m in mdoc]
-        else:
-            raise CliFailure(EXIT_BAD_JSON, "cannot interpret the candidate-basis file")
+    extra_m = load_bases(args.with_m, prob.d) if args.with_m else []
 
     try:
         if args.condition != "chain":

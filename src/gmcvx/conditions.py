@@ -186,11 +186,11 @@ class SearchConfig:
 
     tol: float = 1e-9  # relative decision tolerance
     random_starts: int = 64
-    iters: int = 200
+    iters: int = 200  # subgradient steps: d >= 3, or d = 2 with grid_points = 0
     grid_points: int = 720  # angular grid, d = 2 only
     alpha_points: int = 400  # log-spaced scan, n = 2 only
     ascent_iters: int = 200
-    step0: float = 1.0
+    step0: float = 1.0  # first subgradient step length, for the same cases
     seed: int = 0
 
 
@@ -294,12 +294,16 @@ def _h_on_circle(prob: MixtureProblem):
 
 
 def _sphere_search(prob: MixtureProblem, cfg: SearchConfig):
-    """Multistart projected subgradient descent of h over the unit sphere.
+    """Minimize h over the unit sphere; returns (min h, its direction, diagnostics).
 
+    For d = 2 with ``cfg.grid_points > 0`` an angular grid with golden-section
+    refinement around its three best points decides the case; the starts
+    (eigenvectors, random directions and the four best grid points) are
+    scored once and no descent follows. Otherwise multistart projected
+    subgradient descent runs for ``cfg.iters`` steps from the starts.
     Subgradients are normalized before stepping so the search behaves the
     same under rescaling of the covariances; at a degenerate direction the
-    zero subgradient is used. For d = 2 an angular grid with golden-section
-    refinement is added, which decides that case essentially exactly.
+    zero subgradient is used.
     """
     d = prob.d
     rng = CounterRng(cfg.seed, stream=17)
@@ -309,8 +313,10 @@ def _sphere_search(prob: MixtureProblem, cfg: SearchConfig):
     best_h = np.inf
     best_xi = np.zeros(d)
     diag: dict = {}
+    iters = cfg.iters
 
     if d == 2 and cfg.grid_points > 0:
+        iters = 0
         thetas = np.linspace(0.0, np.pi, cfg.grid_points, endpoint=False)
         grid = np.column_stack([np.cos(thetas), np.sin(thetas)])
         hs = h_values(prob, grid)
@@ -328,7 +334,7 @@ def _sphere_search(prob: MixtureProblem, cfg: SearchConfig):
         diag["grid_min"] = float(hs.min())
 
     x = _normalize_rows(np.vstack(starts))
-    for k in range(1, cfg.iters + 1):
+    for k in range(1, iters + 1):
         h, grad = _h_and_grad(prob, x)
         j = int(np.argmin(h))
         if h[j] < best_h:

@@ -1,15 +1,11 @@
 """Dense symmetric-matrix algebra at small dimension (d <= ~16).
 
 Matrices are plain float ndarrays kept exactly symmetric by mirroring the
-upper triangle (see :func:`symmetrize`). All tolerances are relative to
-matrix scale so results are stable under rescaling and congruence. Every
-function is pure; nothing here holds shared state, so concurrent callers
-are safe.
-
-The production eigensolver is LAPACK's ``eigh``. :func:`jacobi_eigh` is an
-independent cyclic-Jacobi implementation kept as a cross-checking oracle
-for the test suite (and for paranoid callers); the two must agree to tight
-tolerance on every symmetric input.
+upper triangle (see :func:`symmetrize`). Tolerances have the form
+``eps * (1 + |A|)``: relative to matrix scale at unit scale and above,
+absolute below it. Every function is pure; nothing here holds shared
+state, so concurrent callers are safe. Eigenproblems go to LAPACK's
+``eigh``/``eigvalsh``.
 """
 
 from __future__ import annotations
@@ -72,52 +68,6 @@ def require_symmetric(a, tol: float = 1e-12) -> np.ndarray:
 
 def fro_norm(a) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=float)))
-
-
-def jacobi_eigh(a, sweep_tol: float = 1e-13, max_sweeps: int = 60):
-    """Cyclic Jacobi eigensolver, dependency-free reference implementation.
-
-    Returns ``(eigenvalues ascending, eigenvector columns)``. Converges when
-    the off-diagonal Frobenius norm drops below ``sweep_tol`` times the
-    matrix norm. Intended for small matrices and as an independent oracle
-    against the LAPACK path.
-    """
-    a = _as_sym(a).copy()
-    n = a.shape[0]
-    q = np.eye(n)
-    norm = max(fro_norm(a), 1e-300)
-    for _ in range(max_sweeps):
-        off = np.sqrt(max(fro_norm(a) ** 2 - float(np.sum(np.diag(a) ** 2)), 0.0))
-        if off <= sweep_tol * norm:
-            break
-        for p in range(n - 1):
-            for r in range(p + 1, n):
-                apr = a[p, r]
-                if abs(apr) <= 1e-300:
-                    continue
-                theta = (a[r, r] - a[p, p]) / (2.0 * apr)
-                if abs(theta) > 1e150:  # tangent underflows, avoid theta**2 overflow
-                    t = 0.5 / theta
-                else:
-                    t = np.sign(theta) if theta != 0 else 1.0
-                    t = t / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = a[:, p].copy()
-                rot_r = a[:, r].copy()
-                a[:, p] = c * rot_p - s * rot_r
-                a[:, r] = s * rot_p + c * rot_r
-                rot_p = a[p, :].copy()
-                rot_r = a[r, :].copy()
-                a[p, :] = c * rot_p - s * rot_r
-                a[r, :] = s * rot_p + c * rot_r
-                col_p = q[:, p].copy()
-                col_r = q[:, r].copy()
-                q[:, p] = c * col_p - s * col_r
-                q[:, r] = s * col_p + c * col_r
-    w = np.diag(a).copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], q[:, order]
 
 
 def spec_norm(a) -> float:

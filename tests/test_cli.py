@@ -407,3 +407,23 @@ def test_with_m_flag_feeds_user_bases(tmp_path, capsys):
     assert code == 2
     tried = [t[0] for t in report["diagnostics"]["tried"]]
     assert "user_0" in tried
+
+
+@pytest.mark.parametrize(
+    "bases, code",
+    [
+        ({"matrices": 5}, 64),
+        ({"M": [[1.0, 0.0], [0.0]]}, 64),
+        ({"M": [["a", "b"], ["c", "d"]]}, 64),
+        ({"M": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}, 65),
+        ([[[1e400, 0.0], [0.0, 1.0]]], 65),
+    ],
+    ids=["matrices-not-a-list", "ragged", "non-numeric", "wrong-size", "non-finite"],
+)
+def test_with_m_rejects_malformed_basis_file(tmp_path, capsys, bases, code):
+    prob_path = write_json(tmp_path / "prob.json", separation_doc())
+    m_path = tmp_path / "m.json"
+    m_path.write_text(json.dumps(bases))  # 1e400 is written as Infinity
+    argv = ["check", "--condition", "correl", "--input", prob_path, "--with-M", str(m_path)]
+    assert cli.main(argv) == code
+    assert "error:" in capsys.readouterr().err

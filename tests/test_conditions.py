@@ -7,6 +7,7 @@ import families as fam
 from gmcvx import conditions as C
 from gmcvx import matcore, psdfeas
 from gmcvx.rng import CounterRng
+from gmcvx.utils import golden_section_minimize
 
 SQRT2 = math.sqrt(2.0)
 
@@ -135,6 +136,60 @@ def test_d2_closed_form_objectives_match_numpy():
                 pencil = base + p1 * p2 * (10.0**t * s1 + s2 / 10.0**t)
                 ref = np.linalg.eigvalsh(pencil)[0]
                 assert abs(f(t) - ref) <= 1e-12 * (1.0 + np.abs(pencil).max())
+
+
+def test_subgradient_loop_runs_only_without_the_d2_grid(monkeypatch):
+    calls = []
+    real = C._h_and_grad
+    monkeypatch.setattr(C, "_h_and_grad", lambda prob, xis: calls.append(1) or real(prob, xis))
+    prob2 = fam.axis_swap_problem(5.0, 0.5)
+    prob3 = C.MixtureProblem(
+        p=[0.5, 0.5], covs=np.stack([np.diag([3.0, 2.0, 1.0]), np.diag([1.0, 2.0, 3.0])]), target=np.eye(3)
+    )
+    assert C.check_inegsqrt(prob2, C.SearchConfig(iters=30)).holds
+    assert calls == []
+    assert C.check_inegsqrt(prob2, C.SearchConfig(iters=30, grid_points=0)).holds
+    assert len(calls) == 30
+    calls.clear()
+    assert C.check_inegsqrt(prob3, C.SearchConfig(iters=30)).holds
+    assert len(calls) == 30
+
+
+def test_d2_margin_matches_dense_brute_force():
+    # n = 2 and 3, scales 1e-2..1e2, rank-1 components in two thirds of the problems
+    rng = CounterRng(2024)
+    grid = np.linspace(0.0, np.pi, 4000, endpoint=False)
+    circle = np.column_stack([np.cos(grid), np.sin(grid)])
+    width = grid[1]
+    signs = set()
+    for trial in range(200):
+        n = 2 + trial % 2
+        ranks = [2] * n
+        for i in range(trial % 3):
+            ranks[(trial + i) % n] = 1
+        scale = 10.0 ** (4.0 * rng.uniforms(1)[0] - 2.0)
+        covs = np.stack([scale * fam.random_psd(rng, 2, r) for r in ranks])
+        raw = rng.uniforms(n) + 0.2
+        p = raw / raw.sum()
+        target = (0.2 + 1.2 * rng.uniforms(1)[0]) * np.einsum("i,ikl->kl", p, covs)
+        if trial % 5 == 0:
+            target = target + 0.3 * scale * fam.random_psd(rng, 2, 1)
+        prob = C.MixtureProblem(p=p, covs=covs, target=0.5 * (target + target.T))
+
+        def h_at(theta):
+            return C.h_margin(prob, [math.cos(theta), math.sin(theta)])
+
+        hs = C.h_values(prob, circle)
+        brute = float(hs.min())
+        for idx in np.argsort(hs)[:5]:
+            brute = min(brute, golden_section_minimize(h_at, grid[idx] - width, grid[idx] + width, xtol=1e-13)[1])
+
+        v = C.check_inegsqrt(prob)
+        assert abs(v.margin - brute) <= 1e-8 * (1.0 + prob.std_scale()), trial
+        if abs(brute) > 1e-6:
+            assert v.status == (C.Status.FAILS if brute < 0 else C.Status.HOLDS), trial
+            signs.add(brute > 0)
+    assert signs == {True, False}
 
 
 def test_alpha_scan_closed_form_only_for_d2(monkeypatch):

@@ -51,13 +51,59 @@ def test_is_psd_rejects_non_finite():
         matcore.is_psd(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
+def jacobi_eigh(a, sweep_tol: float = 1e-13, max_sweeps: int = 60):
+    """Cyclic Jacobi eigensolver, an oracle independent of LAPACK.
+
+    Returns ``(eigenvalues ascending, eigenvector columns)``. Converges when
+    the off-diagonal Frobenius norm drops below ``sweep_tol`` times the
+    matrix norm.
+    """
+    a = np.array(a, dtype=float)
+    a = 0.5 * (a + a.T)
+    n = a.shape[0]
+    q = np.eye(n)
+    norm = max(matcore.fro_norm(a), 1e-300)
+    for _ in range(max_sweeps):
+        off = np.sqrt(max(matcore.fro_norm(a) ** 2 - float(np.sum(np.diag(a) ** 2)), 0.0))
+        if off <= sweep_tol * norm:
+            break
+        for p in range(n - 1):
+            for r in range(p + 1, n):
+                apr = a[p, r]
+                if abs(apr) <= 1e-300:
+                    continue
+                theta = (a[r, r] - a[p, p]) / (2.0 * apr)
+                if abs(theta) > 1e150:  # tangent underflows, avoid theta**2 overflow
+                    t = 0.5 / theta
+                else:
+                    t = np.sign(theta) if theta != 0 else 1.0
+                    t = t / (abs(theta) + np.sqrt(theta * theta + 1.0))
+                c = 1.0 / np.sqrt(t * t + 1.0)
+                s = t * c
+                rot_p = a[:, p].copy()
+                rot_r = a[:, r].copy()
+                a[:, p] = c * rot_p - s * rot_r
+                a[:, r] = s * rot_p + c * rot_r
+                rot_p = a[p, :].copy()
+                rot_r = a[r, :].copy()
+                a[p, :] = c * rot_p - s * rot_r
+                a[r, :] = s * rot_p + c * rot_r
+                col_p = q[:, p].copy()
+                col_r = q[:, r].copy()
+                q[:, p] = c * col_p - s * col_r
+                q[:, r] = s * col_p + c * col_r
+    w = np.diag(a).copy()
+    order = np.argsort(w, kind="stable")
+    return w[order], q[:, order]
+
+
 def test_is_psd_agrees_with_jacobi_oracle():
     disagreements = 0
     for k in range(1000):
         d = 1 + k % 6
         a = rand_sym(k, d, scale=1.0 + (k % 7))
         ok_fast, lmin_fast = matcore.is_psd(a)
-        w, _ = matcore.jacobi_eigh(a)
+        w, _ = jacobi_eigh(a)
         ok_ref = w[0] >= -1e-9 * (1.0 + max(abs(w[0]), abs(w[-1])))
         if abs(lmin_fast - w[0]) > 1e-10 * (1.0 + abs(w[0])):
             disagreements += 1
@@ -68,7 +114,7 @@ def test_is_psd_agrees_with_jacobi_oracle():
 
 def test_jacobi_eigenvectors_orthogonal():
     a = rand_sym(3, 5)
-    w, q = matcore.jacobi_eigh(a)
+    w, q = jacobi_eigh(a)
     assert np.abs(q @ q.T - np.eye(5)).max() < 1e-12
     assert np.abs(q @ np.diag(w) @ q.T - a).max() < 1e-11 * (1.0 + np.abs(a).max())
 
