@@ -17,7 +17,14 @@ Each line gives the set's name, the digest of its full record (statuses
 and margins) and the digest of its statuses alone. The search settings of
 the first two sets are imported from ``tests/test_acceptance.py``; the
 engine caps and sample count are the literals its criteria 2 and 6 pass.
-Run it on two checkouts and compare the output lines. Takes about 16 s
+Run it on two checkouts and compare the output lines.
+
+A scale check follows: the ``defaults`` set recomputed with the target
+and every component multiplied by 4**-20 and by 4**20. Each ``scale``
+line gives the status digest, which should equal the ``defaults`` one,
+and ``exact=K/150``, the number of margins equal to the unit-scale margin
+times the exact power: 2**k for std-unit margins (``inegsqrt``, and a
+coupling verdict refuted by it), 4**k for all others. Takes about 20 s
 on a 2-CPU x86-64 virtual machine.
 
 A full digest changes with any margin, however small the change. To see
@@ -90,19 +97,38 @@ def chain_digests() -> tuple[str, str, list]:
     return json_digests(reports)
 
 
-def defaults_digests() -> tuple[str, str, list]:
-    records = []
+def defaults_verdicts(power: int = 0) -> list[dict]:
+    """The ``defaults`` verdicts with the target and components scaled by 4**power."""
+    out = []
     for seed in range(30):
         prob = random_chain_problem(seed)
-        verdicts = {
-            name: C.run_checker(name, prob, C.SearchConfig(seed=seed), psdfeas.EngineConfig(), seed)
-            for name in C.CHECKERS
-        }
-        records.append({name: {"status": v.status.value, "margin": float(v.margin)} for name, v in verdicts.items()})
-    return json_digests(records)
+        prob = C.MixtureProblem(p=prob.p, covs=prob.covs * 4.0**power, target=prob.target * 4.0**power)
+        out.append(
+            {
+                name: C.run_checker(name, prob, C.SearchConfig(seed=seed), psdfeas.EngineConfig(), seed)
+                for name in C.CHECKERS
+            }
+        )
+    return out
 
 
-SETS = {"region": region_digests, "chain": chain_digests, "defaults": defaults_digests}
+def records_of(verdicts: list[dict]) -> list[dict]:
+    return [
+        {name: {"status": v.status.value, "margin": float(v.margin)} for name, v in rec.items()} for rec in verdicts
+    ]
+
+
+def scale_line(power: int, unit: list[dict]) -> str:
+    """Status digest of the ``defaults`` set at scale 4**power and how many margins scaled exactly."""
+    verdicts = defaults_verdicts(power)
+    exact = total = 0
+    for rec, rec_unit in zip(verdicts, unit):
+        for name, v in rec.items():
+            std_unit = name == "inegsqrt" or v.diagnostics.get("refuted_by") == "inegsqrt"
+            exact += v.margin == rec_unit[name].margin * (2.0 if std_unit else 4.0) ** power
+            total += 1
+    _, status, _ = json_digests(records_of(verdicts))
+    return f"scale 4**{power} {status} exact={exact}/{total}"
 
 
 def drift_lines(name: str, old: list, new: list) -> list[str]:
@@ -135,12 +161,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     saved = json.loads(Path(args.compare).read_text()) if args.compare else {}
     dump = {}
-    for name, digests in SETS.items():
+    unit = defaults_verdicts()
+    sets = {"region": region_digests, "chain": chain_digests, "defaults": lambda: json_digests(records_of(unit))}
+    for name, digests in sets.items():
         full, status, records = digests()
         print(name, full, status, flush=True)
         dump[name] = records
         if name in saved:
             print("\n".join(drift_lines(name, saved[name], records)), flush=True)
+    for power in (-20, 20):
+        print(scale_line(power, unit), flush=True)
     if args.dump:
         Path(args.dump).write_text(json.dumps(dump))
     return 0

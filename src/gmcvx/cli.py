@@ -94,33 +94,33 @@ def _load_json(path: str):
 
 
 def problem_from_doc(doc) -> tuple[MixtureProblem, str]:
-    """Validate a problem document and build the mixture problem."""
-    try:
-        d = int(doc["d"])
-        n = int(doc["n"])
-        p = np.asarray(doc["p"], dtype=float)
-        target = np.asarray(doc["target"], dtype=float)
-        comps = doc["components"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliFailure(EXIT_BAD_JSON, f"problem document missing or mistyped field: {exc}")
+    """Validate a problem document once and build the mixture problem: a
+    missing or mistyped field exits 64, inconsistent shapes and non-finite
+    or otherwise invalid entries 65."""
+    if not isinstance(doc, dict):
+        raise CliFailure(EXIT_BAD_JSON, "problem document must be a JSON object")
+    d, n, comps = doc.get("d"), doc.get("n"), doc.get("components")
+    if type(d) is not int or type(n) is not int:  # rejects 2.7, "2" and true
+        raise CliFailure(EXIT_BAD_JSON, "problem fields 'd' and 'n' must be JSON integers")
+    if not isinstance(comps, list) or not all(isinstance(comp, dict) for comp in comps):
+        raise CliFailure(EXIT_BAD_JSON, "problem field 'components' must be a list of objects")
+    p = _float_array(doc, "p", "problem field")
+    target = _float_array(doc, "target", "problem field")
     if len(comps) != n or p.shape != (n,) or target.shape != (d, d):
         raise CliFailure(EXIT_INVARIANT, "problem document shapes are inconsistent")
     covs = []
     means = []
     for k, comp in enumerate(comps):
-        try:
-            cov = np.asarray(comp["cov"], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CliFailure(EXIT_BAD_JSON, f"component {k}: {exc}")
+        cov = _float_array(comp, "cov", f"component {k} field")
         if cov.shape != (d, d):
             raise CliFailure(EXIT_INVARIANT, f"component {k} covariance must be {d} x {d}")
-        mean = np.asarray(comp.get("mean", [0.0] * d), dtype=float)
+        mean = _float_array(comp, "mean", f"component {k} field") if "mean" in comp else np.zeros(d)
         if mean.shape != (d,):
             raise CliFailure(EXIT_INVARIANT, f"component {k} mean must have length {d}")
         covs.append(cov)
         means.append(mean)
     try:
-        prob = MixtureProblem(p=p, covs=np.stack(covs), target=target, means=np.stack(means))
+        prob = MixtureProblem(p=p, covs=np.reshape(covs, (n, d, d)), target=target, means=np.reshape(means, (n, d)))
     except InvalidProblem as exc:
         raise CliFailure(EXIT_INVARIANT, str(exc))
     return prob, canonical_digest(doc)
@@ -130,7 +130,7 @@ def _witness_summary(witness) -> object:
     if witness is None:
         return None
     if isinstance(witness, GammaWitness):
-        _, lmin = matcore.is_psd(witness.gamma)
+        lmin = float(np.linalg.eigvalsh(witness.gamma)[0])
         return {"kind": "gamma", "shape": list(witness.gamma.shape), "lmin": lmin}
     if isinstance(witness, CorrelCertificate):
         return {"kind": "correl", "m": witness.m.tolist(), "corr": witness.corr.tolist()}
@@ -179,13 +179,13 @@ def _report(condition: str, verdict: Verdict, digest: str, extra: dict | None = 
     return doc
 
 
-def _emit_certificate(path: str, verdict: Verdict, digest: str, tol: float):
+def _emit_certificate(path: str, verdict: Verdict, digest: str):
     witness = verdict.witness
     if isinstance(witness, GammaWitness):
         doc = {
             "kind": "gamma",
             "gamma": witness.gamma.tolist(),
-            "tolerances": {"validation": tol},
+            "tolerances": {"validation": matcore.EPS_ENGINE},
             "tool_version": __version__,
             "input_digest": digest,
         }
@@ -197,7 +197,7 @@ def _emit_certificate(path: str, verdict: Verdict, digest: str, tol: float):
             "comp_scales": witness.comp_scales.tolist(),
             "mix_scale": witness.mix_scale.tolist(),
             "stacked": witness.stacked.tolist(),
-            "tolerances": {"validation": tol},
+            "tolerances": {"validation": matcore.EPS_ENGINE},
             "tool_version": __version__,
             "input_digest": digest,
         }
@@ -283,7 +283,7 @@ def cmd_check(args) -> int:
 
     if args.emit_certificate and verdict.holds:
         try:
-            _emit_certificate(args.emit_certificate, verdict, digest, engine_cfg.tol)
+            _emit_certificate(args.emit_certificate, verdict, digest)
         except OSError as exc:
             raise CliFailure(EXIT_USAGE, f"cannot write {args.emit_certificate}: {exc}")
     print(json.dumps(_report(args.condition, verdict, digest), sort_keys=True))
@@ -373,7 +373,9 @@ def _spec_entry(entry, axis_names):
 def _template_from_doc(doc, axis_names):
     """Parse the spec's problem once; the template evaluates it at each cell."""
     base = doc["problem"]
-    d = int(base["d"])
+    d = base["d"]
+    if type(d) is not int:
+        raise ValueError("problem field 'd' must be a JSON integer")
 
     def entries(values):
         return [_spec_entry(v, axis_names) for v in values]

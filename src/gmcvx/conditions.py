@@ -35,8 +35,7 @@ from . import matcore, psdfeas
 from .rng import CounterRng
 from .utils import golden_section_minimize
 
-
-SYM_TOL = 1e-12  # relative asymmetry allowed in input covariances
+STEP0 = 1.0  # first subgradient step length of the directional descent
 
 
 class InvalidProblem(ValueError):
@@ -78,8 +77,13 @@ class Verdict:
     """Outcome of a checker: status, signed margin, witness, diagnostics.
 
     The margin is the signed distance to the decision boundary in the
-    checker's own metric (directional slack for ``inegsqrt``, smallest
-    slack eigenvalue for the coupling conditions).
+    checker's own metric. Std units (scaling by sqrt(c) when the problem
+    scales by c): the directional slack of ``inegsqrt``, and the margin of
+    a coupling verdict that fails with ``refuted_by: inegsqrt``. Variance
+    units (scaling by c): every other coupling margin (slack eigenvalue,
+    pair-contraction value, minus the cone distance), the ``correl`` slack
+    eigenvalue (``-inf`` when no basis works) and the ``dominates``
+    eigenvalue; :func:`check_correl_with`'s mismatch margins are unitless.
     """
 
     status: Status
@@ -98,7 +102,7 @@ class Verdict:
 
 def _symmetric(name: str, a) -> np.ndarray:
     try:
-        return matcore.require_symmetric(a, tol=SYM_TOL)
+        return matcore.require_symmetric(a)
     except matcore.InvalidMatrix as exc:
         raise InvalidProblem(f"{name}: {exc}") from None
 
@@ -108,7 +112,7 @@ class MixtureProblem:
     """Target covariance, component weights/means/covariances.
 
     Weights must be in (0, 1) and sum to one; all covariances must be
-    finite, symmetric to ``SYM_TOL`` and PSD. Every violation raises
+    finite, symmetric and PSD to the tolerances of ``matcore``. Every violation raises
     :class:`InvalidProblem` (:class:`TargetNotPSD` for the target's
     spectrum). Means default to zero and only matter for couplings and
     expectation tests, where they must be centered under the weights.
@@ -125,34 +129,33 @@ class MixtureProblem:
         covs = np.asarray(self.covs, dtype=float)
         if covs.ndim != 3:
             raise InvalidProblem("component covariances must be a (n, d, d) array")
+        if covs.shape[0] < 2:
+            raise InvalidProblem("need at least two mixture components")
         self.covs = np.stack([_symmetric(f"component {i}", c) for i, c in enumerate(covs)])
         n, d = self.covs.shape[0], self.target.shape[0]
         if self.covs.shape[1] != d:
             raise InvalidProblem("component and target dimensions differ")
-        if n < 2:
-            raise InvalidProblem("need at least two mixture components")
         if self.p.shape[0] != n:
             raise InvalidProblem("one weight per component required")
         if not np.all((self.p > 0.0) & (self.p < 1.0)):  # also rejects NaN
             raise InvalidProblem("weights must lie strictly in (0, 1)")
-        if abs(self.p.sum() - 1.0) > 1e-12:
+        if abs(self.p.sum() - 1.0) > matcore.EPS_ROUND:
             raise InvalidProblem(f"weights sum to {self.p.sum()!r}, expected 1")
         if self.means is None:
             self.means = np.zeros((n, d))
+        elif np.size(self.means) != n * d:
+            raise InvalidProblem("means must have shape (n, d)")
         else:
             self.means = np.asarray(self.means, dtype=float).reshape(n, d)
         if not np.all(np.isfinite(self.means)):
             raise InvalidProblem("means have non-finite entries")
-        ok, lmin = matcore.is_psd(self.target)
-        if not ok:
-            raise TargetNotPSD(lmin)
-        for i, cov in enumerate(self.covs):
-            ok, lmin = matcore.is_psd(cov)
-            if not ok:
+        w, self._var_scale = matcore.spectral_scale([self.target, *self.covs])
+        lmins = w[:, 0].tolist()
+        if lmins[0] < -matcore.EPS_PSD * self._var_scale:
+            raise TargetNotPSD(lmins[0])
+        for i, lmin in enumerate(lmins[1:]):
+            if lmin < -matcore.EPS_PSD * self._var_scale:
                 raise InvalidProblem(f"component {i} covariance not PSD (lambda_min={lmin:.3e})")
-        self._var_scale = float(
-            max(matcore.spec_norm(self.target), max(matcore.spec_norm(c) for c in self.covs))
-        )
 
     @property
     def n(self) -> int:
@@ -163,14 +166,15 @@ class MixtureProblem:
         return self.target.shape[0]
 
     def var_scale(self) -> float:
+        """sigma^2, the largest spectral norm of the target and the components."""
         return self._var_scale
 
     def std_scale(self) -> float:
         return math.sqrt(self._var_scale)
 
-    def require_centered(self, tol: float = 1e-10):
+    def require_centered(self):
         drift = np.linalg.norm(self.p @ self.means)
-        if drift > tol * (1.0 + self.std_scale()):
+        if drift > matcore.RANK_TOL * self.std_scale():
             raise NonCenteredMeans(f"weighted mean norm {drift:.3e}")
 
     def mixture_covariance(self) -> np.ndarray:
@@ -184,13 +188,11 @@ class MixtureProblem:
 class SearchConfig:
     """Knobs for the directional search and the n = 2 cross checks."""
 
-    tol: float = 1e-9  # relative decision tolerance
     random_starts: int = 64
     iters: int = 200  # subgradient steps: d >= 3, or d = 2 with grid_points = 0
     grid_points: int = 720  # angular grid, d = 2 only
     alpha_points: int = 400  # log-spaced scan, n = 2 only
     ascent_iters: int = 200
-    step0: float = 1.0  # first subgradient step length, for the same cases
     seed: int = 0
 
 
@@ -302,8 +304,8 @@ def _sphere_search(prob: MixtureProblem, cfg: SearchConfig):
     scored once and no descent follows. Otherwise multistart projected
     subgradient descent runs for ``cfg.iters`` steps from the starts.
     Subgradients are normalized before stepping so the search behaves the
-    same under rescaling of the covariances; at a degenerate direction the
-    zero subgradient is used.
+    same under rescaling of the covariances; at a degenerate direction (a
+    tangent below ``matcore.EPS_ROUND`` sigma) the zero subgradient is used.
     """
     d = prob.d
     rng = CounterRng(cfg.seed, stream=17)
@@ -314,6 +316,7 @@ def _sphere_search(prob: MixtureProblem, cfg: SearchConfig):
     best_xi = np.zeros(d)
     diag: dict = {}
     iters = cfg.iters
+    floor = matcore.EPS_ROUND * prob.std_scale()
 
     if d == 2 and cfg.grid_points > 0:
         iters = 0
@@ -342,8 +345,8 @@ def _sphere_search(prob: MixtureProblem, cfg: SearchConfig):
             best_xi = x[j].copy()
         tangent = grad - np.sum(grad * x, axis=1)[:, None] * x
         norms = np.linalg.norm(tangent, axis=1)
-        dirs = np.where(norms[:, None] > 1e-14, tangent / np.maximum(norms, 1e-14)[:, None], 0.0)
-        x = _normalize_rows(x - (cfg.step0 / k) * dirs)
+        dirs = np.where(norms[:, None] > floor, tangent / np.where(norms > floor, norms, 1.0)[:, None], 0.0)
+        x = _normalize_rows(x - (STEP0 / k) * dirs)
     h = h_values(prob, x)
     j = int(np.argmin(h))
     if h[j] < best_h:
@@ -424,8 +427,8 @@ def check_inegsqrt(prob: MixtureProblem, cfg: SearchConfig | None = None) -> Ver
     an irreconcilable borderline disagreement yields Unknown.
     """
     cfg = cfg or SearchConfig()
-    tol_std = cfg.tol * (1.0 + prob.std_scale())
-    tol_var = cfg.tol * (1.0 + prob.var_scale())
+    tol_std = matcore.EPS_PSD * prob.std_scale()
+    tol_var = matcore.EPS_PSD * prob.var_scale()
     diag: dict = {}
 
     if prob.d == 1:
@@ -434,15 +437,11 @@ def check_inegsqrt(prob: MixtureProblem, cfg: SearchConfig | None = None) -> Ver
         margin = float(prob.p @ sigs - sig)
         xi = np.array([1.0])
         diag["exact"] = True
-        if margin < -tol_std:
-            return Verdict(Status.FAILS, margin, xi, diag)
-        diag["boundary"] = bool(abs(margin) <= 2.0 * tol_std)
-        return Verdict(Status.HOLDS, margin, None, diag)
+    else:
+        margin, xi, search_diag = _sphere_search(prob, cfg)
+        diag.update(search_diag)
 
-    margin, xi, search_diag = _sphere_search(prob, cfg)
-    diag.update(search_diag)
-
-    if prob.n == 2 and cfg.alpha_points > 0:
+    if prob.d > 1 and prob.n == 2 and cfg.alpha_points > 0:
         scan_val, alpha_best, scan_xi = _alpha_scan(prob, cfg)
         diag["alpha_scan_min"] = scan_val
         diag["alpha_best"] = alpha_best
@@ -460,7 +459,7 @@ def check_inegsqrt(prob: MixtureProblem, cfg: SearchConfig | None = None) -> Ver
     return Verdict(Status.HOLDS, margin, None, diag)
 
 
-def _colinear_structure(prob: MixtureProblem, tol: float = 1e-9):
+def _colinear_structure(prob: MixtureProblem):
     """Detect component covariances that are all multiples of one base."""
     norms = np.array([matcore.fro_norm(c) for c in prob.covs])
     ref = int(np.argmax(norms))
@@ -469,8 +468,9 @@ def _colinear_structure(prob: MixtureProblem, tol: float = 1e-9):
     base = prob.covs[ref]
     denom = float(np.sum(base * base))
     coeffs = np.array([max(float(np.sum(c * base)) / denom, 0.0) for c in prob.covs])
+    tol = matcore.EPS_PSD * prob.var_scale()
     for c, k in zip(prob.covs, coeffs):
-        if matcore.fro_norm(c - k * base) > tol * (1.0 + matcore.fro_norm(c)):
+        if matcore.fro_norm(c - k * base) > tol:
             return None
     return base, coeffs
 
@@ -489,7 +489,7 @@ def _colinear_gamma(prob: MixtureProblem):
 # ---------------------------------------------------------------------------
 
 
-def validate_gamma_witness(prob: MixtureProblem, gamma, tol: float = 1e-7, pairwise: bool = False) -> dict:
+def validate_gamma_witness(prob: MixtureProblem, gamma, tol: float = matcore.EPS_CHAIN, pairwise: bool = False) -> dict:
     """Standalone re-validation of a coupling witness."""
     if isinstance(gamma, GammaWitness):
         gamma = gamma.gamma
@@ -527,12 +527,12 @@ def _coupling_check(prob, cone, engine_cfg, search_cfg, extra_candidates, inegsq
     diag["affine_dist"] = out.affine_dist
 
     if out.feasible:
-        check = psdfeas.validate_gamma(task, out.gamma, max(engine_cfg.tol, 1e-9))
+        check = psdfeas.validate_gamma(task, out.gamma, matcore.EPS_ENGINE)
         diag.update(check)
         witness = GammaWitness(out.gamma, prob.n, prob.d)
         return Verdict(Status.HOLDS, check["lmin_slack"], witness, diag)
 
-    tol_var = max(engine_cfg.tol, 1e-9) * (1.0 + prob.var_scale())
+    tol_var = matcore.EPS_ENGINE * prob.var_scale()
     if ascent is not None and ascent[0] < -tol_var and ascent[2] is not None:
         fbar = psdfeas.dual_refutation_value(task, ascent[2])
         diag["dual_bound"] = fbar
@@ -576,7 +576,7 @@ def check_inecovf(
     )
 
 
-def validate_pairwise_blocks(prob: MixtureProblem, gamma, tol: float = 1e-8) -> dict:
+def validate_pairwise_blocks(prob: MixtureProblem, gamma, tol: float = matcore.EPS_ENGINE) -> dict:
     """Check each pair block of a coupling matrix for PSD-ness."""
     if isinstance(gamma, GammaWitness):
         gamma = gamma.gamma
@@ -584,7 +584,7 @@ def validate_pairwise_blocks(prob: MixtureProblem, gamma, tol: float = 1e-8) -> 
     out = {}
     for i in range(prob.n):
         for j in range(i + 1, prob.n):
-            ok, lmin = matcore.is_psd(gamma[psdfeas.pair_index(prob.d, i, j)], tol)
+            ok, lmin = matcore.is_psd(gamma[psdfeas.pair_index(prob.d, i, j)], prob.var_scale(), tol)
             out[(i, j)] = (bool(ok), float(lmin))
     return out
 
@@ -594,11 +594,11 @@ def validate_pairwise_blocks(prob: MixtureProblem, gamma, tol: float = 1e-8) -> 
 # ---------------------------------------------------------------------------
 
 
-def check_correl_with(prob: MixtureProblem, m, tol_match: float = 1e-8) -> Verdict:
+def check_correl_with(prob: MixtureProblem, m) -> Verdict:
     """Verify the shared-correlation condition for one candidate basis M.
 
     Builds the correlation matrix entrywise from every component alive on
-    that entry (they must agree within ``tol_match``), fills entries no
+    that entry (they must agree within ``matcore.EPS_ENGINE``), fills entries no
     component constrains from the target itself, and then tests that the
     weighted diagonal scales dominate the transformed target. Holds return
     a :class:`CorrelCertificate`; the diagnostics report whether the built
@@ -615,6 +615,7 @@ def check_correl_with(prob: MixtureProblem, m, tol_match: float = 1e-8) -> Verdi
 
     transformed = [matcore.symmetrize(m @ cov @ m.T) for cov in prob.covs]
     t_target = matcore.symmetrize(m @ prob.target @ m.T)
+    _, scale_m = matcore.spectral_scale([t_target, *transformed])  # sigma^2 in the M basis
     diag: dict = {}
 
     col = _colinear_structure(prob)
@@ -641,7 +642,7 @@ def check_correl_with(prob: MixtureProblem, m, tol_match: float = 1e-8) -> Verdi
         spread = np.where(multi, corr_max - corr_min, 0.0)
         worst = float(spread.max())
         diag["correlation_spread"] = worst
-        if worst > tol_match:
+        if worst > matcore.EPS_ENGINE:
             k, l = np.unravel_index(int(np.argmax(spread)), spread.shape)
             witness = ("correlation_mismatch", (int(k), int(l), float(corr_min[k, l]), float(corr_max[k, l])))
             return Verdict(Status.FAILS, -worst, witness, diag)
@@ -656,7 +657,7 @@ def check_correl_with(prob: MixtureProblem, m, tol_match: float = 1e-8) -> Verdi
     corr = matcore.symmetrize(np.where(free, fill, corr))
     np.fill_diagonal(corr, 1.0)
 
-    ok_corr, lmin_corr = matcore.is_psd(corr, 1e-8)
+    ok_corr, lmin_corr = matcore.is_psd(corr, 1.0, matcore.EPS_ENGINE)
     diag["corr_lmin"] = lmin_corr
     if not ok_corr:
         w, q = np.linalg.eigh(corr)
@@ -664,13 +665,11 @@ def check_correl_with(prob: MixtureProblem, m, tol_match: float = 1e-8) -> Verdi
 
     dcd = np.outer(mix_scale, mix_scale) * corr
     gap = matcore.symmetrize(dcd - t_target)
-    ok, lmin = matcore.is_psd(gap)
+    ok, lmin = matcore.is_psd(gap, scale_m)
 
     sigma_hat = t_target.copy()
     np.fill_diagonal(sigma_hat, mix_scale**2)
-    diag["sigma_hat_associated"] = bool(
-        matcore.fro_norm(dcd - sigma_hat) <= tol_match * (1.0 + matcore.fro_norm(sigma_hat))
-    )
+    diag["sigma_hat_associated"] = bool(matcore.fro_norm(dcd - sigma_hat) <= matcore.EPS_ENGINE * scale_m)
 
     if not ok:
         w, q = np.linalg.eigh(gap)
@@ -681,22 +680,24 @@ def check_correl_with(prob: MixtureProblem, m, tol_match: float = 1e-8) -> Verdi
     return Verdict(Status.HOLDS, lmin, cert, diag)
 
 
-def validate_correl_certificate(prob: MixtureProblem, cert: CorrelCertificate, tol: float = 1e-7) -> dict:
-    """Standalone re-validation of a shared-correlation certificate."""
+def validate_correl_certificate(prob: MixtureProblem, cert: CorrelCertificate, tol: float = matcore.EPS_CHAIN) -> dict:
+    """Standalone re-validation of a shared-correlation certificate, against the scale in its basis."""
     m = cert.m
+    transformed = [matcore.symmetrize(m @ cov @ m.T) for cov in prob.covs]
+    t_target = matcore.symmetrize(m @ prob.target @ m.T)
+    _, scale_m = matcore.spectral_scale([t_target, *transformed])
     assoc_err = 0.0
-    for i, cov in enumerate(prob.covs):
-        t = matcore.symmetrize(m @ cov @ m.T)
-        d_i = np.diag(cert.comp_scales[i])
-        assoc_err = max(assoc_err, matcore.fro_norm(t - d_i @ cert.corr @ d_i) / (1.0 + matcore.fro_norm(t)))
+    for t, scales in zip(transformed, cert.comp_scales):
+        d_i = np.diag(scales)
+        assoc_err = max(assoc_err, matcore.fro_norm(t - d_i @ cert.corr @ d_i))
     dcd = np.outer(cert.mix_scale, cert.mix_scale) * cert.corr
-    gap = matcore.symmetrize(dcd - m @ prob.target @ m.T)
-    ok, lmin = matcore.is_psd(gap)
+    gap = matcore.symmetrize(dcd - t_target)
+    ok, lmin = matcore.is_psd(gap, scale_m)
     stack_err = matcore.fro_norm(
         np.einsum("i,ikl->kl", prob.p, cert.stacked.reshape(prob.n, prob.d, prob.d)) - np.diag(cert.mix_scale)
     )
     return {
-        "ok": bool(assoc_err <= tol and ok and stack_err <= 1e-12 * (1.0 + float(cert.mix_scale.max(initial=0.0)))),
+        "ok": bool(assoc_err <= tol * scale_m and ok and stack_err <= matcore.EPS_ROUND * math.sqrt(scale_m)),
         "association_err": float(assoc_err),
         "lmin_gap": float(lmin),
         "stack_err": float(stack_err),
@@ -716,12 +717,12 @@ def certificate_to_gamma(prob: MixtureProblem, cert: CorrelCertificate) -> np.nd
     return matcore.symmetrize(psdfeas.pin_blocks(gamma, prob.covs))
 
 
-def _commuting_basis(prob: MixtureProblem, seed: int, tol: float = 1e-8):
+def _commuting_basis(prob: MixtureProblem, seed: int):
     family = [prob.target, *prob.covs]
+    tol = matcore.EPS_ENGINE * prob.var_scale() ** 2  # products of two variance-unit matrices
     for a in family:
         for b in family:
-            comm = a @ b - b @ a
-            if matcore.fro_norm(comm) > tol * (1.0 + matcore.fro_norm(a) * matcore.fro_norm(b)):
+            if matcore.fro_norm(a @ b - b @ a) > tol:
                 return None
     rng = CounterRng(seed, stream=41)
     coeffs = 0.5 + rng.uniforms(len(family))
@@ -730,13 +731,13 @@ def _commuting_basis(prob: MixtureProblem, seed: int, tol: float = 1e-8):
     return q.T
 
 
-def _orthogonal_product_basis(prob: MixtureProblem, seed: int, tol: float = 1e-8):
-    scale = 1.0 + prob.var_scale()
+def _orthogonal_product_basis(prob: MixtureProblem, seed: int):
+    tol = matcore.EPS_ENGINE * prob.var_scale() ** 2
     for i in range(prob.n):
         for j in range(prob.n):
             if i == j:
                 continue
-            if matcore.fro_norm(prob.covs[i] @ prob.covs[j]) > tol * scale * scale:
+            if matcore.fro_norm(prob.covs[i] @ prob.covs[j]) > tol:
                 return None
     rng = CounterRng(seed, stream=43)
     coeffs = 0.5 + rng.uniforms(prob.n)
@@ -745,7 +746,7 @@ def _orthogonal_product_basis(prob: MixtureProblem, seed: int, tol: float = 1e-8
     lam_max = max(float(w[-1]), 0.0)
     owner = np.full(prob.d, prob.n)
     for k in range(prob.d):
-        if w[k] <= 1e-12 * (1.0 + lam_max):
+        if w[k] <= matcore.EPS_ROUND * lam_max:
             continue
         v = q[:, k]
         owner[k] = int(np.argmax([float(v @ c @ v) for c in prob.covs]))
@@ -753,7 +754,7 @@ def _orthogonal_product_basis(prob: MixtureProblem, seed: int, tol: float = 1e-8
     return q[:, order].T
 
 
-def find_correl_certificate(prob: MixtureProblem, extra_m=(), seed: int = 0, tol_match: float = 1e-8) -> Verdict:
+def find_correl_certificate(prob: MixtureProblem, extra_m=(), seed: int = 0) -> Verdict:
     """Search the candidate-basis generators for a shared-correlation certificate.
 
     Candidates, in order: the identity, a co-diagonalizer when the target
@@ -775,7 +776,7 @@ def find_correl_certificate(prob: MixtureProblem, extra_m=(), seed: int = 0, tol
     diag: dict = {"tried": []}
     for name, m in candidates:
         try:
-            verdict = check_correl_with(prob, m, tol_match=tol_match)
+            verdict = check_correl_with(prob, m)
         except SingularM:
             diag["tried"].append((name, "singular", None))
             continue
@@ -792,15 +793,15 @@ def find_correl_certificate(prob: MixtureProblem, extra_m=(), seed: int = 0, tol
 # ---------------------------------------------------------------------------
 
 
-def check_dominated_by_single(prob: MixtureProblem, eps: float = matcore.EPS_PSD) -> Verdict:
+def check_dominated_by_single(prob: MixtureProblem) -> Verdict:
     """Mixture dominated by the single target law: every component under it."""
-    if np.abs(prob.means).max(initial=0.0) > 1e-10 * (1.0 + prob.std_scale()):
+    if np.abs(prob.means).max(initial=0.0) > matcore.RANK_TOL * prob.std_scale():
         raise NonCenteredMeans("reverse dominance requires zero component means")
     worst_lmin = np.inf
     worst = None
     all_ok = True
     for i, cov in enumerate(prob.covs):
-        ok, lmin = matcore.is_psd(prob.target - cov, eps)
+        ok, lmin = matcore.is_psd(prob.target - cov, prob.var_scale())
         if lmin < worst_lmin:
             worst_lmin = lmin
             _, q = np.linalg.eigh(matcore.symmetrize(prob.target - cov))
@@ -822,12 +823,12 @@ def check_n2_theta(prob: MixtureProblem, theta) -> Verdict:
     block = np.zeros((2 * d, 2 * d))
     block[:d, d:], block[d:, :d] = theta, theta.T
     block = psdfeas.pin_blocks(block, prob.covs)
-    ok_b, lmin_b = matcore.is_psd(block)
+    ok_b, lmin_b = matcore.is_psd(block, prob.var_scale())
     p1, p2 = prob.p
     s1, s2 = prob.covs
     rhs = p1 * p1 * s1 + p2 * p2 * s2 + p1 * p2 * (theta + theta.T)
     gap = matcore.symmetrize(rhs - prob.target)
-    ok_g, lmin_g = matcore.is_psd(gap)
+    ok_g, lmin_g = matcore.is_psd(gap, prob.var_scale())
     margin = float(min(lmin_b, lmin_g))
     diag = {"block_lmin": float(lmin_b), "slack_lmin": float(lmin_g)}
     if ok_b and ok_g:
@@ -868,7 +869,7 @@ def orthogonal_factors_from_gamma(prob: MixtureProblem, gamma, q: int | None = N
         sigma_i[:, :d] = matcore.sqrt_psd(prob.covs[i])
         combined += prob.p[i] * (sigma_i @ o_i)
     gap = matcore.symmetrize(combined @ combined.T - prob.target)
-    ok, lmin = matcore.is_psd(gap, 1e-7)
+    ok, lmin = matcore.is_psd(gap, prob.var_scale(), matcore.EPS_CHAIN)
     diag = {"ortho_defect": float(ortho_defect), "slack_lmin": float(lmin)}
     verdict = Verdict(Status.HOLDS if ok else Status.FAILS, float(lmin), None, diag)
     return factors, verdict
@@ -939,7 +940,6 @@ def implication_chain_report(
     engine_cfg: psdfeas.EngineConfig | None = None,
     mc_samples: int = 20000,
     seed: int = 0,
-    chain_tol: float = 1e-7,
 ) -> ChainReport:
     """Run every checker and assert the implication chain is not inverted.
 
@@ -970,7 +970,7 @@ def implication_chain_report(
     v4 = cxverify.test_convex_order(lhs, prob, suite, mc_samples=mc_samples, seed=seed, z=5.0)
 
     report = ChainReport(v2, v3, v3f, v4, v5)
-    tol_std = chain_tol * (1.0 + prob.std_scale())
+    tol_std = matcore.EPS_CHAIN * prob.std_scale()
     problems = []
     if v2.holds and not v3.holds:
         problems.append("correl holds but inecov does not")

@@ -48,7 +48,7 @@ class MartingaleKernel:
     target_sqrt: np.ndarray
 
 
-def build_kernel(prob: MixtureProblem, gamma, tol: float = 1e-7) -> MartingaleKernel:
+def build_kernel(prob: MixtureProblem, gamma, tol: float = matcore.EPS_CHAIN) -> MartingaleKernel:
     """Validate the witness and precompute every conditioning matrix."""
     prob.require_centered()
     if isinstance(gamma, GammaWitness):
@@ -103,22 +103,22 @@ def sample_batch(kernel: MartingaleKernel, n_samples: int, rng: CounterRng, xs: 
     return xs, idx, ys
 
 
-def wasserstein_blocks(sigma1, sigma2, tol: float = 1e-8):
+def wasserstein_blocks(sigma1, sigma2):
     """Factors (S1, S2) of the optimal quadratic coupling of two Gaussians.
 
     ``S1 S1* == sigma1`` and ``S2 S2* == sigma2`` with the cross block
     ``S1 S2*`` making the pair covariance singular along the transport map.
-    Needs at least one nonsingular input (roles are swapped if needed).
+    Needs at least one nonsingular input (smallest eigenvalue above
+    ``matcore.EPS_ENGINE`` times the pair's scale; roles are swapped if needed).
     """
     s1 = matcore.symmetrize(sigma1)
     s2 = matcore.symmetrize(sigma2)
-    d = s1.shape[0]
-    ok1 = np.linalg.matrix_rank(s1, tol * (1.0 + matcore.fro_norm(s1))) == d
-    ok2 = np.linalg.matrix_rank(s2, tol * (1.0 + matcore.fro_norm(s2))) == d
+    w, scale = matcore.spectral_scale([s1, s2])
+    ok1, ok2 = (w[:, 0] > matcore.EPS_ENGINE * scale).tolist()
     if not ok1 and not ok2:
         raise BothSingular("optimal-transport blocks need a nonsingular side")
     if not ok1:
-        b2, b1 = wasserstein_blocks(s2, s1, tol)
+        b2, b1 = wasserstein_blocks(s2, s1)
         return b1, b2
     root = matcore.sqrt_psd(s1)
     root_inv = matcore.pinv_psd(root)

@@ -1,11 +1,20 @@
 """Dense symmetric-matrix algebra at small dimension (d <= ~16).
 
 Matrices are plain float ndarrays kept exactly symmetric by mirroring the
-upper triangle (see :func:`symmetrize`). Tolerances have the form
-``eps * (1 + |A|)``: relative to matrix scale at unit scale and above,
-absolute below it. Every function is pure; nothing here holds shared
-state, so concurrent callers are safe. Eigenproblems go to LAPACK's
-``eigh``/``eigvalsh``.
+upper triangle (see :func:`symmetrize`). Every function is pure; nothing
+here holds shared state, so concurrent callers are safe. Eigenproblems go
+to LAPACK's ``eigh``/``eigvalsh``.
+
+Tolerance policy: every threshold in gmcvx is one of the constants below
+times the problem's scale, with no absolute floor. The scale is sigma^2,
+the largest spectral norm of the target and the components
+(:func:`spectral_scale`). Variance-unit quantities are compared against
+``EPS * sigma^2``, std-unit ones (the directional slack h, means) against
+``EPS * sigma`` and dimensionless ones (correlations, weights) against
+``EPS``. A difference of problem-scale terms (a slack, ``target - S_i``)
+is tested against sigma^2, never its own norm, which vanishes when it is
+tight; a single PSD matrix may use its own norm. So verdicts do not change
+when the problem is rescaled, and margins scale exactly by powers of 4.
 """
 
 from __future__ import annotations
@@ -15,8 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-EPS_PSD = 1e-9  # relative positive-semidefiniteness tolerance
-RANK_TOL = 1e-10  # relative eigenvalue cutoff for pseudo-inverses
+EPS_ROUND = 1e-12  # rounding level: asymmetry, weight sums, ties, null eigenvalues
+RANK_TOL = 1e-10  # pseudo-inverse eigenvalue cutoff, centred means, exact expectation tests
+EPS_PSD = 1e-9  # decisions: PSD tests, directional and coupling verdicts
+EPS_ENGINE = 1e-8  # feasibility-engine stop, witness validation, correlation matching
+EPS_CHAIN = 1e-7  # implication-chain inversions and standalone certificate re-validation
 
 
 class InvalidMatrix(ValueError):
@@ -56,12 +68,11 @@ def _as_sym(a) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def require_symmetric(a, tol: float = 1e-12) -> np.ndarray:
-    """Reject matrices whose asymmetry exceeds ``tol`` (relative), else mirror."""
+def require_symmetric(a, tol: float = EPS_ROUND) -> np.ndarray:
+    """Reject matrices whose asymmetry exceeds ``tol`` times their largest entry, else mirror."""
     a = _as_square(a)
-    scale = 1.0 + np.abs(a).max()
     gap = np.abs(a - a.T).max()
-    if gap > tol * scale:
+    if gap > tol * np.abs(a).max():
         raise InvalidMatrix(f"matrix asymmetry {gap:.3e} exceeds tolerance")
     return symmetrize(a)
 
@@ -70,9 +81,11 @@ def fro_norm(a) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=float)))
 
 
-def spec_norm(a) -> float:
-    w = np.linalg.eigvalsh(_as_sym(a))
-    return float(max(abs(w[0]), abs(w[-1]))) if w.size else 0.0
+def spectral_scale(mats) -> tuple[np.ndarray, float]:
+    """``(w, sigma^2)``: the ascending spectrum of each symmetric matrix in
+    ``mats`` (one eigensolve each) and the largest spectral norm among them."""
+    w = np.linalg.eigvalsh(np.asarray(mats, dtype=float))
+    return w, float(np.abs(w[:, [0, -1]]).max())
 
 
 def lmin_sym2(m00: float, m01: float, m11: float) -> float:
@@ -84,16 +97,14 @@ def lmin_sym2(m00: float, m01: float, m11: float) -> float:
     return 0.5 * (m00 + m11) - math.hypot(0.5 * (m00 - m11), m01)
 
 
-def is_psd(a, eps: float = EPS_PSD) -> tuple[bool, float]:
+def is_psd(a, scale: float, eps: float = EPS_PSD) -> tuple[bool, float]:
     """PSD test with the smallest eigenvalue.
 
-    Returns ``(ok, lambda_min)`` where ``ok`` means
-    ``lambda_min >= -eps * (1 + ||A||_2)``.
+    Returns ``(ok, lambda_min)`` where ``ok`` means ``lambda_min >= -eps *
+    scale``, with ``scale`` the problem's sigma^2 (1 for a correlation matrix).
     """
-    w = np.linalg.eigvalsh(_as_sym(a))
-    lmin = float(w[0])
-    norm2 = float(max(abs(w[0]), abs(w[-1])))
-    return lmin >= -eps * (1.0 + norm2), lmin
+    lmin = float(np.linalg.eigvalsh(_as_sym(a))[0])
+    return lmin >= -eps * scale, lmin
 
 
 def clamp_psd(a) -> np.ndarray:
@@ -104,24 +115,25 @@ def clamp_psd(a) -> np.ndarray:
     return _as_sym((q * np.maximum(w, 0.0)) @ q.T)
 
 
-def sqrt_psd(a, eps: float = EPS_PSD) -> np.ndarray:
-    """Symmetric PSD square root; tiny negative eigenvalues are clamped."""
+def _eigh_psd(a) -> tuple[np.ndarray, np.ndarray]:
+    """``eigh`` of a PSD matrix; NotPSD below ``-EPS_PSD`` times its own norm."""
     w, q = np.linalg.eigh(_as_sym(a))
-    norm2 = float(max(abs(w[0]), abs(w[-1]))) if w.size else 0.0
-    if w[0] < -eps * (1.0 + norm2):
+    if w[0] < -EPS_PSD * max(-w[0], w[-1]):
         raise NotPSD(f"lambda_min={w[0]:.3e} below tolerance")
+    return w, q
+
+
+def sqrt_psd(a) -> np.ndarray:
+    """Symmetric PSD square root; tiny negative eigenvalues are clamped."""
+    w, q = _eigh_psd(a)
     root = np.sqrt(np.maximum(w, 0.0))
     return _as_sym((q * root) @ q.T)
 
 
-def pinv_psd(a, eps: float = EPS_PSD, rank_tol: float = RANK_TOL) -> np.ndarray:
+def pinv_psd(a) -> np.ndarray:
     """Moore-Penrose pseudo-inverse of a PSD matrix via its spectrum."""
-    w, q = np.linalg.eigh(_as_sym(a))
-    norm2 = float(max(abs(w[0]), abs(w[-1]))) if w.size else 0.0
-    if w[0] < -eps * (1.0 + norm2):
-        raise NotPSD(f"lambda_min={w[0]:.3e} below tolerance")
-    lam_max = max(float(w[-1]), 0.0)
-    cutoff = rank_tol * lam_max
+    w, q = _eigh_psd(a)
+    cutoff = RANK_TOL * max(float(w[-1]), 0.0)
     inv = np.where(w > cutoff, 1.0 / np.where(w > cutoff, w, 1.0), 0.0)
     return _as_sym((q * inv) @ q.T)
 
@@ -134,19 +146,16 @@ class CorrelationOf:
     scales: np.ndarray
 
 
-def correlation_of(a, eps: float = EPS_PSD) -> CorrelationOf:
+def correlation_of(a) -> CorrelationOf:
     """Correlation matrix associated with a PSD matrix.
 
-    Rows and columns whose diagonal entry is (relatively) zero become
-    identity rows with zero off-diagonals; their scale entry is zero.
+    Rows and columns whose diagonal entry is at most ``EPS_PSD`` times the
+    largest become identity rows with zero off-diagonals and zero scale.
     """
     a = _as_sym(a)
-    ok, lmin = is_psd(a, eps)
-    if not ok:
-        raise NotPSD(f"lambda_min={lmin:.3e} below tolerance")
+    _eigh_psd(a)
     diag = np.maximum(np.diag(a), 0.0)
-    thr = eps * (1.0 + diag.max(initial=0.0))
-    alive = diag > thr
+    alive = diag > EPS_PSD * diag.max(initial=0.0)
     scales = np.sqrt(np.where(alive, diag, 0.0))
     inv = np.where(alive, 1.0 / np.where(alive, scales, 1.0), 0.0)
     corr = a * np.outer(inv, inv)
@@ -156,15 +165,14 @@ def correlation_of(a, eps: float = EPS_PSD) -> CorrelationOf:
     return CorrelationOf(symmetrize(corr), scales)
 
 
-def schur_complement(s1, theta, s2, eps: float = EPS_PSD, range_tol: float = 1e-8) -> np.ndarray:
+def schur_complement(s1, theta, s2) -> np.ndarray:
     """``S1 - Theta pinv(S2) Theta*`` with a range check for singular S2."""
     s1 = _as_sym(s1)
     s2 = _as_sym(s2)
     theta = np.asarray(theta, dtype=float)
-    s2_pinv = pinv_psd(s2, eps)
+    s2_pinv = pinv_psd(s2)
     resid = theta.T - s2 @ (s2_pinv @ theta.T)
-    scale = 1.0 + fro_norm(theta)
-    if fro_norm(resid) > range_tol * scale:
+    if fro_norm(resid) > EPS_ENGINE * fro_norm(theta):
         raise RangeViolation("columns of Theta* leave the range of S2")
     return _as_sym(s1 - theta @ s2_pinv @ theta.T)
 
@@ -196,7 +204,7 @@ def _orthonormal_extension(rows: list[np.ndarray], q: int, count: int) -> list[n
     return added
 
 
-def polar_factor(theta, sigma, tol: float = 1e-8) -> np.ndarray:
+def polar_factor(theta, sigma) -> np.ndarray:
     """Orthogonal O with ``sigma^{1/2} @ O[:d, :] == Theta`` on range(sigma).
 
     ``Theta`` is d x q with ``Theta Theta* == sigma``; the first d rows of the
@@ -213,12 +221,11 @@ def polar_factor(theta, sigma, tol: float = 1e-8) -> np.ndarray:
     if q < d:
         raise FactorMismatch("Theta must have at least as many columns as rows")
     gram_gap = fro_norm(theta @ theta.T - sigma)
-    if gram_gap > tol * (1.0 + fro_norm(sigma)):
+    if gram_gap > EPS_ENGINE * fro_norm(sigma):
         raise FactorMismatch(f"Theta Theta* differs from sigma by {gram_gap:.3e}")
     lam, vecs = np.linalg.eigh(sigma)
     lam = np.maximum(lam, 0.0)
-    lam_max = lam[-1] if lam.size else 0.0
-    alive = lam > RANK_TOL * max(lam_max, 1e-300)
+    alive = lam > RANK_TOL * lam[-1]
     theta_eig = vecs.T @ theta  # rows follow eigenvalue order
     w = np.zeros((d, q))
     live_rows: list[np.ndarray] = []
@@ -234,12 +241,12 @@ def polar_factor(theta, sigma, tol: float = 1e-8) -> np.ndarray:
     top = vecs @ w
     o = np.vstack([top, rest])
     ortho_gap = fro_norm(o @ o.T - np.eye(q))
-    if ortho_gap > 1e-8 * (1.0 + q):
+    if ortho_gap > EPS_ENGINE * q:
         raise FactorMismatch(f"orthogonality defect {ortho_gap:.3e}")
     return o
 
 
-def cholesky_lower(a, eps: float = EPS_PSD) -> np.ndarray:
+def cholesky_lower(a) -> np.ndarray:
     """Lower-triangular L with ``L L* == A`` for PSD A.
 
     Singular matrices get zero columns at rank deficiencies instead of a
@@ -247,8 +254,8 @@ def cholesky_lower(a, eps: float = EPS_PSD) -> np.ndarray:
     """
     a = _as_sym(a)
     n = a.shape[0]
-    scale = 1.0 + float(np.abs(np.diag(a)).max(initial=0.0))
-    tol_pivot = eps * scale
+    scale = float(np.abs(np.diag(a)).max(initial=0.0))
+    tol_pivot = EPS_PSD * scale
     lower = np.zeros_like(a)
     for j in range(n):
         pivot = a[j, j] - lower[j, :j] @ lower[j, :j]

@@ -42,7 +42,6 @@ MAX_ITERATIONS = "max_iterations"
 @dataclass(frozen=True)
 class EngineConfig:
     max_iter: int = 20000
-    tol: float = 1e-8  # relative to problem scale
 
 
 @dataclass
@@ -50,7 +49,8 @@ class FeasibilityTask:
     """Fixed diagonal blocks, weights, target and cone selector.
 
     Blocks must be exactly symmetric, as ``MixtureProblem`` leaves them.
-    ``seed`` and ``ascent_iters`` configure the pair-contraction :attr:`ascent`.
+    ``seed`` and ``ascent_iters`` configure the pair-contraction :attr:`ascent`;
+    ``scale`` is sigma^2, as ``MixtureProblem.var_scale`` gives it.
     """
 
     p: np.ndarray
@@ -77,10 +77,7 @@ class FeasibilityTask:
         # sum_i p_i^2 S_i, the part of A Gamma A* the pinned blocks fix
         self.pinned_sum = np.einsum("i,ikl->kl", self.p**2, self.blocks)
         self.offset = self.pinned_sum - self.target  # difference of exactly symmetric terms
-        self.scale = 1.0 + max(
-            matcore.fro_norm(self.target),
-            max(matcore.fro_norm(b) for b in self.blocks),
-        )
+        _, self.scale = matcore.spectral_scale([self.target, *self.blocks])
 
     def block_slice(self, i: int) -> slice:
         return slice(i * self.d, (i + 1) * self.d)
@@ -259,12 +256,12 @@ def _rotation_grid_2d(c0: np.ndarray, pair, count: int):
     return best
 
 
-def _coordinate_rotation_polish(c0, pairs, ks, passes: int = 8, count: int = 128):
+def _coordinate_rotation_polish(c0, pairs, ks, scale: float, passes: int = 8, count: int = 128):
     """Cyclic exact maximization of each d = 2 contraction over rotations.
 
     Near a nonsmooth optimum the supergradient ascent closes the last few
     digits slowly; one pair at a time, the angular grid is exact and cheap.
-    Only improving moves are accepted, so the value never decreases.
+    Only moves gaining over ``EPS_ROUND * scale`` count, so the value never decreases.
     """
     ks = [k.copy() for k in ks]
     for _ in range(passes):
@@ -279,7 +276,7 @@ def _coordinate_rotation_polish(c0, pairs, ks, passes: int = 8, count: int = 128
             val, k_new = _rotation_grid_2d(rest, (w, a, b, None), count)
             t_old = a @ ks[idx] @ b
             old = float(np.linalg.eigvalsh(rest + w * (t_old + t_old.T))[0])
-            if k_new is not None and val > old + 1e-15:
+            if k_new is not None and val > old + matcore.EPS_ROUND * scale:
                 ks[idx] = k_new
                 improved = True
         if not improved:
@@ -346,12 +343,12 @@ def contraction_ascent(task: FeasibilityTask):
                 tail.append(np.outer(vec, vec))
             grads = [2.0 * wij * np.outer(a_i @ vec, a_j @ vec) for (wij, a_i, a_j, _) in pairs]
             gnorm = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
-            if gnorm < 1e-150:
+            if gnorm == 0.0:
                 break
             step = 0.5 / math.sqrt(it)
             ks = [clip_operator_ball(k + step * g / gnorm) for k, g in zip(ks, grads)]
     if d == 2 and len(pairs) > 1:
-        polished = _coordinate_rotation_polish(c0, pairs, best_ks)
+        polished = _coordinate_rotation_polish(c0, pairs, best_ks, task.scale)
         val = value_of(polished)
         if val > best_val:
             best_val, best_ks = val, polished
@@ -424,7 +421,7 @@ def warm_start_from(task: FeasibilityTask, candidates) -> np.ndarray:
     A candidate object passed twice is scored once: its second key would
     tie with the first, and ties keep the earlier candidate.
     """
-    tie = 1e-12 * task.scale
+    tie = matcore.EPS_ROUND * task.scale
     best = None
     best_key = None
     scored = set()
@@ -460,9 +457,9 @@ def solve(task: FeasibilityTask, cfg: EngineConfig = EngineConfig(), candidates=
     Starts from the best of ``candidates`` plus the canonical defaults.
     Feasibility is declared on the affine-projected iterate (its blocks are
     exact by construction) once its cone distance drops under
-    ``cfg.tol * scale``; otherwise the residuals are reported.
+    ``matcore.EPS_ENGINE * task.scale``; otherwise the residuals are reported.
     """
-    tol_abs = cfg.tol * task.scale
+    tol_abs = matcore.EPS_ENGINE * task.scale
     gamma = warm_start_from(task, list(candidates) + default_candidates(task))
     slack = mix_compress(gamma, task.p, task.d) - task.target
 
@@ -508,7 +505,7 @@ def solve(task: FeasibilityTask, cfg: EngineConfig = EngineConfig(), candidates=
 
 
 def validate_gamma(task: FeasibilityTask, gamma: np.ndarray, tol: float) -> dict:
-    """Re-validate a candidate witness against the task constraints."""
+    """Re-validate a candidate witness against the task constraints, to ``tol`` times its scale."""
     gamma = matcore.symmetrize(gamma)
     tol_abs = tol * task.scale
     block_err = max(
@@ -516,10 +513,9 @@ def validate_gamma(task: FeasibilityTask, gamma: np.ndarray, tol: float) -> dict
         for i in range(task.n)
     )
     slack = mix_compress(gamma, task.p, task.d) - task.target
-    _, lmin_gamma = matcore.is_psd(gamma)
-    _, lmin_slack = matcore.is_psd(slack)
-    if task.cone == PAIRWISE:
-        lmin_gamma = min(matcore.is_psd(gamma[pair_index(task.d, i, j)])[1] for i, j in task.pairs)
+    parts = [gamma] if task.cone == FULL else [gamma[pair_index(task.d, i, j)] for i, j in task.pairs]
+    lmin_gamma = min(float(np.linalg.eigvalsh(part)[0]) for part in parts)
+    lmin_slack = float(np.linalg.eigvalsh(slack)[0])
     ok = block_err <= tol_abs and lmin_gamma >= -tol_abs and lmin_slack >= -tol_abs
     return {
         "ok": bool(ok),

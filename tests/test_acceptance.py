@@ -147,13 +147,13 @@ def test_criterion_05_pairwise_versus_full_gap():
         gamma = fam.three_diag_gamma(17.0 / 3.0, 1.0)
         blocks = C.validate_pairwise_blocks(prob, gamma)
         assert all(ok for ok, _ in blocks.values()), blocks
-        ok, lmin = matcore.is_psd(gamma)
+        ok, lmin = matcore.is_psd(gamma, prob.var_scale())
         assert not ok
         assert abs(lmin - (-2.58)) <= 0.02, lmin
 
         for a in np.linspace(17.0 / 3.0, 3.0 + 2.0 * SQRT2, 20):
             g = fam.three_diag_gamma(a, fam.curve_x(a))
-            ok, lmin = matcore.is_psd(g, 1e-8)
+            ok, lmin = matcore.is_psd(g, prob.var_scale(), 1e-8)
             assert ok, (a, lmin)
 
 
@@ -184,7 +184,7 @@ def test_criterion_07_reverse_dominance():
             else:
                 target = fam.random_psd(rng.spawn(9), d)
             prob = C.MixtureProblem(p=np.full(n, 1.0 / n), covs=covs, target=target)
-            direct = all(matcore.is_psd(target - cov)[0] for cov in covs)
+            direct = all(matcore.is_psd(target - cov, prob.var_scale())[0] for cov in covs)
             verdict = C.check_dominated_by_single(prob)
             assert verdict.holds == direct
             moment = cxverify.test_mixture_dominated(prob)

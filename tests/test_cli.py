@@ -113,6 +113,24 @@ def test_nan_weights_are_invariant_violation(tmp_path, capsys):
     assert (code, report) == (65, None)
 
 
+@pytest.mark.parametrize(
+    "edit, code",
+    [
+        (lambda doc: doc.__setitem__("components", 5), 64),
+        (lambda doc: doc["components"][0].__setitem__("mean", ["x", 0.0]), 64),
+        (lambda doc: doc["components"][0].__setitem__("mean", [0.0, [1.0]]), 64),
+        (lambda doc: doc.__setitem__("d", 2.7), 64),
+        (lambda doc: doc.update(n=0, p=[], components=[]), 65),
+    ],
+    ids=["components-not-a-list", "non-numeric-mean", "ragged-mean", "fractional-d", "no-components"],
+)
+def test_malformed_problem_document_exit_codes(tmp_path, capsys, edit, code):
+    doc = separation_doc()
+    edit(doc)
+    prob = write_json(tmp_path / "prob.json", doc)
+    assert run_cli(capsys, "check", "--condition", "inegsqrt", "--input", prob) == (code, None)
+
+
 def test_malformed_json_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -368,32 +386,45 @@ def test_sweep_expression_exit_codes(tmp_path, capsys, monkeypatch, entry, code)
     assert not out_path.exists()
 
 
-@pytest.mark.parametrize(
-    "target",
-    [
-        [["a", 0, 0], [0, "a", 0], [0, 0, "a"]],  # 3 x 3 target, 2 x 2 components
-        [["a", 1], [0, "a"]],  # asymmetric
-    ],
-    ids=["target-size", "asymmetric-target"],
-)
-def test_sweep_invalid_cell_exits_65(tmp_path, capsys, target):
-    spec = {
+def one_cell_spec(**fields):
+    problem = {
+        "d": 2,
+        "n": 2,
+        "p": [0.5, 0.5],
+        "target": [["a", "b"], ["b", "a"]],
+        "components": [{"cov": [[8.0, 0.0], [0.0, 4.0]]}, {"cov": [[4.0, 0.0], [0.0, 8.0]]}],
+    }
+    problem.update(fields)
+    return {
         "axes": [
             {"name": "a", "min": 5.0, "max": 5.0, "step": 1.0},
             {"name": "b", "min": 0.0, "max": 0.0, "step": 1.0},
         ],
-        "problem": {
-            "d": 2,
-            "n": 2,
-            "p": [0.5, 0.5],
-            "target": target,
-            "components": [{"cov": [[8.0, 0.0], [0.0, 4.0]]}, {"cov": [[4.0, 0.0], [0.0, 8.0]]}],
-        },
+        "problem": problem,
     }
-    spec_path = write_json(tmp_path / "spec.json", spec)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"target": [["a", 0, 0], [0, "a", 0], [0, 0, "a"]]},  # 3 x 3 target, 2 x 2 components
+        {"target": [["a", 1], [0, "a"]]},  # asymmetric
+        {"d": 3},  # default means of length 3 for 2 x 2 matrices
+    ],
+    ids=["target-size", "asymmetric-target", "mean-length"],
+)
+def test_sweep_invalid_cell_exits_65(tmp_path, capsys, fields):
+    spec_path = write_json(tmp_path / "spec.json", one_cell_spec(**fields))
     out_path = tmp_path / "region.csv"
     assert cli.main(["sweep", "--spec", spec_path, "--out", str(out_path)]) == 65
     assert "error:" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+def test_sweep_fractional_d_is_malformed(tmp_path, capsys):
+    spec_path = write_json(tmp_path / "spec.json", one_cell_spec(d=2.7))
+    out_path = tmp_path / "region.csv"
+    assert cli.main(["sweep", "--spec", spec_path, "--out", str(out_path)]) == 64
     assert not out_path.exists()
 
 

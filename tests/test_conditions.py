@@ -311,7 +311,7 @@ def test_inecovf_three_diag_gamma_pairwise_but_not_full():
     gamma = fam.three_diag_gamma(17.0 / 3.0, 1.0)
     blocks = C.validate_pairwise_blocks(prob, gamma)
     assert all(ok for ok, _ in blocks.values())
-    ok, lmin = matcore.is_psd(gamma)
+    ok, lmin = matcore.is_psd(gamma, prob.var_scale())
     assert not ok
     assert lmin == pytest.approx(-2.58, abs=0.02)
 

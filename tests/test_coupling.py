@@ -125,7 +125,7 @@ def test_wasserstein_blocks_random_pair_reconstruction_and_schur():
     assert matcore.fro_norm(b2 @ b2.T - s2) <= 1e-8 * (1.0 + matcore.fro_norm(s2))
     theta = b1 @ b2.T
     pair = np.block([[s1, theta], [theta.T, s2]])
-    assert matcore.is_psd(pair, 1e-8)[0]
+    assert matcore.is_psd(pair, matcore.spectral_scale([s1, s2])[1], 1e-8)[0]
     sc = matcore.schur_complement(s2, theta.T, s1)
     assert matcore.fro_norm(sc) <= 1e-8 * (1.0 + matcore.fro_norm(s2))
 

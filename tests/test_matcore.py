@@ -35,20 +35,20 @@ def test_require_symmetric_rejects_asymmetry():
 
 
 def test_is_psd_identity():
-    ok, lmin = matcore.is_psd(np.eye(2))
+    ok, lmin = matcore.is_psd(np.eye(2), 1.0)
     assert ok and lmin == pytest.approx(1.0)
 
 
 def test_is_psd_indefinite_two_by_two():
     # trace 0, det -2: eigenvalues are +/- sqrt(2)
-    ok, lmin = matcore.is_psd(np.array([[1.0, -1.0], [-1.0, -1.0]]))
+    ok, lmin = matcore.is_psd(np.array([[1.0, -1.0], [-1.0, -1.0]]), SQRT2)
     assert not ok
     assert lmin == pytest.approx(-SQRT2, abs=1e-12)
 
 
 def test_is_psd_rejects_non_finite():
     with pytest.raises(matcore.InvalidMatrix):
-        matcore.is_psd(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        matcore.is_psd(np.array([[np.nan, 0.0], [0.0, 1.0]]), 1.0)
 
 
 def jacobi_eigh(a, sweep_tol: float = 1e-13, max_sweeps: int = 60):
@@ -102,9 +102,10 @@ def test_is_psd_agrees_with_jacobi_oracle():
     for k in range(1000):
         d = 1 + k % 6
         a = rand_sym(k, d, scale=1.0 + (k % 7))
-        ok_fast, lmin_fast = matcore.is_psd(a)
         w, _ = jacobi_eigh(a)
-        ok_ref = w[0] >= -1e-9 * (1.0 + max(abs(w[0]), abs(w[-1])))
+        scale = max(abs(w[0]), abs(w[-1]))
+        ok_fast, lmin_fast = matcore.is_psd(a, scale)
+        ok_ref = w[0] >= -1e-9 * scale
         if abs(lmin_fast - w[0]) > 1e-10 * (1.0 + abs(w[0])):
             disagreements += 1
         elif ok_fast != ok_ref and abs(w[0]) > 1e-10 * (1.0 + abs(w[-1])):
@@ -264,7 +265,7 @@ def test_sqrt_and_correlation_invariants(seed, d):
     assert matcore.fro_norm(s @ s - a) <= 1e-9 * (1.0 + matcore.fro_norm(a))
     info = matcore.correlation_of(a)
     assert np.all(np.diag(info.corr) == 1.0)
-    ok, lmin = matcore.is_psd(info.corr, 1e-8)
+    ok, lmin = matcore.is_psd(info.corr, 1.0, 1e-8)
     assert ok, lmin
 
 

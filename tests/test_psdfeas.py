@@ -118,7 +118,7 @@ def test_warm_start_dominated_target_uses_shared_blocks():
     shared = cands[1]
     assert np.allclose(shared[0:2, 2:4], sigma)
     slack = psdfeas.mix_compress(shared, task.p, 2) - task.target
-    assert matcore.is_psd(shared)[0] and matcore.is_psd(slack)[0]
+    assert matcore.is_psd(shared, task.scale)[0] and matcore.is_psd(slack, task.scale)[0]
     out = psdfeas.solve(task)
     assert out.feasible and out.iterations == 0
 
