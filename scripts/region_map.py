@@ -14,8 +14,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
-from families import axis_swap_problem
-from gmcvx.conditions import SearchConfig
+from families import LIGHT, axis_swap_problem
 from gmcvx.psdfeas import EngineConfig
 from gmcvx.sweep import Axis, SweepSpec, run_sweep, write_region_csv
 
@@ -35,8 +34,7 @@ def main() -> int:
         tuple(args.checkers.split(",")),
         seed=args.seed,
     )
-    cfg = SearchConfig(iters=30, random_starts=8, grid_points=360, alpha_points=120, ascent_iters=0)
-    cells = run_sweep(spec, search_cfg=cfg, engine_cfg=EngineConfig(max_iter=300))
+    cells = run_sweep(spec, search_cfg=LIGHT, engine_cfg=EngineConfig(max_iter=300))
     write_region_csv(cells, args.out)
 
     counts = Counter((c.checker, c.status) for c in cells)

@@ -15,8 +15,9 @@
 
 Each line gives the set's name, the digest of its full record (statuses
 and margins) and the digest of its statuses alone. The search settings of
-the first two sets are imported from ``tests/test_acceptance.py``; the
-engine caps and sample count are the literals its criteria 2 and 6 pass.
+the first two sets are ``LIGHT`` and ``MID`` from ``tests/families.py``,
+which criteria 2 and 6 of ``tests/test_acceptance.py`` use; the engine
+caps and sample count are the literals those criteria pass.
 Run it on two checkouts and compare the output lines.
 
 A scale check follows: the ``defaults`` set recomputed with the target
@@ -49,8 +50,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
-from families import axis_swap_problem, random_chain_problem  # noqa: E402
-from test_acceptance import LIGHT, MID  # noqa: E402
+from families import LIGHT, MID, axis_swap_problem, random_chain_problem  # noqa: E402
 
 from gmcvx import conditions as C  # noqa: E402
 from gmcvx import psdfeas  # noqa: E402

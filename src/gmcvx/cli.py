@@ -14,12 +14,13 @@ Subcommands
 ``mcverify`` expectation-suite comparison of the target law against the
              mixture (evidence only).
 
-Exit codes: 0 holds, 1 fails, 2 unknown, 64 malformed JSON, sweep
-expression or certificate field, 65 invariant violation (including a
-sweep expression that fails or is non-finite at a cell, a sweep cell
-whose problem is invalid for any reason but a non-PSD target, and a
-certificate matrix of the wrong shape or with non-finite entries), 66
-usage or IO error (including a sample count below the minimum).
+Exit codes: 0 holds, 1 fails, 2 unknown, 64 malformed JSON, sweep spec
+field or expression (ragged, non-numeric or mistyped) or certificate
+field, 65 invariant violation (including a sweep matrix or mean of the
+wrong size, a sweep expression that fails or is non-finite at a cell, a
+sweep cell whose problem is invalid for any reason but a non-PSD target,
+and a certificate matrix of the wrong shape or with non-finite entries),
+66 usage or IO error (including a sample count below the minimum).
 """
 
 from __future__ import annotations
@@ -370,20 +371,37 @@ def _spec_entry(entry, axis_names):
     return value
 
 
+def _spec_rows(rows, shape: tuple, what: str, axis_names) -> list:
+    """Parse a sweep matrix of ``shape`` once: ragged or mistyped rows exit 64, a wrong size 65."""
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise CliFailure(EXIT_BAD_JSON, f"sweep {what} is mistyped")
+    if len({len(row) for row in rows}) > 1:
+        raise CliFailure(EXIT_BAD_JSON, f"sweep {what} has ragged rows")
+    found = (len(rows), len(rows[0]) if rows else 0)
+    if found != shape:
+        raise CliFailure(EXIT_INVARIANT, f"sweep {what} has shape {found}, expected {shape}")
+    return [[_spec_entry(v, axis_names) for v in row] for row in rows]
+
+
 def _template_from_doc(doc, axis_names):
-    """Parse the spec's problem once; the template evaluates it at each cell."""
+    """Validate the spec's problem once, as :func:`problem_from_doc` does a
+    problem document; the template evaluates its entries at each cell."""
     base = doc["problem"]
     d = base["d"]
     if type(d) is not int:
         raise ValueError("problem field 'd' must be a JSON integer")
-
-    def entries(values):
-        return [_spec_entry(v, axis_names) for v in values]
-
-    target = [entries(row) for row in base["target"]]
+    if not isinstance(base["components"], list) or not all(isinstance(c, dict) for c in base["components"]):
+        raise ValueError("problem field 'components' must be a list of objects")
+    p = _float_array(base, "p", "sweep problem field")
+    if p.shape != (len(base["components"]),):
+        raise CliFailure(EXIT_INVARIANT, "sweep problem needs one weight per component")
+    target = _spec_rows(base["target"], (d, d), "target", axis_names)
     comps = [
-        ([entries(row) for row in c["cov"]], entries(c.get("mean", [0.0] * d)))
-        for c in base["components"]
+        (
+            _spec_rows(c["cov"], (d, d), f"component {k} covariance", axis_names),
+            _spec_rows([c.get("mean", [0.0] * d)], (1, d), f"component {k} mean", axis_names)[0],
+        )
+        for k, c in enumerate(base["components"])
     ]
 
     def build(v1: float, v2: float) -> MixtureProblem:
@@ -393,7 +411,7 @@ def _template_from_doc(doc, axis_names):
             return np.asarray([[f(v) for f in row] for row in rows], dtype=float)
 
         return MixtureProblem(
-            p=np.asarray(base["p"], dtype=float),
+            p=p,
             covs=np.stack([mat(cov) for cov, _ in comps]),
             target=mat(target),
             means=np.stack([np.asarray([f(v) for f in mean], dtype=float) for _, mean in comps]),
@@ -405,9 +423,13 @@ def _template_from_doc(doc, axis_names):
 def cmd_sweep(args) -> int:
     doc = _load_json(args.spec)
     try:
+        if not isinstance(doc["axes"], list) or len(doc["axes"]) != 2:
+            raise ValueError("'axes' must list exactly two axes")
         axes = [sweep_mod.Axis(a["name"], a["min"], a["max"], a["step"]) for a in doc["axes"]]
         checkers = tuple(doc.get("checkers", ["inegsqrt"]))
-        seed = int(doc.get("seed", 0))
+        seed = doc.get("seed", 0)
+        if type(seed) is not int:  # rejects 2.7, "3" and true
+            raise ValueError("'seed' must be a JSON integer")
         template = _template_from_doc(doc, [axes[0].name, axes[1].name])
         spec = sweep_mod.SweepSpec(template, axes[0], axes[1], checkers, seed)
     except (KeyError, IndexError, TypeError, ValueError) as exc:

@@ -191,7 +191,7 @@ class SearchConfig:
     random_starts: int = 64
     iters: int = 200  # subgradient steps: d >= 3, or d = 2 with grid_points = 0
     grid_points: int = 720  # angular grid, d = 2 only
-    alpha_points: int = 400  # log-spaced scan, n = 2 only
+    alpha_points: int = 400  # log-spaced scan: n = 2 wherever the subgradient steps run
     ascent_iters: int = 200
     seed: int = 0
 
@@ -301,7 +301,8 @@ def _sphere_search(prob: MixtureProblem, cfg: SearchConfig):
     For d = 2 with ``cfg.grid_points > 0`` an angular grid with golden-section
     refinement around its three best points decides the case; the starts
     (eigenvectors, random directions and the four best grid points) are
-    scored once and no descent follows. Otherwise multistart projected
+    scored once, and neither the descent nor the alpha scan of
+    :func:`check_inegsqrt` follows. Otherwise multistart projected
     subgradient descent runs for ``cfg.iters`` steps from the starts.
     Subgradients are normalized before stepping so the search behaves the
     same under rescaling of the covariances; at a degenerate direction (a
@@ -355,31 +356,8 @@ def _sphere_search(prob: MixtureProblem, cfg: SearchConfig):
     return best_h, best_xi, diag
 
 
-def _pencil_lmin_2d(base: np.ndarray, w: float, s1: np.ndarray, s2: np.ndarray):
-    """d = 2: smallest eigenvalue of ``base + w (alpha s1 + s2 / alpha)`` at alpha = 10**t.
-
-    The three entries are affine in (alpha, 1/alpha) and are formed with the
-    same float operations as the matrix expression, so only the closed-form
-    eigenvalue departs from ``eigvalsh``, at rounding level.
-    """
-    w = float(w)
-    (b00, b01), (_, b11) = base.tolist()
-    (u00, u01), (_, u11) = s1.tolist()
-    (v00, v01), (_, v11) = s2.tolist()
-
-    def f(t: float) -> float:
-        alpha = 10.0**t
-        return matcore.lmin_sym2(
-            b00 + w * (alpha * u00 + v00 / alpha),
-            b01 + w * (alpha * u01 + v01 / alpha),
-            b11 + w * (alpha * u11 + v11 / alpha),
-        )
-
-    return f
-
-
 def _alpha_scan(prob: MixtureProblem, cfg: SearchConfig):
-    """n = 2 cross check: scan the weighted two-sided bound over alpha > 0.
+    """n = 2 cross check of the descent: scan the two-sided bound over alpha > 0.
 
     The directional condition holds iff
     ``p1^2 S1 + p2^2 S2 + p1 p2 (alpha S1 + S2/alpha) - S`` stays PSD for
@@ -403,12 +381,8 @@ def _alpha_scan(prob: MixtureProblem, cfg: SearchConfig):
     k = int(np.argmin(lmins))
     logstep = 12.0 / max(cfg.alpha_points - 1, 1)
 
-    if prob.d == 2:
-        f = _pencil_lmin_2d(base, w, s1, s2)
-    else:
-
-        def f(t: float) -> float:
-            return float(np.linalg.eigvalsh(pencil(10.0**t))[0])
+    def f(t: float) -> float:
+        return float(np.linalg.eigvalsh(pencil(10.0**t))[0])
 
     t0 = math.log10(alphas[k])
     t_best, val = golden_section_minimize(f, t0 - logstep, t0 + logstep, xtol=1e-12)
@@ -423,7 +397,9 @@ def check_inegsqrt(prob: MixtureProblem, cfg: SearchConfig | None = None) -> Ver
 
     Fails carry the violating unit direction as witness (which re-verifies
     through :func:`h_margin`); Holds report the smallest directional slack
-    found. For n = 2 the independent alpha scan guards the sphere search;
+    found. For d = 2 with ``cfg.grid_points > 0`` the angular grid alone
+    decides. Wherever the subgradient descent runs instead (d >= 3, or
+    d = 2 without a grid) and n = 2, the independent alpha scan guards it;
     an irreconcilable borderline disagreement yields Unknown.
     """
     cfg = cfg or SearchConfig()
@@ -441,7 +417,8 @@ def check_inegsqrt(prob: MixtureProblem, cfg: SearchConfig | None = None) -> Ver
         margin, xi, search_diag = _sphere_search(prob, cfg)
         diag.update(search_diag)
 
-    if prob.d > 1 and prob.n == 2 and cfg.alpha_points > 0:
+    grid_decides = prob.d == 2 and cfg.grid_points > 0
+    if prob.d > 1 and prob.n == 2 and not grid_decides and cfg.alpha_points > 0:
         scan_val, alpha_best, scan_xi = _alpha_scan(prob, cfg)
         diag["alpha_scan_min"] = scan_val
         diag["alpha_best"] = alpha_best
@@ -475,15 +452,6 @@ def _colinear_structure(prob: MixtureProblem):
     return base, coeffs
 
 
-def _colinear_gamma(prob: MixtureProblem):
-    found = _colinear_structure(prob)
-    if found is None:
-        return None
-    base, coeffs = found
-    weights = np.sqrt(coeffs)
-    return np.kron(np.outer(weights, weights), base)
-
-
 # ---------------------------------------------------------------------------
 # coupling conditions (inecov / inecovf)
 # ---------------------------------------------------------------------------
@@ -509,9 +477,11 @@ def _coupling_check(prob, cone, engine_cfg, search_cfg, extra_candidates, inegsq
     candidates = []
     for cand in extra_candidates:
         candidates.append(cand.gamma if isinstance(cand, GammaWitness) else np.asarray(cand, float))
-    col = _colinear_gamma(prob)
+    col = _colinear_structure(prob)
     if col is not None:
-        candidates.append(col)
+        base, coeffs = col
+        weights = np.sqrt(coeffs)
+        candidates.append(np.kron(np.outer(weights, weights), base))
 
     iters = (search_cfg or SearchConfig()).ascent_iters
     task = psdfeas.FeasibilityTask(prob.p, prob.covs, prob.target, cone, seed=seed, ascent_iters=iters)
@@ -594,6 +564,14 @@ def validate_pairwise_blocks(prob: MixtureProblem, gamma, tol: float = matcore.E
 # ---------------------------------------------------------------------------
 
 
+def _in_basis(prob: MixtureProblem, m: np.ndarray):
+    """Components and target under the change of basis M, and sigma^2 there."""
+    transformed = [matcore.symmetrize(m @ cov @ m.T) for cov in prob.covs]
+    t_target = matcore.symmetrize(m @ prob.target @ m.T)
+    _, scale_m = matcore.spectral_scale([t_target, *transformed])
+    return transformed, t_target, scale_m
+
+
 def check_correl_with(prob: MixtureProblem, m) -> Verdict:
     """Verify the shared-correlation condition for one candidate basis M.
 
@@ -613,9 +591,7 @@ def check_correl_with(prob: MixtureProblem, m) -> Verdict:
     if np.linalg.cond(m) > 1e12:
         raise SingularM("candidate basis is singular or ill-conditioned")
 
-    transformed = [matcore.symmetrize(m @ cov @ m.T) for cov in prob.covs]
-    t_target = matcore.symmetrize(m @ prob.target @ m.T)
-    _, scale_m = matcore.spectral_scale([t_target, *transformed])  # sigma^2 in the M basis
+    transformed, t_target, scale_m = _in_basis(prob, m)
     diag: dict = {}
 
     col = _colinear_structure(prob)
@@ -682,10 +658,7 @@ def check_correl_with(prob: MixtureProblem, m) -> Verdict:
 
 def validate_correl_certificate(prob: MixtureProblem, cert: CorrelCertificate, tol: float = matcore.EPS_CHAIN) -> dict:
     """Standalone re-validation of a shared-correlation certificate, against the scale in its basis."""
-    m = cert.m
-    transformed = [matcore.symmetrize(m @ cov @ m.T) for cov in prob.covs]
-    t_target = matcore.symmetrize(m @ prob.target @ m.T)
-    _, scale_m = matcore.spectral_scale([t_target, *transformed])
+    transformed, t_target, scale_m = _in_basis(prob, cert.m)
     assoc_err = 0.0
     for t, scales in zip(transformed, cert.comp_scales):
         d_i = np.diag(scales)

@@ -9,10 +9,6 @@ conditioning uses pseudo-inverses so singular covariances are fine, and
 all randomness comes from counter-based streams, so batches reproduce
 bit-identically. :func:`sample_batch` is the only sampler: a single draw
 at a given target point x is ``sample_batch(kernel, 1, rng, xs=x)``.
-
-The two classical pair couplings used as warm starts and references are
-exposed as :func:`wasserstein_blocks` (optimal quadratic transport) and
-:func:`knothe_blocks` (triangular rearrangement).
 """
 
 from __future__ import annotations
@@ -22,16 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore, psdfeas
-from .conditions import GammaWitness, MixtureProblem
+from .conditions import GammaWitness, MixtureProblem, validate_gamma_witness
 from .rng import CounterRng
 
 
 class InvalidGamma(ValueError):
     """Coupling matrix fails witness validation."""
-
-
-class BothSingular(ValueError):
-    """Optimal-transport blocks need at least one nonsingular covariance."""
 
 
 @dataclass
@@ -57,8 +49,7 @@ def build_kernel(prob: MixtureProblem, gamma, tol: float = matcore.EPS_CHAIN) ->
     n, d = prob.n, prob.d
     if gamma.shape != (n * d, n * d):
         raise InvalidGamma(f"expected shape {(n * d, n * d)}, got {gamma.shape}")
-    task = psdfeas.FeasibilityTask(prob.p, prob.covs, prob.target, psdfeas.FULL)
-    check = psdfeas.validate_gamma(task, gamma, tol)
+    check = validate_gamma_witness(prob, gamma, tol)
     if not check["ok"]:
         raise InvalidGamma(f"witness does not validate: {check}")
     gamma = psdfeas.pin_blocks(gamma, prob.covs)
@@ -102,30 +93,3 @@ def sample_batch(kernel: MartingaleKernel, n_samples: int, rng: CounterRng, xs: 
     ys = blocks + prob.means[idx]
     return xs, idx, ys
 
-
-def wasserstein_blocks(sigma1, sigma2):
-    """Factors (S1, S2) of the optimal quadratic coupling of two Gaussians.
-
-    ``S1 S1* == sigma1`` and ``S2 S2* == sigma2`` with the cross block
-    ``S1 S2*`` making the pair covariance singular along the transport map.
-    Needs at least one nonsingular input (smallest eigenvalue above
-    ``matcore.EPS_ENGINE`` times the pair's scale; roles are swapped if needed).
-    """
-    s1 = matcore.symmetrize(sigma1)
-    s2 = matcore.symmetrize(sigma2)
-    w, scale = matcore.spectral_scale([s1, s2])
-    ok1, ok2 = (w[:, 0] > matcore.EPS_ENGINE * scale).tolist()
-    if not ok1 and not ok2:
-        raise BothSingular("optimal-transport blocks need a nonsingular side")
-    if not ok1:
-        b2, b1 = wasserstein_blocks(s2, s1)
-        return b1, b2
-    root = matcore.sqrt_psd(s1)
-    root_inv = matcore.pinv_psd(root)
-    inner = matcore.sqrt_psd(matcore.symmetrize(root @ s2 @ root))
-    return root, root_inv @ inner
-
-
-def knothe_blocks(sigma1, sigma2):
-    """Lower-triangular factors of the coordinatewise rearrangement coupling."""
-    return matcore.cholesky_lower(sigma1), matcore.cholesky_lower(sigma2)

@@ -39,10 +39,6 @@ class NotPSD(ValueError):
     """Matrix has an eigenvalue below the allowed tolerance."""
 
 
-class RangeViolation(ValueError):
-    """Right factor leaves the range of a singular middle matrix."""
-
-
 class FactorMismatch(ValueError):
     """Candidate factor does not reproduce the target Gram matrix."""
 
@@ -165,18 +161,6 @@ def correlation_of(a) -> CorrelationOf:
     return CorrelationOf(symmetrize(corr), scales)
 
 
-def schur_complement(s1, theta, s2) -> np.ndarray:
-    """``S1 - Theta pinv(S2) Theta*`` with a range check for singular S2."""
-    s1 = _as_sym(s1)
-    s2 = _as_sym(s2)
-    theta = np.asarray(theta, dtype=float)
-    s2_pinv = pinv_psd(s2)
-    resid = theta.T - s2 @ (s2_pinv @ theta.T)
-    if fro_norm(resid) > EPS_ENGINE * fro_norm(theta):
-        raise RangeViolation("columns of Theta* leave the range of S2")
-    return _as_sym(s1 - theta @ s2_pinv @ theta.T)
-
-
 def _orthonormal_extension(rows: list[np.ndarray], q: int, count: int) -> list[np.ndarray]:
     """Extend orthonormal rows with `count` more vectors via Gram-Schmidt."""
     basis = [r.copy() for r in rows]
@@ -245,30 +229,3 @@ def polar_factor(theta, sigma) -> np.ndarray:
         raise FactorMismatch(f"orthogonality defect {ortho_gap:.3e}")
     return o
 
-
-def cholesky_lower(a) -> np.ndarray:
-    """Lower-triangular L with ``L L* == A`` for PSD A.
-
-    Singular matrices get zero columns at rank deficiencies instead of a
-    failure; the diagonal of L is nonnegative.
-    """
-    a = _as_sym(a)
-    n = a.shape[0]
-    scale = float(np.abs(np.diag(a)).max(initial=0.0))
-    tol_pivot = EPS_PSD * scale
-    lower = np.zeros_like(a)
-    for j in range(n):
-        pivot = a[j, j] - lower[j, :j] @ lower[j, :j]
-        if pivot > tol_pivot:
-            lower[j, j] = np.sqrt(pivot)
-            if j + 1 < n:
-                lower[j + 1 :, j] = (a[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]) / lower[j, j]
-        elif pivot >= -tol_pivot:
-            # zero pivot: for a PSD matrix the rest of the column must vanish
-            if j + 1 < n:
-                resid = a[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]
-                if np.abs(resid).max(initial=0.0) > 10.0 * np.sqrt(tol_pivot * scale):
-                    raise NotPSD("zero pivot with nonzero column")
-        else:
-            raise NotPSD(f"negative pivot {pivot:.3e}")
-    return lower

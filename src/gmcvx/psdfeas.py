@@ -127,11 +127,6 @@ def mix_compress(gamma: np.ndarray, p: np.ndarray, d: int) -> np.ndarray:
     return matcore.symmetrize(np.einsum("i,j,ikjl->kl", p, p, g4))
 
 
-def offdiag_sym_sum(gamma: np.ndarray, task: FeasibilityTask) -> np.ndarray:
-    """Off-diagonal part of ``A Gamma A*`` for a Gamma with pinned blocks."""
-    return mix_compress(gamma, task.p, task.d) - task.pinned_sum
-
-
 def pin_blocks(gamma: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     """Copy of Gamma with its diagonal d-blocks set to ``blocks`` (n, d, d)."""
     out = np.array(gamma, dtype=float)
@@ -150,7 +145,7 @@ def pair_index(d: int, i: int, j: int):
 def _affine_project(task: FeasibilityTask, gamma: np.ndarray, slack: np.ndarray):
     """Orthogonal projection onto {blocks pinned, S = A Gamma A* - target}."""
     gamma = pin_blocks(gamma, task.blocks)
-    v0 = offdiag_sym_sum(gamma, task)
+    v0 = mix_compress(gamma, task.p, task.d) - task.pinned_sum  # the off-diagonal part of A Gamma A*
     r = (v0 + task.offset - slack) / (1.0 + task.coupling)
     for i, j in task.pairs:
         si, sj = task.block_slice(i), task.block_slice(j)
@@ -222,6 +217,12 @@ def _rotation_neg_lmin_2d(c0: np.ndarray, w: float, a: np.ndarray, b: np.ndarray
     return neg_lmin
 
 
+def _rotation_2d(c, s, branch: float) -> np.ndarray:
+    """K(phi) of :func:`_rotation_neg_lmin_2d` from c = cos(phi) and s = sin(phi);
+    arrays of angles give a stack of shape (count, 2, 2)."""
+    return np.stack([np.stack([c, -s * branch], -1), np.stack([s, c * branch], -1)], -2)
+
+
 def _rotation_grid_2d(c0: np.ndarray, pair, count: int):
     """Best rotation or reflection contraction on a 2-d angular grid."""
     w, a, b, _ = pair
@@ -229,20 +230,7 @@ def _rotation_grid_2d(c0: np.ndarray, pair, count: int):
     c, s = np.cos(phis), np.sin(phis)
     best = (-np.inf, None)
     for branch in (1.0, -1.0):
-        ks = np.empty((count, 2, 2))
-        ks[:, 0, 0] = c
-        ks[:, 0, 1] = -s * branch
-        ks[:, 1, 0] = s
-        ks[:, 1, 1] = c * branch
-
-        def k_of(phi: float) -> np.ndarray:
-            return np.array(
-                [
-                    [math.cos(phi), -math.sin(phi) * branch],
-                    [math.sin(phi), math.cos(phi) * branch],
-                ]
-            )
-
+        ks = _rotation_2d(c, s, branch)
         t = np.einsum("ij,mjk,kl->mil", a, ks, b)
         mats = c0[None] + w * (t + np.transpose(t, (0, 2, 1)))
         lmins = np.linalg.eigvalsh(mats)[:, 0]
@@ -252,7 +240,7 @@ def _rotation_grid_2d(c0: np.ndarray, pair, count: int):
             _rotation_neg_lmin_2d(c0, w, a, b, branch), phis[idx] - width, phis[idx] + width, xtol=1e-12
         )
         if -negval > best[0]:
-            best = (-negval, k_of(phi_best))
+            best = (-negval, _rotation_2d(math.cos(phi_best), math.sin(phi_best), branch))
     return best
 
 
@@ -267,12 +255,7 @@ def _coordinate_rotation_polish(c0, pairs, ks, scale: float, passes: int = 8, co
     for _ in range(passes):
         improved = False
         for idx, (w, a, b, _) in enumerate(pairs):
-            rest = c0.copy()
-            for jdx, (w2, a2, b2, _) in enumerate(pairs):
-                if jdx == idx:
-                    continue
-                t = a2 @ ks[jdx] @ b2
-                rest += w2 * (t + t.T)
+            rest = assemble_contraction_slack(c0, pairs[:idx] + pairs[idx + 1 :], ks[:idx] + ks[idx + 1 :])
             val, k_new = _rotation_grid_2d(rest, (w, a, b, None), count)
             t_old = a @ ks[idx] @ b
             old = float(np.linalg.eigvalsh(rest + w * (t_old + t_old.T))[0])
@@ -444,13 +427,6 @@ def warm_start_from(task: FeasibilityTask, candidates) -> np.ndarray:
     return best
 
 
-def _project_psd_pair(gamma: np.ndarray, task: FeasibilityTask, i: int, j: int) -> np.ndarray:
-    idx = pair_index(task.d, i, j)
-    out = gamma.copy()
-    out[idx] = matcore.clamp_psd(gamma[idx])
-    return out
-
-
 def solve(task: FeasibilityTask, cfg: EngineConfig = EngineConfig(), candidates=()) -> FeasibilityOutcome:
     """Dykstra cycle between the affine set and the cone constraints.
 
@@ -484,7 +460,9 @@ def solve(task: FeasibilityTask, cfg: EngineConfig = EngineConfig(), candidates=
                 pg = matcore.clamp_psd(yg)
                 ps = matcore.clamp_psd(ys)
             elif kind == "pair":
-                pg = _project_psd_pair(yg, task, *pair)
+                idx = pair_index(task.d, *pair)
+                pg = yg.copy()
+                pg[idx] = matcore.clamp_psd(yg[idx])
                 ps = ys
             else:  # slack cone only
                 pg = yg

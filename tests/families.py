@@ -6,10 +6,14 @@ import math
 
 import numpy as np
 
-from gmcvx.conditions import MixtureProblem
+from gmcvx.conditions import MixtureProblem, SearchConfig
 from gmcvx.rng import CounterRng
 
 SQRT2 = math.sqrt(2.0)
+
+# directional-search settings of the region grid (LIGHT) and the chain (MID)
+LIGHT = SearchConfig(iters=30, random_starts=8, grid_points=360, alpha_points=120, ascent_iters=0)
+MID = SearchConfig(iters=80, random_starts=24)
 
 
 def axis_swap_problem(a: float, b: float) -> MixtureProblem:

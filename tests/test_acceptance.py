@@ -11,6 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 
 import families as fam
+from families import LIGHT, MID
 from gmcvx import conditions as C
 from gmcvx import coupling, cxverify, matcore, psdfeas
 from gmcvx import sweep as S
@@ -18,9 +19,6 @@ from gmcvx.rng import CounterRng
 from gmcvx.utils import golden_section_minimize, refine_minimizer_by_slope
 
 SQRT2 = math.sqrt(2.0)
-
-LIGHT = C.SearchConfig(iters=30, random_starts=8, grid_points=360, alpha_points=120, ascent_iters=0)
-MID = C.SearchConfig(iters=80, random_starts=24)
 
 
 @contextmanager

@@ -410,8 +410,15 @@ def one_cell_spec(**fields):
         {"target": [["a", 0, 0], [0, "a", 0], [0, 0, "a"]]},  # 3 x 3 target, 2 x 2 components
         {"target": [["a", 1], [0, "a"]]},  # asymmetric
         {"d": 3},  # default means of length 3 for 2 x 2 matrices
+        {  # an explicit mean of length 3
+            "components": [
+                {"cov": [[8.0, 0.0], [0.0, 4.0]], "mean": [0.0, 0.0, 0.0]},
+                {"cov": [[4.0, 0.0], [0.0, 8.0]]},
+            ]
+        },
+        {"components": [{"cov": [[8.0]]}, {"cov": [[4.0, 0.0], [0.0, 8.0]]}]},  # 1 x 1 covariance
     ],
-    ids=["target-size", "asymmetric-target", "mean-length"],
+    ids=["target-size", "asymmetric-target", "mean-length", "explicit-mean-length", "cov-size"],
 )
 def test_sweep_invalid_cell_exits_65(tmp_path, capsys, fields):
     spec_path = write_json(tmp_path / "spec.json", one_cell_spec(**fields))
@@ -425,6 +432,27 @@ def test_sweep_fractional_d_is_malformed(tmp_path, capsys):
     spec_path = write_json(tmp_path / "spec.json", one_cell_spec(d=2.7))
     out_path = tmp_path / "region.csv"
     assert cli.main(["sweep", "--spec", spec_path, "--out", str(out_path)]) == 64
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        one_cell_spec(p=["x", 0.5]),
+        one_cell_spec(target=[["a", "b"], ["b"]]),
+        one_cell_spec(components=[{"cov": [[8.0, 0.0], [0.0]]}, {"cov": [[4.0, 0.0], [0.0, 8.0]]}]),
+        {**one_cell_spec(), "seed": 2.7},
+        {**one_cell_spec(), "axes": one_cell_spec()["axes"] + [{"name": "c", "min": 0.0, "max": 0.0, "step": 1.0}]},
+    ],
+    ids=["non-numeric-weight", "ragged-target", "ragged-cov", "fractional-seed", "three-axes"],
+)
+def test_sweep_malformed_spec_exits_64(tmp_path, capsys, monkeypatch, spec):
+    # rejected while the spec is loaded, before any cell runs
+    monkeypatch.setattr(cli.sweep_mod, "run_sweep", lambda *a, **k: pytest.fail("cells ran"))
+    spec_path = write_json(tmp_path / "spec.json", spec)
+    out_path = tmp_path / "region.csv"
+    assert cli.main(["sweep", "--spec", spec_path, "--out", str(out_path)]) == 64
+    assert "error:" in capsys.readouterr().err
     assert not out_path.exists()
 
 

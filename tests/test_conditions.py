@@ -113,7 +113,7 @@ def test_inegsqrt_congruence_invariance():
 
 
 def test_d2_closed_form_objectives_match_numpy():
-    # h on the circle and the n = 2 pencil, with rank-1 components and targets
+    # h on the circle, with rank-1 components and targets
     rng = CounterRng(606)
     for trial in range(60):
         n = 2 + trial % 2
@@ -127,32 +127,28 @@ def test_d2_closed_form_objectives_match_numpy():
         for theta in np.pi * rng.uniforms(8):
             ref = C.h_margin(prob, [math.cos(theta), math.sin(theta)])
             assert abs(h_of(theta) - ref) <= 1e-12 * (1.0 + prob.std_scale())
-        if n == 2:
-            p1, p2 = prob.p
-            s1, s2 = prob.covs
-            base = p1 * p1 * s1 + p2 * p2 * s2 - prob.target
-            f = C._pencil_lmin_2d(base, p1 * p2, s1, s2)
-            for t in 12.0 * rng.uniforms(8) - 6.0:
-                pencil = base + p1 * p2 * (10.0**t * s1 + s2 / 10.0**t)
-                ref = np.linalg.eigvalsh(pencil)[0]
-                assert abs(f(t) - ref) <= 1e-12 * (1.0 + np.abs(pencil).max())
 
 
 def test_subgradient_loop_runs_only_without_the_d2_grid(monkeypatch):
+    # the n = 2 alpha scan guards the descent and runs exactly where it does
     calls = []
+    scans = []
     real = C._h_and_grad
+    real_scan = C._alpha_scan
     monkeypatch.setattr(C, "_h_and_grad", lambda prob, xis: calls.append(1) or real(prob, xis))
+    monkeypatch.setattr(C, "_alpha_scan", lambda prob, cfg: scans.append(1) or real_scan(prob, cfg))
     prob2 = fam.axis_swap_problem(5.0, 0.5)
     prob3 = C.MixtureProblem(
         p=[0.5, 0.5], covs=np.stack([np.diag([3.0, 2.0, 1.0]), np.diag([1.0, 2.0, 3.0])]), target=np.eye(3)
     )
     assert C.check_inegsqrt(prob2, C.SearchConfig(iters=30)).holds
-    assert calls == []
+    assert calls == [] and scans == []
     assert C.check_inegsqrt(prob2, C.SearchConfig(iters=30, grid_points=0)).holds
-    assert len(calls) == 30
+    assert len(calls) == 30 and len(scans) == 1
     calls.clear()
+    scans.clear()
     assert C.check_inegsqrt(prob3, C.SearchConfig(iters=30)).holds
-    assert len(calls) == 30
+    assert len(calls) == 30 and len(scans) == 1
 
 
 def test_d2_margin_matches_dense_brute_force():
@@ -190,26 +186,6 @@ def test_d2_margin_matches_dense_brute_force():
             assert v.status == (C.Status.FAILS if brute < 0 else C.Status.HOLDS), trial
             signs.add(brute > 0)
     assert signs == {True, False}
-
-
-def test_alpha_scan_closed_form_only_for_d2(monkeypatch):
-    prob2 = fam.axis_swap_problem(5.0, 0.5)
-    prob3 = C.MixtureProblem(
-        p=[0.5, 0.5], covs=np.stack([np.diag([3.0, 2.0, 1.0]), np.diag([1.0, 2.0, 3.0])]), target=np.eye(3)
-    )
-    shapes = []
-    real = np.linalg.eigvalsh
-
-    def counted(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return real(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    C._alpha_scan(prob2, C.SearchConfig())
-    assert shapes == [(400, 2, 2)]  # the stacked grid only
-    shapes.clear()
-    C._alpha_scan(prob3, C.SearchConfig())
-    assert shapes[0] == (400, 3, 3) and len(shapes) > 1 and set(shapes[1:]) == {(3, 3)}
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 import families as fam
 from gmcvx import conditions as C
-from gmcvx import coupling, matcore
+from gmcvx import coupling
 from gmcvx.rng import CounterRng
 
 
@@ -100,60 +100,6 @@ def test_sampling_deterministic_given_stream():
     b = coupling.sample_batch(kernel, 100, CounterRng(3))
     for left, right in zip(a, b):
         assert np.array_equal(left, right)
-
-
-def test_wasserstein_blocks_examples():
-    sigma = np.array([[2.0, 0.4], [0.4, 1.0]])
-    b1, b2 = coupling.wasserstein_blocks(sigma, sigma)
-    root = matcore.sqrt_psd(sigma)
-    assert np.allclose(b1, root, atol=1e-10)
-    assert np.allclose(b2 @ b2.T, sigma, atol=1e-10)
-
-    b1, b2 = coupling.wasserstein_blocks(np.diag([8.0, 4.0]), np.diag([4.0, 8.0]))
-    assert np.allclose(b1, np.diag([2.0 * math.sqrt(2.0), 2.0]))
-    assert np.allclose(b2, np.diag([2.0, 2.0 * math.sqrt(2.0)]))
-
-
-def test_wasserstein_blocks_random_pair_reconstruction_and_schur():
-    rng = CounterRng(19)
-    w = rng.normal_matrix(3, 3)
-    s1 = w @ w.T + 0.2 * np.eye(3)
-    w2 = rng.normal_matrix(3, 3)
-    s2 = w2 @ w2.T
-    b1, b2 = coupling.wasserstein_blocks(s1, s2)
-    assert matcore.fro_norm(b1 @ b1.T - s1) <= 1e-8 * (1.0 + matcore.fro_norm(s1))
-    assert matcore.fro_norm(b2 @ b2.T - s2) <= 1e-8 * (1.0 + matcore.fro_norm(s2))
-    theta = b1 @ b2.T
-    pair = np.block([[s1, theta], [theta.T, s2]])
-    assert matcore.is_psd(pair, matcore.spectral_scale([s1, s2])[1], 1e-8)[0]
-    sc = matcore.schur_complement(s2, theta.T, s1)
-    assert matcore.fro_norm(sc) <= 1e-8 * (1.0 + matcore.fro_norm(s2))
-
-
-def test_wasserstein_blocks_swaps_roles_for_singular_first():
-    s1 = np.diag([4.0, 0.0])
-    s2 = np.diag([1.0, 2.0])
-    b1, b2 = coupling.wasserstein_blocks(s1, s2)
-    assert np.allclose(b1 @ b1.T, s1, atol=1e-9)
-    assert np.allclose(b2 @ b2.T, s2, atol=1e-9)
-    with pytest.raises(coupling.BothSingular):
-        coupling.wasserstein_blocks(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-
-
-def test_knothe_blocks():
-    l1, l2 = coupling.knothe_blocks(np.diag([4.0, 9.0]), np.diag([1.0, 16.0]))
-    assert np.allclose(l1, np.diag([2.0, 3.0]))
-    assert np.allclose(l2, np.diag([1.0, 4.0]))
-
-    l1, _ = coupling.knothe_blocks(np.array([[4.0, 2.0], [2.0, 5.0]]), np.eye(2))
-    assert np.allclose(l1, [[2.0, 0.0], [1.0, 2.0]])
-
-    rng = CounterRng(23)
-    w = rng.normal_matrix(3, 3)
-    s1 = w @ w.T
-    l1, _ = coupling.knothe_blocks(s1, np.eye(3))
-    assert matcore.fro_norm(l1 @ l1.T - s1) <= 1e-9 * (1.0 + matcore.fro_norm(s1))
-    assert np.allclose(l1, np.tril(l1))
 
 
 def test_engine_witness_feeds_kernel():

@@ -177,28 +177,6 @@ def test_correlation_of_degenerate_row():
     assert info.corr[0, 0] == 1.0 and info.corr[1, 1] == 1.0
 
 
-def test_schur_complement_examples():
-    assert np.allclose(matcore.schur_complement(np.eye(2), np.zeros((2, 2)), np.eye(2)), np.eye(2))
-    s1 = rand_psd(31, 2) + np.eye(2)
-    assert np.allclose(matcore.schur_complement(s1, np.zeros((2, 2)), np.eye(2)), s1)
-
-
-def test_schur_complement_vanishes_on_transport_pair():
-    s1 = rand_psd(33, 3) + 0.5 * np.eye(3)
-    s2 = rand_psd(34, 3) + 0.5 * np.eye(3)
-    r1 = matcore.sqrt_psd(s1)
-    r2inv = matcore.pinv_psd(matcore.sqrt_psd(s1))
-    inner = matcore.sqrt_psd(r1 @ s2 @ r1)
-    theta = r1 @ inner @ r2inv  # S1 S2* of the transport coupling
-    sc = matcore.schur_complement(s1, theta, s2)
-    assert np.abs(sc).max() < 1e-8 * (1.0 + np.abs(s1).max())
-
-
-def test_schur_complement_range_violation():
-    with pytest.raises(matcore.RangeViolation):
-        matcore.schur_complement(np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]), np.diag([1.0, 0.0]))
-
-
 def test_polar_factor_identity_and_vector():
     sigma = rand_psd(41, 3) + 0.1 * np.eye(3)
     root = matcore.sqrt_psd(sigma)
@@ -232,29 +210,6 @@ def test_polar_factor_rank_deficient_padding():
 def test_polar_factor_mismatch():
     with pytest.raises(matcore.FactorMismatch):
         matcore.polar_factor(np.array([[1.0, 0.0]]), np.array([[25.0]]))
-
-
-def test_cholesky_examples():
-    assert np.allclose(matcore.cholesky_lower(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
-    assert np.allclose(
-        matcore.cholesky_lower(np.array([[4.0, 2.0], [2.0, 5.0]])), [[2.0, 0.0], [1.0, 2.0]]
-    )
-
-
-def test_cholesky_random_and_singular():
-    a = rand_psd(61, 4)
-    lower = matcore.cholesky_lower(a)
-    assert matcore.fro_norm(lower @ lower.T - a) <= 1e-9 * (1.0 + matcore.fro_norm(a))
-    assert np.all(np.diag(lower) >= 0.0)
-
-    sing = rand_psd(62, 4, rank=2)
-    lower = matcore.cholesky_lower(sing)
-    assert matcore.fro_norm(lower @ lower.T - sing) <= 1e-8 * (1.0 + matcore.fro_norm(sing))
-
-
-def test_cholesky_rejects_indefinite():
-    with pytest.raises(matcore.NotPSD):
-        matcore.cholesky_lower(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 @settings(max_examples=60, deadline=None)

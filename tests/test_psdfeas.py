@@ -142,6 +142,19 @@ def test_wasserstein_candidate_closes_pair_slack(index):
     assert np.allclose(mix, (3.0 + 2.0 * np.sqrt(2.0)) * np.eye(2), atol=1e-9)
 
 
+def test_transport_candidate_pair_block_has_d_null_directions():
+    # the optimal-transport coupling of two nonsingular laws is supported on
+    # the graph of a map: its 2d x 2d pair block is PSD with rank exactly d
+    rng = CounterRng(19)
+    covs = np.stack([random_psd(rng, 3) + 0.2 * np.eye(3), random_psd(rng, 3)])
+    task = psdfeas.FeasibilityTask([0.4, 0.6], covs, 0.5 * covs[0], psdfeas.FULL)
+    w = np.linalg.eigvalsh(psdfeas.default_candidates(task)[2])
+    tol = 1e-9 * task.scale
+    assert w[0] >= -tol
+    assert int(np.sum(np.abs(w) <= tol)) == task.d
+    assert w[task.d] > 1e3 * tol
+
+
 def test_task_roots_computed_once_per_task(monkeypatch):
     calls = []
     real = matcore.sqrt_psd

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 import families as fam
+from families import LIGHT
 from gmcvx import conditions as C
 from gmcvx import psdfeas
 from gmcvx import sweep as S
-
-LIGHT = C.SearchConfig(iters=30, random_starts=8, grid_points=360, alpha_points=120, ascent_iters=0)
 
 
 def test_axis_values_inclusive():
