@@ -20,7 +20,12 @@ field, 65 invariant violation (including a sweep matrix or mean of the
 wrong size, a sweep expression that fails or is non-finite at a cell, a
 sweep cell whose problem is invalid for any reason but a non-PSD target,
 and a certificate matrix of the wrong shape or with non-finite entries),
-66 usage or IO error (including a sample count below the minimum).
+66 usage or IO error (including a sample count below the minimum, and
+``--with-M`` given with ``--condition chain``).
+
+A sweep grid may have at most ``sweep.MAX_CELLS`` (1,000,000) cells; a
+spec whose axes give more, or whose cell count is not finite, exits 64
+before any cell is built.
 """
 
 from __future__ import annotations
@@ -260,6 +265,8 @@ def load_bases(path: str, d: int) -> list[np.ndarray]:
 
 
 def cmd_check(args) -> int:
+    if args.condition == "chain" and args.with_m:
+        raise CliFailure(EXIT_USAGE, "--with-M applies to one checker; --condition chain does not take it")
     doc = _load_json(args.input)
     prob, digest = problem_from_doc(doc)
     cfg = SearchConfig(seed=args.seed)
@@ -387,14 +394,14 @@ def _template_from_doc(doc, axis_names):
     """Validate the spec's problem once, as :func:`problem_from_doc` does a
     problem document; the template evaluates its entries at each cell."""
     base = doc["problem"]
-    d = base["d"]
-    if type(d) is not int:
-        raise ValueError("problem field 'd' must be a JSON integer")
+    d, n = base["d"], base["n"]
+    if type(d) is not int or type(n) is not int:
+        raise ValueError("problem fields 'd' and 'n' must be JSON integers")
     if not isinstance(base["components"], list) or not all(isinstance(c, dict) for c in base["components"]):
         raise ValueError("problem field 'components' must be a list of objects")
     p = _float_array(base, "p", "sweep problem field")
-    if p.shape != (len(base["components"]),):
-        raise CliFailure(EXIT_INVARIANT, "sweep problem needs one weight per component")
+    if len(base["components"]) != n or p.shape != (n,):
+        raise CliFailure(EXIT_INVARIANT, f"sweep problem needs n = {n} components and weights")
     target = _spec_rows(base["target"], (d, d), "target", axis_names)
     comps = [
         (

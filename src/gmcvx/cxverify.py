@@ -9,6 +9,11 @@ order itself stays with the condition checkers.
 
 Radial (orthogonally invariant) noise generalizations are covered by
 :func:`radial_order_check`.
+
+:func:`test_convex_order` builds the mixture's component laws once per
+call, and a max-affine function is evaluated as a pieces-by-samples array
+whose maximum runs over the few pieces column by column, which gives the
+row-wise maxima exactly and several times faster.
 """
 
 from __future__ import annotations
@@ -97,7 +102,8 @@ def evaluate(f: TestFunction, xs: np.ndarray) -> np.ndarray:
     if f.kind == "quadratic":
         return np.einsum("mi,ij,mj->m", xs, f.mat, xs) + xs @ f.xi0 + f.const
     if f.kind == "max_affine":
-        return (xs @ f.slopes.T + f.intercepts[None, :]).max(axis=1)
+        # pieces by samples, so the maximum runs over the short axis column by column
+        return (f.slopes @ xs.T + f.intercepts[:, None]).max(axis=0)
     raise ValueError(f"unknown test function kind {f.kind!r}")
 
 
@@ -123,14 +129,14 @@ def exact_expectation(law: GaussianLaw, f: TestFunction) -> float | None:
     return None
 
 
-def mixture_expectation(prob: MixtureProblem, f: TestFunction) -> float | None:
-    """Closed-form expectation under the mixture, or None."""
+def mixture_expectation(p: np.ndarray, laws: list[GaussianLaw], f: TestFunction) -> float | None:
+    """Closed-form expectation under the mixture of ``laws`` with weights ``p``, or None."""
     total = 0.0
-    for i in range(prob.n):
-        value = exact_expectation(GaussianLaw(prob.means[i], prob.covs[i]), f)
+    for weight, law in zip(p, laws):
+        value = exact_expectation(law, f)
         if value is None:
             return None
-        total += float(prob.p[i]) * value
+        total += float(weight) * value
     return total
 
 
@@ -222,19 +228,16 @@ def test_convex_order(
         xs_l = _gaussian_samples(lhs, mc_samples, rng)
         xs_r = _mixture_samples(rhs, mc_samples, rng)
     mc_checked = 0
+    laws = [GaussianLaw(mean, cov) for mean, cov in zip(rhs.means, rhs.covs)]
     for f in suite:
         if f.closed_form:
             if f.kind == "exp_linear":
                 # compare in log space: exact for Gaussians and overflow-proof
                 left = _log_exp_expectation(lhs, f)
-                logs = [
-                    math.log(rhs.p[i]) + _log_exp_expectation(GaussianLaw(rhs.means[i], rhs.covs[i]), f)
-                    for i in range(rhs.n)
-                ]
-                right = _logsumexp(logs)
+                right = _logsumexp([math.log(w) + _log_exp_expectation(law, f) for w, law in zip(rhs.p, laws)])
             else:
                 left = exact_expectation(lhs, f)
-                right = mixture_expectation(rhs, f)
+                right = mixture_expectation(rhs.p, laws, f)
             margin = (right - left) / (1.0 + abs(left) + abs(right))
             if margin < worst_margin:
                 worst_margin = margin

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -47,16 +48,24 @@ def _as_square(a) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise InvalidMatrix(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise InvalidMatrix("matrix has non-finite entries")
     return a
+
+
+@lru_cache(maxsize=None)
+def _triu_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only masks of the upper triangle of an n x n matrix, with and without the diagonal."""
+    upper, strict = np.triu(np.ones((n, n), dtype=bool)), np.triu(np.ones((n, n), dtype=bool), 1)
+    upper.flags.writeable = strict.flags.writeable = False
+    return upper, strict
 
 
 def symmetrize(a) -> np.ndarray:
     """Mirror the upper triangle so ``out[i, j] == out[j, i]`` exactly."""
     a = _as_square(a)
-    upper = np.triu(a)
-    return upper + np.triu(a, 1).T
+    upper, strict = _triu_masks(a.shape[0])
+    return np.where(upper, a, 0.0) + np.where(strict, a, 0.0).T
 
 
 def _as_sym(a) -> np.ndarray:
@@ -74,7 +83,9 @@ def require_symmetric(a, tol: float = EPS_ROUND) -> np.ndarray:
 
 
 def fro_norm(a) -> float:
-    return float(np.linalg.norm(np.asarray(a, dtype=float)))
+    """Frobenius norm, as ``np.linalg.norm`` computes it: sqrt of the flat self dot product."""
+    flat = np.asarray(a, dtype=float).ravel(order="K")
+    return math.sqrt(flat.dot(flat))
 
 
 def spectral_scale(mats) -> tuple[np.ndarray, float]:
@@ -103,12 +114,22 @@ def is_psd(a, scale: float, eps: float = EPS_PSD) -> tuple[bool, float]:
     return lmin >= -eps * scale, lmin
 
 
-def clamp_psd(a) -> np.ndarray:
-    """Nearest PSD matrix in Frobenius norm (negative eigenvalues to zero)."""
-    w, q = np.linalg.eigh(_as_sym(a))
+def clamp_psd(a: np.ndarray) -> np.ndarray:
+    """Nearest PSD matrix in Frobenius norm (negative eigenvalues to zero).
+
+    ``a`` must be a finite square float matrix; it is not validated here, as
+    this runs in the inner loop of the feasibility engine on matrices built
+    from validated problems. The result is exactly symmetric and never ``a`` itself.
+    """
+    sym = a + a.T
+    sym *= 0.5
+    w, q = np.linalg.eigh(sym)
     if w[0] >= 0.0:
-        return _as_sym(a)
-    return _as_sym((q * np.maximum(w, 0.0)) @ q.T)
+        return sym
+    out = (q * np.maximum(w, 0.0)) @ q.T
+    out = out + out.T
+    out *= 0.5
+    return out
 
 
 def _eigh_psd(a) -> tuple[np.ndarray, np.ndarray]:

@@ -14,10 +14,16 @@ engine never claims infeasibility: it either returns a feasible, exactly
 block-pinned Gamma or the residuals it got stuck at.
 
 The Dykstra solve and the pair-contraction program take one
-:class:`FeasibilityTask`, which computes what they share once: the
-pinned-block sum and its gap to the target up front, the block square
-roots, weighted root pairs and the pair-contraction ascent (with the
-task's seed and step count) on first use.
+:class:`FeasibilityTask`, which computes what they share once: up front
+the pinned-block sum and its gap to the target, and the per-pair weights,
+block slices and index arrays and the affine correction's denominator
+that every Dykstra iteration reuses; on first use the block square roots,
+the weighted root pairs as stacks, and the pair-contraction ascent (with
+the task's seed and step count). The Dykstra inner loop validates
+nothing: its matrices come from a validated ``MixtureProblem`` and stay
+exactly symmetric. The ascent advances all its starts as one stack, with
+one batched eigensolve and SVD per step, and returns bit for bit what
+running the starts one after another returns.
 """
 
 from __future__ import annotations
@@ -73,7 +79,10 @@ class FeasibilityTask:
         self.pairs = [(i, j) for i in range(self.n) for j in range(i + 1, self.n)]
         # affine-projection constants: S = A Gamma A* - target couples the
         # free off-diagonal blocks through a single scalar correction
-        self.coupling = 2.0 * sum((self.p[i] * self.p[j]) ** 2 for i, j in self.pairs)
+        self.affine_denom = 1.0 + 2.0 * sum((self.p[i] * self.p[j]) ** 2 for i, j in self.pairs)
+        self.pair_weights = [float(self.p[i] * self.p[j]) for i, j in self.pairs]
+        self.pair_slices = [(self.block_slice(i), self.block_slice(j)) for i, j in self.pairs]
+        self.pair_indices = [pair_index(self.d, i, j) for i, j in self.pairs]
         # sum_i p_i^2 S_i, the part of A Gamma A* the pinned blocks fix
         self.pinned_sum = np.einsum("i,ikl->kl", self.p**2, self.blocks)
         self.offset = self.pinned_sum - self.target  # difference of exactly symmetric terms
@@ -88,12 +97,13 @@ class FeasibilityTask:
         return [matcore.sqrt_psd(b) for b in self.blocks]
 
     @cached_property
-    def root_pairs(self) -> list[tuple]:
-        """``(p_i p_j, root_i, root_j, (i, j))`` for every pair i < j."""
-        return [
-            (float(self.p[i] * self.p[j]), self.roots[i], self.roots[j], (i, j))
-            for i, j in self.pairs
-        ]
+    def root_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(w, roots_i, roots_j)`` over the pairs i < j in order: the weights
+        p_i p_j, shape (pairs,), and the two block roots, shape (pairs, d, d)."""
+        roots = np.array(self.roots).reshape(self.n, self.d, self.d)
+        first = [i for i, _ in self.pairs]
+        second = [j for _, j in self.pairs]
+        return np.array(self.pair_weights), roots[first], roots[second]
 
     @cached_property
     def ascent(self) -> tuple:
@@ -145,29 +155,34 @@ def pair_index(d: int, i: int, j: int):
 def _affine_project(task: FeasibilityTask, gamma: np.ndarray, slack: np.ndarray):
     """Orthogonal projection onto {blocks pinned, S = A Gamma A* - target}."""
     gamma = pin_blocks(gamma, task.blocks)
-    v0 = mix_compress(gamma, task.p, task.d) - task.pinned_sum  # the off-diagonal part of A Gamma A*
-    r = (v0 + task.offset - slack) / (1.0 + task.coupling)
-    for i, j in task.pairs:
-        si, sj = task.block_slice(i), task.block_slice(j)
-        gamma[si, sj] -= task.p[i] * task.p[j] * r
+    r = mix_compress(gamma, task.p, task.d)
+    r -= task.pinned_sum  # the off-diagonal part of A Gamma A*
+    r += task.offset
+    r -= slack
+    r /= task.affine_denom
+    for (si, sj), w in zip(task.pair_slices, task.pair_weights):
+        gamma[si, sj] -= w * r
         gamma[sj, si] = gamma[si, sj].T
     return gamma, slack + r
 
 
 def _neg_part_norm(a: np.ndarray) -> float:
-    w = np.linalg.eigvalsh(0.5 * (a + a.T))
-    neg = np.minimum(w, 0.0)
-    return float(np.sqrt(np.sum(neg * neg)))
+    """Frobenius norm of the negative part of ``a``, which must be exactly symmetric."""
+    neg = np.minimum(np.linalg.eigvalsh(a), 0.0)
+    return math.sqrt((neg * neg).sum())
 
 
 def cone_violation(task: FeasibilityTask, gamma: np.ndarray, slack: np.ndarray) -> float:
-    """Frobenius distance from (Gamma, S) to the selected cone."""
+    """Frobenius distance from (Gamma, S) to the selected cone.
+
+    Both must be exactly symmetric, as every warm start and iterate of
+    :func:`solve` is."""
     if task.cone == FULL:
         d_g = _neg_part_norm(gamma)
     else:
         d_g = 0.0
-        for i, j in task.pairs:
-            d_g = max(d_g, _neg_part_norm(gamma[pair_index(task.d, i, j)]))
+        for idx in task.pair_indices:
+            d_g = max(d_g, _neg_part_norm(gamma[idx]))
     return max(d_g, _neg_part_norm(slack))
 
 
@@ -179,19 +194,27 @@ def cone_violation(task: FeasibilityTask, gamma: np.ndarray, slack: np.ndarray) 
 # ---------------------------------------------------------------------------
 
 
-def assemble_contraction_slack(c0: np.ndarray, pairs, ks) -> np.ndarray:
-    h = c0.copy()
-    for (w, a_i, a_j, _), k in zip(pairs, ks):
-        t = a_i @ k @ a_j
-        h += w * (t + t.T)
+def assemble_contraction_slack(c0: np.ndarray, pairs, ks: np.ndarray) -> np.ndarray:
+    """``c0 + sum w (T + T')`` with T = root_i K root_j, adding the pairs in order.
+
+    ``pairs`` is :attr:`FeasibilityTask.root_pairs` or a selection of its
+    pairs and ``ks`` has shape (..., pairs, d, d); a stack of contraction sets
+    gives a stack of slacks, each with the bits a single set gives.
+    """
+    w, roots_i, roots_j = pairs
+    t = roots_i @ ks @ roots_j
+    terms = w[:, None, None] * (t + np.swapaxes(t, -1, -2))
+    h = np.broadcast_to(c0, terms.shape[:-3] + c0.shape).copy()
+    for idx in range(len(w)):
+        h += terms[..., idx, :, :]
     return h
 
 
-def clip_operator_ball(k: np.ndarray) -> np.ndarray:
-    u, s, vt = np.linalg.svd(k)
-    if s.size == 0 or s[0] <= 1.0:
-        return k
-    return (u * np.minimum(s, 1.0)) @ vt
+def clip_operator_ball(ks: np.ndarray) -> np.ndarray:
+    """Project each matrix of the stack ``ks`` onto the operator-norm unit ball."""
+    u, s, vt = np.linalg.svd(ks)
+    clipped = (u * np.minimum(s, 1.0)[..., None, :]) @ vt
+    return np.where((s[..., 0] > 1.0)[..., None, None], clipped, ks)
 
 
 def _rotation_neg_lmin_2d(c0: np.ndarray, w: float, a: np.ndarray, b: np.ndarray, branch: float):
@@ -223,9 +246,8 @@ def _rotation_2d(c, s, branch: float) -> np.ndarray:
     return np.stack([np.stack([c, -s * branch], -1), np.stack([s, c * branch], -1)], -2)
 
 
-def _rotation_grid_2d(c0: np.ndarray, pair, count: int):
-    """Best rotation or reflection contraction on a 2-d angular grid."""
-    w, a, b, _ = pair
+def _rotation_grid_2d(c0: np.ndarray, w: float, a: np.ndarray, b: np.ndarray, count: int):
+    """Best rotation or reflection contraction of the pair term ``w (a K b + sym)`` on a 2-d angular grid."""
     phis = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
     c, s = np.cos(phis), np.sin(phis)
     best = (-np.inf, None)
@@ -251,12 +273,13 @@ def _coordinate_rotation_polish(c0, pairs, ks, scale: float, passes: int = 8, co
     digits slowly; one pair at a time, the angular grid is exact and cheap.
     Only moves gaining over ``EPS_ROUND * scale`` count, so the value never decreases.
     """
-    ks = [k.copy() for k in ks]
+    ks = np.array(ks, dtype=float)
     for _ in range(passes):
         improved = False
-        for idx, (w, a, b, _) in enumerate(pairs):
-            rest = assemble_contraction_slack(c0, pairs[:idx] + pairs[idx + 1 :], ks[:idx] + ks[idx + 1 :])
-            val, k_new = _rotation_grid_2d(rest, (w, a, b, None), count)
+        for idx, (w, a, b) in enumerate(zip(*pairs)):
+            others = np.arange(len(ks)) != idx
+            rest = assemble_contraction_slack(c0, [part[others] for part in pairs], ks[others])
+            val, k_new = _rotation_grid_2d(rest, w, a, b, count)
             t_old = a @ ks[idx] @ b
             old = float(np.linalg.eigvalsh(rest + w * (t_old + t_old.T))[0])
             if k_new is not None and val > old + matcore.EPS_ROUND * scale:
@@ -274,82 +297,97 @@ def contraction_ascent(task: FeasibilityTask):
     d = 1, an exact angular grid for a single d = 2 pair, and a cyclic
     per-pair grid polish for several d = 2 pairs; ``task.ascent_iters``
     steps from each start, one start drawn from ``task.seed``. Returns the
-    best value, the contractions, and a trace-one PSD average of bottom
-    eigenvectors from the ascent tail (usable as a refutation functional).
+    best value, the contractions as a (pairs, d, d) stack, and a trace-one
+    PSD average of bottom eigenvectors from the ascent tail (usable as a
+    refutation functional).
     Read it through :attr:`FeasibilityTask.ascent`, which runs it once.
+
+    All starts advance together as one (starts, pairs, d, d) stack, one
+    batched eigensolve and SVD per step; a start stops when its
+    supergradient vanishes. The result is that of running the starts one
+    after another: the best value is its first occurrence in start order,
+    and the tail is averaged in that order.
     """
     pairs = task.root_pairs
+    weights, roots_i, roots_j = pairs
+    n_pairs = len(weights)
     c0 = task.offset
     d = task.d
 
-    def value_of(ks):
-        return float(np.linalg.eigvalsh(assemble_contraction_slack(c0, pairs, ks))[0])
+    def values_of(ks):
+        return np.linalg.eigvalsh(assemble_contraction_slack(c0, pairs, ks))[..., 0]
 
     if d == 1:
         # slack is linear in each scalar contraction: the maximum sits at
         # k = +1 for every pair (roots are nonnegative)
-        ks = [np.ones((1, 1)) for _ in pairs]
-        val = value_of(ks)
+        ks = np.ones((n_pairs, 1, 1))
+        val = float(values_of(ks))
         y = np.array([[1.0]]) if val < 0 else None
         return val, ks, y
 
     iters = task.ascent_iters
     rng = CounterRng(task.seed, stream=29)
-    start_sets = [[np.zeros((d, d)) for _ in pairs], [np.eye(d) for _ in pairs]]
-    if d == 2 and len(pairs) == 1:
-        _, k_grid = _rotation_grid_2d(c0, pairs[0], 256)
+    starts = [np.zeros((n_pairs, d, d)), np.broadcast_to(np.eye(d), (n_pairs, d, d))]
+    if d == 2 and n_pairs == 1:
+        _, k_grid = _rotation_grid_2d(c0, weights[0], roots_i[0], roots_j[0], 256)
         if k_grid is not None:
-            start_sets.append([k_grid])
-    rand = []
-    for _ in pairs:
-        g = rng.normal_matrix(d, d)
-        u, _, vt = np.linalg.svd(g)
-        rand.append(u @ vt)
-    start_sets.append(rand)
+            starts.append(k_grid[None])
+    draws = np.array([rng.normal_matrix(d, d) for _ in range(n_pairs)]).reshape(n_pairs, d, d)
+    u, _, vt = np.linalg.svd(draws)
+    starts.append(u @ vt)
 
-    best_val = -np.inf
-    best_ks = start_sets[0]
-    tail: list[np.ndarray] = []
-    for ks0 in start_sets:
-        ks = [k.copy() for k in ks0]
-        v0 = value_of(ks)
-        if v0 > best_val:
-            best_val, best_ks = v0, [k.copy() for k in ks]
-        for it in range(1, iters + 1):
-            slack = assemble_contraction_slack(c0, pairs, ks)
-            w, q = np.linalg.eigh(slack)
-            val = float(w[0])
-            vec = q[:, 0]
-            if val > best_val:
-                best_val, best_ks = val, [k.copy() for k in ks]
-            if it > iters - 25:
-                tail.append(np.outer(vec, vec))
-            grads = [2.0 * wij * np.outer(a_i @ vec, a_j @ vec) for (wij, a_i, a_j, _) in pairs]
-            gnorm = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
-            if gnorm == 0.0:
-                break
-            step = 0.5 / math.sqrt(it)
-            ks = [clip_operator_ball(k + step * g / gnorm) for k, g in zip(ks, grads)]
-    if d == 2 and len(pairs) > 1:
+    ks = np.stack(starts)
+    best_val = values_of(ks)
+    best_ks = ks.copy()
+    tails: list[list] = [[] for _ in starts]
+    live = np.arange(len(starts))
+    grad_weights = (2.0 * weights)[:, None, None]
+    for it in range(1, iters + 1):
+        cur = ks[live]
+        w, q = np.linalg.eigh(assemble_contraction_slack(c0, pairs, cur))
+        vals, vecs = w[:, 0], q[:, :, 0]
+        better = vals > best_val[live]
+        best_val[live[better]] = vals[better]
+        best_ks[live[better]] = cur[better]
+        if it > iters - 25:
+            for start, y in zip(live, vecs[:, :, None] * vecs[:, None, :]):
+                tails[start].append(y)
+        # supergradient of each pair: 2 w (root_i v)(root_j v)'
+        cols = vecs[:, None, :, None]
+        grads = grad_weights * ((roots_i @ cols) * np.swapaxes(roots_j @ cols, -1, -2))
+        sq = np.sum((grads * grads).reshape(live.size, n_pairs, d * d), axis=-1)
+        gsq = np.zeros(live.size)
+        for idx in range(n_pairs):
+            gsq += sq[:, idx]
+        gnorm = np.sqrt(gsq)
+        moving = gnorm != 0.0
+        live = live[moving]
+        if live.size == 0:
+            break
+        step = 0.5 / math.sqrt(it)
+        ks[live] = clip_operator_ball(cur[moving] + step * grads[moving] / gnorm[moving, None, None, None])
+    i = int(np.argmax(best_val))
+    best, best_ks = float(best_val[i]), best_ks[i]
+    if d == 2 and n_pairs > 1:
         polished = _coordinate_rotation_polish(c0, pairs, best_ks, task.scale)
-        val = value_of(polished)
-        if val > best_val:
-            best_val, best_ks = val, polished
+        val = float(values_of(polished))
+        if val > best:
+            best, best_ks = val, polished
     y_avg = None
+    tail = [y for ys in tails for y in ys]
     if tail:
         y_avg = matcore.symmetrize(sum(tail) / len(tail))
         tr = float(np.trace(y_avg))
         if tr > 0:
             y_avg = y_avg / tr
-    return best_val, best_ks, y_avg
+    return best, best_ks, y_avg
 
 
 def _pair_coupling(task: FeasibilityTask, thetas) -> np.ndarray:
     """Gamma with pinned diagonal blocks and ``thetas`` as its (i, j) blocks, i < j."""
     nd = task.n * task.d
     gamma = pin_blocks(np.zeros((nd, nd)), task.blocks)
-    for (i, j), theta in zip(task.pairs, thetas):
-        si, sj = task.block_slice(i), task.block_slice(j)
+    for (si, sj), theta in zip(task.pair_slices, thetas):
         gamma[si, sj] = theta
         gamma[sj, si] = theta.T
     return gamma
@@ -357,7 +395,8 @@ def _pair_coupling(task: FeasibilityTask, thetas) -> np.ndarray:
 
 def gamma_from_contractions(task: FeasibilityTask, ks) -> np.ndarray:
     """Coupling matrix whose pair blocks come from the contractions."""
-    return _pair_coupling(task, [a_i @ k @ a_j for (_, a_i, a_j, _), k in zip(task.root_pairs, ks)])
+    _, roots_i, roots_j = task.root_pairs
+    return _pair_coupling(task, roots_i @ np.asarray(ks, dtype=float) @ roots_j)
 
 
 def dual_refutation_value(task: FeasibilityTask, y: np.ndarray) -> float:
@@ -369,9 +408,9 @@ def dual_refutation_value(task: FeasibilityTask, y: np.ndarray) -> float:
     """
     y = matcore.symmetrize(y)
     total = float(np.sum(y * task.offset))
-    for w, a_i, a_j, _ in task.root_pairs:
+    for w, a_i, a_j in zip(*task.root_pairs):
         sv = np.linalg.svd(a_j @ y @ a_i, compute_uv=False)
-        total += 2.0 * w * float(np.sum(sv))
+        total += 2.0 * float(w) * float(np.sum(sv))
     return total
 
 
@@ -442,7 +481,7 @@ def solve(task: FeasibilityTask, cfg: EngineConfig = EngineConfig(), candidates=
     if task.cone == FULL:
         cone_sets = [("psd", None)]
     else:
-        cone_sets = [("pair", pair) for pair in task.pairs] + [("slack", None)]
+        cone_sets = [("pair", idx) for idx in task.pair_indices] + [("slack", None)]
     inc_g = [np.zeros_like(gamma) for _ in cone_sets]
     inc_s = [np.zeros_like(slack) for _ in cone_sets]
 
@@ -453,14 +492,13 @@ def solve(task: FeasibilityTask, cfg: EngineConfig = EngineConfig(), candidates=
         return FeasibilityOutcome(FEASIBLE, gamma, 0, viol, 0.0, [viol])
 
     for it in range(1, cfg.max_iter + 1):
-        for k, (kind, pair) in enumerate(cone_sets):
+        for k, (kind, idx) in enumerate(cone_sets):
             yg = gamma + inc_g[k]
             ys = slack + inc_s[k]
             if kind == "psd":
                 pg = matcore.clamp_psd(yg)
                 ps = matcore.clamp_psd(ys)
             elif kind == "pair":
-                idx = pair_index(task.d, *pair)
                 pg = yg.copy()
                 pg[idx] = matcore.clamp_psd(yg[idx])
                 ps = ys
@@ -491,7 +529,7 @@ def validate_gamma(task: FeasibilityTask, gamma: np.ndarray, tol: float) -> dict
         for i in range(task.n)
     )
     slack = mix_compress(gamma, task.p, task.d) - task.target
-    parts = [gamma] if task.cone == FULL else [gamma[pair_index(task.d, i, j)] for i, j in task.pairs]
+    parts = [gamma] if task.cone == FULL else [gamma[idx] for idx in task.pair_indices]
     lmin_gamma = min(float(np.linalg.eigvalsh(part)[0]) for part in parts)
     lmin_slack = float(np.linalg.eigvalsh(slack)[0])
     ok = block_err <= tol_abs and lmin_gamma >= -tol_abs and lmin_slack >= -tol_abs

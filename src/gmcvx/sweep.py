@@ -17,6 +17,7 @@ out of :func:`run_sweep` (``gmcvx sweep`` exits 65).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -34,6 +35,9 @@ from .conditions import (
 )
 
 
+MAX_CELLS = 1_000_000  # grid size bound, checked before any cell is built
+
+
 class BracketNotSeparating(RuntimeError):
     """Both bracket ends give the same verdict."""
 
@@ -48,10 +52,15 @@ class Axis:
     def __post_init__(self):
         if not (self.step > 0 and np.isfinite([self.start, self.stop, self.step]).all()):
             raise ValueError("axis needs finite bounds and a positive step")
+        spans = (self.stop - self.start) / self.step
+        if not (math.isfinite(spans) and spans < MAX_CELLS):  # so that count() is an int in range
+            raise ValueError(f"axis {self.name!r} has more than {MAX_CELLS} values")
+
+    def count(self) -> int:
+        return max(int(round((self.stop - self.start) / self.step)) + 1, 1)
 
     def values(self) -> np.ndarray:
-        count = int(round((self.stop - self.start) / self.step)) + 1
-        return self.start + self.step * np.arange(max(count, 1))
+        return self.start + self.step * np.arange(self.count())
 
 
 @dataclass
@@ -68,6 +77,8 @@ class SweepSpec:
         for name in self.checkers:
             if name not in CHECKERS:
                 raise ValueError(f"unknown checker {name!r}")
+        if self.axis1.count() * self.axis2.count() > MAX_CELLS:
+            raise ValueError(f"the grid has more than {MAX_CELLS} cells")
 
 
 @dataclass(frozen=True)

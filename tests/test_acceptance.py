@@ -11,12 +11,12 @@ from contextlib import contextmanager
 import numpy as np
 
 import families as fam
-from families import LIGHT, MID
+from families import LIGHT, MID, refine_minimizer_by_slope
 from gmcvx import conditions as C
 from gmcvx import coupling, cxverify, matcore, psdfeas
 from gmcvx import sweep as S
 from gmcvx.rng import CounterRng
-from gmcvx.utils import golden_section_minimize, refine_minimizer_by_slope
+from gmcvx.utils import golden_section_minimize
 
 SQRT2 = math.sqrt(2.0)
 

@@ -82,6 +82,14 @@ def test_check_chain_report(tmp_path, capsys):
     assert report["diagnostics"]["correl"]["status"] == "unknown"
 
 
+def test_check_chain_rejects_with_m(tmp_path, capsys):
+    # the chain report has no basis input, so the flag would be ignored
+    prob = write_json(tmp_path / "prob.json", separation_doc())
+    m_path = write_json(tmp_path / "m.json", {"matrices": [[[1.0, 0.5], [0.0, 1.0]]]})
+    assert cli.main(["check", "--condition", "chain", "--input", prob, "--with-M", m_path]) == 66
+    assert "--with-M" in capsys.readouterr().err
+
+
 def test_check_chain_refuted_exit_code(tmp_path, capsys):
     prob = write_json(tmp_path / "prob.json", exterior_doc())
     code, report = run_cli(capsys, "check", "--condition", "chain", "--input", prob)
@@ -417,8 +425,9 @@ def one_cell_spec(**fields):
             ]
         },
         {"components": [{"cov": [[8.0]]}, {"cov": [[4.0, 0.0], [0.0, 8.0]]}]},  # 1 x 1 covariance
+        {"n": 5},  # two components
     ],
-    ids=["target-size", "asymmetric-target", "mean-length", "explicit-mean-length", "cov-size"],
+    ids=["target-size", "asymmetric-target", "mean-length", "explicit-mean-length", "cov-size", "n-mismatch"],
 )
 def test_sweep_invalid_cell_exits_65(tmp_path, capsys, fields):
     spec_path = write_json(tmp_path / "spec.json", one_cell_spec(**fields))
@@ -443,12 +452,28 @@ def test_sweep_fractional_d_is_malformed(tmp_path, capsys):
         one_cell_spec(components=[{"cov": [[8.0, 0.0], [0.0]]}, {"cov": [[4.0, 0.0], [0.0, 8.0]]}]),
         {**one_cell_spec(), "seed": 2.7},
         {**one_cell_spec(), "axes": one_cell_spec()["axes"] + [{"name": "c", "min": 0.0, "max": 0.0, "step": 1.0}]},
+        one_cell_spec(n=2.5),
+        {  # 1e300 + 1 values on one axis
+            **one_cell_spec(),
+            "axes": [{"name": "a", "min": 0.0, "max": 1.0, "step": 1e-300}, one_cell_spec()["axes"][1]],
+        },
+        {  # 1001 x 1001 cells, one grid over sweep.MAX_CELLS
+            **one_cell_spec(),
+            "axes": [
+                {"name": "a", "min": 4.0, "max": 5.0, "step": 0.001},
+                {"name": "b", "min": -1.0, "max": 0.0, "step": 0.001},
+            ],
+        },
     ],
-    ids=["non-numeric-weight", "ragged-target", "ragged-cov", "fractional-seed", "three-axes"],
+    ids=[
+        "non-numeric-weight", "ragged-target", "ragged-cov", "fractional-seed", "three-axes", "fractional-n",
+        "tiny-step", "too-many-cells",
+    ],
 )
 def test_sweep_malformed_spec_exits_64(tmp_path, capsys, monkeypatch, spec):
-    # rejected while the spec is loaded, before any cell runs
+    # rejected while the spec is loaded, before any cell runs or any grid is allocated
     monkeypatch.setattr(cli.sweep_mod, "run_sweep", lambda *a, **k: pytest.fail("cells ran"))
+    monkeypatch.setattr(cli.sweep_mod.Axis, "values", lambda self: pytest.fail("grid allocated"))
     spec_path = write_json(tmp_path / "spec.json", spec)
     out_path = tmp_path / "region.csv"
     assert cli.main(["sweep", "--spec", spec_path, "--out", str(out_path)]) == 64

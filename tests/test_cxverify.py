@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import families as fam
+from families import refine_minimizer_by_slope
 from gmcvx import conditions as C
 from gmcvx import cxverify as X
 from gmcvx.rng import CounterRng
-from gmcvx.utils import golden_section_minimize, refine_minimizer_by_slope
+from gmcvx.utils import golden_section_minimize
 
 
 def test_abs_linear_exact_matches_std():
@@ -210,3 +211,13 @@ def test_exp_tilt_minimizer_identity():
     x0, _ = golden_section_minimize(f, -40.0, 40.0, xtol=1e-9)
     x1 = refine_minimizer_by_slope(f, x0)
     assert x1 == pytest.approx(X.exp_tilt_minimizer(lam, p1, s1, s2), abs=1e-8)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_max_affine_evaluate_matches_row_maximum(d):
+    # the maxima run column by column; they must equal the row-wise maxima exactly
+    rng = CounterRng(70 + d)
+    slopes, intercepts = rng.normal_matrix(6, d), rng.normals(6)
+    xs = 3.0 * rng.normal_matrix(6000, d)
+    f = X.max_affine(slopes, intercepts)
+    assert np.array_equal(X.evaluate(f, xs), (xs @ slopes.T + intercepts).max(axis=1))

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -177,3 +180,109 @@ def test_task_roots_computed_once_per_task(monkeypatch):
         assert np.allclose(root @ root, block, atol=1e-12)
     assert np.array_equal(task.offset, matcore.symmetrize(task.pinned_sum - task.target))
 
+
+
+def reference_ascent(task):
+    """:func:`psdfeas.contraction_ascent` as a plain loop, one start after
+    another and one pair at a time. Returns ``(value, contractions, tail
+    average)`` and the step at which each start stopped."""
+    weights, roots_i, roots_j = task.root_pairs
+    pairs = list(zip(weights.tolist(), roots_i, roots_j))
+    c0, d, iters = task.offset, task.d, task.ascent_iters
+
+    def slack(ks):
+        h = c0.copy()
+        for (w, a, b), k in zip(pairs, ks):
+            t = a @ k @ b
+            h += w * (t + t.T)
+        return h
+
+    rng = CounterRng(task.seed, stream=29)
+    start_sets = [[np.zeros((d, d)) for _ in pairs], [np.eye(d) for _ in pairs]]
+    if d == 2 and len(pairs) == 1:
+        start_sets.append([psdfeas._rotation_grid_2d(c0, *pairs[0], 256)[1]])
+    rand = []
+    for _ in pairs:
+        u, _, vt = np.linalg.svd(rng.normal_matrix(d, d))
+        rand.append(u @ vt)
+    start_sets.append(rand)
+
+    best_val, best_ks, tail, stops = -np.inf, None, [], []
+    for ks in start_sets:
+        val = float(np.linalg.eigvalsh(slack(ks))[0])
+        if val > best_val:
+            best_val, best_ks = val, [k.copy() for k in ks]
+        stops.append(iters)
+        for it in range(1, iters + 1):
+            w, q = np.linalg.eigh(slack(ks))
+            vec = q[:, 0]
+            if w[0] > best_val:
+                best_val, best_ks = float(w[0]), [k.copy() for k in ks]
+            if it > iters - 25:
+                tail.append(np.outer(vec, vec))
+            grads = [2.0 * wij * np.outer(a @ vec, b @ vec) for wij, a, b in pairs]
+            gnorm = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
+            if gnorm == 0.0:
+                stops[-1] = it
+                break
+            step = 0.5 / math.sqrt(it)
+            stepped = []
+            for k, g in zip(ks, grads):
+                k = k + step * g / gnorm
+                u, s, vt = np.linalg.svd(k)
+                stepped.append(k if s[0] <= 1.0 else (u * np.minimum(s, 1.0)) @ vt)
+            ks = stepped
+    if d == 2 and len(pairs) > 1:
+        polished = psdfeas._coordinate_rotation_polish(c0, task.root_pairs, best_ks, task.scale)
+        val = float(np.linalg.eigvalsh(slack(polished))[0])
+        if val > best_val:
+            best_val, best_ks = val, polished
+    y = matcore.symmetrize(sum(tail) / len(tail))
+    return best_val, np.array(best_ks), y / float(np.trace(y)), stops
+
+
+@pytest.mark.parametrize(
+    "n, d, cone", [(2, 3, psdfeas.FULL), (3, 2, psdfeas.PAIRWISE), (3, 3, psdfeas.PAIRWISE)]
+)
+def test_batched_ascent_matches_per_start_loop(n, d, cone):
+    task, _ = random_instance(40 + n + d, n=n, d=d, shrink=1.4, cone=cone)
+    task = dataclasses.replace(task, seed=5, ascent_iters=80)
+    val, ks, y = task.ascent
+    ref_val, ref_ks, ref_y, _ = reference_ascent(task)
+    assert val == ref_val
+    assert np.array_equal(ks, ref_ks)
+    assert np.array_equal(y, ref_y)
+
+
+def test_batched_ascent_stops_a_start_whose_supergradient_vanishes():
+    # component 0 has root diag(1, 1, 0) and the slack at K = 0 is diagonal
+    # with its smallest entry last: the zero start's bottom eigenvector is
+    # e3, which that root maps to 0, while the other starts keep stepping
+    p = np.array([0.4, 0.6])
+    g = CounterRng(41).normal_matrix(3, 3)
+    blocks = np.stack([np.diag([1.0, 1.0, 0.0]), matcore.symmetrize(g @ g.T)])
+    pinned = np.einsum("i,ikl->kl", p**2, blocks)
+    task = psdfeas.FeasibilityTask(
+        p, blocks, pinned - np.diag([1.0, 2.0, -5.0]), psdfeas.PAIRWISE, seed=3, ascent_iters=60
+    )
+    assert np.count_nonzero(task.offset - np.diag(np.diag(task.offset))) == 0
+    val, ks, y = task.ascent
+    ref_val, ref_ks, ref_y, stops = reference_ascent(task)
+    assert stops == [1, 60, 60]
+    assert val == ref_val
+    assert np.array_equal(ks, ref_ks)
+    assert np.array_equal(y, ref_y)
+
+
+def test_batched_ascent_keeps_the_first_start_on_a_tie():
+    # a zero block makes every pair term and supergradient vanish: all starts
+    # tie on the value of c0, and the zero start, which comes first, wins
+    blocks = np.stack([np.diag([1.0, 2.0, 3.0]), np.zeros((3, 3))])
+    task = psdfeas.FeasibilityTask([0.5, 0.5], blocks, np.eye(3), psdfeas.PAIRWISE, seed=3, ascent_iters=10)
+    val, ks, y = task.ascent
+    ref_val, ref_ks, ref_y, stops = reference_ascent(task)
+    assert stops == [1, 1, 1]
+    assert np.array_equal(ks, np.zeros((1, 3, 3)))
+    assert val == ref_val
+    assert np.array_equal(ks, ref_ks)
+    assert np.array_equal(y, ref_y)

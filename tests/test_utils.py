@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from gmcvx.utils import golden_section_minimize, refine_minimizer_by_slope
+from families import refine_minimizer_by_slope
+from gmcvx.utils import golden_section_minimize
 
 
 def test_golden_section_quadratic():
