@@ -33,7 +33,8 @@ how large it is, save one checkout's records with ``--dump FILE`` and run
 the other with ``--compare FILE``: for each set and checker it prints the
 number of records, the status mismatches, the largest |margin change| and
 the record it is on (the seed for ``chain`` and ``defaults``, the ``a,b``
-cell for ``region``; ``-`` when no margin moved)::
+cell for ``region``; ``-`` when no margin moved), then one line per status
+change, ``set checker record old→new``::
 
     python3 scripts/verdict_digest.py --dump before.json        # on the old checkout
     python3 scripts/verdict_digest.py --compare before.json     # on the new one
@@ -132,26 +133,28 @@ def scale_line(power: int, unit: list[dict]) -> str:
 
 
 def drift_lines(name: str, old: list, new: list) -> list[str]:
-    """Per checker: records, status mismatches and the largest |margin change| of ``new`` against ``old``, with its key."""
+    """Per checker: records, status mismatches and the largest |margin change| of ``new`` against ``old``,
+    with its key; then one ``set checker record old→new`` line per status change (``-`` for a missing record)."""
     before = {(key, checker): (status, margin) for key, checker, status, margin in old}
     stats: dict[str, list] = {}
+    changes = []
     for key, checker, status, margin in new:
         row = stats.setdefault(checker, [0, 0, 0.0, "-"])
         row[0] += 1
-        if (key, checker) not in before:
+        old_status, old_margin = before.pop((key, checker), ("-", margin))
+        if old_status != status:
             row[1] += 1
-            continue
-        old_status, old_margin = before.pop((key, checker))
-        row[1] += old_status != status
+            changes.append(f"{name} {checker} {key} {old_status}→{status}")
         change = abs(margin - old_margin) if old_margin != margin else 0.0  # equal infinities differ by nothing
         if change > row[2]:
             row[2:] = change, key
-    for key, checker in before:  # records the new run no longer has
+    for (key, checker), (status, _) in before.items():  # records the new run no longer has
         stats.setdefault(checker, [0, 0, 0.0, "-"])[1] += 1
+        changes.append(f"{name} {checker} {key} {status}→-")
     return [
         f"drift {name} {checker} records={n} status_mismatches={bad} max_abs_dmargin={worst:.3e} at={where}"
         for checker, (n, bad, worst, where) in sorted(stats.items())
-    ]
+    ] + changes
 
 
 def main(argv=None) -> int:

@@ -579,8 +579,12 @@ def check_correl_with(prob: MixtureProblem, m) -> Verdict:
     that entry (they must agree within ``matcore.EPS_ENGINE``), fills entries no
     component constrains from the target itself, and then tests that the
     weighted diagonal scales dominate the transformed target. Holds return
-    a :class:`CorrelCertificate`; the diagnostics report whether the built
-    correlation is also associated with the diagonal-corrected target.
+    a :class:`CorrelCertificate` whose induced coupling
+    (:func:`certificate_to_gamma`) passes :func:`validate_gamma_witness` at
+    ``matcore.EPS_ENGINE`` in the original basis; otherwise the verdict fails with an
+    ``induced_gamma_invalid`` witness holding that coupling. The diagnostics
+    report whether the built correlation is also associated with the
+    diagonal-corrected target.
     """
     m = np.asarray(m, dtype=float)
     d = prob.d
@@ -653,11 +657,23 @@ def check_correl_with(prob: MixtureProblem, m) -> Verdict:
 
     stacked = np.vstack([np.diag(s) for s in scales])
     cert = CorrelCertificate(m, corr, scales, mix_scale, stacked)
+    # the tests above ran in the M basis; an ill-conditioned M can pass them
+    # with a coupling that is far from PSD in the original basis
+    gamma = certificate_to_gamma(prob, cert)
+    induced = validate_gamma_witness(prob, gamma, matcore.EPS_ENGINE)
+    diag["induced_lmin_gamma"] = induced["lmin_gamma"]
+    if not induced["ok"]:
+        margin = min(induced["lmin_gamma"], induced["lmin_slack"])
+        return Verdict(Status.FAILS, margin, ("induced_gamma_invalid", GammaWitness(gamma, prob.n, d)), diag)
     return Verdict(Status.HOLDS, lmin, cert, diag)
 
 
 def validate_correl_certificate(prob: MixtureProblem, cert: CorrelCertificate, tol: float = matcore.EPS_CHAIN) -> dict:
-    """Standalone re-validation of a shared-correlation certificate, against the scale in its basis."""
+    """Standalone re-validation of a shared-correlation certificate, against the scale in its basis.
+
+    The coupling it induces (:func:`certificate_to_gamma`) must also pass
+    :func:`validate_gamma_witness` at ``tol``.
+    """
     transformed, t_target, scale_m = _in_basis(prob, cert.m)
     assoc_err = 0.0
     for t, scales in zip(transformed, cert.comp_scales):
@@ -669,11 +685,18 @@ def validate_correl_certificate(prob: MixtureProblem, cert: CorrelCertificate, t
     stack_err = matcore.fro_norm(
         np.einsum("i,ikl->kl", prob.p, cert.stacked.reshape(prob.n, prob.d, prob.d)) - np.diag(cert.mix_scale)
     )
+    induced = validate_gamma_witness(prob, certificate_to_gamma(prob, cert), tol)
     return {
-        "ok": bool(assoc_err <= tol * scale_m and ok and stack_err <= matcore.EPS_ROUND * math.sqrt(scale_m)),
+        "ok": bool(
+            assoc_err <= tol * scale_m
+            and ok
+            and stack_err <= matcore.EPS_ROUND * math.sqrt(scale_m)
+            and induced["ok"]
+        ),
         "association_err": float(assoc_err),
         "lmin_gap": float(lmin),
         "stack_err": float(stack_err),
+        "induced_lmin_gamma": induced["lmin_gamma"],
     }
 
 

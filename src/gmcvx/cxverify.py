@@ -168,16 +168,55 @@ def default_suite(prob: MixtureProblem, seed: int = 0) -> list[TestFunction]:
     worst = dirs[int(np.argmin(margins))]
     for lam in (0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 4.0, -4.0):
         suite.append(exp_linear(lam, worst))
-    rng = CounterRng(seed, stream=59)
-    for _ in range(8):
-        w = rng.normal_matrix(d, d)
-        suite.append(quadratic(w @ w.T / d, rng.normals(d), float(rng.normals(1)[0])))
+    # stream 59 holds, per quadratic, one normals call each for W, b and c,
+    # then per max-affine function a uniform piece count (2 to 6) and one
+    # normals call each for the slopes and the intercepts; one block of
+    # uniforms covers the longest such sequence
+    def span(k: int) -> int:
+        return 2 * ((k + 1) // 2)
+
+    calls, pos = [], 0
+    for k in [d * d, d, 1] * 8:
+        calls.append((pos, k))
+        pos += span(k)
+    u = CounterRng(seed, stream=59).uniforms(pos + 10 * (1 + span(6 * d) + span(6)))
+    counts = []
     for _ in range(10):
-        pieces = 2 + int(rng.uniforms(1)[0] * 5)
-        slopes = rng.normal_matrix(pieces, d)
-        intercepts = rng.normals(pieces)
-        suite.append(max_affine(slopes, intercepts))
+        counts.append(2 + int(u[pos] * 5))
+        pos += 1
+        for k in (counts[-1] * d, counts[-1]):
+            calls.append((pos, k))
+            pos += span(k)
+    draws = iter(_box_muller_calls(u, calls))
+    for _ in range(8):
+        w = next(draws).reshape(d, d)
+        suite.append(quadratic(w @ w.T / d, next(draws), float(next(draws)[0])))
+    for pieces in counts:
+        suite.append(max_affine(next(draws).reshape(pieces, d), next(draws)))
     return suite
+
+
+def _box_muller_calls(u: np.ndarray, calls: list) -> list:
+    """What ``CounterRng.normals(k)`` returns, bit for bit, for each (pos, k)
+    of ``calls`` when ``u`` holds the stream's uniforms from position 0.
+
+    Such a call pairs u[pos + j] with u[pos + m + j], m = ceil(k / 2), and
+    returns the m cosine terms and then the first k - m sine terms; here the
+    transform runs once over the pairs of all calls.
+    """
+    half = [(k + 1) // 2 for _, k in calls]
+    pairs = sum(half)
+    first, second, take = [], [], []
+    base = 0
+    for (pos, k), m in zip(calls, half):
+        first += range(pos, pos + m)
+        second += range(pos + m, pos + 2 * m)
+        take += [*range(base, base + m), *range(pairs + base, pairs + base + k - m)]
+        base += m
+    r = np.sqrt(-2.0 * np.log(1.0 - u[first]))
+    ang = 2.0 * np.pi * u[second]
+    flat = np.concatenate([r * np.cos(ang), r * np.sin(ang)])[take]
+    return np.split(flat, np.cumsum([k for _, k in calls])[:-1])
 
 
 def _mixture_samples(prob: MixtureProblem, count: int, rng: CounterRng) -> np.ndarray:

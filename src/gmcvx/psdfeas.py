@@ -1,4 +1,4 @@
-"""Block-constrained PSD feasibility by Dykstra alternating projections.
+"""Block-constrained PSD feasibility: direct constructions, then Dykstra.
 
 The engine looks for a symmetric ``nd x nd`` matrix Gamma whose diagonal
 d-blocks equal prescribed component covariances, whose weighted block sum
@@ -6,24 +6,33 @@ d-blocks equal prescribed component covariances, whose weighted block sum
 which lives either in the full PSD cone or in the product of pairwise
 ``2d x 2d`` PSD constraints.
 
-Projections onto the affine constraint set have a closed form (the linear
-solve collapses to a scalar correction precomputed once per task); cone
-constraints are handled one exact projection per constraint with Dykstra
-correction terms, cycling until both distances fall under tolerance. The
-engine never claims infeasibility: it either returns a feasible, exactly
+Two ascents build such a Gamma directly. The pair-contraction ascent
+writes each pair block as root_i K root_j with a contraction K; it is
+exact for the pairwise cone and, with n = 2, for the full cone. For the
+full cone with n >= 3 the orthogonal-factor ascent writes
+Gamma_ij = root_i O_i O_j' root_j with orthonormal-row factors O_i, which
+is PSD by construction. :func:`warm_start_from` scores their couplings
+with the other candidates, and a feasible one ends :func:`solve` before
+its first iteration.
+
+Otherwise Dykstra alternating projections run: projections onto the
+affine constraint set have a closed form (the linear solve collapses to a
+scalar correction precomputed once per task); cone constraints are
+handled one exact projection per constraint with Dykstra correction
+terms, cycling until both distances fall under tolerance. The engine
+never claims infeasibility: it either returns a feasible, exactly
 block-pinned Gamma or the residuals it got stuck at.
 
-The Dykstra solve and the pair-contraction program take one
-:class:`FeasibilityTask`, which computes what they share once: up front
-the pinned-block sum and its gap to the target, and the per-pair weights,
-block slices and index arrays and the affine correction's denominator
-that every Dykstra iteration reuses; on first use the block square roots,
-the weighted root pairs as stacks, and the pair-contraction ascent (with
-the task's seed and step count). The Dykstra inner loop validates
-nothing: its matrices come from a validated ``MixtureProblem`` and stay
-exactly symmetric. The ascent advances all its starts as one stack, with
-one batched eigensolve and SVD per step, and returns bit for bit what
-running the starts one after another returns.
+Everything takes one :class:`FeasibilityTask`, which computes what is
+shared once: up front the pinned-block sum and its gap to the target, and
+the per-pair weights, block slices and index arrays and the affine
+correction's denominator that every Dykstra iteration reuses; on first
+use the block square roots, the weighted root pairs as stacks, and both
+ascents (with the task's seed and step count). The Dykstra inner loop
+validates nothing: its matrices come from a validated ``MixtureProblem``
+and stay exactly symmetric. Each ascent advances all its starts as one
+stack, with one batched eigensolve and SVD per step, and returns bit for
+bit what running the starts one after another returns.
 """
 
 from __future__ import annotations
@@ -55,7 +64,8 @@ class FeasibilityTask:
     """Fixed diagonal blocks, weights, target and cone selector.
 
     Blocks must be exactly symmetric, as ``MixtureProblem`` leaves them.
-    ``seed`` and ``ascent_iters`` configure the pair-contraction :attr:`ascent`;
+    ``seed`` and ``ascent_iters`` configure the pair-contraction :attr:`ascent`
+    and the :attr:`factor_ascent`;
     ``scale`` is sigma^2, as ``MixtureProblem.var_scale`` gives it.
     """
 
@@ -114,6 +124,11 @@ class FeasibilityTask:
     def ascent_gamma(self) -> np.ndarray:
         """Coupling matrix of the :attr:`ascent` contractions, one object for every caller."""
         return gamma_from_contractions(self, self.ascent[1])
+
+    @cached_property
+    def factor_ascent(self) -> tuple:
+        """:func:`factor_ascent` of this task, run once."""
+        return factor_ascent(self)
 
 
 @dataclass
@@ -383,6 +398,76 @@ def contraction_ascent(task: FeasibilityTask):
     return best, best_ks, y_avg
 
 
+# ---------------------------------------------------------------------------
+# orthogonal factors: Gamma_ij = root_i O_i O_j' root_j with each O_i a
+# d x nd matrix of orthonormal rows is PSD with the pinned diagonal blocks,
+# and its weighted block sum is M M' for M = sum p_i root_i O_i
+# ---------------------------------------------------------------------------
+
+
+def factor_ascent(task: FeasibilityTask):
+    """Maximize lambda_min(M M' - target) over the orthogonal factors O_i.
+
+    Riemannian ascent (Burer & Monteiro 2003; Absil, Mahony & Sepulchre
+    2008): normalised supergradient steps of length 0.5 / sqrt(it),
+    retracted onto orthonormal rows by the polar factor, for
+    ``task.ascent_iters`` steps from four starts: every O_i = [I_d 0], then
+    three polar-projected draws from ``task.seed``. Returns the best value
+    and its coupling matrix Gamma = F F', F the stacked root_i O_i, which is
+    PSD by construction. Read it through :attr:`FeasibilityTask.factor_ascent`.
+
+    All starts advance together as one (starts, n, d, nd) stack, one batched
+    eigensolve and thin SVD per step; a start stops when its supergradient
+    vanishes. The best value is its first occurrence in start order, as if
+    the starts ran one after another.
+    """
+    n, d = task.n, task.d
+    nd = n * d
+    roots = np.array(task.roots).reshape(n, d, d)
+    weighted = task.p[:, None, None] * roots
+    rng = CounterRng(task.seed, stream=31)
+    u, _, vt = np.linalg.svd(rng.normal_matrix(3 * nd, nd).reshape(3, n, d, nd), full_matrices=False)
+    factors = np.concatenate([np.broadcast_to(np.eye(d, nd), (1, n, d, nd)), u @ vt])
+
+    best_val = np.full(len(factors), -np.inf)
+    best_factors = factors.copy()
+    live = np.arange(len(factors))
+    for it in range(task.ascent_iters + 1):
+        cur = factors[live]
+        terms = weighted @ cur
+        m = terms[:, 0].copy()
+        for i in range(1, n):
+            m += terms[:, i]
+        w, q = np.linalg.eigh(m @ np.swapaxes(m, -1, -2) - task.target)
+        vals, vecs = w[:, 0], q[:, :, 0]
+        better = vals > best_val[live]
+        best_val[live[better]] = vals[better]
+        best_factors[live[better]] = cur[better]
+        if it == task.ascent_iters:
+            break
+        # supergradient in O_i: 2 p_i (root_i v)(M' v)'
+        left = weighted @ vecs[:, None, :, None]
+        right = np.swapaxes(m, -1, -2) @ vecs[:, :, None]
+        grads = 2.0 * left * np.swapaxes(right, -1, -2)[:, None]
+        sq = np.sum((grads * grads).reshape(live.size, n, d * nd), axis=-1)
+        gsq = sq[:, 0].copy()
+        for i in range(1, n):
+            gsq += sq[:, i]
+        gnorm = np.sqrt(gsq)
+        moving = gnorm != 0.0
+        live = live[moving]
+        if live.size == 0:
+            break
+        step = 0.5 / math.sqrt(it + 1)
+        u, _, vt = np.linalg.svd(
+            cur[moving] + step * grads[moving] / gnorm[moving, None, None, None], full_matrices=False
+        )
+        factors[live] = u @ vt
+    i = int(np.argmax(best_val))
+    stacked = (roots @ best_factors[i]).reshape(nd, nd)
+    return float(best_val[i]), stacked @ stacked.T
+
+
 def _pair_coupling(task: FeasibilityTask, thetas) -> np.ndarray:
     """Gamma with pinned diagonal blocks and ``thetas`` as its (i, j) blocks, i < j."""
     nd = task.n * task.d
@@ -442,18 +527,24 @@ def warm_start_from(task: FeasibilityTask, candidates) -> np.ndarray:
     the larger slack margin so already-feasible starts keep their slack.
     A candidate object passed twice is scored once: its second key would
     tie with the first, and ties keep the earlier candidate.
+
+    For the full cone with n >= 3, when no candidate is within
+    ``matcore.EPS_ENGINE * task.scale`` of feasible, the coupling of the
+    task's :attr:`~FeasibilityTask.factor_ascent` is scored as one more.
     """
     tie = matcore.EPS_ROUND * task.scale
     best = None
     best_key = None
     scored = set()
-    for cand in candidates:
+
+    def score(cand):
+        nonlocal best, best_key
         if id(cand) in scored:
-            continue
+            return
         scored.add(id(cand))
         cand = np.asarray(cand, dtype=float)
         if cand.shape != (task.n * task.d, task.n * task.d):
-            continue
+            return
         pinned = pin_blocks(matcore.symmetrize(cand), task.blocks)
         slack = mix_compress(pinned, task.p, task.d) - task.target
         res = cone_violation(task, pinned, slack)
@@ -461,6 +552,11 @@ def warm_start_from(task: FeasibilityTask, candidates) -> np.ndarray:
         key = (res if res > tie else 0.0, -lmin_slack)
         if best_key is None or key < best_key:
             best, best_key = pinned, key
+
+    for cand in candidates:
+        score(cand)
+    if task.cone == FULL and task.n >= 3 and (best_key is None or best_key[0] > matcore.EPS_ENGINE * task.scale):
+        score(task.factor_ascent[1])
     if best is None:
         best = _pair_coupling(task, [])
     return best

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from families import random_chain_problem
 from gmcvx import cli, coupling
 from gmcvx.rng import CounterRng
 
@@ -38,6 +39,18 @@ def exterior_doc():
     }
 
 
+def chain_doc(seed):
+    """Problem document of ``random_chain_problem(seed)``; JSON keeps every float exactly."""
+    prob = random_chain_problem(seed)
+    return {
+        "d": prob.d,
+        "n": prob.n,
+        "p": prob.p.tolist(),
+        "target": prob.target.tolist(),
+        "components": [{"cov": cov.tolist()} for cov in prob.covs],
+    }
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr().out.strip()
@@ -57,6 +70,36 @@ def test_check_inecov_emits_certificate(tmp_path, capsys):
     stored = json.loads(cert.read_text())
     assert stored["kind"] == "gamma"
     assert stored["input_digest"] == report["input_digest"]
+
+
+def test_check_inecov_factor_ascent_certificate_couples(tmp_path, capsys):
+    # n = 3, d = 2: Dykstra stalls here at the default cap; the orthogonal
+    # factor ascent's coupling decides it before the first iteration
+    prob = write_json(tmp_path / "prob.json", chain_doc(38))
+    cert = tmp_path / "cert.json"
+    code, report = run_cli(
+        capsys, "check", "--condition", "inecov", "--input", prob, "--emit-certificate", str(cert)
+    )
+    assert code == 0
+    assert report["status"] == "holds"
+    assert report["diagnostics"]["engine_iterations"] == 0
+    code, diags = run_cli(
+        capsys, "couple", "--input", prob, "--gamma", str(cert),
+        "--samples", "2000", "--seed", "3", "--out", str(tmp_path / "samples.csv"),
+    )
+    assert code == 0
+
+
+def test_check_correl_rejects_near_singular_basis(tmp_path, capsys):
+    # the rows of M agree to 8 digits (cond 9.4e7): the M-basis tests pass,
+    # but the coupling the certificate induces has lambda_min -52.8
+    prob = write_json(tmp_path / "prob.json", chain_doc(77))
+    m = [[0.9310937580378829, 0.3647799524958746], [0.9310937657842657, 0.3647799327233817]]
+    m_path = write_json(tmp_path / "m.json", {"M": m})
+    code, report = run_cli(capsys, "check", "--condition", "correl", "--input", prob, "--with-M", m_path)
+    assert report["status"] != "holds"
+    assert code == 2
+    assert ["user_0", "fails"] == report["diagnostics"]["tried"][-1][:2]
 
 
 def test_check_inegsqrt_exterior_fails_with_witness(tmp_path, capsys):

@@ -277,6 +277,37 @@ def test_coupling_check_runs_one_ascent(monkeypatch, ascent_iters):
     assert len(tasks) == 1 and tasks[0].ascent_iters == ascent_iters
 
 
+@pytest.mark.parametrize("seed", [32, 38, 75, 98, 121])
+def test_inecov_n3_stalls_decided_by_factor_ascent(seed):
+    # n = 3 full-cone problems on which Dykstra stalls at 1,500 iterations:
+    # the orthogonal-factor coupling is feasible before the first iteration
+    prob = fam.random_chain_problem(seed)
+    assert prob.n == 3
+    v = C.check_inecov(prob, psdfeas.EngineConfig(max_iter=1500), fam.MID, seed=seed)
+    assert v.holds and v.diagnostics["engine_iterations"] == 0
+    assert C.validate_gamma_witness(prob, v.witness)["ok"]
+
+
+def test_inecov_seed_77_stays_undecided():
+    # inecovf and inegsqrt hold here, but no full coupling is known to exist
+    prob = fam.random_chain_problem(77)
+    v = C.check_inecov(prob, psdfeas.EngineConfig(max_iter=1500), fam.MID, seed=77)
+    assert not v.holds
+
+
+def test_factor_ascent_runs_only_for_an_infeasible_n3_full_cone(monkeypatch):
+    calls = []
+    real = psdfeas.factor_ascent
+    monkeypatch.setattr(psdfeas, "factor_ascent", lambda task: calls.append(task) or real(task))
+    engine = psdfeas.EngineConfig(max_iter=1500)
+    assert C.check_inecov(fam.axis_swap_problem(5.0, 0.5)).holds  # n = 2
+    assert C.check_inecov(fam.three_diag_problem(np.eye(2))).holds  # a default candidate is feasible
+    assert C.check_inecovf(fam.random_chain_problem(32), engine, fam.MID, seed=32).holds  # pairwise
+    assert calls == []
+    assert C.check_inecov(fam.random_chain_problem(32), engine, fam.MID, seed=32).holds
+    assert len(calls) == 1 and calls[0].cone == psdfeas.FULL
+
+
 # ---------------------------------------------------------------------------
 # pairwise relaxation
 # ---------------------------------------------------------------------------
@@ -430,6 +461,38 @@ def test_certificate_to_gamma_validates():
     cert = C.check_correl_with(prob, np.eye(2)).witness
     gamma = C.certificate_to_gamma(prob, cert)
     assert C.validate_gamma_witness(prob, gamma, tol=1e-7)["ok"]
+
+
+NEAR_SINGULAR_M = np.array(
+    [[0.9310937580378829, 0.3647799524958746], [0.9310937657842657, 0.3647799327233817]]
+)
+
+
+def test_correl_near_singular_basis_fails_on_its_induced_coupling():
+    # cond(M) is about 9.4e7: in the M basis every correlation is about 1 and
+    # the gap is tight, but the induced coupling has lambda_min -52.8
+    prob = fam.random_chain_problem(77)
+    v = C.check_correl_with(prob, NEAR_SINGULAR_M)
+    assert v.fails
+    kind, witness = v.witness
+    assert kind == "induced_gamma_invalid"
+    check = C.validate_gamma_witness(prob, witness)
+    assert not check["ok"] and check["lmin_gamma"] < -50.0
+    assert v.margin == check["lmin_gamma"]
+
+
+def test_correl_validator_checks_the_induced_coupling(monkeypatch):
+    # the certificate the M-basis tests accept for the basis above, caught
+    # where check_correl_with hands it to certificate_to_gamma
+    prob = fam.random_chain_problem(77)
+    certs = []
+    real = C.certificate_to_gamma
+    monkeypatch.setattr(C, "certificate_to_gamma", lambda prob, cert: certs.append(cert) or real(prob, cert))
+    assert C.check_correl_with(prob, NEAR_SINGULAR_M).fails
+    check = C.validate_correl_certificate(prob, certs[0])
+    assert check["association_err"] <= 1e-7 * prob.var_scale() and check["lmin_gap"] >= 0.0
+    assert not check["ok"]
+    assert check["induced_lmin_gamma"] < -50.0
 
 
 def test_find_correl_user_supplied_basis():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from families import axis_swap_problem, random_psd, rank_deficient_pair, RANK_DEFICIENT_GAMMA
+from families import axis_swap_problem, random_chain_problem, random_psd, rank_deficient_pair, RANK_DEFICIENT_GAMMA
 from gmcvx import matcore, psdfeas
 from gmcvx.rng import CounterRng
 
@@ -74,13 +74,26 @@ def test_rotation_objective_matches_eigvalsh():
                 assert abs(-neg_lmin(phi) - ref) <= 1e-12 * (1.0 + np.abs(slack).max())
 
 
-def test_monotone_residuals_per_sweep():
-    for seed, shrink in [(10, 0.9), (11, 1.2), (12, 1.0)]:
-        task, _ = random_instance(seed, n=3, d=2, shrink=shrink)
-        out = psdfeas.solve(task, psdfeas.EngineConfig(max_iter=300), candidates=[np.zeros((6, 6))])
-        hist = out.residual_history
-        for before, after in zip(hist, hist[1:]):
-            assert after <= before + 1e-12
+@pytest.mark.parametrize(
+    "seed, cone", [(6, psdfeas.PAIRWISE), (48, psdfeas.PAIRWISE), (87, psdfeas.PAIRWISE), (32, psdfeas.FULL)]
+)
+def test_dykstra_iterates_keep_blocks_pinned_and_validate_when_feasible(seed, cone):
+    # Dykstra promises no monotone cone distance (it rises on some steps of
+    # these solves); what it does promise is that every iterate is affine
+    # projected, so the diagonal blocks are exact, and a feasible stop
+    # returns a Gamma that validates
+    prob = random_chain_problem(seed)
+    task = psdfeas.FeasibilityTask(prob.p, prob.covs, prob.target, cone)
+    out = psdfeas.solve(task, psdfeas.EngineConfig(max_iter=1500))
+    assert out.iterations > 0
+    for i in range(task.n):
+        sl = task.block_slice(i)
+        assert np.array_equal(out.gamma[sl, sl], task.blocks[i])
+    assert out.feasible == (seed != 32)
+    if out.feasible:
+        assert psdfeas.validate_gamma(task, out.gamma, matcore.EPS_ENGINE)["ok"]
+    else:
+        assert out.cone_dist > matcore.EPS_ENGINE * task.scale
 
 
 def test_projection_idempotent_on_feasible_point():
@@ -286,3 +299,56 @@ def test_batched_ascent_keeps_the_first_start_on_a_tie():
     assert val == ref_val
     assert np.array_equal(ks, ref_ks)
     assert np.array_equal(y, ref_y)
+
+
+def reference_factor_ascent(task):
+    """:func:`psdfeas.factor_ascent` as a plain loop, one start after another
+    and one component at a time. Returns ``(value, Gamma)``."""
+    n, d, iters = task.n, task.d, task.ascent_iters
+    nd = n * d
+    roots = [np.asarray(r) for r in task.roots]
+    weighted = [p * r for p, r in zip(task.p.tolist(), roots)]
+
+    def polar(a):
+        u, _, vt = np.linalg.svd(a, full_matrices=False)
+        return u @ vt
+
+    draws = CounterRng(task.seed, stream=31).normal_matrix(3 * nd, nd)
+    start_sets = [[np.eye(d, nd) for _ in range(n)]]
+    for s in range(3):
+        start_sets.append([polar(draws[(s * n + i) * d : (s * n + i + 1) * d]) for i in range(n)])
+
+    best_val, best_os = -np.inf, None
+    for os_ in start_sets:
+        for it in range(iters + 1):
+            m = weighted[0] @ os_[0]
+            for i in range(1, n):
+                m = m + weighted[i] @ os_[i]
+            w, q = np.linalg.eigh(m @ m.T - task.target)
+            if w[0] > best_val:
+                best_val, best_os = float(w[0]), [o.copy() for o in os_]
+            if it == iters:
+                break
+            vec, mv = q[:, 0], m.T @ q[:, 0]
+            grads = [2.0 * np.outer(wr @ vec, mv) for wr in weighted]
+            gnorm = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
+            if gnorm == 0.0:
+                break
+            step = 0.5 / math.sqrt(it + 1)
+            os_ = [polar(o + step * g / gnorm) for o, g in zip(os_, grads)]
+    stacked = np.vstack([r @ o for r, o in zip(roots, best_os)])
+    return best_val, stacked @ stacked.T
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_batched_factor_ascent_matches_per_start_loop(d):
+    task, _ = random_instance(50 + d, n=3, d=d, shrink=1.3)
+    task = dataclasses.replace(task, seed=7, ascent_iters=60)
+    val, gamma = task.factor_ascent
+    ref_val, ref_gamma = reference_factor_ascent(task)
+    assert val == ref_val
+    assert np.array_equal(gamma, ref_gamma)
+    # the steps gain over the starts, and Gamma is PSD with the pinned blocks
+    assert val > dataclasses.replace(task, ascent_iters=0).factor_ascent[0]
+    assert psdfeas.validate_gamma(task, gamma, 1e-12)["ok"]
+    assert abs(psdfeas.validate_gamma(task, gamma, 1e-12)["lmin_slack"] - val) <= 1e-12 * task.scale

@@ -78,3 +78,15 @@ def test_n2_theta_reference_block_at_small_scale():
     a = 17.0 / 3.0
     prob = scaled(fam.axis_swap_problem(a, 1.0 / 3.0), 1e-10)
     assert C.check_n2_theta(prob, 1e-10 * np.asarray(fam.pair_theta(a))).holds
+
+
+@pytest.mark.parametrize("power", [-20, 20])
+def test_factor_ascent_holds_scales_exactly(power):
+    # n = 3 full cone decided by the orthogonal-factor coupling at every scale
+    unit = verdicts(fam.random_chain_problem(32), 32)
+    assert unit["inecov"].holds and unit["inecov"].diagnostics["engine_iterations"] == 0
+    found = verdicts(scaled(fam.random_chain_problem(32), 4.0**power), 32)
+    assert statuses(found) == statuses(unit)
+    for name, v in found.items():
+        std_unit = name == "inegsqrt" or v.diagnostics.get("refuted_by") == "inegsqrt"
+        assert v.margin == unit[name].margin * (2.0 if std_unit else 4.0) ** power, name
