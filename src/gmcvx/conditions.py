@@ -685,7 +685,10 @@ def validate_correl_certificate(prob: MixtureProblem, cert: CorrelCertificate, t
     stack_err = matcore.fro_norm(
         np.einsum("i,ikl->kl", prob.p, cert.stacked.reshape(prob.n, prob.d, prob.d)) - np.diag(cert.mix_scale)
     )
-    induced = validate_gamma_witness(prob, certificate_to_gamma(prob, cert), tol)
+    try:
+        induced = validate_gamma_witness(prob, certificate_to_gamma(prob, cert), tol)
+    except np.linalg.LinAlgError:  # a singular basis induces no coupling
+        induced = {"ok": False, "lmin_gamma": -np.inf}
     return {
         "ok": bool(
             assoc_err <= tol * scale_m

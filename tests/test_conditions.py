@@ -493,6 +493,9 @@ def test_correl_validator_checks_the_induced_coupling(monkeypatch):
     assert check["association_err"] <= 1e-7 * prob.var_scale() and check["lmin_gap"] >= 0.0
     assert not check["ok"]
     assert check["induced_lmin_gamma"] < -50.0
+    # an exactly singular basis is rejected, not raised on
+    certs[0].m = np.array([[1.0, 0.0], [0.0, 0.0]])
+    assert not C.validate_correl_certificate(prob, certs[0])["ok"]
 
 
 def test_find_correl_user_supplied_basis():
