@@ -20,12 +20,14 @@ field, 65 invariant violation (including a sweep matrix or mean of the
 wrong size, a sweep expression that fails or is non-finite at a cell, a
 sweep cell whose problem is invalid for any reason but a non-PSD target,
 and a certificate matrix of the wrong shape or with non-finite entries),
-66 usage or IO error (including a sample count below the minimum, and
-``--with-M`` given with ``--condition chain``).
+66 usage or IO error (including a sample count below the minimum or
+above ``MAX_SAMPLES``, and ``--with-M`` given with ``--condition chain``).
 
 A sweep grid may have at most ``sweep.MAX_CELLS`` (1,000,000) cells; a
 spec whose axes give more, or whose cell count is not finite, exits 64
-before any cell is built.
+before any cell is built. ``couple`` and ``mcverify`` take at most
+``MAX_SAMPLES`` (10,000,000) samples; a larger ``--samples`` exits 66 when
+the arguments are parsed, before anything is drawn.
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ EXIT_INVARIANT = 65
 EXIT_USAGE = 66
 
 _CSV_CHUNK = 4096  # sample rows formatted per write in ``couple``
+MAX_SAMPLES = 10_000_000  # sample count bound of ``couple`` and ``mcverify``, checked at parsing
 
 _STATUS_EXIT = {Status.HOLDS: EXIT_HOLDS, Status.FAILS: EXIT_FAILS, Status.UNKNOWN: EXIT_UNKNOWN}
 
@@ -453,6 +456,17 @@ def cmd_sweep(args) -> int:
     return EXIT_HOLDS
 
 
+def _sample_count(text: str) -> int:
+    """``--samples`` value: an int of at most :data:`MAX_SAMPLES`; each command checks its minimum."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if count > MAX_SAMPLES:
+        raise argparse.ArgumentTypeError(f"at most {MAX_SAMPLES} samples, got {count}")
+    return count
+
+
 def cmd_couple(args) -> int:
     if args.samples < 2:  # the diagnostics use sample variances
         raise CliFailure(EXIT_USAGE, f"--samples must be at least 2, got {args.samples}")
@@ -527,14 +541,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_couple = sub.add_parser("couple", help="sample the mean-preserving coupling")
     p_couple.add_argument("--input", required=True)
     p_couple.add_argument("--gamma", required=True)
-    p_couple.add_argument("--samples", type=int, default=100000)
+    p_couple.add_argument("--samples", type=_sample_count, default=100000)
     p_couple.add_argument("--seed", type=int, default=0)
     p_couple.add_argument("--out", required=True)
     p_couple.set_defaults(func=cmd_couple)
 
     p_mc = sub.add_parser("mcverify", help="expectation-suite comparison")
     p_mc.add_argument("--input", required=True)
-    p_mc.add_argument("--samples", type=int, default=100000)
+    p_mc.add_argument("--samples", type=_sample_count, default=100000)
     p_mc.add_argument("--seed", type=int, default=0)
     p_mc.set_defaults(func=cmd_mcverify)
     return parser

@@ -265,9 +265,10 @@ def _normalize_rows(x: np.ndarray) -> np.ndarray:
 
 
 def _eigvector_starts(prob: MixtureProblem) -> np.ndarray:
-    mats = [prob.target, *prob.covs]
-    vecs = [np.linalg.eigh(matcore.symmetrize(m))[1].T for m in mats]
-    return np.vstack(vecs)
+    """Eigenvectors of the target, then of each component, as rows: one
+    ``eigh`` over the stack, whose matrices ``MixtureProblem`` leaves exactly symmetric."""
+    vecs = np.linalg.eigh(np.concatenate([prob.target[None], prob.covs]))[1]
+    return np.swapaxes(vecs, -1, -2).reshape(-1, prob.d)
 
 
 def _h_on_circle(prob: MixtureProblem):

@@ -12,8 +12,12 @@ exact for the pairwise cone and, with n = 2, for the full cone. For the
 full cone with n >= 3 the orthogonal-factor ascent writes
 Gamma_ij = root_i O_i O_j' root_j with orthonormal-row factors O_i, which
 is PSD by construction. :func:`warm_start_from` scores their couplings
-with the other candidates, and a feasible one ends :func:`solve` before
-its first iteration.
+with the other candidates, all as one stack, and a feasible one ends
+:func:`solve` before its first iteration. For d = 2 the contraction of a
+pair is searched over rotations and reflections: an angular grid picks a
+bracket and golden section refines it, and both evaluate one closed form,
+the smallest eigenvalue of a 2 x 2 matrix affine in (cos phi, sin phi),
+from coefficients read once per branch.
 
 Otherwise Dykstra alternating projections run: projections onto the
 affine constraint set have a closed form (the linear solve collapses to a
@@ -39,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -181,10 +185,10 @@ def _affine_project(task: FeasibilityTask, gamma: np.ndarray, slack: np.ndarray)
     return gamma, slack + r
 
 
-def _neg_part_norm(a: np.ndarray) -> float:
-    """Frobenius norm of the negative part of ``a``, which must be exactly symmetric."""
-    neg = np.minimum(np.linalg.eigvalsh(a), 0.0)
-    return math.sqrt((neg * neg).sum())
+def _neg_part_norms(w: np.ndarray) -> np.ndarray:
+    """Frobenius norms of the negative parts of symmetric matrices from their spectra ``w`` (..., m)."""
+    neg = np.minimum(w, 0.0)
+    return np.sqrt((neg * neg).sum(axis=-1))
 
 
 def cone_violation(task: FeasibilityTask, gamma: np.ndarray, slack: np.ndarray) -> float:
@@ -193,12 +197,12 @@ def cone_violation(task: FeasibilityTask, gamma: np.ndarray, slack: np.ndarray) 
     Both must be exactly symmetric, as every warm start and iterate of
     :func:`solve` is."""
     if task.cone == FULL:
-        d_g = _neg_part_norm(gamma)
+        d_g = float(_neg_part_norms(np.linalg.eigvalsh(gamma)))
     else:
         d_g = 0.0
         for idx in task.pair_indices:
-            d_g = max(d_g, _neg_part_norm(gamma[idx]))
-    return max(d_g, _neg_part_norm(slack))
+            d_g = max(d_g, float(_neg_part_norms(np.linalg.eigvalsh(gamma[idx]))))
+    return max(d_g, float(_neg_part_norms(np.linalg.eigvalsh(slack))))
 
 
 # ---------------------------------------------------------------------------
@@ -232,21 +236,27 @@ def clip_operator_ball(ks: np.ndarray) -> np.ndarray:
     return np.where((s[..., 0] > 1.0)[..., None, None], clipped, ks)
 
 
-def _rotation_neg_lmin_2d(c0: np.ndarray, w: float, a: np.ndarray, b: np.ndarray, branch: float):
-    """Negated smallest eigenvalue of ``c0 + w (T + T')``, T = a K(phi) b, in float arithmetic.
+def _rotation_coeffs_2d(c0: np.ndarray, w: float, a: np.ndarray, b: np.ndarray, branch: float) -> tuple:
+    """``(z, P, Q)`` with ``c0 + w (T + T') = c0 + cos(phi) P + sin(phi) Q``, T = a K(phi) b.
 
     K(phi) is the rotation (``branch`` 1) or reflection (``branch`` -1)
-    cos(phi) diag(1, branch) + sin(phi) [[0, -branch], [1, 0]], so the matrix
-    is c0 + cos(phi) P + sin(phi) Q with P and Q symmetrised once here.
+    cos(phi) diag(1, branch) + sin(phi) [[0, -branch], [1, 0]]. Each of the
+    three is an ``(m00, m01, m11)`` triple of floats; z reads the lower
+    triangle of ``c0``, as ``eigvalsh`` does, and P and Q are symmetrised once here.
     """
 
-    def sym_part(k: np.ndarray) -> list:
+    def sym_part(k: np.ndarray) -> tuple:
         t = a @ k @ b
-        return (w * (t + t.T)).tolist()
+        (m00, m01), (_, m11) = (w * (t + t.T)).tolist()
+        return m00, m01, m11
 
-    (z00, _), (z01, z11) = c0.tolist()  # the lower triangle, as eigvalsh reads it
-    (p00, p01), (_, p11) = sym_part(np.diag([1.0, branch]))
-    (q00, q01), (_, q11) = sym_part(np.array([[0.0, -branch], [1.0, 0.0]]))
+    (z00, _), (z01, z11) = c0.tolist()
+    return (z00, z01, z11), sym_part(np.diag([1.0, branch])), sym_part(np.array([[0.0, -branch], [1.0, 0.0]]))
+
+
+def _rotation_neg_lmin_2d(coeffs: tuple):
+    """Negated smallest eigenvalue of the matrix of :func:`_rotation_coeffs_2d` at phi, in float arithmetic."""
+    (z00, z01, z11), (p00, p01, p11), (q00, q01, q11) = coeffs
 
     def neg_lmin(phi: float) -> float:
         c, s = math.cos(phi), math.sin(phi)
@@ -255,29 +265,38 @@ def _rotation_neg_lmin_2d(c0: np.ndarray, w: float, a: np.ndarray, b: np.ndarray
     return neg_lmin
 
 
-def _rotation_2d(c, s, branch: float) -> np.ndarray:
-    """K(phi) of :func:`_rotation_neg_lmin_2d` from c = cos(phi) and s = sin(phi);
-    arrays of angles give a stack of shape (count, 2, 2)."""
-    return np.stack([np.stack([c, -s * branch], -1), np.stack([s, c * branch], -1)], -2)
+@cache
+def _angle_grid(count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only ``(phi, cos phi, sin phi)`` on ``count`` equispaced angles in [0, 2 pi)."""
+    phis = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
+    out = (phis, np.cos(phis), np.sin(phis))
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
 def _rotation_grid_2d(c0: np.ndarray, w: float, a: np.ndarray, b: np.ndarray, count: int):
-    """Best rotation or reflection contraction of the pair term ``w (a K b + sym)`` on a 2-d angular grid."""
-    phis = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
-    c, s = np.cos(phis), np.sin(phis)
+    """Best rotation or reflection contraction of the pair term ``w (a K b + sym)`` on a 2-d angular grid.
+
+    Per branch, the grid and its golden-section refinement evaluate one
+    closed form, lambda_min = (m00 + m11) / 2 - hypot((m00 - m11) / 2, m01)
+    of m = z + cos(phi) P + sin(phi) Q, from coefficients read once: the grid
+    over all angles at once, the refinement one angle at a time
+    (:func:`_rotation_neg_lmin_2d`).
+    """
+    phis, cos, sin = _angle_grid(count)
+    width = 2.0 * np.pi / count
     best = (-np.inf, None)
     for branch in (1.0, -1.0):
-        ks = _rotation_2d(c, s, branch)
-        t = np.einsum("ij,mjk,kl->mil", a, ks, b)
-        mats = c0[None] + w * (t + np.transpose(t, (0, 2, 1)))
-        lmins = np.linalg.eigvalsh(mats)[:, 0]
-        idx = int(np.argmax(lmins))
-        width = 2.0 * np.pi / count
+        coeffs = _rotation_coeffs_2d(c0, w, a, b, branch)
+        m00, m01, m11 = (z + cos * p + sin * q for z, p, q in zip(*coeffs))
+        idx = int(np.argmax(0.5 * (m00 + m11) - np.hypot(0.5 * (m00 - m11), m01)))
         phi_best, negval = golden_section_minimize(
-            _rotation_neg_lmin_2d(c0, w, a, b, branch), phis[idx] - width, phis[idx] + width, xtol=1e-12
+            _rotation_neg_lmin_2d(coeffs), phis[idx] - width, phis[idx] + width, xtol=1e-12
         )
         if -negval > best[0]:
-            best = (-negval, _rotation_2d(math.cos(phi_best), math.sin(phi_best), branch))
+            c, s = math.cos(phi_best), math.sin(phi_best)
+            best = (-negval, np.array([[c, -s * branch], [s, c * branch]]))
     return best
 
 
@@ -520,46 +539,63 @@ def default_candidates(task: FeasibilityTask) -> list[np.ndarray]:
     return cands
 
 
+def _score_candidates(task: FeasibilityTask, cands: list) -> list[tuple]:
+    """``(key, pinned Gamma)`` of each candidate, keyed as :func:`warm_start_from` ranks them.
+
+    The candidates are pinned and compressed one by one, then scored as one
+    stack: one eigensolve over the pinned Gammas (their pair blocks for the
+    pairwise cone) and one over the slacks, whose spectra give both the
+    cone distance and the slack margin. Each key has the bits that
+    :func:`cone_violation` and ``eigvalsh`` give for that candidate alone.
+    """
+    if not cands:
+        return []
+    pinned = [pin_blocks(matcore.symmetrize(cand), task.blocks) for cand in cands]
+    gammas = np.array(pinned)
+    w_slack = np.linalg.eigvalsh(np.array([mix_compress(g, task.p, task.d) for g in pinned]) - task.target)
+    if task.cone == FULL:
+        d_g = _neg_part_norms(np.linalg.eigvalsh(gammas))
+    elif task.pairs:
+        blocks = np.stack([gammas[:, rows, cols] for rows, cols in task.pair_indices], axis=1)
+        d_g = _neg_part_norms(np.linalg.eigvalsh(blocks)).max(axis=1)
+    else:
+        d_g = np.zeros(len(pinned))
+    tie = matcore.EPS_ROUND * task.scale
+    res = np.maximum(d_g, _neg_part_norms(w_slack)).tolist()
+    return [((r if r > tie else 0.0, -lmin), g) for r, lmin, g in zip(res, w_slack[:, 0].tolist(), pinned)]
+
+
 def warm_start_from(task: FeasibilityTask, candidates) -> np.ndarray:
     """Pick the candidate with the smallest combined residual.
 
     Residuals within rounding of each other count as ties, broken toward
-    the larger slack margin so already-feasible starts keep their slack.
-    A candidate object passed twice is scored once: its second key would
-    tie with the first, and ties keep the earlier candidate.
+    the larger slack margin so already-feasible starts keep their slack;
+    ties keep the earlier candidate. A candidate object passed twice is
+    scored once, and one of the wrong shape not at all.
 
     For the full cone with n >= 3, when no candidate is within
     ``matcore.EPS_ENGINE * task.scale`` of feasible, the coupling of the
     task's :attr:`~FeasibilityTask.factor_ascent` is scored as one more.
     """
-    tie = matcore.EPS_ROUND * task.scale
-    best = None
-    best_key = None
-    scored = set()
+    nd = task.n * task.d
+    seen: set[int] = set()
 
-    def score(cand):
-        nonlocal best, best_key
-        if id(cand) in scored:
-            return
-        scored.add(id(cand))
-        cand = np.asarray(cand, dtype=float)
-        if cand.shape != (task.n * task.d, task.n * task.d):
-            return
-        pinned = pin_blocks(matcore.symmetrize(cand), task.blocks)
-        slack = mix_compress(pinned, task.p, task.d) - task.target
-        res = cone_violation(task, pinned, slack)
-        lmin_slack = float(np.linalg.eigvalsh(slack)[0])
-        key = (res if res > tie else 0.0, -lmin_slack)
-        if best_key is None or key < best_key:
-            best, best_key = pinned, key
+    def distinct(cands) -> list[np.ndarray]:
+        out = []
+        for cand in cands:
+            if id(cand) not in seen:
+                seen.add(id(cand))
+                out.append(np.asarray(cand, dtype=float))
+        return [cand for cand in out if cand.shape == (nd, nd)]
 
-    for cand in candidates:
-        score(cand)
-    if task.cone == FULL and task.n >= 3 and (best_key is None or best_key[0] > matcore.EPS_ENGINE * task.scale):
-        score(task.factor_ascent[1])
-    if best is None:
-        best = _pair_coupling(task, [])
-    return best
+    scored = _score_candidates(task, distinct(candidates))
+    if task.cone == FULL and task.n >= 3 and (
+        not scored or min(key for key, _ in scored)[0] > matcore.EPS_ENGINE * task.scale
+    ):
+        scored += _score_candidates(task, distinct([task.factor_ascent[1]]))
+    if not scored:
+        return _pair_coupling(task, [])
+    return min(scored, key=lambda kg: kg[0])[1]
 
 
 def solve(task: FeasibilityTask, cfg: EngineConfig = EngineConfig(), candidates=()) -> FeasibilityOutcome:

@@ -10,6 +10,8 @@ how work is scheduled.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -33,6 +35,7 @@ def _mix_int(x: int) -> int:
     return int(_mix64(np.array([x & _MASK64], dtype=np.uint64))[0])
 
 
+@lru_cache(maxsize=1024)  # bounded: a process may walk through many seeds
 def _derive_key(seed: int, stream: int) -> int:
     k = (seed * 0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03) & _MASK64
     k = _mix_int(k)

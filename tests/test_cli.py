@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from families import random_chain_problem
-from gmcvx import cli, coupling
+from gmcvx import cli, coupling, cxverify
 from gmcvx.rng import CounterRng
 
 
@@ -308,6 +308,31 @@ def test_sample_counts_below_minimum_are_usage_errors(tmp_path, capsys, command,
     }[command]
     code, report = run_cli(capsys, command, "--input", prob_path, "--samples", samples, *argv)
     assert (code, report) == (66, None)
+
+
+@pytest.mark.parametrize("samples", [cli.MAX_SAMPLES + 1, 10**19])
+@pytest.mark.parametrize("command", ["couple", "mcverify"])
+def test_sample_counts_above_maximum_are_usage_errors(tmp_path, capsys, monkeypatch, command, samples):
+    # rejected when the arguments are parsed: nothing is drawn
+    prob_path = write_json(tmp_path / "prob.json", separation_doc())
+    cert_path = tmp_path / "cert.json"
+    run_cli(capsys, "check", "--condition", "inecov", "--input", prob_path,
+            "--emit-certificate", str(cert_path))
+
+    def drawn(*args, **kwargs):
+        raise AssertionError("samples drawn")
+
+    monkeypatch.setattr(coupling, "sample_batch", drawn)
+    monkeypatch.setattr(cxverify, "test_convex_order", drawn)
+    argv = {
+        "couple": ["--gamma", str(cert_path), "--out", str(tmp_path / "s.csv")],
+        "mcverify": [],
+    }[command]
+    code, report = run_cli(capsys, command, "--input", prob_path, "--samples", str(samples), *argv)
+    assert (code, report) == (66, None)
+    assert not (tmp_path / "s.csv").exists()
+    args = cli.build_parser().parse_args([command, "--input", prob_path, "--samples", str(cli.MAX_SAMPLES), *argv])
+    assert args.samples == cli.MAX_SAMPLES
 
 
 def test_couple_outputs_samples_and_diagnostics(tmp_path, capsys):

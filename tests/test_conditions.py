@@ -129,6 +129,14 @@ def test_d2_closed_form_objectives_match_numpy():
             assert abs(h_of(theta) - ref) <= 1e-12 * (1.0 + prob.std_scale())
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_eigvector_starts_match_per_matrix_eigh(seed):
+    # the batched eigh gives the rows one eigh per symmetrised matrix gives
+    prob = fam.random_chain_problem(seed) if seed % 2 else fam.axis_swap_problem(0.5 + 0.4 * seed, 0.3 - 0.1 * seed)
+    ref = np.vstack([np.linalg.eigh(matcore.symmetrize(m))[1].T for m in [prob.target, *prob.covs]])
+    assert np.array_equal(C._eigvector_starts(prob), ref)
+
+
 def test_subgradient_loop_runs_only_without_the_d2_grid(monkeypatch):
     # the n = 2 alpha scan guards the descent and runs exactly where it does
     calls = []
@@ -250,7 +258,7 @@ def test_contraction_dual_refutes_outside_point():
 def test_n2_d2_check_scores_each_warm_start_once(monkeypatch):
     # the check and the defaults hand over the same contraction coupling
     scored, counts = [], []
-    real_score, real_warm = psdfeas.cone_violation, psdfeas.warm_start_from
+    real_score, real_warm = psdfeas._score_candidates, psdfeas.warm_start_from
 
     def warm(task, candidates):
         before = len(scored)
@@ -259,7 +267,9 @@ def test_n2_d2_check_scores_each_warm_start_once(monkeypatch):
         return out
 
     monkeypatch.setattr(psdfeas, "warm_start_from", warm)
-    monkeypatch.setattr(psdfeas, "cone_violation", lambda *args: scored.append(1) or real_score(*args))
+    monkeypatch.setattr(
+        psdfeas, "_score_candidates", lambda task, cands: scored.extend(cands) or real_score(task, cands)
+    )
     assert C.check_inecov(fam.axis_swap_problem(5.0, 0.5)).holds
     assert counts == [4]
 

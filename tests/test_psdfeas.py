@@ -7,6 +7,7 @@ import pytest
 from families import axis_swap_problem, random_chain_problem, random_psd, rank_deficient_pair, RANK_DEFICIENT_GAMMA
 from gmcvx import matcore, psdfeas
 from gmcvx.rng import CounterRng
+from gmcvx.utils import golden_section_minimize
 
 
 def random_instance(seed, n, d, shrink=0.9, cone=psdfeas.FULL):
@@ -65,13 +66,62 @@ def test_rotation_objective_matches_eigvalsh():
         g = 10.0 ** (4.0 * rng.uniforms(1)[0] - 2.0) * rng.normal_matrix(2, 2)
         c0, w = g + g.T, float(rng.uniforms(1)[0])
         for branch in (1.0, -1.0):
-            neg_lmin = psdfeas._rotation_neg_lmin_2d(c0, w, a, b, branch)
+            neg_lmin = psdfeas._rotation_neg_lmin_2d(psdfeas._rotation_coeffs_2d(c0, w, a, b, branch))
             for phi in 2.0 * np.pi * rng.uniforms(6):
                 c, s = np.cos(phi), np.sin(phi)
                 t = a @ np.array([[c, -s * branch], [s, c * branch]]) @ b
                 slack = c0 + w * (t + t.T)
                 ref = np.linalg.eigvalsh(slack)[0]
                 assert abs(-neg_lmin(phi) - ref) <= 1e-12 * (1.0 + np.abs(slack).max())
+
+
+def reference_rotation_grid(c0, w, a, b, count):
+    """:func:`psdfeas._rotation_grid_2d` with its grid as a (count, 2, 2)
+    stack of slacks, built by ``einsum`` and scored by ``eigvalsh``. Returns
+    ``(value, K)`` and the golden-section bracket of each branch."""
+    phis = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
+    c, s = np.cos(phis), np.sin(phis)
+    width = 2.0 * np.pi / count
+    best, brackets = (-np.inf, None), []
+    for branch in (1.0, -1.0):
+        ks = np.stack([np.stack([c, -s * branch], -1), np.stack([s, c * branch], -1)], -2)
+        t = np.einsum("ij,mjk,kl->mil", a, ks, b)
+        idx = int(np.argmax(np.linalg.eigvalsh(c0[None] + w * (t + np.transpose(t, (0, 2, 1))))[:, 0]))
+        brackets.append((phis[idx] - width, phis[idx] + width))
+        phi_best, negval = golden_section_minimize(
+            psdfeas._rotation_neg_lmin_2d(psdfeas._rotation_coeffs_2d(c0, w, a, b, branch)),
+            phis[idx] - width,
+            phis[idx] + width,
+            xtol=1e-12,
+        )
+        if -negval > best[0]:
+            best = (-negval, np.array([[math.cos(phi_best), -math.sin(phi_best) * branch],
+                                       [math.sin(phi_best), math.cos(phi_best) * branch]]))
+    return best, brackets
+
+
+@pytest.mark.parametrize("count", [256, 128])
+def test_rotation_grid_matches_eigvalsh_grid(monkeypatch, count):
+    # same grid argmax (hence the same golden-section brackets) and the same
+    # (value, K) bits as the eigvalsh grid, on random pair terms
+    brackets = []
+    real = psdfeas.golden_section_minimize
+
+    def recording(f, lo, hi, **kwargs):
+        brackets.append((lo, hi))
+        return real(f, lo, hi, **kwargs)
+
+    monkeypatch.setattr(psdfeas, "golden_section_minimize", recording)
+    rng = CounterRng(911 + count)
+    for trial in range(150):
+        a = random_psd(rng, 2, 1 + trial % 2)
+        b = random_psd(rng, 2, 1 + (trial // 2) % 2)
+        g = 10.0 ** (4.0 * rng.uniforms(1)[0] - 2.0) * rng.normal_matrix(2, 2)
+        c0, w = matcore.symmetrize(g + g.T), float(rng.uniforms(1)[0])
+        val, k = psdfeas._rotation_grid_2d(c0, w, a, b, count)
+        (ref_val, ref_k), ref_brackets = reference_rotation_grid(c0, w, a, b, count)
+        assert brackets[-2:] == ref_brackets
+        assert val == ref_val and np.array_equal(k, ref_k)
 
 
 @pytest.mark.parametrize(
@@ -144,6 +194,73 @@ def test_warm_start_empty_candidates_defaults_to_block_diagonal():
     start = psdfeas.warm_start_from(task, [])
     off = start[0:2, 2:4]
     assert np.abs(off).max() == 0.0
+
+
+def reference_warm_key(task, cand):
+    """Pinned Gamma and warm-start key of one candidate, through
+    :func:`psdfeas.cone_violation` and one ``eigvalsh`` of its slack."""
+    pinned = psdfeas.pin_blocks(matcore.symmetrize(cand), task.blocks)
+    slack = psdfeas.mix_compress(pinned, task.p, task.d) - task.target
+    res = psdfeas.cone_violation(task, pinned, slack)
+    return pinned, (res if res > matcore.EPS_ROUND * task.scale else 0.0, -float(np.linalg.eigvalsh(slack)[0]))
+
+
+def reference_warm_start(task, candidates):
+    """:func:`psdfeas.warm_start_from` scoring one candidate at a time."""
+    nd = task.n * task.d
+    best, best_key, scored = None, None, set()
+
+    def score(cand):
+        nonlocal best, best_key
+        if id(cand) in scored:
+            return
+        scored.add(id(cand))
+        cand = np.asarray(cand, dtype=float)
+        if cand.shape != (nd, nd):
+            return
+        pinned, key = reference_warm_key(task, cand)
+        if best_key is None or key < best_key:
+            best, best_key = pinned, key
+
+    for cand in candidates:
+        score(cand)
+    if task.cone == psdfeas.FULL and task.n >= 3 and (best_key is None or best_key[0] > matcore.EPS_ENGINE * task.scale):
+        score(task.factor_ascent[1])
+    return psdfeas._pair_coupling(task, []) if best is None else best
+
+
+@pytest.mark.parametrize("cone", [psdfeas.FULL, psdfeas.PAIRWISE])
+@pytest.mark.parametrize("seed, n, d", [(50, 2, 2), (51, 2, 3), (52, 3, 2), (53, 3, 3)])
+def test_batched_warm_start_matches_per_candidate_loop(seed, n, d, cone):
+    # random, feasible, default, repeated and wrong-shape candidates
+    task, gamma0 = random_instance(seed, n, d, cone=cone)
+    rng = CounterRng(seed, stream=5)
+    nd = n * d
+    noise = [matcore.symmetrize(rng.normal_matrix(nd, nd)) for _ in range(3)]
+    defaults = psdfeas.default_candidates(task)
+    cands = [*noise, defaults[0], gamma0, np.zeros((nd + 1, nd + 1)), *defaults, gamma0.copy(), noise[1]]
+    start = psdfeas.warm_start_from(task, cands)
+    assert np.array_equal(start, reference_warm_start(task, cands))
+    for subset in (noise, noise[::-1], defaults):
+        assert np.array_equal(psdfeas.warm_start_from(task, subset), reference_warm_start(task, subset))
+    # and each candidate's key has the bits of its own scoring, also where
+    # overshot off-diagonal blocks make the pair blocks indefinite
+    overshoot = [psdfeas.pin_blocks(t * gamma0, task.blocks) for t in (1.2, 1.6, 2.5)]
+    stack = [*noise, gamma0, *overshoot, *defaults]
+    for (key, pinned), cand in zip(psdfeas._score_candidates(task, stack), stack):
+        ref_pinned, ref_key = reference_warm_key(task, cand)
+        assert key == ref_key and np.array_equal(pinned, ref_pinned)
+
+
+def test_batched_warm_start_matches_per_candidate_loop_with_factor_ascent():
+    # no default candidate is feasible, so the factor coupling is scored last and wins
+    prob = random_chain_problem(32)
+    task = psdfeas.FeasibilityTask(prob.p, prob.covs, prob.target, psdfeas.FULL, seed=32, ascent_iters=200)
+    cands = psdfeas.default_candidates(task)
+    start = psdfeas.warm_start_from(task, cands)
+    assert "factor_ascent" in vars(task)
+    assert np.array_equal(start, reference_warm_start(task, cands))
+    assert np.array_equal(start, psdfeas.pin_blocks(matcore.symmetrize(task.factor_ascent[1]), task.blocks))
 
 
 @pytest.mark.parametrize("index", [2, -1], ids=["wasserstein", "contraction"])
