@@ -436,7 +436,10 @@ def cmd_sweep(args) -> int:
         if not isinstance(doc["axes"], list) or len(doc["axes"]) != 2:
             raise ValueError("'axes' must list exactly two axes")
         axes = [sweep_mod.Axis(a["name"], a["min"], a["max"], a["step"]) for a in doc["axes"]]
-        checkers = tuple(doc.get("checkers", ["inegsqrt"]))
+        checkers = doc.get("checkers", ["inegsqrt"])
+        if not isinstance(checkers, list) or not checkers:
+            raise ValueError("'checkers' must be a non-empty list of checker names")
+        checkers = tuple(checkers)
         seed = doc.get("seed", 0)
         if type(seed) is not int:  # rejects 2.7, "3" and true
             raise ValueError("'seed' must be a JSON integer")

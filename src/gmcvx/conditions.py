@@ -458,14 +458,18 @@ def _colinear_structure(prob: MixtureProblem):
 # ---------------------------------------------------------------------------
 
 
+def witness_matrix(gamma) -> np.ndarray:
+    """The matrix of a coupling witness, a :class:`GammaWitness` or an array:
+    finite and square, or :class:`matcore.InvalidMatrix`; not yet mirrored."""
+    return matcore.as_square(gamma.gamma if isinstance(gamma, GammaWitness) else gamma)
+
+
 def validate_gamma_witness(prob: MixtureProblem, gamma, tol: float = matcore.EPS_CHAIN, pairwise: bool = False) -> dict:
     """Standalone re-validation of a coupling witness."""
-    if isinstance(gamma, GammaWitness):
-        gamma = gamma.gamma
     task = psdfeas.FeasibilityTask(
         prob.p, prob.covs, prob.target, psdfeas.PAIRWISE if pairwise else psdfeas.FULL
     )
-    return psdfeas.validate_gamma(task, np.asarray(gamma, dtype=float), tol)
+    return psdfeas.validate_gamma(task, witness_matrix(gamma), tol)
 
 
 def _coupling_check(prob, cone, engine_cfg, search_cfg, extra_candidates, inegsqrt_verdict, seed):
@@ -475,9 +479,7 @@ def _coupling_check(prob, cone, engine_cfg, search_cfg, extra_candidates, inegsq
     if v5.fails:
         return Verdict(Status.FAILS, v5.margin, v5.witness, {**diag, "refuted_by": "inegsqrt"})
 
-    candidates = []
-    for cand in extra_candidates:
-        candidates.append(cand.gamma if isinstance(cand, GammaWitness) else np.asarray(cand, float))
+    candidates = [witness_matrix(cand) for cand in extra_candidates]
     col = _colinear_structure(prob)
     if col is not None:
         base, coeffs = col
@@ -488,9 +490,8 @@ def _coupling_check(prob, cone, engine_cfg, search_cfg, extra_candidates, inegsq
     task = psdfeas.FeasibilityTask(prob.p, prob.covs, prob.target, cone, seed=seed, ascent_iters=iters)
     ascent = None
     if cone == psdfeas.PAIRWISE or prob.n == 2:
-        ascent = task.ascent
+        ascent = task.ascent  # its coupling is one of the engine's default candidates
         diag["pair_ascent_margin"] = ascent[0]
-        candidates.append(task.ascent_gamma)
 
     out = psdfeas.solve(task, engine_cfg, candidates)
     diag["engine_iterations"] = out.iterations
@@ -525,8 +526,10 @@ def check_inecov(
     Holds come with a validated :class:`GammaWitness`. Failure is declared
     only through necessary conditions: a directional violation, or for the
     two-component case a certified refutation of the pair-contraction
-    program; when the projection engine merely stalls the verdict is
-    Unknown with the residuals in the diagnostics.
+    program. Otherwise the verdict is Unknown with the residuals of the
+    contraction coupling (n = 2) or of a Dykstra stall (n >= 3) in the
+    diagnostics. Extra candidates must be finite square matrices
+    (:class:`matcore.InvalidMatrix`); one of the wrong size is not used.
     """
     return _coupling_check(
         prob, psdfeas.FULL, engine_cfg, search_cfg, extra_candidates, inegsqrt_verdict, seed
@@ -549,9 +552,7 @@ def check_inecovf(
 
 def validate_pairwise_blocks(prob: MixtureProblem, gamma, tol: float = matcore.EPS_ENGINE) -> dict:
     """Check each pair block of a coupling matrix for PSD-ness."""
-    if isinstance(gamma, GammaWitness):
-        gamma = gamma.gamma
-    gamma = matcore.symmetrize(gamma)
+    gamma = matcore.symmetrize(witness_matrix(gamma))
     out = {}
     for i in range(prob.n):
         for j in range(i + 1, prob.n):
@@ -847,9 +848,7 @@ def orthogonal_factors_from_gamma(prob: MixtureProblem, gamma, q: int | None = N
     O_i such that the weighted sum of (padded) component square roots times
     O_i dominates the target. Returns ``(factors, verdict)``.
     """
-    if isinstance(gamma, GammaWitness):
-        gamma = gamma.gamma
-    gamma = matcore.symmetrize(gamma)
+    gamma = matcore.symmetrize(witness_matrix(gamma))
     n, d = prob.n, prob.d
     if q is None:
         q = n * d

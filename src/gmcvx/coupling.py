@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore, psdfeas
-from .conditions import GammaWitness, MixtureProblem, validate_gamma_witness
+from .conditions import MixtureProblem, validate_gamma_witness, witness_matrix
 from .rng import CounterRng
 
 
@@ -43,16 +43,14 @@ class MartingaleKernel:
 def build_kernel(prob: MixtureProblem, gamma, tol: float = matcore.EPS_CHAIN) -> MartingaleKernel:
     """Validate the witness and precompute every conditioning matrix."""
     prob.require_centered()
-    if isinstance(gamma, GammaWitness):
-        gamma = gamma.gamma
-    gamma = matcore.symmetrize(np.asarray(gamma, dtype=float))
+    gamma = witness_matrix(gamma)
     n, d = prob.n, prob.d
     if gamma.shape != (n * d, n * d):
         raise InvalidGamma(f"expected shape {(n * d, n * d)}, got {gamma.shape}")
     check = validate_gamma_witness(prob, gamma, tol)
     if not check["ok"]:
         raise InvalidGamma(f"witness does not validate: {check}")
-    gamma = psdfeas.pin_blocks(gamma, prob.covs)
+    gamma = psdfeas.pin_blocks(matcore.symmetrize(gamma), prob.covs)
 
     mix_cov = psdfeas.mix_compress(gamma, prob.p, d)
     mix_pinv = matcore.pinv_psd(matcore.clamp_psd(mix_cov))

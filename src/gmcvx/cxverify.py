@@ -45,7 +45,7 @@ class GaussianLaw:
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=float).reshape(-1)
-        self.cov = matcore.symmetrize(self.cov)
+        self.cov = matcore.symmetrize(matcore.as_square(self.cov))
 
 
 @dataclass
@@ -76,7 +76,7 @@ def exp_linear(lam: float, xi) -> TestFunction:
 
 
 def quadratic(mat, xi0=None, const: float = 0.0) -> TestFunction:
-    mat = matcore.symmetrize(mat)
+    mat = matcore.symmetrize(matcore.as_square(mat))
     ok, lmin = matcore.is_psd(mat, matcore.spectral_scale([mat])[1])
     if not ok:
         raise ValueError(f"quadratic part must be PSD (lambda_min={lmin:.3e})")

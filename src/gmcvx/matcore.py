@@ -44,7 +44,9 @@ class FactorMismatch(ValueError):
     """Candidate factor does not reproduce the target Gram matrix."""
 
 
-def _as_square(a) -> np.ndarray:
+def as_square(a) -> np.ndarray:
+    """``a`` as a finite square float matrix, else :class:`InvalidMatrix`: the one
+    check of a matrix from outside, made once where it enters."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise InvalidMatrix(f"expected a square matrix, got shape {a.shape}")
@@ -61,21 +63,21 @@ def _triu_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
     return upper, strict
 
 
-def symmetrize(a) -> np.ndarray:
-    """Mirror the upper triangle so ``out[i, j] == out[j, i]`` exactly."""
-    a = _as_square(a)
+def symmetrize(a: np.ndarray) -> np.ndarray:
+    """Mirror the upper triangle so ``out[i, j] == out[j, i]`` exactly. ``a``, a
+    square float array, is trusted: inner loops call this (see :func:`as_square`)."""
     upper, strict = _triu_masks(a.shape[0])
     return np.where(upper, a, 0.0) + np.where(strict, a, 0.0).T
 
 
 def _as_sym(a) -> np.ndarray:
-    a = _as_square(a)
+    a = as_square(a)
     return 0.5 * (a + a.T)
 
 
 def require_symmetric(a, tol: float = EPS_ROUND) -> np.ndarray:
     """Reject matrices whose asymmetry exceeds ``tol`` times their largest entry, else mirror."""
-    a = _as_square(a)
+    a = as_square(a)
     gap = np.abs(a - a.T).max()
     if gap > tol * np.abs(a).max():
         raise InvalidMatrix(f"matrix asymmetry {gap:.3e} exceeds tolerance")

@@ -1,4 +1,4 @@
-"""Block-constrained PSD feasibility: direct constructions, then Dykstra.
+"""Block-constrained PSD feasibility: exact constructions, then Dykstra.
 
 The engine looks for a symmetric ``nd x nd`` matrix Gamma whose diagonal
 d-blocks equal prescribed component covariances, whose weighted block sum
@@ -6,43 +6,38 @@ d-blocks equal prescribed component covariances, whose weighted block sum
 which lives either in the full PSD cone or in the product of pairwise
 ``2d x 2d`` PSD constraints.
 
-Two ascents build such a Gamma directly. The pair-contraction ascent
+Each cone has one construction that decides it, and both ascents share
+one batched loop (:func:`_batched_ascent`). The pair-contraction ascent
 writes each pair block as root_i K root_j with a contraction K; it is
-exact for the pairwise cone and, with n = 2, for the full cone. For the
-full cone with n >= 3 the orthogonal-factor ascent writes
+exact for the pairwise cone and, with n = 2, for the full cone. For d = 2
+the contraction of a pair is searched over rotations and reflections by
+an angular grid and golden section, both on the closed-form smallest
+eigenvalue of a 2 x 2 matrix affine in (cos phi, sin phi). For the full
+cone with n >= 3 the orthogonal-factor ascent writes
 Gamma_ij = root_i O_i O_j' root_j with orthonormal-row factors O_i, which
-is PSD by construction. :func:`warm_start_from` scores their couplings
-with the other candidates, all as one stack, and a feasible one ends
-:func:`solve` before its first iteration. For d = 2 the contraction of a
-pair is searched over rotations and reflections: an angular grid picks a
-bracket and golden section refines it, and both evaluate one closed form,
-the smallest eigenvalue of a 2 x 2 matrix affine in (cos phi, sin phi),
-from coefficients read once per branch.
+is PSD by construction. :func:`warm_start_from` scores the one candidate
+list (:func:`default_candidates`) with the caller's candidates as one
+stack through the one spectral test (:func:`_spectra`).
 
-Otherwise Dykstra alternating projections run: projections onto the
-affine constraint set have a closed form (the linear solve collapses to a
-scalar correction precomputed once per task); cone constraints are
-handled one exact projection per constraint with Dykstra correction
-terms, cycling until both distances fall under tolerance. The engine
-never claims infeasibility: it either returns a feasible, exactly
-block-pinned Gamma or the residuals it got stuck at.
+Only for the full cone with n >= 3, where no exact construction is known,
+do Dykstra alternating projections follow an infeasible warm start: one
+PSD projection of Gamma and one of S per iteration, then the closed-form
+projection onto the affine constraint set (a scalar correction
+precomputed once per task). The engine never claims infeasibility: it
+returns a feasible, exactly block-pinned Gamma or the residuals it got
+stuck at.
 
 Everything takes one :class:`FeasibilityTask`, which computes what is
-shared once: up front the pinned-block sum and its gap to the target, and
-the per-pair weights, block slices and index arrays and the affine
-correction's denominator that every Dykstra iteration reuses; on first
-use the block square roots, the weighted root pairs as stacks, and both
-ascents (with the task's seed and step count). The Dykstra inner loop
-validates nothing: its matrices come from a validated ``MixtureProblem``
-and stay exactly symmetric. Each ascent advances all its starts as one
-stack, with one batched eigensolve and SVD per step, and returns bit for
-bit what running the starts one after another returns.
+shared once, up front or on first use: the pinned-block gap, the pair
+weights, slices and rows, the block roots and both ascents. Nothing in
+the inner loops is validated: the matrices come from a validated
+``MixtureProblem`` and stay exactly symmetric.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
@@ -83,7 +78,7 @@ class FeasibilityTask:
     def __post_init__(self):
         self.p = np.asarray(self.p, dtype=float)
         self.blocks = np.asarray(self.blocks, dtype=float)
-        self.target = matcore.symmetrize(self.target)
+        self.target = matcore.symmetrize(matcore.as_square(self.target))
         self.n = int(self.p.shape[0])
         self.d = int(self.target.shape[0])
         if self.blocks.shape != (self.n, self.d, self.d):
@@ -96,7 +91,7 @@ class FeasibilityTask:
         self.affine_denom = 1.0 + 2.0 * sum((self.p[i] * self.p[j]) ** 2 for i, j in self.pairs)
         self.pair_weights = [float(self.p[i] * self.p[j]) for i, j in self.pairs]
         self.pair_slices = [(self.block_slice(i), self.block_slice(j)) for i, j in self.pairs]
-        self.pair_indices = [pair_index(self.d, i, j) for i, j in self.pairs]
+        self.pair_rows = np.array([pair_index(self.d, i, j)[1] for i, j in self.pairs]).reshape(-1, 2 * self.d)
         # sum_i p_i^2 S_i, the part of A Gamma A* the pinned blocks fix
         self.pinned_sum = np.einsum("i,ikl->kl", self.p**2, self.blocks)
         self.offset = self.pinned_sum - self.target  # difference of exactly symmetric terms
@@ -126,7 +121,7 @@ class FeasibilityTask:
 
     @cached_property
     def ascent_gamma(self) -> np.ndarray:
-        """Coupling matrix of the :attr:`ascent` contractions, one object for every caller."""
+        """Coupling matrix of the :attr:`ascent` contractions."""
         return gamma_from_contractions(self, self.ascent[1])
 
     @cached_property
@@ -142,7 +137,6 @@ class FeasibilityOutcome:
     iterations: int
     cone_dist: float
     affine_dist: float
-    residual_history: list = field(default_factory=list)
 
     @property
     def feasible(self) -> bool:
@@ -185,24 +179,23 @@ def _affine_project(task: FeasibilityTask, gamma: np.ndarray, slack: np.ndarray)
     return gamma, slack + r
 
 
-def _neg_part_norms(w: np.ndarray) -> np.ndarray:
-    """Frobenius norms of the negative parts of symmetric matrices from their spectra ``w`` (..., m)."""
-    neg = np.minimum(w, 0.0)
-    return np.sqrt((neg * neg).sum(axis=-1))
-
-
-def cone_violation(task: FeasibilityTask, gamma: np.ndarray, slack: np.ndarray) -> float:
-    """Frobenius distance from (Gamma, S) to the selected cone.
-
-    Both must be exactly symmetric, as every warm start and iterate of
-    :func:`solve` is."""
+def _spectra(task: FeasibilityTask, gammas: np.ndarray, slacks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending spectra of a (k, nd, nd) stack of exactly symmetric Gammas, shape
+    (k, parts, m), and of their (k, d, d) slacks: the one part is the whole Gamma
+    for the full cone, the parts are the pair blocks in order for the pairwise cone."""
     if task.cone == FULL:
-        d_g = float(_neg_part_norms(np.linalg.eigvalsh(gamma)))
+        parts = gammas[:, None]
     else:
-        d_g = 0.0
-        for idx in task.pair_indices:
-            d_g = max(d_g, float(_neg_part_norms(np.linalg.eigvalsh(gamma[idx]))))
-    return max(d_g, float(_neg_part_norms(np.linalg.eigvalsh(slack))))
+        parts = gammas[:, task.pair_rows[:, :, None], task.pair_rows[:, None, :]]
+    return np.linalg.eigvalsh(parts), np.linalg.eigvalsh(slacks)
+
+
+def _cone_distance(w_gamma: np.ndarray, w_slack: np.ndarray) -> np.ndarray:
+    """Frobenius distance of each (Gamma, S) to the selected cone, from their :func:`_spectra`:
+    the norm of the negative part of the worst Gamma part or of S."""
+    neg_g, neg_s = np.minimum(w_gamma, 0.0), np.minimum(w_slack, 0.0)
+    d_g = np.sqrt((neg_g * neg_g).sum(axis=-1)).max(axis=-1, initial=0.0)
+    return np.maximum(d_g, np.sqrt((neg_s * neg_s).sum(axis=-1)))
 
 
 # ---------------------------------------------------------------------------
@@ -327,20 +320,15 @@ def _coordinate_rotation_polish(c0, pairs, ks, scale: float, passes: int = 8, co
 def contraction_ascent(task: FeasibilityTask):
     """Maximize the smallest slack eigenvalue over the pair contractions.
 
-    Supergradient ascent on a concave objective, with a closed form for
-    d = 1, an exact angular grid for a single d = 2 pair, and a cyclic
-    per-pair grid polish for several d = 2 pairs; ``task.ascent_iters``
-    steps from each start, one start drawn from ``task.seed``. Returns the
-    best value, the contractions as a (pairs, d, d) stack, and a trace-one
-    PSD average of bottom eigenvectors from the ascent tail (usable as a
-    refutation functional).
+    Supergradient ascent on a concave objective (:func:`_batched_ascent`,
+    retracted onto the operator-norm ball), with a closed form for d = 1, an
+    exact angular grid for a single d = 2 pair, and a cyclic per-pair grid
+    polish for several d = 2 pairs; ``task.ascent_iters`` evaluations from
+    each start, one start drawn from ``task.seed``. Returns the best value,
+    the contractions as a (pairs, d, d) stack, and a trace-one PSD average
+    of bottom eigenvectors from the ascent tail, in start order (usable as
+    a refutation functional).
     Read it through :attr:`FeasibilityTask.ascent`, which runs it once.
-
-    All starts advance together as one (starts, pairs, d, d) stack, one
-    batched eigensolve and SVD per step; a start stops when its
-    supergradient vanishes. The result is that of running the starts one
-    after another: the best value is its first occurrence in start order,
-    and the tail is averaged in that order.
     """
     pairs = task.root_pairs
     weights, roots_i, roots_j = pairs
@@ -367,39 +355,28 @@ def contraction_ascent(task: FeasibilityTask):
         if k_grid is not None:
             starts.append(k_grid[None])
     draws = np.array([rng.normal_matrix(d, d) for _ in range(n_pairs)]).reshape(n_pairs, d, d)
-    u, _, vt = np.linalg.svd(draws)
-    starts.append(u @ vt)
+    starts.append(_polar(draws))
+
+    def evaluate(ks):
+        w, q = np.linalg.eigh(assemble_contraction_slack(c0, pairs, ks))
+        return w[:, 0], q[:, :, 0], None
+
+    grad_weights = (2.0 * weights)[:, None, None]
+
+    def supergradient(ks, vecs, _):
+        # of each pair: 2 w (root_i v)(root_j v)'
+        cols = vecs[:, None, :, None]
+        return grad_weights * ((roots_i @ cols) * np.swapaxes(roots_j @ cols, -1, -2))
 
     ks = np.stack(starts)
-    best_val = values_of(ks)
-    best_ks = ks.copy()
-    tails: list[list] = [[] for _ in starts]
-    live = np.arange(len(starts))
-    grad_weights = (2.0 * weights)[:, None, None]
-    for it in range(1, iters + 1):
-        cur = ks[live]
-        w, q = np.linalg.eigh(assemble_contraction_slack(c0, pairs, cur))
-        vals, vecs = w[:, 0], q[:, :, 0]
-        better = vals > best_val[live]
-        best_val[live[better]] = vals[better]
-        best_ks[live[better]] = cur[better]
-        if it > iters - 25:
-            for start, y in zip(live, vecs[:, :, None] * vecs[:, None, :]):
-                tails[start].append(y)
-        # supergradient of each pair: 2 w (root_i v)(root_j v)'
-        cols = vecs[:, None, :, None]
-        grads = grad_weights * ((roots_i @ cols) * np.swapaxes(roots_j @ cols, -1, -2))
-        sq = np.sum((grads * grads).reshape(live.size, n_pairs, d * d), axis=-1)
-        gsq = np.zeros(live.size)
-        for idx in range(n_pairs):
-            gsq += sq[:, idx]
-        gnorm = np.sqrt(gsq)
-        moving = gnorm != 0.0
-        live = live[moving]
-        if live.size == 0:
-            break
-        step = 0.5 / math.sqrt(it)
-        ks[live] = clip_operator_ball(cur[moving] + step * grads[moving] / gnorm[moving, None, None, None])
+    best_val, best_ks, tail = values_of(ks), ks, []
+    if iters:
+        # The starts are scored twice, by eigvalsh here and by eigh at the
+        # loop's first evaluation, whose bits differ for d >= 3; the eigh
+        # value replaces the eigvalsh one only where it is larger. With
+        # ``iters`` evaluations in all, the loop takes iters - 1 steps: a
+        # step after the last evaluation would never be scored.
+        best_val, best_ks, tail = _batched_ascent(ks, best_val, iters - 1, evaluate, supergradient, clip_operator_ball)
     i = int(np.argmax(best_val))
     best, best_ks = float(best_val[i]), best_ks[i]
     if d == 2 and n_pairs > 1:
@@ -408,9 +385,9 @@ def contraction_ascent(task: FeasibilityTask):
         if val > best:
             best, best_ks = val, polished
     y_avg = None
-    tail = [y for ys in tails for y in ys]
     if tail:
-        y_avg = matcore.symmetrize(sum(tail) / len(tail))
+        vs = np.array(tail)
+        y_avg = matcore.symmetrize(sum(vs[:, :, None] * vs[:, None, :]) / len(tail))
         tr = float(np.trace(y_avg))
         if tr > 0:
             y_avg = y_avg / tr
@@ -424,67 +401,101 @@ def contraction_ascent(task: FeasibilityTask):
 # ---------------------------------------------------------------------------
 
 
+def _polar(a: np.ndarray) -> np.ndarray:
+    """Polar factor U V' of each matrix of the stack ``a``: its nearest matrix with orthonormal rows."""
+    u, _, vt = np.linalg.svd(a, full_matrices=False)
+    return u @ vt
+
+
 def factor_ascent(task: FeasibilityTask):
     """Maximize lambda_min(M M' - target) over the orthogonal factors O_i.
 
     Riemannian ascent (Burer & Monteiro 2003; Absil, Mahony & Sepulchre
-    2008): normalised supergradient steps of length 0.5 / sqrt(it),
-    retracted onto orthonormal rows by the polar factor, for
-    ``task.ascent_iters`` steps from four starts: every O_i = [I_d 0], then
-    three polar-projected draws from ``task.seed``. Returns the best value
-    and its coupling matrix Gamma = F F', F the stacked root_i O_i, which is
-    PSD by construction. Read it through :attr:`FeasibilityTask.factor_ascent`.
-
-    All starts advance together as one (starts, n, d, nd) stack, one batched
-    eigensolve and thin SVD per step; a start stops when its supergradient
-    vanishes. The best value is its first occurrence in start order, as if
-    the starts ran one after another.
+    2008) through :func:`_batched_ascent`, retracted onto orthonormal rows
+    by the polar factor, for ``task.ascent_iters`` steps from four starts:
+    every O_i = [I_d 0], then three polar-projected draws from
+    ``task.seed``. Returns the best value and its coupling matrix
+    Gamma = F F', F the stacked root_i O_i, which is PSD by construction.
+    Read it through :attr:`FeasibilityTask.factor_ascent`.
     """
     n, d = task.n, task.d
     nd = n * d
     roots = np.array(task.roots).reshape(n, d, d)
     weighted = task.p[:, None, None] * roots
     rng = CounterRng(task.seed, stream=31)
-    u, _, vt = np.linalg.svd(rng.normal_matrix(3 * nd, nd).reshape(3, n, d, nd), full_matrices=False)
-    factors = np.concatenate([np.broadcast_to(np.eye(d, nd), (1, n, d, nd)), u @ vt])
+    draws = _polar(rng.normal_matrix(3 * nd, nd).reshape(3, n, d, nd))
+    factors = np.concatenate([np.broadcast_to(np.eye(d, nd), (1, n, d, nd)), draws])
 
-    best_val = np.full(len(factors), -np.inf)
-    best_factors = factors.copy()
-    live = np.arange(len(factors))
-    for it in range(task.ascent_iters + 1):
-        cur = factors[live]
-        terms = weighted @ cur
+    def evaluate(fs):
+        terms = weighted @ fs
         m = terms[:, 0].copy()
         for i in range(1, n):
             m += terms[:, i]
         w, q = np.linalg.eigh(m @ np.swapaxes(m, -1, -2) - task.target)
-        vals, vecs = w[:, 0], q[:, :, 0]
-        better = vals > best_val[live]
-        best_val[live[better]] = vals[better]
-        best_factors[live[better]] = cur[better]
-        if it == task.ascent_iters:
-            break
-        # supergradient in O_i: 2 p_i (root_i v)(M' v)'
+        return w[:, 0], q[:, :, 0], m
+
+    def supergradient(fs, vecs, m):
+        # in O_i: 2 p_i (root_i v)(M' v)'
         left = weighted @ vecs[:, None, :, None]
         right = np.swapaxes(m, -1, -2) @ vecs[:, :, None]
-        grads = 2.0 * left * np.swapaxes(right, -1, -2)[:, None]
-        sq = np.sum((grads * grads).reshape(live.size, n, d * nd), axis=-1)
+        return 2.0 * left * np.swapaxes(right, -1, -2)[:, None]
+
+    best_val = np.full(len(factors), -np.inf)
+    best_val, best_factors, _ = _batched_ascent(factors, best_val, task.ascent_iters, evaluate, supergradient, _polar)
+    i = int(np.argmax(best_val))
+    stacked = (roots @ best_factors[i]).reshape(nd, nd)
+    return float(best_val[i]), stacked @ stacked.T
+
+
+# ---------------------------------------------------------------------------
+# the ascent loop both constructions share
+# ---------------------------------------------------------------------------
+
+_TAIL_EVALS = 25  # evaluations at the end of an ascent whose bottom eigenvectors are kept
+
+
+def _batched_ascent(xs: np.ndarray, best_val: np.ndarray, steps: int, evaluate, supergradient, retract):
+    """Normalised supergradient ascent of all starts of the stack ``xs`` at once, in place.
+
+    ``evaluate(x)`` gives the live starts' values, bottom eigenvectors and
+    the ``aux`` that ``supergradient(x, vecs, aux)``, of shape (starts,
+    blocks, rows, cols), needs; ``retract`` maps a stepped stack back onto
+    the feasible set. Each start is evaluated, then takes up to ``steps``
+    steps of length 0.5 / sqrt(k), k = 1, 2, ..., each followed by an
+    evaluation, and stops when its supergradient, computed only when a step
+    follows, vanishes. ``best_val`` holds each start's value before the loop
+    (-inf for none); only a strictly larger value replaces it, so each start
+    keeps its first-occurrence best, as if the starts ran one after another.
+    Returns the best values and points, and the bottom eigenvectors of each
+    start's last :data:`_TAIL_EVALS` evaluations, the starts in order.
+    """
+    best_x = xs.copy()
+    tails: list[list] = [[] for _ in xs]
+    live = np.arange(len(xs))
+    for it in range(steps + 1):
+        cur = xs[live]
+        vals, vecs, aux = evaluate(cur)
+        better = vals > best_val[live]
+        best_val[live[better]] = vals[better]
+        best_x[live[better]] = cur[better]
+        if it > steps - _TAIL_EVALS:
+            for start, vec in zip(live, vecs):
+                tails[start].append(vec)
+        if it == steps:
+            break
+        grads = supergradient(cur, vecs, aux)
+        sq = np.sum((grads * grads).reshape(live.size, grads.shape[1], -1), axis=-1)
         gsq = sq[:, 0].copy()
-        for i in range(1, n):
-            gsq += sq[:, i]
+        for b in range(1, sq.shape[1]):
+            gsq += sq[:, b]
         gnorm = np.sqrt(gsq)
         moving = gnorm != 0.0
         live = live[moving]
         if live.size == 0:
             break
         step = 0.5 / math.sqrt(it + 1)
-        u, _, vt = np.linalg.svd(
-            cur[moving] + step * grads[moving] / gnorm[moving, None, None, None], full_matrices=False
-        )
-        factors[live] = u @ vt
-    i = int(np.argmax(best_val))
-    stacked = (roots @ best_factors[i]).reshape(nd, nd)
-    return float(best_val[i]), stacked @ stacked.T
+        xs[live] = retract(cur[moving] + step * grads[moving] / gnorm[moving, None, None, None])
+    return best_val, best_x, [vec for vecs in tails for vec in vecs]
 
 
 def _pair_coupling(task: FeasibilityTask, thetas) -> np.ndarray:
@@ -510,7 +521,7 @@ def dual_refutation_value(task: FeasibilityTask, y: np.ndarray) -> float:
     the weighted block sum dominate the target, refuting the pairwise
     condition (and with it the full coupling condition).
     """
-    y = matcore.symmetrize(y)
+    y = matcore.symmetrize(matcore.as_square(y))
     total = float(np.sum(y * task.offset))
     for w, a_i, a_j in zip(*task.root_pairs):
         sv = np.linalg.svd(a_j @ y @ a_i, compute_uv=False)
@@ -519,11 +530,11 @@ def dual_refutation_value(task: FeasibilityTask, y: np.ndarray) -> float:
 
 
 def default_candidates(task: FeasibilityTask) -> list[np.ndarray]:
-    """Canonical warm starts: block diagonal, shared-target off-diagonals
+    """The one candidate list: block diagonal, shared-target off-diagonals
     (feasible when the target is dominated by every component), the
     optimal-transport pair coupling when n = 2, and the contraction
-    construction of the task's ascent (closed form for d = 1, angular grid
-    for a d = 2 pair)."""
+    construction of the task's ascent wherever that ascent is exact or
+    closed-form: the pairwise cone, n = 2 and d = 1."""
     cands = [_pair_coupling(task, []), _pair_coupling(task, [task.target] * len(task.pairs))]
     if task.n == 2:
         try:
@@ -534,7 +545,7 @@ def default_candidates(task: FeasibilityTask) -> list[np.ndarray]:
             cands.append(_pair_coupling(task, [root1 @ inner @ matcore.pinv_psd(root1)]))
         except matcore.NotPSD:
             pass
-    if task.d == 1 or (task.n == 2 and task.d == 2):
+    if task.cone == PAIRWISE or task.n == 2 or task.d == 1:
         cands.append(task.ascent_gamma)
     return cands
 
@@ -543,25 +554,16 @@ def _score_candidates(task: FeasibilityTask, cands: list) -> list[tuple]:
     """``(key, pinned Gamma)`` of each candidate, keyed as :func:`warm_start_from` ranks them.
 
     The candidates are pinned and compressed one by one, then scored as one
-    stack: one eigensolve over the pinned Gammas (their pair blocks for the
-    pairwise cone) and one over the slacks, whose spectra give both the
-    cone distance and the slack margin. Each key has the bits that
-    :func:`cone_violation` and ``eigvalsh`` give for that candidate alone.
+    stack through :func:`_spectra`, whose slack spectra give both the cone
+    distance and the slack margin.
     """
     if not cands:
         return []
     pinned = [pin_blocks(matcore.symmetrize(cand), task.blocks) for cand in cands]
-    gammas = np.array(pinned)
-    w_slack = np.linalg.eigvalsh(np.array([mix_compress(g, task.p, task.d) for g in pinned]) - task.target)
-    if task.cone == FULL:
-        d_g = _neg_part_norms(np.linalg.eigvalsh(gammas))
-    elif task.pairs:
-        blocks = np.stack([gammas[:, rows, cols] for rows, cols in task.pair_indices], axis=1)
-        d_g = _neg_part_norms(np.linalg.eigvalsh(blocks)).max(axis=1)
-    else:
-        d_g = np.zeros(len(pinned))
+    slacks = np.array([mix_compress(g, task.p, task.d) for g in pinned]) - task.target
+    w_gamma, w_slack = _spectra(task, np.array(pinned), slacks)
     tie = matcore.EPS_ROUND * task.scale
-    res = np.maximum(d_g, _neg_part_norms(w_slack)).tolist()
+    res = _cone_distance(w_gamma, w_slack).tolist()
     return [((r if r > tie else 0.0, -lmin), g) for r, lmin, g in zip(res, w_slack[:, 0].tolist(), pinned)]
 
 
@@ -570,86 +572,62 @@ def warm_start_from(task: FeasibilityTask, candidates) -> np.ndarray:
 
     Residuals within rounding of each other count as ties, broken toward
     the larger slack margin so already-feasible starts keep their slack;
-    ties keep the earlier candidate. A candidate object passed twice is
-    scored once, and one of the wrong shape not at all.
+    ties keep the earlier candidate. A candidate of the wrong shape is not
+    scored.
 
     For the full cone with n >= 3, when no candidate is within
     ``matcore.EPS_ENGINE * task.scale`` of feasible, the coupling of the
     task's :attr:`~FeasibilityTask.factor_ascent` is scored as one more.
     """
     nd = task.n * task.d
-    seen: set[int] = set()
-
-    def distinct(cands) -> list[np.ndarray]:
-        out = []
-        for cand in cands:
-            if id(cand) not in seen:
-                seen.add(id(cand))
-                out.append(np.asarray(cand, dtype=float))
-        return [cand for cand in out if cand.shape == (nd, nd)]
-
-    scored = _score_candidates(task, distinct(candidates))
+    cands = [cand for cand in (np.asarray(c, dtype=float) for c in candidates) if cand.shape == (nd, nd)]
+    scored = _score_candidates(task, cands)
     if task.cone == FULL and task.n >= 3 and (
         not scored or min(key for key, _ in scored)[0] > matcore.EPS_ENGINE * task.scale
     ):
-        scored += _score_candidates(task, distinct([task.factor_ascent[1]]))
+        scored += _score_candidates(task, [task.factor_ascent[1]])
     if not scored:
         return _pair_coupling(task, [])
     return min(scored, key=lambda kg: kg[0])[1]
 
 
 def solve(task: FeasibilityTask, cfg: EngineConfig = EngineConfig(), candidates=()) -> FeasibilityOutcome:
-    """Dykstra cycle between the affine set and the cone constraints.
+    """Warm start from the best candidate; Dykstra only for the full cone with n >= 3.
 
-    Starts from the best of ``candidates`` plus the canonical defaults.
-    Feasibility is declared on the affine-projected iterate (its blocks are
-    exact by construction) once its cone distance drops under
-    ``matcore.EPS_ENGINE * task.scale``; otherwise the residuals are reported.
+    Starts from the best of ``candidates`` plus :func:`default_candidates`.
+    For the pairwise cone and for n = 2 that list holds the contraction
+    ascent's coupling, which decides the cone, so the warm start is the
+    answer: ``solve`` returns it, feasible or with ``MAX_ITERATIONS`` at 0
+    iterations. For the full cone with n >= 3 up to ``cfg.max_iter``
+    Dykstra iterations follow an infeasible warm start. Feasibility is
+    declared once the cone distance of the warm start or of an
+    affine-projected iterate (its blocks are exact by construction) drops
+    under ``matcore.EPS_ENGINE * task.scale``; otherwise the residuals are reported.
     """
     tol_abs = matcore.EPS_ENGINE * task.scale
-    gamma = warm_start_from(task, list(candidates) + default_candidates(task))
+
+    def cone_dist(gamma, slack) -> float:
+        return float(_cone_distance(*_spectra(task, gamma[None], slack[None]))[0])
+
+    gamma = warm_start_from(task, [*candidates, *default_candidates(task)])
     slack = mix_compress(gamma, task.p, task.d) - task.target
-
-    if task.cone == FULL:
-        cone_sets = [("psd", None)]
-    else:
-        cone_sets = [("pair", idx) for idx in task.pair_indices] + [("slack", None)]
-    inc_g = [np.zeros_like(gamma) for _ in cone_sets]
-    inc_s = [np.zeros_like(slack) for _ in cone_sets]
-
-    history: list[float] = []
-    affine_dist = 0.0
-    viol = cone_violation(task, gamma, slack)
+    viol = cone_dist(gamma, slack)
     if viol <= tol_abs:
-        return FeasibilityOutcome(FEASIBLE, gamma, 0, viol, 0.0, [viol])
+        return FeasibilityOutcome(FEASIBLE, gamma, 0, viol, 0.0)
 
-    for it in range(1, cfg.max_iter + 1):
-        for k, (kind, idx) in enumerate(cone_sets):
-            yg = gamma + inc_g[k]
-            ys = slack + inc_s[k]
-            if kind == "psd":
-                pg = matcore.clamp_psd(yg)
-                ps = matcore.clamp_psd(ys)
-            elif kind == "pair":
-                pg = yg.copy()
-                pg[idx] = matcore.clamp_psd(yg[idx])
-                ps = ys
-            else:  # slack cone only
-                pg = yg
-                ps = matcore.clamp_psd(ys)
-            inc_g[k] = yg - pg
-            inc_s[k] = ys - ps
-            gamma, slack = pg, ps
-        pre_g, pre_s = gamma, slack
-        gamma, slack = _affine_project(task, gamma, slack)
-        affine_dist = float(
-            np.sqrt(matcore.fro_norm(gamma - pre_g) ** 2 + matcore.fro_norm(slack - pre_s) ** 2)
-        )
-        viol = cone_violation(task, gamma, slack)
-        history.append(viol)
+    max_iter = cfg.max_iter if task.cone == FULL and task.n >= 3 else 0
+    inc_g, inc_s = np.zeros_like(gamma), np.zeros_like(slack)
+    affine_dist = 0.0
+    for it in range(1, max_iter + 1):
+        yg, ys = gamma + inc_g, slack + inc_s
+        pg, ps = matcore.clamp_psd(yg), matcore.clamp_psd(ys)
+        inc_g, inc_s = yg - pg, ys - ps
+        gamma, slack = _affine_project(task, pg, ps)
+        affine_dist = float(np.sqrt(matcore.fro_norm(gamma - pg) ** 2 + matcore.fro_norm(slack - ps) ** 2))
+        viol = cone_dist(gamma, slack)
         if viol <= tol_abs:
-            return FeasibilityOutcome(FEASIBLE, gamma, it, viol, affine_dist, history)
-    return FeasibilityOutcome(MAX_ITERATIONS, gamma, cfg.max_iter, viol, affine_dist, history)
+            return FeasibilityOutcome(FEASIBLE, gamma, it, viol, affine_dist)
+    return FeasibilityOutcome(MAX_ITERATIONS, gamma, max_iter, viol, affine_dist)
 
 
 def validate_gamma(task: FeasibilityTask, gamma: np.ndarray, tol: float) -> dict:
@@ -661,13 +639,12 @@ def validate_gamma(task: FeasibilityTask, gamma: np.ndarray, tol: float) -> dict
         for i in range(task.n)
     )
     slack = mix_compress(gamma, task.p, task.d) - task.target
-    parts = [gamma] if task.cone == FULL else [gamma[idx] for idx in task.pair_indices]
-    lmin_gamma = min(float(np.linalg.eigvalsh(part)[0]) for part in parts)
-    lmin_slack = float(np.linalg.eigvalsh(slack)[0])
+    w_gamma, w_slack = _spectra(task, gamma[None], slack[None])
+    lmin_gamma, lmin_slack = float(w_gamma[0, :, 0].min()), float(w_slack[0, 0])
     ok = block_err <= tol_abs and lmin_gamma >= -tol_abs and lmin_slack >= -tol_abs
     return {
         "ok": bool(ok),
         "block_err": float(block_err),
-        "lmin_gamma": float(lmin_gamma),
-        "lmin_slack": float(lmin_slack),
+        "lmin_gamma": lmin_gamma,
+        "lmin_slack": lmin_slack,
     }

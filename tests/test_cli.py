@@ -532,10 +532,12 @@ def test_sweep_fractional_d_is_malformed(tmp_path, capsys):
                 {"name": "b", "min": -1.0, "max": 0.0, "step": 0.001},
             ],
         },
+        {**one_cell_spec(), "checkers": []},
+        {**one_cell_spec(), "checkers": "inecov"},
     ],
     ids=[
         "non-numeric-weight", "ragged-target", "ragged-cov", "fractional-seed", "three-axes", "fractional-n",
-        "tiny-step", "too-many-cells",
+        "tiny-step", "too-many-cells", "empty-checkers", "checkers-not-a-list",
     ],
 )
 def test_sweep_malformed_spec_exits_64(tmp_path, capsys, monkeypatch, spec):

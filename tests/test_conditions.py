@@ -256,7 +256,7 @@ def test_contraction_dual_refutes_outside_point():
 
 
 def test_n2_d2_check_scores_each_warm_start_once(monkeypatch):
-    # the check and the defaults hand over the same contraction coupling
+    # the contraction coupling comes once, from the default candidates
     scored, counts = [], []
     real_score, real_warm = psdfeas._score_candidates, psdfeas.warm_start_from
 
@@ -285,6 +285,26 @@ def test_coupling_check_runs_one_ascent(monkeypatch, ascent_iters):
     v = C.check_inecov(fam.axis_swap_problem(5.0, 0.5), search_cfg=C.SearchConfig(ascent_iters=ascent_iters))
     assert v.holds
     assert len(tasks) == 1 and tasks[0].ascent_iters == ascent_iters
+
+
+def test_defaults_set_solves_return_at_the_warm_start(monkeypatch):
+    # the five checkers on random_chain_problem(0..29) with the CLI's
+    # settings, as scripts/verdict_digest.py's defaults set: the
+    # constructions decide every coupling check, and no Dykstra iteration runs
+    iterations = []
+    real = psdfeas.solve
+
+    def solve(*args, **kwargs):
+        out = real(*args, **kwargs)
+        iterations.append(out.iterations)
+        return out
+
+    monkeypatch.setattr(psdfeas, "solve", solve)
+    for seed in range(30):
+        prob = fam.random_chain_problem(seed)
+        for name in C.CHECKERS:
+            C.run_checker(name, prob, C.SearchConfig(seed=seed), psdfeas.EngineConfig(), seed)
+    assert iterations and set(iterations) == {0}
 
 
 @pytest.mark.parametrize("seed", [32, 38, 75, 98, 121])

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmcvx import matcore
+from families import rank_deficient_pair
+from gmcvx import conditions as C
+from gmcvx import coupling, cxverify, matcore, psdfeas
 from gmcvx.rng import CounterRng
 
 SQRT2 = math.sqrt(2.0)
@@ -27,6 +29,42 @@ def test_symmetrize_mirrors_upper_triangle_exactly():
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
     s = matcore.symmetrize(a)
     assert s[1, 0] == s[0, 1] == 2.0
+
+
+NAN2 = np.array([[1.0, math.nan], [0.0, 1.0]])
+NAN_GAMMA = np.where(np.eye(4) > 0.0, 1.0, 0.0)
+NAN_GAMMA[0, 3] = math.nan
+
+
+def _task(prob):
+    return psdfeas.FeasibilityTask(prob.p, prob.covs, prob.target)
+
+
+@pytest.mark.parametrize(
+    "call, exc",
+    [
+        (lambda prob: cxverify.GaussianLaw(np.zeros(2), NAN2), matcore.InvalidMatrix),
+        (lambda prob: cxverify.quadratic(NAN2), matcore.InvalidMatrix),
+        (lambda prob: coupling.build_kernel(prob, NAN_GAMMA), matcore.InvalidMatrix),
+        (lambda prob: coupling.build_kernel(prob, np.eye(6)), coupling.InvalidGamma),
+        (lambda prob: C.validate_gamma_witness(prob, C.GammaWitness(NAN_GAMMA, 2, 2)), matcore.InvalidMatrix),
+        (lambda prob: C.validate_pairwise_blocks(prob, NAN_GAMMA), matcore.InvalidMatrix),
+        (lambda prob: C.orthogonal_factors_from_gamma(prob, NAN_GAMMA), matcore.InvalidMatrix),
+        (lambda prob: C.check_inecov(prob, extra_candidates=[NAN_GAMMA]), matcore.InvalidMatrix),
+        (lambda prob: psdfeas.dual_refutation_value(_task(prob), NAN2), matcore.InvalidMatrix),
+        (lambda prob: psdfeas.FeasibilityTask(prob.p, prob.covs, NAN2), matcore.InvalidMatrix),
+    ],
+    ids=[
+        "GaussianLaw", "quadratic", "build_kernel", "build_kernel-wrong-size", "validate_gamma_witness",
+        "validate_pairwise_blocks", "orthogonal_factors_from_gamma", "check_inecov-extra", "dual_refutation_value",
+        "FeasibilityTask",
+    ],
+)
+def test_entry_points_check_outside_matrices(call, exc):
+    # symmetrize trusts its input, so each entry point that takes a matrix
+    # from outside checks it once, with the exception class it always raised
+    with pytest.raises(exc):
+        call(rank_deficient_pair(0.0))
 
 
 def test_require_symmetric_rejects_asymmetry():
