@@ -24,8 +24,8 @@ and a certificate matrix of the wrong shape or with non-finite entries),
 above ``MAX_SAMPLES``, and ``--with-M`` given with ``--condition chain``).
 
 A sweep grid may have at most ``sweep.MAX_CELLS`` (1,000,000) cells; a
-spec whose axes give more, or whose cell count is not finite, exits 64
-before any cell is built. ``couple`` and ``mcverify`` take at most
+spec whose axes give more, whose cell count is not finite, or with an axis
+whose max is below its min, exits 64 before any cell is built. ``couple`` and ``mcverify`` take at most
 ``MAX_SAMPLES`` (10,000,000) samples; a larger ``--samples`` exits 66 when
 the arguments are parsed, before anything is drawn.
 """

@@ -19,8 +19,16 @@ against a finite Gaussian mixture, from strongest to weakest:
 Failures always carry a witness that re-verifies standalone; positive
 certificates re-validate through :func:`validate_gamma_witness` and
 :func:`validate_correl_certificate`. Callers that pick a checker by name
-(sweeps, the CLI) go through :func:`run_checker`. Everything is pure
-given (problem, config, seed), so checkers can run concurrently.
+(sweeps, the CLI) go through :func:`run_checker`. Every verdict is a
+pure function of (problem, config, seed), so checkers can run concurrently.
+The d = 2 directional search keeps what the cells of a sweep share in small
+:class:`matcore.SharedCache` stores, as ``psdfeas`` does for the block
+roots and ascent starts: the components' half of h on its angular grid,
+keyed on ``grid_points`` and the bytes of the weights and component
+covariances, and the normalised random starts, keyed on (seed,
+``random_starts``, d). Each keeps one read-only entry, so a cached value
+has the bits a fresh one would; the grid itself is kept per
+``grid_points``, as ``psdfeas`` keeps its rotation grid.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
 
 import numpy as np
 
@@ -36,6 +45,10 @@ from .rng import CounterRng
 from .utils import golden_section_minimize
 
 STEP0 = 1.0  # first subgradient step length of the directional descent
+
+# one component set or (seed, count, d) each: the one a sweep's cells share
+_GRID_HALVES = matcore.SharedCache()
+_RANDOM_STARTS = matcore.SharedCache()
 
 
 class InvalidProblem(ValueError):
@@ -230,13 +243,20 @@ class CorrelCertificate:
 # ---------------------------------------------------------------------------
 
 
+def _mixture_std(prob: MixtureProblem, xis: np.ndarray) -> np.ndarray:
+    """sum_i p_i sqrt(xi' S_i xi) over the rows of ``xis``: the components' half of h."""
+    return prob.p @ np.sqrt(np.clip(np.einsum("kij,mi,mj->km", prob.covs, xis, xis), 0.0, None))
+
+
+def _target_std(prob: MixtureProblem, xis: np.ndarray) -> np.ndarray:
+    """sqrt(xi' S xi) over the rows of ``xis``: the target's half of h."""
+    return np.sqrt(np.clip(np.einsum("ij,mi,mj->m", prob.target, xis, xis), 0.0, None))
+
+
 def h_values(prob: MixtureProblem, xis) -> np.ndarray:
     """Directional slack sum_i p_i sqrt(xi' S_i xi) - sqrt(xi' S xi), rowwise."""
     xis = np.atleast_2d(np.asarray(xis, dtype=float))
-    q_c = np.einsum("kij,mi,mj->km", prob.covs, xis, xis)
-    q_t = np.einsum("ij,mi,mj->m", prob.target, xis, xis)
-    mix = prob.p @ np.sqrt(np.clip(q_c, 0.0, None))
-    return mix - np.sqrt(np.clip(q_t, 0.0, None))
+    return _mixture_std(prob, xis) - _target_std(prob, xis)
 
 
 def h_margin(prob: MixtureProblem, xi) -> float:
@@ -296,6 +316,16 @@ def _h_on_circle(prob: MixtureProblem):
     return h_of
 
 
+@cache
+def _half_circle(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``count`` equispaced angles in [0, pi) and their unit directions as rows."""
+    thetas = np.linspace(0.0, np.pi, count, endpoint=False)
+    out = (thetas, np.column_stack([np.cos(thetas), np.sin(thetas)]))
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
 def _sphere_search(prob: MixtureProblem, cfg: SearchConfig):
     """Minimize h over the unit sphere; returns (min h, its direction, diagnostics).
 
@@ -310,10 +340,14 @@ def _sphere_search(prob: MixtureProblem, cfg: SearchConfig):
     tangent below ``matcore.EPS_ROUND`` sigma) the zero subgradient is used.
     """
     d = prob.d
-    rng = CounterRng(cfg.seed, stream=17)
     starts = [_eigvector_starts(prob)]
     if cfg.random_starts > 0:
-        starts.append(_normalize_rows(rng.normal_matrix(cfg.random_starts, d)))
+        starts.append(
+            _RANDOM_STARTS.get(
+                (cfg.seed, cfg.random_starts, d),
+                lambda: _normalize_rows(CounterRng(cfg.seed, stream=17).normal_matrix(cfg.random_starts, d)),
+            )
+        )
     best_h = np.inf
     best_xi = np.zeros(d)
     diag: dict = {}
@@ -322,9 +356,11 @@ def _sphere_search(prob: MixtureProblem, cfg: SearchConfig):
 
     if d == 2 and cfg.grid_points > 0:
         iters = 0
-        thetas = np.linspace(0.0, np.pi, cfg.grid_points, endpoint=False)
-        grid = np.column_stack([np.cos(thetas), np.sin(thetas)])
-        hs = h_values(prob, grid)
+        thetas, grid = _half_circle(cfg.grid_points)
+        mix = _GRID_HALVES.get(
+            (cfg.grid_points, *matcore.array_key(prob.p, prob.covs)), lambda: _mixture_std(prob, grid)
+        )
+        hs = mix - _target_std(prob, grid)
         order = np.argsort(hs)
         width = np.pi / cfg.grid_points
         h_of = _h_on_circle(prob)
@@ -464,11 +500,17 @@ def witness_matrix(gamma) -> np.ndarray:
     return matcore.as_square(gamma.gamma if isinstance(gamma, GammaWitness) else gamma)
 
 
+def _task(prob: MixtureProblem, cone: str, seed: int = 0, ascent_iters: int = 0) -> psdfeas.FeasibilityTask:
+    """The feasibility task of ``prob``, handed the problem's sigma^2: the same
+    :func:`matcore.spectral_scale` of the same matrices, not computed again."""
+    task = psdfeas.FeasibilityTask(prob.p, prob.covs, prob.target, cone, seed, ascent_iters)
+    task.scale = prob.var_scale()
+    return task
+
+
 def validate_gamma_witness(prob: MixtureProblem, gamma, tol: float = matcore.EPS_CHAIN, pairwise: bool = False) -> dict:
     """Standalone re-validation of a coupling witness."""
-    task = psdfeas.FeasibilityTask(
-        prob.p, prob.covs, prob.target, psdfeas.PAIRWISE if pairwise else psdfeas.FULL
-    )
+    task = _task(prob, psdfeas.PAIRWISE if pairwise else psdfeas.FULL)
     return psdfeas.validate_gamma(task, witness_matrix(gamma), tol)
 
 
@@ -487,7 +529,7 @@ def _coupling_check(prob, cone, engine_cfg, search_cfg, extra_candidates, inegsq
         candidates.append(np.kron(np.outer(weights, weights), base))
 
     iters = (search_cfg or SearchConfig()).ascent_iters
-    task = psdfeas.FeasibilityTask(prob.p, prob.covs, prob.target, cone, seed=seed, ascent_iters=iters)
+    task = _task(prob, cone, seed, iters)
     ascent = None
     if cone == psdfeas.PAIRWISE or prob.n == 2:
         ascent = task.ascent  # its coupling is one of the engine's default candidates

@@ -1,9 +1,20 @@
 """Dense symmetric-matrix algebra at small dimension (d <= ~16).
 
 Matrices are plain float ndarrays kept exactly symmetric by mirroring the
-upper triangle (see :func:`symmetrize`). Every function is pure; nothing
-here holds shared state, so concurrent callers are safe. Eigenproblems go
-to LAPACK's ``eigh``/``eigvalsh``.
+upper triangle (see :func:`symmetrize`). Every function is pure.
+Eigenproblems go to LAPACK's ``eigh``/``eigvalsh``.
+
+Shared state: :class:`SharedCache`. ``psdfeas`` and ``conditions`` keep a
+few of them at module level for what the cells of a sweep share: block
+roots and the components' half of a sphere-search grid, keyed on the bytes
+of the weights and the component covariances, and random starts, keyed on
+(seed, shape). Each keeps the value of the last key it was asked for: enough
+for a sweep, whose cells share one component set and one seed, too little
+to carry anything from one problem of a list to the next unless the two
+share that input. A cached value is a pure function of its key, its arrays
+are read-only, and the entry is guarded by a lock, so concurrent callers
+stay safe: two threads that miss together compute the same bits, and no
+caller can write into a shared value.
 
 Tolerance policy: every threshold in gmcvx is one of the constants below
 times the problem's scale, with no absolute floor. The scale is sigma^2,
@@ -20,6 +31,7 @@ when the problem is rescaled, and margins scale exactly by powers of 4.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -61,6 +73,59 @@ def _triu_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
     upper, strict = np.triu(np.ones((n, n), dtype=bool)), np.triu(np.ones((n, n), dtype=bool), 1)
     upper.flags.writeable = strict.flags.writeable = False
     return upper, strict
+
+
+SHARED_CACHES: list["SharedCache"] = []  # every SharedCache, in creation order
+
+
+class SharedCache:
+    """The value of the last key asked for, computed once and shared read-only.
+
+    ``get(key, compute)`` returns the value kept under ``key``, or keeps and
+    returns ``compute()`` in its place, its arrays (an array, or a tuple of
+    them and ``None``) made read-only first. ``key`` must determine the
+    value: ints, or the bytes of the arrays ``compute`` reads
+    (:func:`array_key`). ``compute`` runs outside the lock, so a miss in two
+    threads at once computes the same value twice.
+
+    One entry is what the cells of a sweep need, as they ask for one key. A
+    second would carry values from pass to pass over a short list of
+    problems, the CLI benchmark's six sessions for instance, a reuse that
+    commands run as separate processes never see.
+    """
+
+    def __init__(self):
+        self.hits = self.misses = 0
+        self._entry: tuple | None = None  # (key, value)
+        self._lock = threading.Lock()
+        SHARED_CACHES.append(self)
+
+    def __len__(self) -> int:
+        return 0 if self._entry is None else 1
+
+    def get(self, key, compute):
+        with self._lock:
+            if self._entry is not None and self._entry[0] == key:
+                self.hits += 1
+                return self._entry[1]
+        value = compute()
+        for arr in value if isinstance(value, tuple) else (value,):
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
+        with self._lock:
+            self.misses += 1
+            self._entry = (key, value)
+        return value
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entry = None
+            self.hits = self.misses = 0
+
+
+def array_key(*arrays) -> tuple:
+    """Cache key of float arrays: the shape and bytes of each, so equal keys mean equal bits."""
+    return tuple((a.shape, a.tobytes()) for a in arrays)
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:

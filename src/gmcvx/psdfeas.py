@@ -32,6 +32,11 @@ shared once, up front or on first use: the pinned-block gap, the pair
 weights, slices and rows, the block roots and both ascents. Nothing in
 the inner loops is validated: the matrices come from a validated
 ``MixtureProblem`` and stay exactly symmetric.
+
+What the tasks of a sweep share is computed once per sweep, in small
+:class:`matcore.SharedCache` stores: the block roots and the n = 2
+transport block, keyed on the bytes of the blocks, and the polar random
+starts of both ascents, keyed on (seed, shape).
 """
 
 from __future__ import annotations
@@ -52,6 +57,12 @@ PAIRWISE = "pairwise"
 FEASIBLE = "feasible"
 MAX_ITERATIONS = "max_iterations"
 
+# one component set or (seed, shape) each: the one a sweep's cells share
+_ROOTS = matcore.SharedCache()
+_TRANSPORT = matcore.SharedCache()
+_CONTRACTION_STARTS = matcore.SharedCache()
+_FACTOR_STARTS = matcore.SharedCache()
+
 
 @dataclass(frozen=True)
 class EngineConfig:
@@ -64,8 +75,7 @@ class FeasibilityTask:
 
     Blocks must be exactly symmetric, as ``MixtureProblem`` leaves them.
     ``seed`` and ``ascent_iters`` configure the pair-contraction :attr:`ascent`
-    and the :attr:`factor_ascent`;
-    ``scale`` is sigma^2, as ``MixtureProblem.var_scale`` gives it.
+    and the :attr:`factor_ascent`.
     """
 
     p: np.ndarray
@@ -95,24 +105,30 @@ class FeasibilityTask:
         # sum_i p_i^2 S_i, the part of A Gamma A* the pinned blocks fix
         self.pinned_sum = np.einsum("i,ikl->kl", self.p**2, self.blocks)
         self.offset = self.pinned_sum - self.target  # difference of exactly symmetric terms
-        _, self.scale = matcore.spectral_scale([self.target, *self.blocks])
 
     def block_slice(self, i: int) -> slice:
         return slice(i * self.d, (i + 1) * self.d)
 
     @cached_property
-    def roots(self) -> list[np.ndarray]:
-        """PSD square roots of the diagonal blocks."""
-        return [matcore.sqrt_psd(b) for b in self.blocks]
+    def scale(self) -> float:
+        """sigma^2 of the target and the blocks (:func:`matcore.spectral_scale`);
+        a task built for a ``MixtureProblem`` may be handed its ``var_scale()``,
+        the same number, instead."""
+        return matcore.spectral_scale([self.target, *self.blocks])[1]
+
+    @cached_property
+    def roots(self) -> np.ndarray:
+        """PSD square roots of the diagonal blocks, shape (n, d, d), read-only;
+        computed once for every task with these blocks."""
+        return _ROOTS.get(matcore.array_key(self.blocks), lambda: np.array([matcore.sqrt_psd(b) for b in self.blocks]))
 
     @cached_property
     def root_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(w, roots_i, roots_j)`` over the pairs i < j in order: the weights
         p_i p_j, shape (pairs,), and the two block roots, shape (pairs, d, d)."""
-        roots = np.array(self.roots).reshape(self.n, self.d, self.d)
         first = [i for i, _ in self.pairs]
         second = [j for _, j in self.pairs]
-        return np.array(self.pair_weights), roots[first], roots[second]
+        return np.array(self.pair_weights), self.roots[first], self.roots[second]
 
     @cached_property
     def ascent(self) -> tuple:
@@ -348,14 +364,17 @@ def contraction_ascent(task: FeasibilityTask):
         return val, ks, y
 
     iters = task.ascent_iters
-    rng = CounterRng(task.seed, stream=29)
     starts = [np.zeros((n_pairs, d, d)), np.broadcast_to(np.eye(d), (n_pairs, d, d))]
     if d == 2 and n_pairs == 1:
         _, k_grid = _rotation_grid_2d(c0, weights[0], roots_i[0], roots_j[0], 256)
         if k_grid is not None:
             starts.append(k_grid[None])
-    draws = np.array([rng.normal_matrix(d, d) for _ in range(n_pairs)]).reshape(n_pairs, d, d)
-    starts.append(_polar(draws))
+
+    def draw():
+        rng = CounterRng(task.seed, stream=29)
+        return _polar(np.array([rng.normal_matrix(d, d) for _ in range(n_pairs)]).reshape(n_pairs, d, d))
+
+    starts.append(_CONTRACTION_STARTS.get((task.seed, n_pairs, d), draw))
 
     def evaluate(ks):
         w, q = np.linalg.eigh(assemble_contraction_slack(c0, pairs, ks))
@@ -420,10 +439,13 @@ def factor_ascent(task: FeasibilityTask):
     """
     n, d = task.n, task.d
     nd = n * d
-    roots = np.array(task.roots).reshape(n, d, d)
+    roots = task.roots
     weighted = task.p[:, None, None] * roots
-    rng = CounterRng(task.seed, stream=31)
-    draws = _polar(rng.normal_matrix(3 * nd, nd).reshape(3, n, d, nd))
+
+    def draw():
+        return _polar(CounterRng(task.seed, stream=31).normal_matrix(3 * nd, nd).reshape(3, n, d, nd))
+
+    draws = _FACTOR_STARTS.get((task.seed, n, d), draw)
     factors = np.concatenate([np.broadcast_to(np.eye(d, nd), (1, n, d, nd)), draws])
 
     def evaluate(fs):
@@ -529,6 +551,19 @@ def dual_refutation_value(task: FeasibilityTask, y: np.ndarray) -> float:
     return total
 
 
+def _transport_block(task: FeasibilityTask) -> np.ndarray | None:
+    """Off-diagonal block of the optimal quadratic coupling of two components,
+    root1 (root1 S2 root1)^(1/2) root1^+, or None where a root is not PSD."""
+    try:
+        root1 = task.roots[0]
+        inner = matcore.sqrt_psd(root1 @ task.blocks[1] @ root1)
+        # theta = S1 S2* of the optimal quadratic coupling when blocks[0]
+        # is nonsingular; degenerate cases just yield a weaker candidate
+        return root1 @ inner @ matcore.pinv_psd(root1)
+    except matcore.NotPSD:
+        return None
+
+
 def default_candidates(task: FeasibilityTask) -> list[np.ndarray]:
     """The one candidate list: block diagonal, shared-target off-diagonals
     (feasible when the target is dominated by every component), the
@@ -537,21 +572,17 @@ def default_candidates(task: FeasibilityTask) -> list[np.ndarray]:
     closed-form: the pairwise cone, n = 2 and d = 1."""
     cands = [_pair_coupling(task, []), _pair_coupling(task, [task.target] * len(task.pairs))]
     if task.n == 2:
-        try:
-            root1 = task.roots[0]
-            inner = matcore.sqrt_psd(root1 @ task.blocks[1] @ root1)
-            # theta = S1 S2* of the optimal quadratic coupling when blocks[0]
-            # is nonsingular; degenerate cases just yield a weaker candidate
-            cands.append(_pair_coupling(task, [root1 @ inner @ matcore.pinv_psd(root1)]))
-        except matcore.NotPSD:
-            pass
+        theta = _TRANSPORT.get(matcore.array_key(task.blocks), lambda: _transport_block(task))
+        if theta is not None:
+            cands.append(_pair_coupling(task, [theta]))
     if task.cone == PAIRWISE or task.n == 2 or task.d == 1:
         cands.append(task.ascent_gamma)
     return cands
 
 
 def _score_candidates(task: FeasibilityTask, cands: list) -> list[tuple]:
-    """``(key, pinned Gamma)`` of each candidate, keyed as :func:`warm_start_from` ranks them.
+    """``(key, pinned Gamma, cone distance)`` of each candidate, keyed as
+    :func:`warm_start_from` ranks them.
 
     The candidates are pinned and compressed one by one, then scored as one
     stack through :func:`_spectra`, whose slack spectra give both the cone
@@ -564,16 +595,17 @@ def _score_candidates(task: FeasibilityTask, cands: list) -> list[tuple]:
     w_gamma, w_slack = _spectra(task, np.array(pinned), slacks)
     tie = matcore.EPS_ROUND * task.scale
     res = _cone_distance(w_gamma, w_slack).tolist()
-    return [((r if r > tie else 0.0, -lmin), g) for r, lmin, g in zip(res, w_slack[:, 0].tolist(), pinned)]
+    return [((r if r > tie else 0.0, -lmin), g, r) for r, lmin, g in zip(res, w_slack[:, 0].tolist(), pinned)]
 
 
-def warm_start_from(task: FeasibilityTask, candidates) -> np.ndarray:
-    """Pick the candidate with the smallest combined residual.
+def warm_start_from(task: FeasibilityTask, candidates) -> tuple[np.ndarray, float]:
+    """Pick the candidate with the smallest combined residual: ``(pinned Gamma,
+    its cone distance)``, the distance as :func:`_cone_distance` gives it.
 
     Residuals within rounding of each other count as ties, broken toward
     the larger slack margin so already-feasible starts keep their slack;
     ties keep the earlier candidate. A candidate of the wrong shape is not
-    scored.
+    scored; with none left, the block-diagonal coupling is the start.
 
     For the full cone with n >= 3, when no candidate is within
     ``matcore.EPS_ENGINE * task.scale`` of feasible, the coupling of the
@@ -583,12 +615,13 @@ def warm_start_from(task: FeasibilityTask, candidates) -> np.ndarray:
     cands = [cand for cand in (np.asarray(c, dtype=float) for c in candidates) if cand.shape == (nd, nd)]
     scored = _score_candidates(task, cands)
     if task.cone == FULL and task.n >= 3 and (
-        not scored or min(key for key, _ in scored)[0] > matcore.EPS_ENGINE * task.scale
+        not scored or min(key for key, _, _ in scored)[0] > matcore.EPS_ENGINE * task.scale
     ):
         scored += _score_candidates(task, [task.factor_ascent[1]])
     if not scored:
-        return _pair_coupling(task, [])
-    return min(scored, key=lambda kg: kg[0])[1]
+        scored = _score_candidates(task, [_pair_coupling(task, [])])
+    _, gamma, dist = min(scored, key=lambda entry: entry[0])
+    return gamma, dist
 
 
 def solve(task: FeasibilityTask, cfg: EngineConfig = EngineConfig(), candidates=()) -> FeasibilityOutcome:
@@ -609,13 +642,12 @@ def solve(task: FeasibilityTask, cfg: EngineConfig = EngineConfig(), candidates=
     def cone_dist(gamma, slack) -> float:
         return float(_cone_distance(*_spectra(task, gamma[None], slack[None]))[0])
 
-    gamma = warm_start_from(task, [*candidates, *default_candidates(task)])
-    slack = mix_compress(gamma, task.p, task.d) - task.target
-    viol = cone_dist(gamma, slack)
+    gamma, viol = warm_start_from(task, [*candidates, *default_candidates(task)])
     if viol <= tol_abs:
         return FeasibilityOutcome(FEASIBLE, gamma, 0, viol, 0.0)
 
     max_iter = cfg.max_iter if task.cone == FULL and task.n >= 3 else 0
+    slack = mix_compress(gamma, task.p, task.d) - task.target
     inc_g, inc_s = np.zeros_like(gamma), np.zeros_like(slack)
     affine_dist = 0.0
     for it in range(1, max_iter + 1):

@@ -6,7 +6,12 @@ deterministic CSV (``param1,param2,checker,status,margin``, shortest
 round-trip floats, LF endings). Every checker goes through
 :func:`gmcvx.conditions.run_checker`, so a cell's verdict is exactly the
 direct call's; the directional search runs once per cell and is shared
-with the coupling checkers. Cells whose template produces a non-PSD
+with the coupling checkers. What every cell of a grid shares with its
+neighbours (the angular grid of the d = 2 directional search and the
+components' half of h on it, the block roots, the n = 2 transport block
+and the random starts) is computed by the first cell that needs it and
+reused by the others, bit for bit, through the small caches of
+``conditions`` and ``psdfeas``. Cells whose template produces a non-PSD
 target covariance cannot carry a Gaussian law at all and are reported as
 failing with the offending eigenvalue as margin; any other
 :class:`~gmcvx.conditions.InvalidProblem` from the template propagates
@@ -36,6 +41,7 @@ from .conditions import (
 
 
 MAX_CELLS = 1_000_000  # grid size bound, checked before any cell is built
+_ROUNDING = 1e-9  # steps by which (stop - start) / step may fall short of a whole number
 
 
 class BracketNotSeparating(RuntimeError):
@@ -44,6 +50,9 @@ class BracketNotSeparating(RuntimeError):
 
 @dataclass(frozen=True)
 class Axis:
+    """The values start, start + step, ... up to stop, which is included when
+    (stop - start) / step is a whole number to within :data:`_ROUNDING`."""
+
     name: str
     start: float
     stop: float
@@ -52,12 +61,14 @@ class Axis:
     def __post_init__(self):
         if not (self.step > 0 and np.isfinite([self.start, self.stop, self.step]).all()):
             raise ValueError("axis needs finite bounds and a positive step")
+        if self.stop < self.start:
+            raise ValueError(f"axis {self.name!r} has max {self.stop!r} below min {self.start!r}")
         spans = (self.stop - self.start) / self.step
         if not (math.isfinite(spans) and spans < MAX_CELLS):  # so that count() is an int in range
             raise ValueError(f"axis {self.name!r} has more than {MAX_CELLS} values")
 
     def count(self) -> int:
-        return max(int(round((self.stop - self.start) / self.step)) + 1, 1)
+        return math.floor((self.stop - self.start) / self.step + _ROUNDING) + 1
 
     def values(self) -> np.ndarray:
         return self.start + self.step * np.arange(self.count())

@@ -7,6 +7,7 @@ from typing import Callable
 
 import numpy as np
 
+from gmcvx import conditions, matcore, psdfeas
 from gmcvx.conditions import MixtureProblem, SearchConfig
 from gmcvx.rng import CounterRng
 
@@ -15,6 +16,14 @@ SQRT2 = math.sqrt(2.0)
 # directional-search settings of the region grid (LIGHT) and the chain (MID)
 LIGHT = SearchConfig(iters=30, random_starts=8, grid_points=360, alpha_points=120, ascent_iters=0)
 MID = SearchConfig(iters=80, random_starts=24)
+
+
+def clear_shared_caches() -> None:
+    """Empty every cache the checkers keep across calls, so the next call computes cold."""
+    for cache in matcore.SHARED_CACHES:
+        cache.clear()
+    conditions._half_circle.cache_clear()
+    psdfeas._angle_grid.cache_clear()
 
 
 def axis_swap_problem(a: float, b: float) -> MixtureProblem:

@@ -534,10 +534,14 @@ def test_sweep_fractional_d_is_malformed(tmp_path, capsys):
         },
         {**one_cell_spec(), "checkers": []},
         {**one_cell_spec(), "checkers": "inecov"},
+        {  # max below min
+            **one_cell_spec(),
+            "axes": [{"name": "a", "min": 5.0, "max": 4.0, "step": 0.5}, one_cell_spec()["axes"][1]],
+        },
     ],
     ids=[
         "non-numeric-weight", "ragged-target", "ragged-cov", "fractional-seed", "three-axes", "fractional-n",
-        "tiny-step", "too-many-cells", "empty-checkers", "checkers-not-a-list",
+        "tiny-step", "too-many-cells", "empty-checkers", "checkers-not-a-list", "max-below-min",
     ],
 )
 def test_sweep_malformed_spec_exits_64(tmp_path, capsys, monkeypatch, spec):

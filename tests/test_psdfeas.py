@@ -4,7 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from families import axis_swap_problem, random_chain_problem, random_psd, rank_deficient_pair, RANK_DEFICIENT_GAMMA
+from families import (
+    axis_swap_problem,
+    clear_shared_caches,
+    random_chain_problem,
+    random_psd,
+    rank_deficient_pair,
+    RANK_DEFICIENT_GAMMA,
+)
 from gmcvx import matcore, psdfeas
 from gmcvx.rng import CounterRng
 from gmcvx.utils import golden_section_minimize
@@ -194,7 +201,7 @@ def test_affine_projection_satisfies_constraints():
 def test_warm_start_prefers_feasible_candidate():
     prob = rank_deficient_pair(0.0)
     task = psdfeas.FeasibilityTask(prob.p, prob.covs, prob.target, psdfeas.FULL)
-    start = psdfeas.warm_start_from(task, [np.zeros((4, 4)), RANK_DEFICIENT_GAMMA])
+    start, _ = psdfeas.warm_start_from(task, [np.zeros((4, 4)), RANK_DEFICIENT_GAMMA])
     assert np.allclose(start, RANK_DEFICIENT_GAMMA)
 
 
@@ -214,7 +221,7 @@ def test_warm_start_dominated_target_uses_shared_blocks():
 
 def test_warm_start_empty_candidates_defaults_to_block_diagonal():
     task, _ = random_instance(40, n=2, d=2)
-    start = psdfeas.warm_start_from(task, [])
+    start, _ = psdfeas.warm_start_from(task, [])
     off = start[0:2, 2:4]
     assert np.abs(off).max() == 0.0
 
@@ -269,15 +276,18 @@ def test_batched_warm_start_matches_per_candidate_loop(seed, n, d, cone):
     noise = [matcore.symmetrize(rng.normal_matrix(nd, nd)) for _ in range(3)]
     defaults = psdfeas.default_candidates(task)
     cands = [*noise, defaults[0], gamma0, np.zeros((nd + 1, nd + 1)), *defaults, gamma0.copy(), noise[1]]
-    start = psdfeas.warm_start_from(task, cands)
+    start, dist = psdfeas.warm_start_from(task, cands)
     assert np.array_equal(start, reference_warm_start(task, cands))
+    # the distance solve() reads has the bits of scoring the start on its own
+    slack = psdfeas.mix_compress(start, task.p, task.d) - task.target
+    assert dist == float(psdfeas._cone_distance(*psdfeas._spectra(task, start[None], slack[None]))[0])
     for subset in (noise, noise[::-1], defaults):
-        assert np.array_equal(psdfeas.warm_start_from(task, subset), reference_warm_start(task, subset))
+        assert np.array_equal(psdfeas.warm_start_from(task, subset)[0], reference_warm_start(task, subset))
     # and each candidate's key has the bits of its own scoring, also where
     # overshot off-diagonal blocks make the pair blocks indefinite
     overshoot = [psdfeas.pin_blocks(t * gamma0, task.blocks) for t in (1.2, 1.6, 2.5)]
     stack = [*noise, gamma0, *overshoot, *defaults]
-    for (key, pinned), cand in zip(psdfeas._score_candidates(task, stack), stack):
+    for (key, pinned, _), cand in zip(psdfeas._score_candidates(task, stack), stack):
         ref_pinned, ref_key = reference_warm_key(task, cand)
         assert key == ref_key and np.array_equal(pinned, ref_pinned)
 
@@ -287,7 +297,7 @@ def test_batched_warm_start_matches_per_candidate_loop_with_factor_ascent():
     prob = random_chain_problem(32)
     task = psdfeas.FeasibilityTask(prob.p, prob.covs, prob.target, psdfeas.FULL, seed=32, ascent_iters=200)
     cands = psdfeas.default_candidates(task)
-    start = psdfeas.warm_start_from(task, cands)
+    start, _ = psdfeas.warm_start_from(task, cands)
     assert "factor_ascent" in vars(task)
     assert np.array_equal(start, reference_warm_start(task, cands))
     assert np.array_equal(start, psdfeas.pin_blocks(matcore.symmetrize(task.factor_ascent[1]), task.blocks))
@@ -319,6 +329,7 @@ def test_transport_candidate_pair_block_has_d_null_directions():
 
 
 def test_task_roots_computed_once_per_task(monkeypatch):
+    clear_shared_caches()
     calls = []
     real = matcore.sqrt_psd
     monkeypatch.setattr(matcore, "sqrt_psd", lambda a: calls.append(1) or real(a))
@@ -339,6 +350,10 @@ def test_task_roots_computed_once_per_task(monkeypatch):
     for root, block in zip(task.roots, task.blocks):
         assert np.allclose(root @ root, block, atol=1e-12)
     assert np.array_equal(task.offset, matcore.symmetrize(task.pinned_sum - task.target))
+    # a task of another problem with the same components computes none again
+    other = psdfeas.FeasibilityTask(prob.p, axis_swap_problem(5.0, 0.5).covs, np.eye(2), psdfeas.FULL)
+    psdfeas.default_candidates(other)
+    assert len(calls) == 3 and other.roots is task.roots
 
 
 

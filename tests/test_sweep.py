@@ -20,6 +20,34 @@ def test_axis_rejects_bad_step():
         S.Axis("a", 0.0, 1.0, -0.1)
 
 
+def test_axis_ends_at_or_below_max():
+    # a span of 3.6 steps gives four values, not a fifth at 0.4 beyond max
+    assert np.array_equal(S.Axis("a", 0.0, 0.36, 0.1).values(), 0.1 * np.arange(4))
+    for stop in (0.3, 0.349, 0.35, 0.36, 0.399):
+        assert S.Axis("a", 0.0, stop, 0.1).values()[-1] <= stop + 1e-12
+    assert S.Axis("a", 0.0, 0.4, 0.1).count() == 5  # a whole span keeps max
+    assert S.Axis("a", 1.0, 1.0, 0.1).count() == 1
+
+
+def test_axis_rejects_max_below_min():
+    with pytest.raises(ValueError, match="below min"):
+        S.Axis("a", 1.0, 0.5, 0.1)
+
+
+def test_grid_counts_unchanged():
+    # criterion 2's grid, the grid of scripts/verdict_digest.py and every
+    # 3 x 3 tile of the region benchmark, whose spans fall just short of or
+    # just past a whole number of steps
+    assert (S.Axis("a", 0.0, 6.0, 0.05).count(), S.Axis("b", -6.0, 6.0, 0.05).count()) == (121, 241)
+    assert (S.Axis("a", 0.0, 6.0, 0.25).count(), S.Axis("b", -6.0, 6.0, 0.25).count()) == (25, 49)
+    step = 0.05
+    last = 2 * step
+    for a0 in np.arange(121 - 2) * step:
+        assert S.Axis("a", a0, a0 + last, step).count() == 3
+    for b0 in -6.0 + np.arange(241 - 2) * step:
+        assert S.Axis("b", b0, b0 + last, step).count() == 3
+
+
 def test_single_cell_sweep_matches_direct_call():
     spec = S.SweepSpec(
         fam.axis_swap_problem,
