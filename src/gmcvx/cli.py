@@ -102,21 +102,30 @@ def _load_json(path: str):
         raise CliFailure(EXIT_BAD_JSON, f"malformed JSON in {path}: {exc}")
 
 
+def _problem_fields(doc, what: str) -> tuple[int, int, list, np.ndarray]:
+    """``(d, n, components, p)`` of a problem object: JSON integers d and n and a
+    list of objects (else exit 64), with n components and n finite weights (else 65)."""
+    if not isinstance(doc, dict):
+        raise CliFailure(EXIT_BAD_JSON, f"{what} must be a JSON object")
+    d, n, comps = doc.get("d"), doc.get("n"), doc.get("components")
+    if type(d) is not int or type(n) is not int:  # rejects 2.7, "2" and true
+        raise CliFailure(EXIT_BAD_JSON, f"{what} fields 'd' and 'n' must be JSON integers")
+    if not isinstance(comps, list) or not all(isinstance(comp, dict) for comp in comps):
+        raise CliFailure(EXIT_BAD_JSON, f"{what} field 'components' must be a list of objects")
+    p = _float_array(doc, "p", f"{what} field")
+    if len(comps) != n or p.shape != (n,):
+        raise CliFailure(EXIT_INVARIANT, f"{what} needs n = {n} components and weights")
+    return d, n, comps, p
+
+
 def problem_from_doc(doc) -> tuple[MixtureProblem, str]:
     """Validate a problem document once and build the mixture problem: a
     missing or mistyped field exits 64, inconsistent shapes and non-finite
     or otherwise invalid entries 65."""
-    if not isinstance(doc, dict):
-        raise CliFailure(EXIT_BAD_JSON, "problem document must be a JSON object")
-    d, n, comps = doc.get("d"), doc.get("n"), doc.get("components")
-    if type(d) is not int or type(n) is not int:  # rejects 2.7, "2" and true
-        raise CliFailure(EXIT_BAD_JSON, "problem fields 'd' and 'n' must be JSON integers")
-    if not isinstance(comps, list) or not all(isinstance(comp, dict) for comp in comps):
-        raise CliFailure(EXIT_BAD_JSON, "problem field 'components' must be a list of objects")
-    p = _float_array(doc, "p", "problem field")
+    d, n, comps, p = _problem_fields(doc, "problem")
     target = _float_array(doc, "target", "problem field")
-    if len(comps) != n or p.shape != (n,) or target.shape != (d, d):
-        raise CliFailure(EXIT_INVARIANT, "problem document shapes are inconsistent")
+    if target.shape != (d, d):
+        raise CliFailure(EXIT_INVARIANT, f"problem target must be {d} x {d}")
     covs = []
     means = []
     for k, comp in enumerate(comps):
@@ -397,21 +406,14 @@ def _template_from_doc(doc, axis_names):
     """Validate the spec's problem once, as :func:`problem_from_doc` does a
     problem document; the template evaluates its entries at each cell."""
     base = doc["problem"]
-    d, n = base["d"], base["n"]
-    if type(d) is not int or type(n) is not int:
-        raise ValueError("problem fields 'd' and 'n' must be JSON integers")
-    if not isinstance(base["components"], list) or not all(isinstance(c, dict) for c in base["components"]):
-        raise ValueError("problem field 'components' must be a list of objects")
-    p = _float_array(base, "p", "sweep problem field")
-    if len(base["components"]) != n or p.shape != (n,):
-        raise CliFailure(EXIT_INVARIANT, f"sweep problem needs n = {n} components and weights")
+    d, _, components, p = _problem_fields(base, "sweep problem")
     target = _spec_rows(base["target"], (d, d), "target", axis_names)
     comps = [
         (
             _spec_rows(c["cov"], (d, d), f"component {k} covariance", axis_names),
             _spec_rows([c.get("mean", [0.0] * d)], (1, d), f"component {k} mean", axis_names)[0],
         )
-        for k, c in enumerate(base["components"])
+        for k, c in enumerate(components)
     ]
 
     def build(v1: float, v2: float) -> MixtureProblem:

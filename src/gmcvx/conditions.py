@@ -593,14 +593,13 @@ def check_inecovf(
 
 
 def validate_pairwise_blocks(prob: MixtureProblem, gamma, tol: float = matcore.EPS_ENGINE) -> dict:
-    """Check each pair block of a coupling matrix for PSD-ness."""
+    """Check each pair block of a coupling matrix for PSD-ness: ``(ok, lambda_min)``
+    per pair (i, j), i < j, to ``tol`` times the problem's sigma^2."""
     gamma = matcore.symmetrize(witness_matrix(gamma))
-    out = {}
-    for i in range(prob.n):
-        for j in range(i + 1, prob.n):
-            ok, lmin = matcore.is_psd(gamma[psdfeas.pair_index(prob.d, i, j)], prob.var_scale(), tol)
-            out[(i, j)] = (bool(ok), float(lmin))
-    return out
+    task = _task(prob, psdfeas.PAIRWISE)
+    w_pairs, _ = psdfeas._spectra(task, gamma[None], np.empty((1, 0, 0)))  # no slack to test
+    tol_abs = tol * prob.var_scale()
+    return {pair: (lmin >= -tol_abs, lmin) for pair, lmin in zip(task.pairs, w_pairs[0, :, 0].tolist())}
 
 
 # ---------------------------------------------------------------------------
@@ -856,30 +855,25 @@ def check_dominated_by_single(prob: MixtureProblem) -> Verdict:
 
 
 def check_n2_theta(prob: MixtureProblem, theta) -> Verdict:
-    """Verify one explicit off-diagonal block for a two-component mixture."""
+    """Verify one explicit off-diagonal block, a finite d x d matrix, for a
+    two-component mixture: its coupling passes :func:`psdfeas.validate_gamma` at ``EPS_PSD``."""
     if prob.n != 2:
         raise DimensionMismatch("explicit block check requires exactly two components")
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (prob.d, prob.d):
         raise DimensionMismatch(f"expected block shape {(prob.d, prob.d)}, got {theta.shape}")
-    d = prob.d
-    block = np.zeros((2 * d, 2 * d))
-    block[:d, d:], block[d:, :d] = theta, theta.T
-    block = psdfeas.pin_blocks(block, prob.covs)
-    ok_b, lmin_b = matcore.is_psd(block, prob.var_scale())
-    p1, p2 = prob.p
-    s1, s2 = prob.covs
-    rhs = p1 * p1 * s1 + p2 * p2 * s2 + p1 * p2 * (theta + theta.T)
-    gap = matcore.symmetrize(rhs - prob.target)
-    ok_g, lmin_g = matcore.is_psd(gap, prob.var_scale())
-    margin = float(min(lmin_b, lmin_g))
-    diag = {"block_lmin": float(lmin_b), "slack_lmin": float(lmin_g)}
-    if ok_b and ok_g:
+    task = _task(prob, psdfeas.FULL)
+    gamma = psdfeas._pair_coupling(task, [matcore.as_square(theta)])
+    check = psdfeas.validate_gamma(task, gamma, matcore.EPS_PSD)
+    lmin_b, lmin_g = check["lmin_gamma"], check["lmin_slack"]
+    margin, diag = min(lmin_b, lmin_g), {"block_lmin": lmin_b, "slack_lmin": lmin_g}
+    if check["ok"]:
         return Verdict(Status.HOLDS, margin, None, diag)
-    bad = block if lmin_b <= lmin_g else gap
-    w, q = np.linalg.eigh(matcore.symmetrize(bad))
-    which = "pair_block" if lmin_b <= lmin_g else "slack"
-    return Verdict(Status.FAILS, margin, (which, q[:, 0]), diag)
+    if lmin_b <= lmin_g:
+        which, bad = "pair_block", gamma
+    else:
+        which, bad = "slack", psdfeas.mix_compress(gamma, prob.p, prob.d) - prob.target
+    return Verdict(Status.FAILS, margin, (which, np.linalg.eigh(bad)[1][:, 0]), diag)
 
 
 def orthogonal_factors_from_gamma(prob: MixtureProblem, gamma, q: int | None = None):
@@ -888,7 +882,8 @@ def orthogonal_factors_from_gamma(prob: MixtureProblem, gamma, q: int | None = N
     The rows of the witness square root give factors of each component
     covariance; polar factorization turns them into orthogonal matrices
     O_i such that the weighted sum of (padded) component square roots times
-    O_i dominates the target. Returns ``(factors, verdict)``.
+    O_i dominates the target. Returns ``(factors, verdict)``. A witness below
+    ``-EPS_PSD`` times the problem's sigma^2 raises :class:`matcore.NotPSD`.
     """
     gamma = matcore.symmetrize(witness_matrix(gamma))
     n, d = prob.n, prob.d
@@ -896,7 +891,11 @@ def orthogonal_factors_from_gamma(prob: MixtureProblem, gamma, q: int | None = N
         q = n * d
     if q < n * d:
         raise DimensionMismatch(f"q must be at least {n * d}")
+    ok, lmin = matcore.is_psd(gamma, prob.var_scale())
+    if not ok:
+        raise matcore.NotPSD(f"coupling witness lambda_min={lmin:.3e} below tolerance")
     root = matcore.sqrt_psd(gamma)
+    comp_roots = psdfeas.block_roots(prob.covs)
     factors = []
     combined = np.zeros((d, q))
     ortho_defect = 0.0
@@ -906,9 +905,7 @@ def orthogonal_factors_from_gamma(prob: MixtureProblem, gamma, q: int | None = N
         o_i = matcore.polar_factor(theta, prob.covs[i])
         factors.append(o_i)
         ortho_defect = max(ortho_defect, matcore.fro_norm(o_i @ o_i.T - np.eye(q)))
-        sigma_i = np.zeros((d, q))
-        sigma_i[:, :d] = matcore.sqrt_psd(prob.covs[i])
-        combined += prob.p[i] * (sigma_i @ o_i)
+        combined += prob.p[i] * (comp_roots[i] @ o_i[:d])  # the padded root times O_i
     gap = matcore.symmetrize(combined @ combined.T - prob.target)
     ok, lmin = matcore.is_psd(gap, prob.var_scale(), matcore.EPS_CHAIN)
     diag = {"ortho_defect": float(ortho_defect), "slack_lmin": float(lmin)}

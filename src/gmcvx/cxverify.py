@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import matcore
+from . import matcore, psdfeas
 from .conditions import (
     MixtureProblem,
     SearchConfig,
@@ -222,7 +222,7 @@ def _box_muller_calls(u: np.ndarray, calls: list) -> list:
 def _mixture_samples(prob: MixtureProblem, count: int, rng: CounterRng) -> np.ndarray:
     idx = rng.choice(prob.p, count)
     normals = rng.normal_matrix(count, prob.d)
-    roots = np.stack([matcore.sqrt_psd(c) for c in prob.covs])
+    roots = psdfeas.block_roots(prob.covs)
     return np.einsum("mij,mj->mi", roots[idx], normals) + prob.means[idx]
 
 
@@ -256,8 +256,13 @@ def test_convex_order(
     ``-matcore.RANK_TOL``); sampled functions use a z-score test at ``z`` combined
     standard errors (2.576 is a 99% interval). Any violation fails with
     the offending function as witness. A pass is evidence only, never a
-    proof, and is labeled as such in the diagnostics.
+    proof, and is labeled as such in the diagnostics. The ``lhs`` covariance
+    enters here: below ``-EPS_PSD`` times the larger of its own norm and
+    ``rhs.var_scale()`` it raises :class:`matcore.NotPSD`.
     """
+    w, own_scale = matcore.spectral_scale([lhs.cov])
+    if w[0, 0] < -matcore.EPS_PSD * max(own_scale, rhs.var_scale()):
+        raise matcore.NotPSD(f"lhs covariance lambda_min={w[0, 0]:.3e} below tolerance")
     worst_margin = np.inf
     witness = None
     n_mc = sum(1 for f in suite if not f.closed_form)

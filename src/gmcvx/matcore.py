@@ -24,8 +24,11 @@ the largest spectral norm of the target and the components
 ``EPS * sigma`` and dimensionless ones (correlations, weights) against
 ``EPS``. A difference of problem-scale terms (a slack, ``target - S_i``)
 is tested against sigma^2, never its own norm, which vanishes when it is
-tight; a single PSD matrix may use its own norm. So verdicts do not change
-when the problem is rescaled, and margins scale exactly by powers of 4.
+tight. A matrix is checked once, where it enters, against the sigma^2 of
+the problem it enters with; a lone matrix is its own problem. The routines
+here trust their input: :func:`sqrt_psd` clamps negative eigenvalues and
+:func:`pinv_psd` cuts them. So verdicts do not change when the problem is
+rescaled, and margins scale exactly by powers of 4.
 """
 
 from __future__ import annotations
@@ -135,8 +138,7 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return np.where(upper, a, 0.0) + np.where(strict, a, 0.0).T
 
 
-def _as_sym(a) -> np.ndarray:
-    a = as_square(a)
+def _as_sym(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
@@ -171,8 +173,9 @@ def lmin_sym2(m00: float, m01: float, m11: float) -> float:
     return 0.5 * (m00 + m11) - math.hypot(0.5 * (m00 - m11), m01)
 
 
-def is_psd(a, scale: float, eps: float = EPS_PSD) -> tuple[bool, float]:
-    """PSD test with the smallest eigenvalue.
+def is_psd(a: np.ndarray, scale: float, eps: float = EPS_PSD) -> tuple[bool, float]:
+    """PSD test with the smallest eigenvalue of a trusted square float matrix,
+    one an entry point has checked (:func:`as_square`) or gmcvx has built.
 
     Returns ``(ok, lambda_min)`` where ``ok`` means ``lambda_min >= -eps *
     scale``, with ``scale`` the problem's sigma^2 (1 for a correlation matrix).
@@ -199,24 +202,19 @@ def clamp_psd(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _eigh_psd(a) -> tuple[np.ndarray, np.ndarray]:
-    """``eigh`` of a PSD matrix; NotPSD below ``-EPS_PSD`` times its own norm."""
+def sqrt_psd(a: np.ndarray) -> np.ndarray:
+    """Symmetric PSD square root of a trusted matrix, checked where it entered
+    (see the module docstring); negative eigenvalues are clamped to zero."""
     w, q = np.linalg.eigh(_as_sym(a))
-    if w[0] < -EPS_PSD * max(-w[0], w[-1]):
-        raise NotPSD(f"lambda_min={w[0]:.3e} below tolerance")
-    return w, q
-
-
-def sqrt_psd(a) -> np.ndarray:
-    """Symmetric PSD square root; tiny negative eigenvalues are clamped."""
-    w, q = _eigh_psd(a)
     root = np.sqrt(np.maximum(w, 0.0))
     return _as_sym((q * root) @ q.T)
 
 
-def pinv_psd(a) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse of a PSD matrix via its spectrum."""
-    w, q = _eigh_psd(a)
+def pinv_psd(a: np.ndarray) -> np.ndarray:
+    """Moore-Penrose pseudo-inverse of a PSD matrix via its spectrum: eigenvalues
+    at most ``RANK_TOL`` times the largest, negative ones included, are cut.
+    ``a`` is trusted, as in :func:`sqrt_psd`."""
+    w, q = np.linalg.eigh(_as_sym(a))
     cutoff = RANK_TOL * max(float(w[-1]), 0.0)
     inv = np.where(w > cutoff, 1.0 / np.where(w > cutoff, w, 1.0), 0.0)
     return _as_sym((q * inv) @ q.T)
@@ -230,14 +228,13 @@ class CorrelationOf:
     scales: np.ndarray
 
 
-def correlation_of(a) -> CorrelationOf:
-    """Correlation matrix associated with a PSD matrix.
+def correlation_of(a: np.ndarray) -> CorrelationOf:
+    """Correlation matrix associated with a trusted PSD matrix, as in :func:`sqrt_psd`.
 
     Rows and columns whose diagonal entry is at most ``EPS_PSD`` times the
     largest become identity rows with zero off-diagonals and zero scale.
     """
     a = _as_sym(a)
-    _eigh_psd(a)
     diag = np.maximum(np.diag(a), 0.0)
     alive = diag > EPS_PSD * diag.max(initial=0.0)
     scales = np.sqrt(np.where(alive, diag, 0.0))
@@ -249,71 +246,31 @@ def correlation_of(a) -> CorrelationOf:
     return CorrelationOf(symmetrize(corr), scales)
 
 
-def _orthonormal_extension(rows: list[np.ndarray], q: int, count: int) -> list[np.ndarray]:
-    """Extend orthonormal rows with `count` more vectors via Gram-Schmidt."""
-    basis = [r.copy() for r in rows]
-    added: list[np.ndarray] = []
-    j = 0
-    while len(added) < count:
-        if j >= q + count + 1:
-            raise FactorMismatch("failed to complete an orthonormal basis")
-        v = np.zeros(q)
-        if j < q:
-            v[j] = 1.0
-        else:  # degenerate fallback, deterministic
-            v[(j * 7) % q] = 1.0
-            v[(j * 3 + 1) % q] += 0.5
-        j += 1
-        for _ in range(2):  # re-orthogonalize for stability
-            for b in basis:
-                v -= (b @ v) * b
-        nrm = np.linalg.norm(v)
-        if nrm < 1e-8:
-            continue
-        v /= nrm
-        basis.append(v)
-        added.append(v)
-    return added
+def polar(a: np.ndarray) -> np.ndarray:
+    """Polar factor U V' of each matrix of the stack ``a``: its nearest matrix with orthonormal rows."""
+    u, _, vt = np.linalg.svd(a, full_matrices=False)
+    return u @ vt
 
 
 def polar_factor(theta, sigma) -> np.ndarray:
     """Orthogonal O with ``sigma^{1/2} @ O[:d, :] == Theta`` on range(sigma).
 
-    ``Theta`` is d x q with ``Theta Theta* == sigma``; the first d rows of the
-    returned q x q orthogonal matrix reproduce Theta through the square root
-    of sigma, and the remaining rows complete an orthonormal basis.
+    ``Theta`` is d x q with ``Theta Theta* == sigma``, else :class:`FactorMismatch`;
+    ``sigma`` enters here (:func:`as_square`). The first d rows of O are the
+    :func:`polar` factor of ``sigma^{1/2,+} Theta``, the others the trailing
+    rows of that factor's full-SVD V'.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 2:
         raise InvalidMatrix("Theta must be a matrix")
     d, q = theta.shape
-    sigma = _as_sym(sigma)
+    sigma = _as_sym(as_square(sigma))
     if sigma.shape[0] != d:
         raise InvalidMatrix("sigma dimension does not match Theta rows")
     if q < d:
         raise FactorMismatch("Theta must have at least as many columns as rows")
     gram_gap = fro_norm(theta @ theta.T - sigma)
-    if gram_gap > EPS_ENGINE * fro_norm(sigma):
+    if not gram_gap <= EPS_ENGINE * fro_norm(sigma):  # also rejects a NaN in Theta
         raise FactorMismatch(f"Theta Theta* differs from sigma by {gram_gap:.3e}")
-    lam, vecs = np.linalg.eigh(sigma)
-    lam = np.maximum(lam, 0.0)
-    alive = lam > RANK_TOL * lam[-1]
-    theta_eig = vecs.T @ theta  # rows follow eigenvalue order
-    w = np.zeros((d, q))
-    live_rows: list[np.ndarray] = []
-    for k in range(d):
-        if alive[k]:
-            w[k] = theta_eig[k] / np.sqrt(lam[k])
-            live_rows.append(w[k])
-    dead = [k for k in range(d) if not alive[k]]
-    fill = _orthonormal_extension(live_rows, q, len(dead) + (q - d))
-    for idx, k in enumerate(dead):
-        w[k] = fill[idx]
-    rest = np.array(fill[len(dead):]).reshape(q - d, q) if q > d else np.zeros((0, q))
-    top = vecs @ w
-    o = np.vstack([top, rest])
-    ortho_gap = fro_norm(o @ o.T - np.eye(q))
-    if ortho_gap > EPS_ENGINE * q:
-        raise FactorMismatch(f"orthogonality defect {ortho_gap:.3e}")
-    return o
-
+    top = polar(sqrt_psd(pinv_psd(sigma)) @ theta)
+    return np.vstack([top, np.linalg.svd(top)[2][d:]])

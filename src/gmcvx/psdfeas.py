@@ -118,9 +118,8 @@ class FeasibilityTask:
 
     @cached_property
     def roots(self) -> np.ndarray:
-        """PSD square roots of the diagonal blocks, shape (n, d, d), read-only;
-        computed once for every task with these blocks."""
-        return _ROOTS.get(matcore.array_key(self.blocks), lambda: np.array([matcore.sqrt_psd(b) for b in self.blocks]))
+        """:func:`block_roots` of the diagonal blocks, shape (n, d, d)."""
+        return block_roots(self.blocks)
 
     @cached_property
     def root_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -144,6 +143,12 @@ class FeasibilityTask:
     def factor_ascent(self) -> tuple:
         """:func:`factor_ascent` of this task, run once."""
         return factor_ascent(self)
+
+
+def block_roots(blocks: np.ndarray) -> np.ndarray:
+    """PSD square roots of a (n, d, d) stack of blocks, read-only; computed once
+    for every caller that asks for the same blocks (:data:`_ROOTS`)."""
+    return _ROOTS.get(matcore.array_key(blocks), lambda: np.array([matcore.sqrt_psd(b) for b in blocks]))
 
 
 @dataclass
@@ -372,7 +377,7 @@ def contraction_ascent(task: FeasibilityTask):
 
     def draw():
         rng = CounterRng(task.seed, stream=29)
-        return _polar(np.array([rng.normal_matrix(d, d) for _ in range(n_pairs)]).reshape(n_pairs, d, d))
+        return matcore.polar(np.array([rng.normal_matrix(d, d) for _ in range(n_pairs)]).reshape(n_pairs, d, d))
 
     starts.append(_CONTRACTION_STARTS.get((task.seed, n_pairs, d), draw))
 
@@ -420,12 +425,6 @@ def contraction_ascent(task: FeasibilityTask):
 # ---------------------------------------------------------------------------
 
 
-def _polar(a: np.ndarray) -> np.ndarray:
-    """Polar factor U V' of each matrix of the stack ``a``: its nearest matrix with orthonormal rows."""
-    u, _, vt = np.linalg.svd(a, full_matrices=False)
-    return u @ vt
-
-
 def factor_ascent(task: FeasibilityTask):
     """Maximize lambda_min(M M' - target) over the orthogonal factors O_i.
 
@@ -443,7 +442,7 @@ def factor_ascent(task: FeasibilityTask):
     weighted = task.p[:, None, None] * roots
 
     def draw():
-        return _polar(CounterRng(task.seed, stream=31).normal_matrix(3 * nd, nd).reshape(3, n, d, nd))
+        return matcore.polar(CounterRng(task.seed, stream=31).normal_matrix(3 * nd, nd).reshape(3, n, d, nd))
 
     draws = _FACTOR_STARTS.get((task.seed, n, d), draw)
     factors = np.concatenate([np.broadcast_to(np.eye(d, nd), (1, n, d, nd)), draws])
@@ -463,7 +462,8 @@ def factor_ascent(task: FeasibilityTask):
         return 2.0 * left * np.swapaxes(right, -1, -2)[:, None]
 
     best_val = np.full(len(factors), -np.inf)
-    best_val, best_factors, _ = _batched_ascent(factors, best_val, task.ascent_iters, evaluate, supergradient, _polar)
+    steps = task.ascent_iters
+    best_val, best_factors, _ = _batched_ascent(factors, best_val, steps, evaluate, supergradient, matcore.polar)
     i = int(np.argmax(best_val))
     stacked = (roots @ best_factors[i]).reshape(nd, nd)
     return float(best_val[i]), stacked @ stacked.T
@@ -551,17 +551,14 @@ def dual_refutation_value(task: FeasibilityTask, y: np.ndarray) -> float:
     return total
 
 
-def _transport_block(task: FeasibilityTask) -> np.ndarray | None:
+def _transport_block(task: FeasibilityTask) -> np.ndarray:
     """Off-diagonal block of the optimal quadratic coupling of two components,
-    root1 (root1 S2 root1)^(1/2) root1^+, or None where a root is not PSD."""
-    try:
-        root1 = task.roots[0]
-        inner = matcore.sqrt_psd(root1 @ task.blocks[1] @ root1)
-        # theta = S1 S2* of the optimal quadratic coupling when blocks[0]
-        # is nonsingular; degenerate cases just yield a weaker candidate
-        return root1 @ inner @ matcore.pinv_psd(root1)
-    except matcore.NotPSD:
-        return None
+    root1 (root1 S2 root1)^(1/2) root1^+."""
+    root1 = task.roots[0]
+    inner = matcore.sqrt_psd(root1 @ task.blocks[1] @ root1)
+    # theta = S1 S2* of the optimal quadratic coupling when blocks[0]
+    # is nonsingular; degenerate cases just yield a weaker candidate
+    return root1 @ inner @ matcore.pinv_psd(root1)
 
 
 def default_candidates(task: FeasibilityTask) -> list[np.ndarray]:
@@ -573,8 +570,7 @@ def default_candidates(task: FeasibilityTask) -> list[np.ndarray]:
     cands = [_pair_coupling(task, []), _pair_coupling(task, [task.target] * len(task.pairs))]
     if task.n == 2:
         theta = _TRANSPORT.get(matcore.array_key(task.blocks), lambda: _transport_block(task))
-        if theta is not None:
-            cands.append(_pair_coupling(task, [theta]))
+        cands.append(_pair_coupling(task, [theta]))
     if task.cone == PAIRWISE or task.n == 2 or task.d == 1:
         cands.append(task.ascent_gamma)
     return cands

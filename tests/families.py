@@ -59,6 +59,17 @@ def rank_deficient_pair(lam: float = 0.0) -> MixtureProblem:
     )
 
 
+def small_component_problem(scale: float = 1.0) -> MixtureProblem:
+    """A valid problem, sigma^2 = scale, whose second component is 1e-3 of the
+    first in norm and has the eigenvalue -1e-11 scale: inside -EPS_PSD sigma^2,
+    below -EPS_PSD times the component's own norm."""
+    return MixtureProblem(
+        p=[0.5, 0.5],
+        covs=scale * np.stack([np.diag([1.0, 0.5]), np.diag([1e-3, -1e-11])]),
+        target=scale * 0.1 * np.eye(2),
+    )
+
+
 RANK_DEFICIENT_GAMMA = 4.0 * np.array(
     [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0], [0.0, 1.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0]]
 )

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from families import rank_deficient_pair
+from families import RANK_DEFICIENT_GAMMA, rank_deficient_pair
 from gmcvx import conditions as C
 from gmcvx import coupling, cxverify, matcore, psdfeas
 from gmcvx.rng import CounterRng
@@ -34,6 +34,9 @@ def test_symmetrize_mirrors_upper_triangle_exactly():
 NAN2 = np.array([[1.0, math.nan], [0.0, 1.0]])
 NAN_GAMMA = np.where(np.eye(4) > 0.0, 1.0, 0.0)
 NAN_GAMMA[0, 3] = math.nan
+# lambda_min -1e-6 is below -EPS_PSD sigma^2 for rank_deficient_pair's sigma^2 = 4
+INDEFINITE = np.diag([1.0, -1e-6])
+INDEFINITE_GAMMA = RANK_DEFICIENT_GAMMA + np.diag([0.0, 0.0, 0.0, -1e-6])
 
 
 def _task(prob):
@@ -53,16 +56,26 @@ def _task(prob):
         (lambda prob: C.check_inecov(prob, extra_candidates=[NAN_GAMMA]), matcore.InvalidMatrix),
         (lambda prob: psdfeas.dual_refutation_value(_task(prob), NAN2), matcore.InvalidMatrix),
         (lambda prob: psdfeas.FeasibilityTask(prob.p, prob.covs, NAN2), matcore.InvalidMatrix),
+        (lambda prob: C.check_n2_theta(prob, NAN2), matcore.InvalidMatrix),
+        (lambda prob: matcore.polar_factor(np.eye(2), NAN2), matcore.InvalidMatrix),
+        (lambda prob: C.orthogonal_factors_from_gamma(prob, INDEFINITE_GAMMA), matcore.NotPSD),
+        (
+            lambda prob: cxverify.test_convex_order(cxverify.GaussianLaw(np.zeros(2), INDEFINITE), prob, [], 0),
+            matcore.NotPSD,
+        ),
     ],
     ids=[
         "GaussianLaw", "quadratic", "build_kernel", "build_kernel-wrong-size", "validate_gamma_witness",
         "validate_pairwise_blocks", "orthogonal_factors_from_gamma", "check_inecov-extra", "dual_refutation_value",
-        "FeasibilityTask",
+        "FeasibilityTask", "check_n2_theta", "polar_factor", "orthogonal_factors_from_gamma-indefinite",
+        "test_convex_order-indefinite-lhs",
     ],
 )
 def test_entry_points_check_outside_matrices(call, exc):
-    # symmetrize trusts its input, so each entry point that takes a matrix
-    # from outside checks it once, with the exception class it always raised
+    # symmetrize, is_psd, sqrt_psd, pinv_psd and correlation_of trust their
+    # input, so each entry point that takes a matrix from outside checks it
+    # once, with the exception class it always raised; a PSD check is made
+    # against the sigma^2 of the problem the matrix enters with
     with pytest.raises(exc):
         call(rank_deficient_pair(0.0))
 
@@ -82,11 +95,6 @@ def test_is_psd_indefinite_two_by_two():
     ok, lmin = matcore.is_psd(np.array([[1.0, -1.0], [-1.0, -1.0]]), SQRT2)
     assert not ok
     assert lmin == pytest.approx(-SQRT2, abs=1e-12)
-
-
-def test_is_psd_rejects_non_finite():
-    with pytest.raises(matcore.InvalidMatrix):
-        matcore.is_psd(np.array([[np.nan, 0.0], [0.0, 1.0]]), 1.0)
 
 
 def jacobi_eigh(a, sweep_tol: float = 1e-13, max_sweeps: int = 60):
@@ -159,7 +167,7 @@ def test_jacobi_eigenvectors_orthogonal():
 
 
 def test_sqrt_psd_spectral_reconstruction_and_orthogonality():
-    # sqrt_psd, pinv_psd and polar_factor factor the symmetrised matrix with eigh
+    # sqrt_psd and pinv_psd factor the symmetrised matrix with eigh
     a = rand_sym(11, 6, scale=4.0)
     w, q = np.linalg.eigh(matcore.symmetrize(a))
     assert matcore.fro_norm((q * w) @ q.T - a) <= 1e-10 * (1.0 + matcore.fro_norm(a))
@@ -179,9 +187,11 @@ def test_sqrt_psd_random_reconstruction():
     assert matcore.fro_norm(s @ s - a) <= 1e-9 * (1.0 + matcore.fro_norm(a))
 
 
-def test_sqrt_psd_rejects_indefinite():
-    with pytest.raises(matcore.NotPSD):
-        matcore.sqrt_psd(np.diag([1.0, -1.0]))
+def test_sqrt_psd_and_pinv_psd_clamp_negative_eigenvalues():
+    # a matrix is checked where it enters, against its problem's sigma^2, so
+    # the inner routines never raise: a negative eigenvalue is clamped or cut
+    assert np.array_equal(matcore.sqrt_psd(np.diag([1.0, -1.0])), np.diag([1.0, 0.0]))
+    assert np.array_equal(matcore.pinv_psd(np.diag([2.0, -1.0])), np.diag([0.5, 0.0]))
 
 
 def test_pinv_psd_examples():
