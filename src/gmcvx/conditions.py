@@ -21,14 +21,14 @@ certificates re-validate through :func:`validate_gamma_witness` and
 :func:`validate_correl_certificate`. Callers that pick a checker by name
 (sweeps, the CLI) go through :func:`run_checker`. Every verdict is a
 pure function of (problem, config, seed), so checkers can run concurrently.
-The d = 2 directional search keeps what the cells of a sweep share in small
-:class:`matcore.SharedCache` stores, as ``psdfeas`` does for the block
-roots and ascent starts: the components' half of h on its angular grid,
-keyed on ``grid_points`` and the bytes of the weights and component
-covariances, and the normalised random starts, keyed on (seed,
-``random_starts``, d). Each keeps one read-only entry, so a cached value
-has the bits a fresh one would; the grid itself is kept per
-``grid_points``, as ``psdfeas`` keeps its rotation grid.
+What the cells of a sweep share is kept in one-entry read-only
+:class:`matcore.SharedCache` stores, as in ``psdfeas``: on the bytes of the
+component covariances, :class:`MixtureProblem`'s mirrored component stack
+(which problems with equal components share as ``covs``) with each
+lambda_min and their sigma^2, their eigenvector starts and colinear
+structure; on ``grid_points`` and the bytes of weights and covariances, the
+components' half of h on the d = 2 angular grid; on (seed,
+``random_starts``, d), the random starts. The grid is kept per ``grid_points``.
 """
 
 from __future__ import annotations
@@ -47,6 +47,9 @@ from .utils import golden_section_minimize
 STEP0 = 1.0  # first subgradient step length of the directional descent
 
 # one component set or (seed, count, d) each: the one a sweep's cells share
+_COMPONENTS = matcore.SharedCache()
+_COMPONENT_EIGVECS = matcore.SharedCache()
+_COLINEAR = matcore.SharedCache()
 _GRID_HALVES = matcore.SharedCache()
 _RANDOM_STARTS = matcore.SharedCache()
 
@@ -120,6 +123,14 @@ def _symmetric(name: str, a) -> np.ndarray:
         raise InvalidProblem(f"{name}: {exc}") from None
 
 
+def _components(covs: np.ndarray) -> tuple:
+    """``(stack, lmins, sigma^2)`` of a (n, d, d) component array: the mirrored
+    stack, each component's lambda_min and the components' largest spectral norm."""
+    stack = np.stack([_symmetric(f"component {i}", c) for i, c in enumerate(covs)])
+    w, scale = matcore.spectral_scale(stack)
+    return stack, w[:, 0], scale
+
+
 @dataclass
 class MixtureProblem:
     """Target covariance, component weights/means/covariances.
@@ -144,7 +155,7 @@ class MixtureProblem:
             raise InvalidProblem("component covariances must be a (n, d, d) array")
         if covs.shape[0] < 2:
             raise InvalidProblem("need at least two mixture components")
-        self.covs = np.stack([_symmetric(f"component {i}", c) for i, c in enumerate(covs)])
+        self.covs, comp_lmins, comp_scale = _COMPONENTS.get(matcore.array_key(covs), lambda: _components(covs))
         n, d = self.covs.shape[0], self.target.shape[0]
         if self.covs.shape[1] != d:
             raise InvalidProblem("component and target dimensions differ")
@@ -162,11 +173,11 @@ class MixtureProblem:
             self.means = np.asarray(self.means, dtype=float).reshape(n, d)
         if not np.all(np.isfinite(self.means)):
             raise InvalidProblem("means have non-finite entries")
-        w, self._var_scale = matcore.spectral_scale([self.target, *self.covs])
-        lmins = w[:, 0].tolist()
-        if lmins[0] < -matcore.EPS_PSD * self._var_scale:
-            raise TargetNotPSD(lmins[0])
-        for i, lmin in enumerate(lmins[1:]):
+        w, target_scale = matcore.spectral_scale(self.target[None])
+        self._var_scale = max(target_scale, comp_scale)
+        if w[0, 0] < -matcore.EPS_PSD * self._var_scale:
+            raise TargetNotPSD(float(w[0, 0]))
+        for i, lmin in enumerate(comp_lmins.tolist()):
             if lmin < -matcore.EPS_PSD * self._var_scale:
                 raise InvalidProblem(f"component {i} covariance not PSD (lambda_min={lmin:.3e})")
 
@@ -285,10 +296,14 @@ def _normalize_rows(x: np.ndarray) -> np.ndarray:
 
 
 def _eigvector_starts(prob: MixtureProblem) -> np.ndarray:
-    """Eigenvectors of the target, then of each component, as rows: one
-    ``eigh`` over the stack, whose matrices ``MixtureProblem`` leaves exactly symmetric."""
-    vecs = np.linalg.eigh(np.concatenate([prob.target[None], prob.covs]))[1]
-    return np.swapaxes(vecs, -1, -2).reshape(-1, prob.d)
+    """Eigenvectors of the target, then of each component, as rows; ``eigh`` gives a
+    matrix of a stack the bits it gets alone, so the components' are computed once."""
+
+    def rows(mats: np.ndarray) -> np.ndarray:
+        return np.swapaxes(np.linalg.eigh(mats)[1], -1, -2).reshape(-1, prob.d)
+
+    comps = _COMPONENT_EIGVECS.get(matcore.array_key(prob.covs), lambda: rows(prob.covs))
+    return np.concatenate([rows(prob.target[None]), comps])
 
 
 def _h_on_circle(prob: MixtureProblem):
@@ -304,14 +319,17 @@ def _h_on_circle(prob: MixtureProblem):
 
     t00, t01, t11 = coeffs(prob.target)
     comps = [(p, *coeffs(c)) for p, c in zip(prob.p.tolist(), prob.covs)]
+    cos, sin, sqrt = math.cos, math.sin, math.sqrt
 
     def h_of(theta: float) -> float:
-        c, s = math.cos(theta), math.sin(theta)
+        c, s = cos(theta), sin(theta)
         cc, cs, ss = c * c, c * s, s * s
         mix = 0.0
         for p, a00, a01, a11 in comps:
-            mix += p * math.sqrt(max(a00 * cc + a01 * cs + a11 * ss, 0.0))
-        return mix - math.sqrt(max(t00 * cc + t01 * cs + t11 * ss, 0.0))
+            q = a00 * cc + a01 * cs + a11 * ss
+            mix += p * sqrt(q if q > 0.0 else 0.0)
+        q = t00 * cc + t01 * cs + t11 * ss
+        return mix - sqrt(q if q > 0.0 else 0.0)
 
     return h_of
 
@@ -473,19 +491,25 @@ def check_inegsqrt(prob: MixtureProblem, cfg: SearchConfig | None = None) -> Ver
     return Verdict(Status.HOLDS, margin, None, diag)
 
 
-def _colinear_structure(prob: MixtureProblem):
-    """Detect component covariances that are all multiples of one base."""
-    norms = np.array([matcore.fro_norm(c) for c in prob.covs])
+def _colinear_parts(covs: np.ndarray) -> tuple:
+    """``(base, coeffs, residuals)``: the component of largest Frobenius norm, each
+    component's nonnegative coefficient on it and the norm of what is left."""
+    norms = np.array([matcore.fro_norm(c) for c in covs])
     ref = int(np.argmax(norms))
     if norms[ref] == 0.0:
-        return np.zeros_like(prob.covs[0]), np.zeros(prob.n)
-    base = prob.covs[ref]
+        return np.zeros_like(covs[0]), np.zeros(len(covs)), np.zeros(len(covs))
+    base = covs[ref]
     denom = float(np.sum(base * base))
-    coeffs = np.array([max(float(np.sum(c * base)) / denom, 0.0) for c in prob.covs])
-    tol = matcore.EPS_PSD * prob.var_scale()
-    for c, k in zip(prob.covs, coeffs):
-        if matcore.fro_norm(c - k * base) > tol:
-            return None
+    coeffs = np.array([max(float(np.sum(c * base)) / denom, 0.0) for c in covs])
+    return base, coeffs, np.array([matcore.fro_norm(c - k * base) for c, k in zip(covs, coeffs)])
+
+
+def _colinear_structure(prob: MixtureProblem):
+    """``(base, coeffs)`` when every component is a multiple of one base to
+    ``EPS_PSD`` times the problem's sigma^2, else None."""
+    base, coeffs, residuals = _COLINEAR.get(matcore.array_key(prob.covs), lambda: _colinear_parts(prob.covs))
+    if (residuals > matcore.EPS_PSD * prob.var_scale()).any():
+        return None
     return base, coeffs
 
 
@@ -835,23 +859,22 @@ def find_correl_certificate(prob: MixtureProblem, extra_m=(), seed: int = 0) -> 
 # ---------------------------------------------------------------------------
 
 
+def dominance_spectrum(prob: MixtureProblem) -> tuple[np.ndarray, list[float]]:
+    """``(gaps, lmins)``: each target - S_i and its lambda_min, from one ``eigvalsh``
+    of the stacked ``0.5 (a + a')``, the bits :func:`matcore.is_psd` gives each."""
+    gaps = prob.target - prob.covs
+    return gaps, np.linalg.eigvalsh(0.5 * (gaps + np.swapaxes(gaps, -1, -2)))[:, 0].tolist()
+
+
 def check_dominated_by_single(prob: MixtureProblem) -> Verdict:
     """Mixture dominated by the single target law: every component under it."""
     if np.abs(prob.means).max(initial=0.0) > matcore.RANK_TOL * prob.std_scale():
         raise NonCenteredMeans("reverse dominance requires zero component means")
-    worst_lmin = np.inf
-    worst = None
-    all_ok = True
-    for i, cov in enumerate(prob.covs):
-        ok, lmin = matcore.is_psd(prob.target - cov, prob.var_scale())
-        if lmin < worst_lmin:
-            worst_lmin = lmin
-            _, q = np.linalg.eigh(matcore.symmetrize(prob.target - cov))
-            worst = (i, q[:, 0])
-        all_ok = all_ok and ok
-    if all_ok:
-        return Verdict(Status.HOLDS, float(worst_lmin), None, {})
-    return Verdict(Status.FAILS, float(worst_lmin), worst, {})
+    gaps, lmins = dominance_spectrum(prob)
+    i = int(np.argmin(lmins))
+    if lmins[i] >= -matcore.EPS_PSD * prob.var_scale():
+        return Verdict(Status.HOLDS, lmins[i], None, {})
+    return Verdict(Status.FAILS, lmins[i], (i, np.linalg.eigh(matcore.symmetrize(gaps[i]))[1][:, 0]), {})
 
 
 def check_n2_theta(prob: MixtureProblem, theta) -> Verdict:

@@ -31,6 +31,7 @@ from .conditions import (
     Status,
     Verdict,
     check_inegsqrt,
+    dominance_spectrum,
     h_values,
 )
 from .rng import CounterRng
@@ -320,14 +321,14 @@ def test_mixture_dominated(prob: MixtureProblem) -> Verdict:
 
     if np.abs(prob.means).max(initial=0.0) > matcore.RANK_TOL * prob.std_scale():
         raise NonCenteredMeans("moment-growth falsification needs zero component means")
-    worst = np.inf
+    gaps, lmins = dominance_spectrum(prob)
+    tol = -matcore.EPS_PSD * prob.var_scale()
+    worst = np.inf  # the smallest lambda_min up to the component that falsifies
     found = None
-    for i, cov in enumerate(prob.covs):
-        ok, lmin = matcore.is_psd(prob.target - cov, prob.var_scale())
-        if lmin < worst:
-            worst = lmin
-        if not ok:
-            _, q = np.linalg.eigh(matcore.symmetrize(prob.target - cov))
+    for i, (cov, diff, lmin) in enumerate(zip(prob.covs, gaps, lmins)):
+        worst = min(worst, lmin)
+        if lmin < tol:
+            _, q = np.linalg.eigh(matcore.symmetrize(diff))
             xi = q[:, 0]
             gap = float(xi @ cov @ xi - xi @ prob.target @ xi)
             lam = 2.0 * math.sqrt(math.log(1.0 / prob.p[i])) / math.sqrt(gap)

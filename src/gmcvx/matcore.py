@@ -5,10 +5,13 @@ upper triangle (see :func:`symmetrize`). Every function is pure.
 Eigenproblems go to LAPACK's ``eigh``/``eigvalsh``.
 
 Shared state: :class:`SharedCache`. ``psdfeas`` and ``conditions`` keep a
-few of them at module level for what the cells of a sweep share: block
-roots and the components' half of a sphere-search grid, keyed on the bytes
-of the weights and the component covariances, and random starts, keyed on
-(seed, shape). Each keeps the value of the last key it was asked for: enough
+few of them at module level for what the cells of a sweep share. Keyed on
+the bytes of the component covariances (and weights, where used): the
+validated component stack with each lambda_min and sigma^2, its
+eigenvectors, colinear structure, block roots and n = 2 transport block,
+and the components' half of a sphere-search grid; on the bytes of the pair
+weights and roots, the d = 2 rotation-grid coefficients; on (seed, shape),
+random starts. Each keeps the value of the last key it was asked for: enough
 for a sweep, whose cells share one component set and one seed, too little
 to carry anything from one problem of a list to the next unless the two
 share that input. A cached value is a pure function of its key, its arrays
@@ -159,9 +162,10 @@ def fro_norm(a) -> float:
 
 def spectral_scale(mats) -> tuple[np.ndarray, float]:
     """``(w, sigma^2)``: the ascending spectrum of each symmetric matrix in
-    ``mats`` (one eigensolve each) and the largest spectral norm among them."""
+    ``mats`` (one eigensolve each) and the largest spectral norm among them,
+    the largest |eigenvalue|, which sits at an end of each spectrum."""
     w = np.linalg.eigvalsh(np.asarray(mats, dtype=float))
-    return w, float(np.abs(w[:, [0, -1]]).max())
+    return w, float(np.abs(w).max())
 
 
 def lmin_sym2(m00: float, m01: float, m11: float) -> float:

@@ -35,8 +35,10 @@ the inner loops is validated: the matrices come from a validated
 
 What the tasks of a sweep share is computed once per sweep, in small
 :class:`matcore.SharedCache` stores: the block roots and the n = 2
-transport block, keyed on the bytes of the blocks, and the polar random
-starts of both ascents, keyed on (seed, shape).
+transport block, keyed on the bytes of the blocks; the d = 2 rotation-grid
+coefficients of every pair, keyed on the grid size and the bytes of the
+pair weights and roots, so a cell computes only the part its target
+changes; and the polar random starts of both ascents, keyed on (seed, shape).
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ _ROOTS = matcore.SharedCache()
 _TRANSPORT = matcore.SharedCache()
 _CONTRACTION_STARTS = matcore.SharedCache()
 _FACTOR_STARTS = matcore.SharedCache()
+_ROTATION_PARTS = matcore.SharedCache()
 
 
 @dataclass(frozen=True)
@@ -250,31 +253,41 @@ def clip_operator_ball(ks: np.ndarray) -> np.ndarray:
     return np.where((s[..., 0] > 1.0)[..., None, None], clipped, ks)
 
 
-def _rotation_coeffs_2d(c0: np.ndarray, w: float, a: np.ndarray, b: np.ndarray, branch: float) -> tuple:
-    """``(z, P, Q)`` with ``c0 + w (T + T') = c0 + cos(phi) P + sin(phi) Q``, T = a K(phi) b.
-
-    K(phi) is the rotation (``branch`` 1) or reflection (``branch`` -1)
-    cos(phi) diag(1, branch) + sin(phi) [[0, -branch], [1, 0]]. Each of the
-    three is an ``(m00, m01, m11)`` triple of floats; z reads the lower
-    triangle of ``c0``, as ``eigvalsh`` does, and P and Q are symmetrised once here.
+def _rotation_parts_2d(pairs, count: int) -> tuple:
+    """The rotation grid's parts that do not depend on c0, per pair of ``pairs``
+    (:attr:`FeasibilityTask.root_pairs`): w (T + T') = cos(phi) P + sin(phi) Q
+    for T = root_i K(phi) root_j, K(phi) the rotation (``branch`` 1) or
+    reflection (-1) cos(phi) diag(1, branch) + sin(phi) [[0, -branch], [1, 0]].
+    Two arrays a pair: (p00, p01, p11, q00, q01, q11) per branch, shape (2, 6),
+    and (cos P, sin Q) on the angle grid, shape (2, 6, count).
     """
 
-    def sym_part(k: np.ndarray) -> tuple:
-        t = a @ k @ b
-        (m00, m01), (_, m11) = (w * (t + t.T)).tolist()
-        return m00, m01, m11
+    def compute() -> tuple:
+        _, cos, sin = _angle_grid(count)
+        out = []
+        for w, a, b in zip(*pairs):
+            rows = []
+            for branch in (1.0, -1.0):
+                for k in (np.diag([1.0, branch]), np.array([[0.0, -branch], [1.0, 0.0]])):
+                    t = a @ k @ b
+                    (m00, m01), (_, m11) = (w * (t + t.T)).tolist()
+                    rows += [m00, m01, m11]
+            pq = np.array(rows).reshape(2, 6)
+            out += [pq, np.concatenate([cos * pq[:, :3, None], sin * pq[:, 3:, None]], axis=1)]
+        return tuple(out)
 
-    (z00, _), (z01, z11) = c0.tolist()
-    return (z00, z01, z11), sym_part(np.diag([1.0, branch])), sym_part(np.array([[0.0, -branch], [1.0, 0.0]]))
+    return _ROTATION_PARTS.get((count, *matcore.array_key(*pairs)), compute)
 
 
 def _rotation_neg_lmin_2d(coeffs: tuple):
-    """Negated smallest eigenvalue of the matrix of :func:`_rotation_coeffs_2d` at phi, in float arithmetic."""
+    """Negated smallest eigenvalue of c0 + cos(phi) P + sin(phi) Q at phi, in float
+    arithmetic, from ``coeffs`` = (z, P, Q): z the triple (c0[0, 0], c0[1, 0], c0[1, 1])."""
     (z00, z01, z11), (p00, p01, p11), (q00, q01, q11) = coeffs
+    cos, sin, lmin_sym2 = math.cos, math.sin, matcore.lmin_sym2
 
     def neg_lmin(phi: float) -> float:
-        c, s = math.cos(phi), math.sin(phi)
-        return -matcore.lmin_sym2(z00 + c * p00 + s * q00, z01 + c * p01 + s * q01, z11 + c * p11 + s * q11)
+        c, s = cos(phi), sin(phi)
+        return -lmin_sym2(z00 + c * p00 + s * q00, z01 + c * p01 + s * q01, z11 + c * p11 + s * q11)
 
     return neg_lmin
 
@@ -289,24 +302,27 @@ def _angle_grid(count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return out
 
 
-def _rotation_grid_2d(c0: np.ndarray, w: float, a: np.ndarray, b: np.ndarray, count: int):
-    """Best rotation or reflection contraction of the pair term ``w (a K b + sym)`` on a 2-d angular grid.
+def _rotation_grid_2d(c0: np.ndarray, parts: tuple, count: int):
+    """Best rotation or reflection contraction of a pair term on a 2-d angular grid.
 
     Per branch, the grid and its golden-section refinement evaluate one
     closed form, lambda_min = (m00 + m11) / 2 - hypot((m00 - m11) / 2, m01)
-    of m = z + cos(phi) P + sin(phi) Q, from coefficients read once: the grid
-    over all angles at once, the refinement one angle at a time
+    of m = z + cos(phi) P + sin(phi) Q, from the pair's two ``parts``
+    (:func:`_rotation_parts_2d`) and z, the lower triangle of ``c0``: the
+    grid over all angles at once, the refinement one angle at a time
     (:func:`_rotation_neg_lmin_2d`).
     """
-    phis, cos, sin = _angle_grid(count)
+    pq, grid = parts
+    phis = _angle_grid(count)[0]
     width = 2.0 * np.pi / count
+    (z00, _), (z01, z11) = c0.tolist()
+    z = (z00, z01, z11)
+    m = (np.array(z)[:, None] + grid[:, :3]) + grid[:, 3:]  # z + cos P + sin Q
+    lmins = 0.5 * (m[:, 0] + m[:, 2]) - np.hypot(0.5 * (m[:, 0] - m[:, 2]), m[:, 1])
     best = (-np.inf, None)
-    for branch in (1.0, -1.0):
-        coeffs = _rotation_coeffs_2d(c0, w, a, b, branch)
-        m00, m01, m11 = (z + cos * p + sin * q for z, p, q in zip(*coeffs))
-        idx = int(np.argmax(0.5 * (m00 + m11) - np.hypot(0.5 * (m00 - m11), m01)))
+    for branch, coeffs, idx in zip((1.0, -1.0), pq.tolist(), np.argmax(lmins, axis=1).tolist()):
         phi_best, negval = golden_section_minimize(
-            _rotation_neg_lmin_2d(coeffs), phis[idx] - width, phis[idx] + width, xtol=1e-12
+            _rotation_neg_lmin_2d((z, coeffs[:3], coeffs[3:])), phis[idx] - width, phis[idx] + width, xtol=1e-12
         )
         if -negval > best[0]:
             c, s = math.cos(phi_best), math.sin(phi_best)
@@ -322,12 +338,13 @@ def _coordinate_rotation_polish(c0, pairs, ks, scale: float, passes: int = 8, co
     Only moves gaining over ``EPS_ROUND * scale`` count, so the value never decreases.
     """
     ks = np.array(ks, dtype=float)
+    parts = _rotation_parts_2d(pairs, count)
     for _ in range(passes):
         improved = False
         for idx, (w, a, b) in enumerate(zip(*pairs)):
             others = np.arange(len(ks)) != idx
             rest = assemble_contraction_slack(c0, [part[others] for part in pairs], ks[others])
-            val, k_new = _rotation_grid_2d(rest, w, a, b, count)
+            val, k_new = _rotation_grid_2d(rest, parts[2 * idx : 2 * idx + 2], count)
             t_old = a @ ks[idx] @ b
             old = float(np.linalg.eigvalsh(rest + w * (t_old + t_old.T))[0])
             if k_new is not None and val > old + matcore.EPS_ROUND * scale:
@@ -371,7 +388,7 @@ def contraction_ascent(task: FeasibilityTask):
     iters = task.ascent_iters
     starts = [np.zeros((n_pairs, d, d)), np.broadcast_to(np.eye(d), (n_pairs, d, d))]
     if d == 2 and n_pairs == 1:
-        _, k_grid = _rotation_grid_2d(c0, weights[0], roots_i[0], roots_j[0], 256)
+        _, k_grid = _rotation_grid_2d(c0, _rotation_parts_2d(pairs, 256), 256)
         if k_grid is not None:
             starts.append(k_grid[None])
 

@@ -7,11 +7,13 @@ round-trip floats, LF endings). Every checker goes through
 :func:`gmcvx.conditions.run_checker`, so a cell's verdict is exactly the
 direct call's; the directional search runs once per cell and is shared
 with the coupling checkers. What every cell of a grid shares with its
-neighbours (the angular grid of the d = 2 directional search and the
-components' half of h on it, the block roots, the n = 2 transport block
-and the random starts) is computed by the first cell that needs it and
-reused by the others, bit for bit, through the small caches of
-``conditions`` and ``psdfeas``. Cells whose template produces a non-PSD
+neighbours (the validated components with their spectra and eigenvectors,
+the angular grid of the d = 2 directional search and the components' half
+of h on it, the block roots, the n = 2 transport block, the rotation-grid
+coefficients and the random starts) is computed by the first cell that
+needs it and reused by the others, bit for bit, through the small caches
+of ``conditions`` and ``psdfeas``, so a cell computes what its target
+changes. Cells whose template produces a non-PSD
 target covariance cannot carry a Gaussian law at all and are reported as
 failing with the offending eigenvalue as margin; any other
 :class:`~gmcvx.conditions.InvalidProblem` from the template propagates

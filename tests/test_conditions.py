@@ -564,6 +564,30 @@ def test_dominated_by_single_examples():
     assert C.check_dominated_by_single(prob).holds
 
 
+def reference_dominated_by_single(prob):
+    """:func:`conditions.check_dominated_by_single` as one ``is_psd`` and one ``eigh`` per component."""
+    worst_lmin, worst, all_ok = np.inf, None, True
+    for i, cov in enumerate(prob.covs):
+        ok, lmin = matcore.is_psd(prob.target - cov, prob.var_scale())
+        if lmin < worst_lmin:
+            worst_lmin = lmin
+            worst = (i, np.linalg.eigh(matcore.symmetrize(prob.target - cov))[1][:, 0])
+        all_ok = all_ok and ok
+    return (C.Status.HOLDS, worst_lmin, None) if all_ok else (C.Status.FAILS, worst_lmin, worst)
+
+
+def test_dominance_spectrum_gives_the_per_component_bits():
+    problems = [fam.random_chain_problem(seed) for seed in range(30)]
+    problems += [fam.axis_swap_problem(a, b) for a in (3.0, 5.0, 9.0) for b in (-2.0, 0.0, 1.5)]
+    for prob in problems:
+        assert C.dominance_spectrum(prob)[1] == [matcore.is_psd(prob.target - c, prob.var_scale())[1] for c in prob.covs]
+        v = C.check_dominated_by_single(prob)
+        status, margin, witness = reference_dominated_by_single(prob)
+        assert (v.status, v.margin) == (status, margin)
+        if witness is not None:
+            assert v.witness[0] == witness[0] and np.array_equal(v.witness[1], witness[1])
+
+
 def test_dominated_by_single_rejects_nonzero_means():
     prob = C.MixtureProblem(
         p=[0.5, 0.5],

@@ -76,6 +76,23 @@ def test_oracle_cross_check_random_instances(seed, cone):
     assert psdfeas.validate_gamma(task, out.gamma, 1e-7)["ok"]
 
 
+def rotation_parts(w, a, b, count=128):
+    """:func:`psdfeas._rotation_parts_2d` of the one pair term ``w (a K b + sym)``."""
+    return psdfeas._rotation_parts_2d((np.array([w]), a[None], b[None]), count)
+
+
+def rotation_coeffs(c0, w, a, b, branch):
+    """``(z, P, Q)`` of the pair term ``w (a K b + sym)`` on ``c0``, as :func:`psdfeas._rotation_grid_2d` reads them."""
+    (z00, _), (z01, z11) = c0.tolist()
+    pq = rotation_parts(w, a, b)[0][0 if branch == 1.0 else 1].tolist()
+    return (z00, z01, z11), pq[:3], pq[3:]
+
+
+def rotation_grid(c0, w, a, b, count):
+    """:func:`psdfeas._rotation_grid_2d` of the one pair term ``w (a K b + sym)``."""
+    return psdfeas._rotation_grid_2d(c0, rotation_parts(w, a, b, count), count)
+
+
 def test_rotation_objective_matches_eigvalsh():
     # closed-form lambda_min of the rotated slack against the matrix it stands for
     rng = CounterRng(607)
@@ -85,7 +102,7 @@ def test_rotation_objective_matches_eigvalsh():
         g = 10.0 ** (4.0 * rng.uniforms(1)[0] - 2.0) * rng.normal_matrix(2, 2)
         c0, w = g + g.T, float(rng.uniforms(1)[0])
         for branch in (1.0, -1.0):
-            neg_lmin = psdfeas._rotation_neg_lmin_2d(psdfeas._rotation_coeffs_2d(c0, w, a, b, branch))
+            neg_lmin = psdfeas._rotation_neg_lmin_2d(rotation_coeffs(c0, w, a, b, branch))
             for phi in 2.0 * np.pi * rng.uniforms(6):
                 c, s = np.cos(phi), np.sin(phi)
                 t = a @ np.array([[c, -s * branch], [s, c * branch]]) @ b
@@ -108,7 +125,7 @@ def reference_rotation_grid(c0, w, a, b, count):
         idx = int(np.argmax(np.linalg.eigvalsh(c0[None] + w * (t + np.transpose(t, (0, 2, 1))))[:, 0]))
         brackets.append((phis[idx] - width, phis[idx] + width))
         phi_best, negval = golden_section_minimize(
-            psdfeas._rotation_neg_lmin_2d(psdfeas._rotation_coeffs_2d(c0, w, a, b, branch)),
+            psdfeas._rotation_neg_lmin_2d(rotation_coeffs(c0, w, a, b, branch)),
             phis[idx] - width,
             phis[idx] + width,
             xtol=1e-12,
@@ -137,7 +154,7 @@ def test_rotation_grid_matches_eigvalsh_grid(monkeypatch, count):
         b = random_psd(rng, 2, 1 + (trial // 2) % 2)
         g = 10.0 ** (4.0 * rng.uniforms(1)[0] - 2.0) * rng.normal_matrix(2, 2)
         c0, w = matcore.symmetrize(g + g.T), float(rng.uniforms(1)[0])
-        val, k = psdfeas._rotation_grid_2d(c0, w, a, b, count)
+        val, k = rotation_grid(c0, w, a, b, count)
         (ref_val, ref_k), ref_brackets = reference_rotation_grid(c0, w, a, b, count)
         assert brackets[-2:] == ref_brackets
         assert val == ref_val and np.array_equal(k, ref_k)
@@ -375,7 +392,7 @@ def reference_ascent(task):
     rng = CounterRng(task.seed, stream=29)
     start_sets = [[np.zeros((d, d)) for _ in pairs], [np.eye(d) for _ in pairs]]
     if d == 2 and len(pairs) == 1:
-        start_sets.append([psdfeas._rotation_grid_2d(c0, *pairs[0], 256)[1]])
+        start_sets.append([rotation_grid(c0, *pairs[0], 256)[1]])
     rand = []
     for _ in pairs:
         u, _, vt = np.linalg.svd(rng.normal_matrix(d, d))
@@ -530,7 +547,7 @@ def reference_batched_contraction_ascent(task):
     rng = CounterRng(task.seed, stream=29)
     starts = [np.zeros((n_pairs, d, d)), np.broadcast_to(np.eye(d), (n_pairs, d, d))]
     if d == 2 and n_pairs == 1:
-        _, k_grid = psdfeas._rotation_grid_2d(c0, weights[0], roots_i[0], roots_j[0], 256)
+        _, k_grid = rotation_grid(c0, weights[0], roots_i[0], roots_j[0], 256)
         starts.append(k_grid[None])
     draws = np.array([rng.normal_matrix(d, d) for _ in range(n_pairs)]).reshape(n_pairs, d, d)
     u, _, vt = np.linalg.svd(draws)
