@@ -34,7 +34,8 @@ the other with ``--compare FILE``: for each set and checker it prints the
 number of records, the status mismatches, the largest |margin change| and
 the record it is on (the seed for ``chain`` and ``defaults``, the ``a,b``
 cell for ``region``; ``-`` when no margin moved), then one line per status
-change, ``set checker record old→new``::
+change, ``set checker record old→new``. With ``--compare`` the script exits
+1 when any status changed or a record is missing on either side, else 0::
 
     python3 scripts/verdict_digest.py --dump before.json        # on the old checkout
     python3 scripts/verdict_digest.py --compare before.json     # on the new one
@@ -132,9 +133,10 @@ def scale_line(power: int, unit: list[dict]) -> str:
     return f"scale 4**{power} {status} exact={exact}/{total}"
 
 
-def drift_lines(name: str, old: list, new: list) -> list[str]:
+def drift_lines(name: str, old: list, new: list) -> tuple[list[str], int]:
     """Per checker: records, status mismatches and the largest |margin change| of ``new`` against ``old``,
-    with its key; then one ``set checker record old→new`` line per status change (``-`` for a missing record)."""
+    with its key; then one ``set checker record old→new`` line per status change (``-`` for a missing record).
+    Returns the lines and the number of status changes."""
     before = {(key, checker): (status, margin) for key, checker, status, margin in old}
     stats: dict[str, list] = {}
     changes = []
@@ -154,7 +156,7 @@ def drift_lines(name: str, old: list, new: list) -> list[str]:
     return [
         f"drift {name} {checker} records={n} status_mismatches={bad} max_abs_dmargin={worst:.3e} at={where}"
         for checker, (n, bad, worst, where) in sorted(stats.items())
-    ] + changes
+    ] + changes, len(changes)
 
 
 def main(argv=None) -> int:
@@ -164,6 +166,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     saved = json.loads(Path(args.compare).read_text()) if args.compare else {}
     dump = {}
+    status_changes = 0
     unit = defaults_verdicts()
     sets = {"region": region_digests, "chain": chain_digests, "defaults": lambda: json_digests(records_of(unit))}
     for name, digests in sets.items():
@@ -171,12 +174,14 @@ def main(argv=None) -> int:
         print(name, full, status, flush=True)
         dump[name] = records
         if name in saved:
-            print("\n".join(drift_lines(name, saved[name], records)), flush=True)
+            lines, changes = drift_lines(name, saved[name], records)
+            status_changes += changes
+            print("\n".join(lines), flush=True)
     for power in (-20, 20):
         print(scale_line(power, unit), flush=True)
     if args.dump:
         Path(args.dump).write_text(json.dumps(dump))
-    return 0
+    return 1 if status_changes else 0
 
 
 if __name__ == "__main__":

@@ -347,8 +347,9 @@ def _half_circle(count: int) -> tuple[np.ndarray, np.ndarray]:
 def _sphere_search(prob: MixtureProblem, cfg: SearchConfig):
     """Minimize h over the unit sphere; returns (min h, its direction, diagnostics).
 
-    For d = 2 with ``cfg.grid_points > 0`` an angular grid with golden-section
-    refinement around its three best points decides the case; the starts
+    For d = 2 with ``cfg.grid_points > 0`` an angular grid decides the case,
+    refined by Brent's method once per grid minimum among its three best
+    points (a point next to one already refined is skipped); the starts
     (eigenvectors, random directions and the four best grid points) are
     scored once, and neither the descent nor the alpha scan of
     :func:`check_inegsqrt` follows. Otherwise multistart projected
@@ -382,10 +383,13 @@ def _sphere_search(prob: MixtureProblem, cfg: SearchConfig):
         order = np.argsort(hs)
         width = np.pi / cfg.grid_points
         h_of = _h_on_circle(prob)
-        for idx in order[:3]:
-            theta, val = golden_section_minimize(
-                h_of, thetas[idx] - width, thetas[idx] + width, xtol=1e-12
-            )
+        refined: list[int] = []
+        for idx in order[:3].tolist():
+            # the bracket of a refined grid point already holds its neighbours' minimum
+            if any((idx - j) % cfg.grid_points in (1, cfg.grid_points - 1) for j in refined):
+                continue
+            refined.append(idx)
+            theta, val = golden_section_minimize(h_of, thetas[idx] - width, thetas[idx] + width, xtol=1e-12)
             if val < best_h:
                 best_h = val
                 best_xi = np.array([math.cos(theta), math.sin(theta)])
@@ -417,7 +421,7 @@ def _alpha_scan(prob: MixtureProblem, cfg: SearchConfig):
     The directional condition holds iff
     ``p1^2 S1 + p2^2 S2 + p1 p2 (alpha S1 + S2/alpha) - S`` stays PSD for
     every positive alpha, so the smallest eigenvalue is scanned on a log
-    grid and polished by golden section.
+    grid and polished by Brent's method (:func:`utils.golden_section_minimize`).
     """
     p1, p2 = prob.p
     s1, s2 = prob.covs
@@ -452,10 +456,11 @@ def check_inegsqrt(prob: MixtureProblem, cfg: SearchConfig | None = None) -> Ver
 
     Fails carry the violating unit direction as witness (which re-verifies
     through :func:`h_margin`); Holds report the smallest directional slack
-    found. For d = 2 with ``cfg.grid_points > 0`` the angular grid alone
-    decides. Wherever the subgradient descent runs instead (d >= 3, or
-    d = 2 without a grid) and n = 2, the independent alpha scan guards it;
-    an irreconcilable borderline disagreement yields Unknown.
+    found. For d = 2 with ``cfg.grid_points > 0`` the angular grid, refined
+    by Brent's method once per grid minimum, alone decides. Wherever the
+    subgradient descent runs instead (d >= 3, or d = 2 without a grid) and
+    n = 2, the independent alpha scan guards it; an irreconcilable
+    borderline disagreement yields Unknown.
     """
     cfg = cfg or SearchConfig()
     tol_std = matcore.EPS_PSD * prob.std_scale()

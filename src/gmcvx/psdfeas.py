@@ -11,7 +11,7 @@ one batched loop (:func:`_batched_ascent`). The pair-contraction ascent
 writes each pair block as root_i K root_j with a contraction K; it is
 exact for the pairwise cone and, with n = 2, for the full cone. For d = 2
 the contraction of a pair is searched over rotations and reflections by
-an angular grid and golden section, both on the closed-form smallest
+an angular grid and Brent's method, both on the closed-form smallest
 eigenvalue of a 2 x 2 matrix affine in (cos phi, sin phi). For the full
 cone with n >= 3 the orthogonal-factor ascent writes
 Gamma_ij = root_i O_i O_j' root_j with orthonormal-row factors O_i, which
@@ -35,10 +35,11 @@ the inner loops is validated: the matrices come from a validated
 
 What the tasks of a sweep share is computed once per sweep, in small
 :class:`matcore.SharedCache` stores: the block roots and the n = 2
-transport block, keyed on the bytes of the blocks; the d = 2 rotation-grid
-coefficients of every pair, keyed on the grid size and the bytes of the
-pair weights and roots, so a cell computes only the part its target
-changes; and the polar random starts of both ascents, keyed on (seed, shape).
+transport block, keyed on the bytes of the blocks; the pair layout, keyed
+on d and the bytes of the weights; the d = 2 rotation-grid coefficients of
+every pair, keyed on the grid size and the bytes of the pair weights and
+roots, so a cell computes only the part its target changes; and the polar
+random starts of both ascents, keyed on (seed, shape).
 """
 
 from __future__ import annotations
@@ -59,12 +60,13 @@ PAIRWISE = "pairwise"
 FEASIBLE = "feasible"
 MAX_ITERATIONS = "max_iterations"
 
-# one component set or (seed, shape) each: the one a sweep's cells share
+# one component set, weight vector or (seed, shape) each: the one a sweep's cells share
 _ROOTS = matcore.SharedCache()
 _TRANSPORT = matcore.SharedCache()
 _CONTRACTION_STARTS = matcore.SharedCache()
 _FACTOR_STARTS = matcore.SharedCache()
 _ROTATION_PARTS = matcore.SharedCache()
+_PAIR_LAYOUT = matcore.SharedCache()
 
 
 @dataclass(frozen=True)
@@ -98,13 +100,9 @@ class FeasibilityTask:
             raise ValueError("component blocks must have shape (n, d, d)")
         if self.cone not in (FULL, PAIRWISE):
             raise ValueError(f"unknown cone {self.cone!r}")
-        self.pairs = [(i, j) for i in range(self.n) for j in range(i + 1, self.n)]
-        # affine-projection constants: S = A Gamma A* - target couples the
-        # free off-diagonal blocks through a single scalar correction
-        self.affine_denom = 1.0 + 2.0 * sum((self.p[i] * self.p[j]) ** 2 for i, j in self.pairs)
-        self.pair_weights = [float(self.p[i] * self.p[j]) for i, j in self.pairs]
-        self.pair_slices = [(self.block_slice(i), self.block_slice(j)) for i, j in self.pairs]
-        self.pair_rows = np.array([pair_index(self.d, i, j)[1] for i, j in self.pairs]).reshape(-1, 2 * self.d)
+        self.pairs, self.affine_denom, self.pair_weights, self.pair_slices, self.pair_rows = _PAIR_LAYOUT.get(
+            (self.d, *matcore.array_key(self.p)), lambda: _pair_layout(self.p, self.d)
+        )
         # sum_i p_i^2 S_i, the part of A Gamma A* the pinned blocks fix
         self.pinned_sum = np.einsum("i,ikl->kl", self.p**2, self.blocks)
         self.offset = self.pinned_sum - self.target  # difference of exactly symmetric terms
@@ -146,6 +144,18 @@ class FeasibilityTask:
     def factor_ascent(self) -> tuple:
         """:func:`factor_ascent` of this task, run once."""
         return factor_ascent(self)
+
+
+def _pair_layout(p: np.ndarray, d: int) -> tuple:
+    """``(pairs, affine_denom, pair_weights, pair_slices, pair_rows)``, which only d and p decide."""
+    n = len(p)
+    pairs = tuple((i, j) for i in range(n) for j in range(i + 1, n))
+    # S = A Gamma A* - target couples the free off-diagonal blocks through one scalar correction
+    affine_denom = 1.0 + 2.0 * sum((p[i] * p[j]) ** 2 for i, j in pairs)
+    weights = tuple(float(p[i] * p[j]) for i, j in pairs)
+    slices = tuple((slice(i * d, (i + 1) * d), slice(j * d, (j + 1) * d)) for i, j in pairs)
+    rows = np.array([pair_index(d, i, j)[1] for i, j in pairs]).reshape(-1, 2 * d)
+    return pairs, affine_denom, weights, slices, rows
 
 
 def block_roots(blocks: np.ndarray) -> np.ndarray:
@@ -305,7 +315,7 @@ def _angle_grid(count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _rotation_grid_2d(c0: np.ndarray, parts: tuple, count: int):
     """Best rotation or reflection contraction of a pair term on a 2-d angular grid.
 
-    Per branch, the grid and its golden-section refinement evaluate one
+    Per branch, the grid and its Brent refinement evaluate one
     closed form, lambda_min = (m00 + m11) / 2 - hypot((m00 - m11) / 2, m01)
     of m = z + cos(phi) P + sin(phi) Q, from the pair's two ``parts``
     (:func:`_rotation_parts_2d`) and z, the lower triangle of ``c0``: the
@@ -410,13 +420,10 @@ def contraction_ascent(task: FeasibilityTask):
         return grad_weights * ((roots_i @ cols) * np.swapaxes(roots_j @ cols, -1, -2))
 
     ks = np.stack(starts)
-    best_val, best_ks, tail = values_of(ks), ks, []
+    best_val, best_ks, tail = np.full(len(ks), -np.inf) if iters else values_of(ks), ks, []
     if iters:
-        # The starts are scored twice, by eigvalsh here and by eigh at the
-        # loop's first evaluation, whose bits differ for d >= 3; the eigh
-        # value replaces the eigvalsh one only where it is larger. With
-        # ``iters`` evaluations in all, the loop takes iters - 1 steps: a
-        # step after the last evaluation would never be scored.
+        # ``iters`` evaluations in all, the first scoring the starts: the loop takes
+        # iters - 1 steps, as a step after the last evaluation would never be scored
         best_val, best_ks, tail = _batched_ascent(ks, best_val, iters - 1, evaluate, supergradient, clip_operator_ball)
     i = int(np.argmax(best_val))
     best, best_ks = float(best_val[i]), best_ks[i]

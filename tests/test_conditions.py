@@ -159,6 +159,29 @@ def test_subgradient_loop_runs_only_without_the_d2_grid(monkeypatch):
     assert len(calls) == 30 and len(scans) == 1
 
 
+@pytest.mark.parametrize("a, b, minima", [(4.0, 1.0, 1), (5.0, -3.0, 1), (4.0, 0.25, 2), (4.0, 0.0, 2)])
+def test_d2_search_refines_once_per_grid_minimum(monkeypatch, a, b, minima):
+    # the three best grid points are a minimum and its neighbours or two
+    # minima; a neighbour's bracket would repeat the minimum's
+    centers = []
+    real = C.golden_section_minimize
+    count = fam.LIGHT.grid_points
+    width = math.pi / count
+
+    def recording(f, lo, hi, **kwargs):
+        centers.append(round((lo + width) / width))  # the grid index of the bracket's middle
+        return real(f, lo, hi, **kwargs)
+
+    monkeypatch.setattr(C, "golden_section_minimize", recording)
+    prob = fam.axis_swap_problem(a, b)
+    C.check_inegsqrt(prob, fam.LIGHT)
+    hs = C.h_values(prob, C._half_circle(count)[1])
+    grid_minima = [i for i in range(count) if hs[i] < hs[i - 1] and hs[i] < hs[(i + 1) % count]]
+    assert len(grid_minima) == minima
+    assert sorted(centers) == grid_minima
+    assert all((i - j) % count not in (1, count - 1) for i in centers for j in centers)
+
+
 def test_d2_margin_matches_dense_brute_force():
     # n = 2 and 3, scales 1e-2..1e2, rank-1 components in two thirds of the problems
     rng = CounterRng(2024)

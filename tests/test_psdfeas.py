@@ -534,9 +534,10 @@ def test_batched_factor_ascent_matches_per_start_loop(d):
 
 
 def reference_batched_contraction_ascent(task):
-    """:func:`psdfeas.contraction_ascent` with its own batched loop: the
-    starts scored by ``eigvalsh``, then ``task.ascent_iters`` eigh
-    evaluations, each followed by a step (the last one never scored)."""
+    """:func:`psdfeas.contraction_ascent` with its own batched loop:
+    ``task.ascent_iters`` eigh evaluations from -inf, the first scoring the
+    starts, each followed by a step (the last one never scored); with no
+    iterations the starts are scored by ``eigvalsh``."""
     pairs = task.root_pairs
     weights, roots_i, roots_j = pairs
     n_pairs, c0, d, iters = len(weights), task.offset, task.d, task.ascent_iters
@@ -554,7 +555,8 @@ def reference_batched_contraction_ascent(task):
     starts.append(u @ vt)
 
     ks = np.stack(starts)
-    best_val, best_ks = values_of(ks), ks.copy()
+    best_val = np.full(len(starts), -np.inf) if iters else values_of(ks)
+    best_ks = ks.copy()
     tails = [[] for _ in starts]
     live = np.arange(len(starts))
     grad_weights = (2.0 * weights)[:, None, None]
@@ -645,8 +647,8 @@ def reference_batched_factor_ascent(task):
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("iters", [0, 1, 30, 200])
 def test_shared_loop_matches_the_contraction_ascent_loop(iters, d, n):
-    # the shared loop takes iters - 1 steps after the eigvalsh-scored starts;
-    # several instances, as eigh's bits exceed eigvalsh's on only some d = 3 slacks
+    # the shared loop scores the starts by eigh, then takes iters - 1 steps;
+    # several instances, as eigh's and eigvalsh's bits differ on only some d = 3 slacks
     for instance in range(4):
         task, _ = random_instance(60 + 10 * instance + 2 * n + d, n=n, d=d, shrink=1.3, cone=psdfeas.PAIRWISE)
         task = dataclasses.replace(task, seed=11 + instance, ascent_iters=iters)

@@ -64,13 +64,13 @@ def test_cached_arrays_are_read_only(tmp_path):
     prob = fam.axis_swap_problem(5.0, 0.5)
     assert C.check_inecov(prob, search_cfg=LIGHT).holds
     # component stack and lambda_mins, component eigenvectors, colinear base, coefficients and
-    # residuals, grid half, random starts, roots, transport block, contraction starts, and the
-    # two rotation-grid arrays of the one pair
-    assert len(stored_arrays()) == 13
+    # residuals, grid half, random starts, roots, transport block, contraction starts, the
+    # two rotation-grid arrays of the one pair, and the pair layout's rows
+    assert len(stored_arrays()) == 14
     tile_csv(tmp_path, "tile")
     C.implication_chain_report(random_chain_problem(32), MID, psdfeas.EngineConfig(max_iter=1500), mc_samples=2000)
     arrays = stored_arrays()
-    assert len(arrays) >= 13
+    assert len(arrays) >= 14
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
             arr.flat[0] = 1.0
