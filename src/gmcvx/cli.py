@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import dataclasses
 import hashlib
 import json
 import math
@@ -197,6 +198,10 @@ def _report(condition: str, verdict: Verdict, digest: str, extra: dict | None = 
     return doc
 
 
+# the arrays of a correl certificate, as written and read back
+_CORREL_FIELDS = tuple(field.name for field in dataclasses.fields(CorrelCertificate))
+
+
 def _emit_certificate(path: str, verdict: Verdict, digest: str):
     witness = verdict.witness
     if isinstance(witness, GammaWitness):
@@ -210,11 +215,7 @@ def _emit_certificate(path: str, verdict: Verdict, digest: str):
     elif isinstance(witness, CorrelCertificate):
         doc = {
             "kind": "correl",
-            "m": witness.m.tolist(),
-            "corr": witness.corr.tolist(),
-            "comp_scales": witness.comp_scales.tolist(),
-            "mix_scale": witness.mix_scale.tolist(),
-            "stacked": witness.stacked.tolist(),
+            **{key: getattr(witness, key).tolist() for key in _CORREL_FIELDS},
             "tolerances": {"validation": matcore.EPS_ENGINE},
             "tool_version": __version__,
             "input_digest": digest,
@@ -253,8 +254,7 @@ def load_certificate(path: str, prob: MixtureProblem, digest: str):
             raise CliFailure(EXIT_INVARIANT, f"certificate gamma must be {nd} x {nd}, got shape {gamma.shape}")
         return GammaWitness(gamma, prob.n, prob.d)
     if kind == "correl":
-        fields = ("m", "corr", "comp_scales", "mix_scale", "stacked")
-        return CorrelCertificate(**{key: _float_array(doc, key) for key in fields})
+        return CorrelCertificate(**{key: _float_array(doc, key) for key in _CORREL_FIELDS})
     raise CliFailure(EXIT_BAD_JSON, f"unknown certificate kind {kind!r}")
 
 

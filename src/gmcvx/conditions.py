@@ -167,10 +167,10 @@ class MixtureProblem:
             raise InvalidProblem(f"weights sum to {self.p.sum()!r}, expected 1")
         if self.means is None:
             self.means = np.zeros((n, d))
-        elif np.size(self.means) != n * d:
-            raise InvalidProblem("means must have shape (n, d)")
+        elif np.shape(self.means) != (n, d):
+            raise InvalidProblem(f"means must have shape (n, d) = {(n, d)}, got {np.shape(self.means)}")
         else:
-            self.means = np.asarray(self.means, dtype=float).reshape(n, d)
+            self.means = np.asarray(self.means, dtype=float)
         if not np.all(np.isfinite(self.means)):
             raise InvalidProblem("means have non-finite entries")
         w, target_scale = matcore.spectral_scale(self.target[None])
@@ -529,17 +529,9 @@ def witness_matrix(gamma) -> np.ndarray:
     return matcore.as_square(gamma.gamma if isinstance(gamma, GammaWitness) else gamma)
 
 
-def _task(prob: MixtureProblem, cone: str, seed: int = 0, ascent_iters: int = 0) -> psdfeas.FeasibilityTask:
-    """The feasibility task of ``prob``, handed the problem's sigma^2: the same
-    :func:`matcore.spectral_scale` of the same matrices, not computed again."""
-    task = psdfeas.FeasibilityTask(prob.p, prob.covs, prob.target, cone, seed, ascent_iters)
-    task.scale = prob.var_scale()
-    return task
-
-
 def validate_gamma_witness(prob: MixtureProblem, gamma, tol: float = matcore.EPS_CHAIN, pairwise: bool = False) -> dict:
     """Standalone re-validation of a coupling witness."""
-    task = _task(prob, psdfeas.PAIRWISE if pairwise else psdfeas.FULL)
+    task = psdfeas.FeasibilityTask(prob, psdfeas.PAIRWISE if pairwise else psdfeas.FULL)
     return psdfeas.validate_gamma(task, witness_matrix(gamma), tol)
 
 
@@ -558,7 +550,7 @@ def _coupling_check(prob, cone, engine_cfg, search_cfg, extra_candidates, inegsq
         candidates.append(np.kron(np.outer(weights, weights), base))
 
     iters = (search_cfg or SearchConfig()).ascent_iters
-    task = _task(prob, cone, seed, iters)
+    task = psdfeas.FeasibilityTask(prob, cone, seed, iters)
     ascent = None
     if cone == psdfeas.PAIRWISE or prob.n == 2:
         ascent = task.ascent  # its coupling is one of the engine's default candidates
@@ -625,7 +617,7 @@ def validate_pairwise_blocks(prob: MixtureProblem, gamma, tol: float = matcore.E
     """Check each pair block of a coupling matrix for PSD-ness: ``(ok, lambda_min)``
     per pair (i, j), i < j, to ``tol`` times the problem's sigma^2."""
     gamma = matcore.symmetrize(witness_matrix(gamma))
-    task = _task(prob, psdfeas.PAIRWISE)
+    task = psdfeas.FeasibilityTask(prob, psdfeas.PAIRWISE)
     w_pairs, _ = psdfeas._spectra(task, gamma[None], np.empty((1, 0, 0)))  # no slack to test
     tol_abs = tol * prob.var_scale()
     return {pair: (lmin >= -tol_abs, lmin) for pair, lmin in zip(task.pairs, w_pairs[0, :, 0].tolist())}
@@ -890,7 +882,7 @@ def check_n2_theta(prob: MixtureProblem, theta) -> Verdict:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (prob.d, prob.d):
         raise DimensionMismatch(f"expected block shape {(prob.d, prob.d)}, got {theta.shape}")
-    task = _task(prob, psdfeas.FULL)
+    task = psdfeas.FeasibilityTask(prob)
     gamma = psdfeas._pair_coupling(task, [matcore.as_square(theta)])
     check = psdfeas.validate_gamma(task, gamma, matcore.EPS_PSD)
     lmin_b, lmin_g = check["lmin_gamma"], check["lmin_slack"]

@@ -121,9 +121,7 @@ def exact_expectation(law: GaussianLaw, f: TestFunction) -> float | None:
         )
         return f.scale * value
     if f.kind == "exp_linear":
-        mu = float(f.xi @ law.mean)
-        var = float(f.xi @ law.cov @ f.xi)
-        return math.exp(f.lam * mu + 0.5 * f.lam * f.lam * max(var, 0.0))
+        return math.exp(_log_exp_expectation(law, f))
     if f.kind == "quadratic":
         trace = float(np.sum(f.mat * law.cov))
         return trace + float(law.mean @ f.mat @ law.mean) + float(f.xi0 @ law.mean) + f.const
@@ -191,7 +189,9 @@ def default_suite(prob: MixtureProblem, seed: int = 0) -> list[TestFunction]:
     draws = iter(_box_muller_calls(u, calls))
     for _ in range(8):
         w = next(draws).reshape(d, d)
-        suite.append(quadratic(w @ w.T / d, next(draws), float(next(draws)[0])))
+        # W W'/d is PSD by construction, so it skips the checks of quadratic()
+        mat = matcore.symmetrize(w @ w.T / d)
+        suite.append(TestFunction("quadratic", mat=mat, xi0=next(draws), const=float(next(draws)[0])))
     for pieces in counts:
         suite.append(max_affine(next(draws).reshape(pieces, d), next(draws)))
     return suite

@@ -27,11 +27,11 @@ precomputed once per task). The engine never claims infeasibility: it
 returns a feasible, exactly block-pinned Gamma or the residuals it got
 stuck at.
 
-Everything takes one :class:`FeasibilityTask`, which computes what is
-shared once, up front or on first use: the pinned-block gap, the pair
-weights, slices and rows, the block roots and both ascents. Nothing in
-the inner loops is validated: the matrices come from a validated
-``MixtureProblem`` and stay exactly symmetric.
+Everything takes one :class:`FeasibilityTask` of a ``MixtureProblem``,
+which has checked and mirrored every matrix once: nothing in the engine
+checks an input again. The task computes what is shared once, up front
+or on first use: the pinned-block gap, the pair weights, slices and rows,
+the block roots and both ascents.
 
 What the tasks of a sweep share is computed once per sweep, in small
 :class:`matcore.SharedCache` stores: the block roots and the n = 2
@@ -47,12 +47,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import matcore
 from .rng import CounterRng
 from .utils import golden_section_minimize
+
+if TYPE_CHECKING:
+    from .conditions import MixtureProblem
 
 FULL = "full"
 PAIRWISE = "pairwise"
@@ -76,30 +80,23 @@ class EngineConfig:
 
 @dataclass
 class FeasibilityTask:
-    """Fixed diagonal blocks, weights, target and cone selector.
+    """The program of one ``MixtureProblem`` in the cone :data:`FULL` or :data:`PAIRWISE`.
 
-    Blocks must be exactly symmetric, as ``MixtureProblem`` leaves them.
+    ``p``, ``blocks`` (the component covariances), ``target``, ``n``, ``d`` and
+    ``scale`` (sigma^2, ``var_scale()``) are the problem's, checked there once.
     ``seed`` and ``ascent_iters`` configure the pair-contraction :attr:`ascent`
     and the :attr:`factor_ascent`.
     """
 
-    p: np.ndarray
-    blocks: np.ndarray  # (n, d, d)
-    target: np.ndarray  # (d, d)
+    prob: MixtureProblem
     cone: str = FULL
     seed: int = 0
     ascent_iters: int = 0
 
     def __post_init__(self):
-        self.p = np.asarray(self.p, dtype=float)
-        self.blocks = np.asarray(self.blocks, dtype=float)
-        self.target = matcore.symmetrize(matcore.as_square(self.target))
-        self.n = int(self.p.shape[0])
-        self.d = int(self.target.shape[0])
-        if self.blocks.shape != (self.n, self.d, self.d):
-            raise ValueError("component blocks must have shape (n, d, d)")
-        if self.cone not in (FULL, PAIRWISE):
-            raise ValueError(f"unknown cone {self.cone!r}")
+        prob = self.prob
+        self.p, self.blocks, self.target = prob.p, prob.covs, prob.target
+        self.n, self.d, self.scale = prob.n, prob.d, prob.var_scale()
         self.pairs, self.affine_denom, self.pair_weights, self.pair_slices, self.pair_rows = _PAIR_LAYOUT.get(
             (self.d, *matcore.array_key(self.p)), lambda: _pair_layout(self.p, self.d)
         )
@@ -109,13 +106,6 @@ class FeasibilityTask:
 
     def block_slice(self, i: int) -> slice:
         return slice(i * self.d, (i + 1) * self.d)
-
-    @cached_property
-    def scale(self) -> float:
-        """sigma^2 of the target and the blocks (:func:`matcore.spectral_scale`);
-        a task built for a ``MixtureProblem`` may be handed its ``var_scale()``,
-        the same number, instead."""
-        return matcore.spectral_scale([self.target, *self.blocks])[1]
 
     @cached_property
     def roots(self) -> np.ndarray:
@@ -357,7 +347,7 @@ def _coordinate_rotation_polish(c0, pairs, ks, scale: float, passes: int = 8, co
             val, k_new = _rotation_grid_2d(rest, parts[2 * idx : 2 * idx + 2], count)
             t_old = a @ ks[idx] @ b
             old = float(np.linalg.eigvalsh(rest + w * (t_old + t_old.T))[0])
-            if k_new is not None and val > old + matcore.EPS_ROUND * scale:
+            if val > old + matcore.EPS_ROUND * scale:
                 ks[idx] = k_new
                 improved = True
         if not improved:
@@ -373,9 +363,9 @@ def contraction_ascent(task: FeasibilityTask):
     exact angular grid for a single d = 2 pair, and a cyclic per-pair grid
     polish for several d = 2 pairs; ``task.ascent_iters`` evaluations from
     each start, one start drawn from ``task.seed``. Returns the best value,
-    the contractions as a (pairs, d, d) stack, and a trace-one PSD average
-    of bottom eigenvectors from the ascent tail, in start order (usable as
-    a refutation functional).
+    the contractions as a (pairs, d, d) stack, and the exactly symmetric,
+    trace-one average of the bottom eigenvectors' outer products over the
+    ascent tail, in start order, which :func:`dual_refutation_value` takes as it is.
     Read it through :attr:`FeasibilityTask.ascent`, which runs it once.
     """
     pairs = task.root_pairs
@@ -398,9 +388,7 @@ def contraction_ascent(task: FeasibilityTask):
     iters = task.ascent_iters
     starts = [np.zeros((n_pairs, d, d)), np.broadcast_to(np.eye(d), (n_pairs, d, d))]
     if d == 2 and n_pairs == 1:
-        _, k_grid = _rotation_grid_2d(c0, _rotation_parts_2d(pairs, 256), 256)
-        if k_grid is not None:
-            starts.append(k_grid[None])
+        starts.append(_rotation_grid_2d(c0, _rotation_parts_2d(pairs, 256), 256)[1][None])
 
     def draw():
         rng = CounterRng(task.seed, stream=29)
@@ -436,9 +424,7 @@ def contraction_ascent(task: FeasibilityTask):
     if tail:
         vs = np.array(tail)
         y_avg = matcore.symmetrize(sum(vs[:, :, None] * vs[:, None, :]) / len(tail))
-        tr = float(np.trace(y_avg))
-        if tr > 0:
-            y_avg = y_avg / tr
+        y_avg = y_avg / float(np.trace(y_avg))  # unit eigenvectors: the trace is 1 up to rounding
     return best, best_ks, y_avg
 
 
@@ -561,13 +547,12 @@ def gamma_from_contractions(task: FeasibilityTask, ks) -> np.ndarray:
 
 
 def dual_refutation_value(task: FeasibilityTask, y: np.ndarray) -> float:
-    """Upper bound on the best pairwise slack at a PSD trace-one Y.
+    """Upper bound on the best pairwise slack at an exactly symmetric PSD trace-one Y.
 
     A value below zero certifies that no admissible pair blocks can make
     the weighted block sum dominate the target, refuting the pairwise
     condition (and with it the full coupling condition).
     """
-    y = matcore.symmetrize(matcore.as_square(y))
     total = float(np.sum(y * task.offset))
     for w, a_i, a_j in zip(*task.root_pairs):
         sv = np.linalg.svd(a_j @ y @ a_i, compute_uv=False)
@@ -608,8 +593,6 @@ def _score_candidates(task: FeasibilityTask, cands: list) -> list[tuple]:
     stack through :func:`_spectra`, whose slack spectra give both the cone
     distance and the slack margin.
     """
-    if not cands:
-        return []
     pinned = [pin_blocks(matcore.symmetrize(cand), task.blocks) for cand in cands]
     slacks = np.array([mix_compress(g, task.p, task.d) for g in pinned]) - task.target
     w_gamma, w_slack = _spectra(task, np.array(pinned), slacks)
@@ -625,7 +608,7 @@ def warm_start_from(task: FeasibilityTask, candidates) -> tuple[np.ndarray, floa
     Residuals within rounding of each other count as ties, broken toward
     the larger slack margin so already-feasible starts keep their slack;
     ties keep the earlier candidate. A candidate of the wrong shape is not
-    scored; with none left, the block-diagonal coupling is the start.
+    scored; at least one must have the right shape.
 
     For the full cone with n >= 3, when no candidate is within
     ``matcore.EPS_ENGINE * task.scale`` of feasible, the coupling of the
@@ -634,12 +617,8 @@ def warm_start_from(task: FeasibilityTask, candidates) -> tuple[np.ndarray, floa
     nd = task.n * task.d
     cands = [cand for cand in (np.asarray(c, dtype=float) for c in candidates) if cand.shape == (nd, nd)]
     scored = _score_candidates(task, cands)
-    if task.cone == FULL and task.n >= 3 and (
-        not scored or min(key for key, _, _ in scored)[0] > matcore.EPS_ENGINE * task.scale
-    ):
+    if task.cone == FULL and task.n >= 3 and min(key for key, _, _ in scored)[0] > matcore.EPS_ENGINE * task.scale:
         scored += _score_candidates(task, [task.factor_ascent[1]])
-    if not scored:
-        scored = _score_candidates(task, [_pair_coupling(task, [])])
     _, gamma, dist = min(scored, key=lambda entry: entry[0])
     return gamma, dist
 

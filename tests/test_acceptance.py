@@ -114,7 +114,7 @@ def test_criterion_04_separation_of_conditions():
         assert C.validate_gamma_witness(prob, fam.RANK_DEFICIENT_GAMMA, tol=1e-9)["ok"]
 
         # the engine finds its own witness from canonical candidates
-        task = psdfeas.FeasibilityTask(prob.p, prob.covs, prob.target, psdfeas.FULL)
+        task = psdfeas.FeasibilityTask(prob, psdfeas.FULL)
         out = psdfeas.solve(task)
         assert out.feasible
         assert psdfeas.validate_gamma(task, out.gamma, 1e-7)["ok"]

@@ -53,6 +53,15 @@ def test_problem_rejects_single_component():
         C.MixtureProblem(p=[1.0], covs=np.eye(1).reshape(1, 1, 1), target=np.eye(1))
 
 
+@pytest.mark.parametrize(
+    "means", [[[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]], ids=["d-by-n", "flat"]
+)
+def test_problem_rejects_means_of_the_wrong_shape(means):
+    # n = 3, d = 2: six numbers in another shape are not read as the (n, d) means
+    with pytest.raises(C.InvalidProblem):
+        C.MixtureProblem(p=[0.2, 0.3, 0.5], covs=np.stack([np.eye(2)] * 3), target=np.eye(2), means=means)
+
+
 # ---------------------------------------------------------------------------
 # directional condition
 # ---------------------------------------------------------------------------
@@ -271,7 +280,7 @@ def test_inecov_convexity_of_witnesses():
 
 def test_contraction_dual_refutes_outside_point():
     prob = fam.axis_swap_problem(6.1, 0.0)
-    task = psdfeas.FeasibilityTask(prob.p, prob.covs, prob.target, psdfeas.PAIRWISE, ascent_iters=150)
+    task = psdfeas.FeasibilityTask(prob, psdfeas.PAIRWISE, ascent_iters=150)
     val, ks, y = task.ascent
     assert val < -1e-6
     assert y is not None

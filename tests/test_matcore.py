@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from families import RANK_DEFICIENT_GAMMA, rank_deficient_pair
 from gmcvx import conditions as C
-from gmcvx import coupling, cxverify, matcore, psdfeas
+from gmcvx import coupling, cxverify, matcore
 from gmcvx.rng import CounterRng
 
 SQRT2 = math.sqrt(2.0)
@@ -39,10 +39,6 @@ INDEFINITE = np.diag([1.0, -1e-6])
 INDEFINITE_GAMMA = RANK_DEFICIENT_GAMMA + np.diag([0.0, 0.0, 0.0, -1e-6])
 
 
-def _task(prob):
-    return psdfeas.FeasibilityTask(prob.p, prob.covs, prob.target)
-
-
 @pytest.mark.parametrize(
     "call, exc",
     [
@@ -54,8 +50,6 @@ def _task(prob):
         (lambda prob: C.validate_pairwise_blocks(prob, NAN_GAMMA), matcore.InvalidMatrix),
         (lambda prob: C.orthogonal_factors_from_gamma(prob, NAN_GAMMA), matcore.InvalidMatrix),
         (lambda prob: C.check_inecov(prob, extra_candidates=[NAN_GAMMA]), matcore.InvalidMatrix),
-        (lambda prob: psdfeas.dual_refutation_value(_task(prob), NAN2), matcore.InvalidMatrix),
-        (lambda prob: psdfeas.FeasibilityTask(prob.p, prob.covs, NAN2), matcore.InvalidMatrix),
         (lambda prob: C.check_n2_theta(prob, NAN2), matcore.InvalidMatrix),
         (lambda prob: matcore.polar_factor(np.eye(2), NAN2), matcore.InvalidMatrix),
         (lambda prob: C.orthogonal_factors_from_gamma(prob, INDEFINITE_GAMMA), matcore.NotPSD),
@@ -66,8 +60,8 @@ def _task(prob):
     ],
     ids=[
         "GaussianLaw", "quadratic", "build_kernel", "build_kernel-wrong-size", "validate_gamma_witness",
-        "validate_pairwise_blocks", "orthogonal_factors_from_gamma", "check_inecov-extra", "dual_refutation_value",
-        "FeasibilityTask", "check_n2_theta", "polar_factor", "orthogonal_factors_from_gamma-indefinite",
+        "validate_pairwise_blocks", "orthogonal_factors_from_gamma", "check_inecov-extra", "check_n2_theta",
+        "polar_factor", "orthogonal_factors_from_gamma-indefinite",
         "test_convex_order-indefinite-lhs",
     ],
 )
@@ -75,7 +69,9 @@ def test_entry_points_check_outside_matrices(call, exc):
     # symmetrize, is_psd, sqrt_psd, pinv_psd and correlation_of trust their
     # input, so each entry point that takes a matrix from outside checks it
     # once, with the exception class it always raised; a PSD check is made
-    # against the sigma^2 of the problem the matrix enters with
+    # against the sigma^2 of the problem the matrix enters with. The engine
+    # is no entry point: a FeasibilityTask takes its matrices from a checked
+    # MixtureProblem, and dual_refutation_value the ascent's own Y
     with pytest.raises(exc):
         call(rank_deficient_pair(0.0))
 

@@ -64,7 +64,34 @@ def test_small_component_problem_cli_reports(tmp_path, capsys, scale, argv):
 def test_mixture_samples_read_the_task_roots(monkeypatch):
     fam.clear_shared_caches()
     prob = fam.small_component_problem()
-    roots = C._task(prob, psdfeas.FULL).roots
+    roots = psdfeas.FeasibilityTask(prob).roots
     monkeypatch.setattr(matcore, "sqrt_psd", lambda a: pytest.fail("component roots computed again"))
     assert psdfeas.block_roots(prob.covs) is roots
     cxverify._mixture_samples(prob, 10, CounterRng(0))
+
+
+def counting(monkeypatch, module, name) -> list:
+    """Count the calls of ``module.name`` from now on."""
+    calls, real = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    return calls
+
+
+def test_coupling_check_reads_the_problems_checked_matrices(monkeypatch):
+    # the problem checked and mirrored its target once: the check's task holds
+    # that array and the problem's sigma^2, and checks no matrix again
+    prob = fam.axis_swap_problem(5.0, 0.5)
+    squares = counting(monkeypatch, matcore, "as_square")
+    tasks, solve = [], psdfeas.solve
+    monkeypatch.setattr(psdfeas, "solve", lambda task, *args: tasks.append(task) or solve(task, *args))
+    assert C.check_inecov(prob).holds
+    assert squares == [] and len(tasks) == 1
+    assert tasks[0].target is prob.target and tasks[0].scale == prob.var_scale()
+
+
+def test_default_suite_checks_no_quadratic(monkeypatch):
+    # its quadratics W W'/d are PSD by construction
+    calls = counting(monkeypatch, matcore, "is_psd")
+    suite = cxverify.default_suite(fam.small_component_problem())
+    assert [f.kind for f in suite].count("quadratic") == 8
+    assert calls == []

@@ -13,6 +13,7 @@ from families import (
     RANK_DEFICIENT_GAMMA,
 )
 from gmcvx import matcore, psdfeas
+from gmcvx.conditions import MixtureProblem
 from gmcvx.rng import CounterRng
 from gmcvx.utils import golden_section_minimize
 
@@ -25,12 +26,12 @@ def random_instance(seed, n, d, shrink=0.9, cone=psdfeas.FULL):
     covs = np.stack([gamma0[i * d : (i + 1) * d, i * d : (i + 1) * d] for i in range(n)])
     p = np.full(n, 1.0 / n)
     target = shrink * psdfeas.mix_compress(gamma0, p, d)
-    return psdfeas.FeasibilityTask(p, covs, target, cone), gamma0
+    return psdfeas.FeasibilityTask(MixtureProblem(p, covs, target), cone), gamma0
 
 
 def test_all_blocks_equal_target_feasible_fast():
     sigma = np.array([[2.0, 0.5], [0.5, 1.0]])
-    task = psdfeas.FeasibilityTask([0.5, 0.5], np.stack([sigma, sigma]), sigma, psdfeas.FULL)
+    task = psdfeas.FeasibilityTask(MixtureProblem([0.5, 0.5], np.stack([sigma, sigma]), sigma), psdfeas.FULL)
     out = psdfeas.solve(task)
     assert out.feasible
     assert out.iterations <= 5
@@ -38,7 +39,7 @@ def test_all_blocks_equal_target_feasible_fast():
 
 def test_rank_deficient_pair_instance_feasible():
     prob = rank_deficient_pair(0.0)
-    task = psdfeas.FeasibilityTask(prob.p, prob.covs, prob.target, psdfeas.FULL)
+    task = psdfeas.FeasibilityTask(prob, psdfeas.FULL)
     out = psdfeas.solve(task)
     assert out.feasible
     check = psdfeas.validate_gamma(task, out.gamma, 1e-7)
@@ -51,7 +52,7 @@ def test_exterior_point_hits_iteration_cap_with_residual():
     # an n = 3 full-cone problem that no construction makes feasible:
     # Dykstra runs to its cap and reports the residual it stalled at
     prob = random_chain_problem(77)
-    task = psdfeas.FeasibilityTask(prob.p, prob.covs, prob.target, psdfeas.FULL)
+    task = psdfeas.FeasibilityTask(prob, psdfeas.FULL)
     assert task.n == 3
     out = psdfeas.solve(task, psdfeas.EngineConfig(max_iter=600))
     assert out.status == psdfeas.MAX_ITERATIONS and out.iterations == 600
@@ -61,7 +62,7 @@ def test_exterior_point_hits_iteration_cap_with_residual():
 def test_n2_exterior_point_returns_the_warm_start():
     # with n = 2 the contraction coupling decides: no Dykstra iteration follows it
     prob = axis_swap_problem(6.0, 0.0)
-    task = psdfeas.FeasibilityTask(prob.p, prob.covs, prob.target, psdfeas.FULL)
+    task = psdfeas.FeasibilityTask(prob, psdfeas.FULL)
     out = psdfeas.solve(task, psdfeas.EngineConfig(max_iter=600))
     assert out.status == psdfeas.MAX_ITERATIONS and out.iterations == 0
     assert out.cone_dist > 1e-3
@@ -168,7 +169,7 @@ def test_dykstra_iterates_keep_blocks_pinned_and_validate_when_feasible(seed, co
     # returns a Gamma that validates. Dykstra runs only for the full cone
     # with n >= 3; on seed 32 it stalls
     prob = random_chain_problem(seed)
-    task = psdfeas.FeasibilityTask(prob.p, prob.covs, prob.target, cone)
+    task = psdfeas.FeasibilityTask(prob, cone)
     out = psdfeas.solve(task, psdfeas.EngineConfig(max_iter=1500))
     assert out.iterations > 0
     for i in range(task.n):
@@ -186,7 +187,7 @@ def test_pairwise_solve_is_feasible_at_the_warm_start(seed):
     # n = 3 pairwise problems made feasible at the warm start by the
     # contraction coupling, one of the default candidates
     prob = random_chain_problem(seed)
-    task = psdfeas.FeasibilityTask(prob.p, prob.covs, prob.target, psdfeas.PAIRWISE)
+    task = psdfeas.FeasibilityTask(prob, psdfeas.PAIRWISE)
     assert task.n == 3
     out = psdfeas.solve(task, psdfeas.EngineConfig(max_iter=1500))
     assert out.feasible and out.iterations == 0
@@ -217,7 +218,7 @@ def test_affine_projection_satisfies_constraints():
 
 def test_warm_start_prefers_feasible_candidate():
     prob = rank_deficient_pair(0.0)
-    task = psdfeas.FeasibilityTask(prob.p, prob.covs, prob.target, psdfeas.FULL)
+    task = psdfeas.FeasibilityTask(prob, psdfeas.FULL)
     start, _ = psdfeas.warm_start_from(task, [np.zeros((4, 4)), RANK_DEFICIENT_GAMMA])
     assert np.allclose(start, RANK_DEFICIENT_GAMMA)
 
@@ -226,7 +227,7 @@ def test_warm_start_dominated_target_uses_shared_blocks():
     # target below every component: off-diagonal blocks equal to the target
     sigma = np.array([[1.0, 0.2], [0.2, 0.8]])
     covs = np.stack([sigma + np.eye(2), sigma + 2.0 * np.eye(2)])
-    task = psdfeas.FeasibilityTask([0.4, 0.6], covs, sigma, psdfeas.FULL)
+    task = psdfeas.FeasibilityTask(MixtureProblem([0.4, 0.6], covs, sigma), psdfeas.FULL)
     cands = psdfeas.default_candidates(task)
     shared = cands[1]
     assert np.allclose(shared[0:2, 2:4], sigma)
@@ -236,11 +237,10 @@ def test_warm_start_dominated_target_uses_shared_blocks():
     assert out.feasible and out.iterations == 0
 
 
-def test_warm_start_empty_candidates_defaults_to_block_diagonal():
+def test_first_default_candidate_is_block_diagonal():
     task, _ = random_instance(40, n=2, d=2)
-    start, _ = psdfeas.warm_start_from(task, [])
-    off = start[0:2, 2:4]
-    assert np.abs(off).max() == 0.0
+    first = psdfeas.default_candidates(task)[0]
+    assert np.abs(first[0:2, 2:4]).max() == 0.0 and np.abs(first[2:4, 0:2]).max() == 0.0
 
 
 def reference_warm_key(task, cand):
@@ -280,7 +280,7 @@ def reference_warm_start(task, candidates):
         score(cand)
     if task.cone == psdfeas.FULL and task.n >= 3 and (best_key is None or best_key[0] > matcore.EPS_ENGINE * task.scale):
         score(task.factor_ascent[1])
-    return psdfeas._pair_coupling(task, []) if best is None else best
+    return best
 
 
 @pytest.mark.parametrize("cone", [psdfeas.FULL, psdfeas.PAIRWISE])
@@ -312,7 +312,7 @@ def test_batched_warm_start_matches_per_candidate_loop(seed, n, d, cone):
 def test_batched_warm_start_matches_per_candidate_loop_with_factor_ascent():
     # no default candidate is feasible, so the factor coupling is scored last and wins
     prob = random_chain_problem(32)
-    task = psdfeas.FeasibilityTask(prob.p, prob.covs, prob.target, psdfeas.FULL, seed=32, ascent_iters=200)
+    task = psdfeas.FeasibilityTask(prob, psdfeas.FULL, seed=32, ascent_iters=200)
     cands = psdfeas.default_candidates(task)
     start, _ = psdfeas.warm_start_from(task, cands)
     assert "factor_ascent" in vars(task)
@@ -326,7 +326,7 @@ def test_wasserstein_candidate_closes_pair_slack(index):
     # (index 2) and the contraction candidate (last) both make the weighted
     # block sum as large as the analytic two-sided bound
     prob = axis_swap_problem(3.0 + 2.0 * np.sqrt(2.0) - 1e-9, 0.0)
-    task = psdfeas.FeasibilityTask(prob.p, prob.covs, prob.target, psdfeas.FULL)
+    task = psdfeas.FeasibilityTask(prob, psdfeas.FULL)
     cand = psdfeas.default_candidates(task)[index]
     mix = psdfeas.mix_compress(cand, task.p, 2)
     assert np.allclose(mix, (3.0 + 2.0 * np.sqrt(2.0)) * np.eye(2), atol=1e-9)
@@ -337,7 +337,7 @@ def test_transport_candidate_pair_block_has_d_null_directions():
     # the graph of a map: its 2d x 2d pair block is PSD with rank exactly d
     rng = CounterRng(19)
     covs = np.stack([random_psd(rng, 3) + 0.2 * np.eye(3), random_psd(rng, 3)])
-    task = psdfeas.FeasibilityTask([0.4, 0.6], covs, 0.5 * covs[0], psdfeas.FULL)
+    task = psdfeas.FeasibilityTask(MixtureProblem([0.4, 0.6], covs, 0.5 * covs[0]), psdfeas.FULL)
     w = np.linalg.eigvalsh(psdfeas.default_candidates(task)[2])
     tol = 1e-9 * task.scale
     assert w[0] >= -tol
@@ -358,7 +358,7 @@ def test_task_roots_computed_once_per_task(monkeypatch):
     # the contraction ascent, its Gamma, the warm starts and the dual bound
     # share the two block roots; the transport candidate adds one more root
     prob = axis_swap_problem(6.1, 0.0)
-    task = psdfeas.FeasibilityTask(prob.p, prob.covs, prob.target, psdfeas.FULL, ascent_iters=20)
+    task = psdfeas.FeasibilityTask(prob, psdfeas.FULL, ascent_iters=20)
     _, ks, y = task.ascent
     psdfeas.gamma_from_contractions(task, ks)
     psdfeas.default_candidates(task)
@@ -368,7 +368,7 @@ def test_task_roots_computed_once_per_task(monkeypatch):
         assert np.allclose(root @ root, block, atol=1e-12)
     assert np.array_equal(task.offset, matcore.symmetrize(task.pinned_sum - task.target))
     # a task of another problem with the same components computes none again
-    other = psdfeas.FeasibilityTask(prob.p, axis_swap_problem(5.0, 0.5).covs, np.eye(2), psdfeas.FULL)
+    other = psdfeas.FeasibilityTask(MixtureProblem(prob.p, axis_swap_problem(5.0, 0.5).covs, np.eye(2)), psdfeas.FULL)
     psdfeas.default_candidates(other)
     assert len(calls) == 3 and other.roots is task.roots
 
@@ -449,14 +449,14 @@ def test_batched_ascent_matches_per_start_loop(n, d, cone):
 def test_batched_ascent_stops_a_start_whose_supergradient_vanishes():
     # component 0 has root diag(1, 1, 0) and the slack at K = 0 is diagonal
     # with its smallest entry last: the zero start's bottom eigenvector is
-    # e3, which that root maps to 0, while the other starts keep stepping
+    # e3, which that root maps to 0, while the other starts keep stepping;
+    # component 1 is large enough that the target stays PSD
     p = np.array([0.4, 0.6])
     g = CounterRng(41).normal_matrix(3, 3)
-    blocks = np.stack([np.diag([1.0, 1.0, 0.0]), matcore.symmetrize(g @ g.T)])
+    blocks = np.stack([np.diag([1.0, 1.0, 0.0]), 10.0 * matcore.symmetrize(g @ g.T)])
     pinned = np.einsum("i,ikl->kl", p**2, blocks)
-    task = psdfeas.FeasibilityTask(
-        p, blocks, pinned - np.diag([1.0, 2.0, -5.0]), psdfeas.PAIRWISE, seed=3, ascent_iters=60
-    )
+    prob = MixtureProblem(p, blocks, pinned - np.diag([1.0, 2.0, -5.0]))
+    task = psdfeas.FeasibilityTask(prob, psdfeas.PAIRWISE, seed=3, ascent_iters=60)
     assert np.count_nonzero(task.offset - np.diag(np.diag(task.offset))) == 0
     val, ks, y = task.ascent
     ref_val, ref_ks, ref_y, stops = reference_ascent(task)
@@ -470,7 +470,8 @@ def test_batched_ascent_keeps_the_first_start_on_a_tie():
     # a zero block makes every pair term and supergradient vanish: all starts
     # tie on the value of c0, and the zero start, which comes first, wins
     blocks = np.stack([np.diag([1.0, 2.0, 3.0]), np.zeros((3, 3))])
-    task = psdfeas.FeasibilityTask([0.5, 0.5], blocks, np.eye(3), psdfeas.PAIRWISE, seed=3, ascent_iters=10)
+    prob = MixtureProblem([0.5, 0.5], blocks, np.eye(3))
+    task = psdfeas.FeasibilityTask(prob, psdfeas.PAIRWISE, seed=3, ascent_iters=10)
     val, ks, y = task.ascent
     ref_val, ref_ks, ref_y, stops = reference_ascent(task)
     assert stops == [1, 1, 1]
@@ -661,7 +662,7 @@ def test_shared_loop_matches_the_contraction_ascent_loop(iters, d, n):
 
 def test_shared_loop_matches_the_factor_ascent_loop():
     prob = random_chain_problem(32)
-    task = psdfeas.FeasibilityTask(prob.p, prob.covs, prob.target, psdfeas.FULL, seed=32, ascent_iters=200)
+    task = psdfeas.FeasibilityTask(prob, psdfeas.FULL, seed=32, ascent_iters=200)
     val, gamma = task.factor_ascent
     ref_val, ref_gamma = reference_batched_factor_ascent(task)
     assert val == ref_val and np.array_equal(gamma, ref_gamma)

@@ -74,7 +74,7 @@ def test_cached_arrays_are_read_only(tmp_path):
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
             arr.flat[0] = 1.0
-    task = C._task(prob, psdfeas.FULL)
+    task = psdfeas.FeasibilityTask(prob)
     with pytest.raises(ValueError, match="read-only"):
         task.roots[0, 0, 0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
@@ -222,11 +222,10 @@ def test_mutated_covariances_get_their_own_roots():
     clear_shared_caches()
     covs = fam.axis_swap_problem(5.0, 0.5).covs.copy()
     target = np.eye(2)
-    first = psdfeas.FeasibilityTask([0.5, 0.5], covs, target)
+    first = psdfeas.FeasibilityTask(C.MixtureProblem([0.5, 0.5], covs, target))
     old_roots = first.roots.copy()
-    covs[0] *= 4.0  # in place: a task built now reads the same array object
-    second = psdfeas.FeasibilityTask([0.5, 0.5], covs, target)
-    assert second.blocks is covs
+    covs[0] *= 4.0  # in place: the array object is the same, its bytes are not
+    second = psdfeas.FeasibilityTask(C.MixtureProblem([0.5, 0.5], covs, target))
     assert np.array_equal(second.roots[0], 2.0 * old_roots[0]) and np.array_equal(second.roots[1], old_roots[1])
     # and a problem built from the mutated array decides as it does with nothing cached
     prob = C.MixtureProblem([0.5, 0.5], covs, np.diag([9.0, 5.0]))
