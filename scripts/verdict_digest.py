@@ -33,7 +33,8 @@ how large it is, save one checkout's records with ``--dump FILE`` and run
 the other with ``--compare FILE``: for each set and checker it prints the
 number of records, the status mismatches, the largest |margin change| and
 the record it is on (the seed for ``chain`` and ``defaults``, the ``a,b``
-cell for ``region``; ``-`` when no margin moved), then one line per status
+cell for ``region``; ``-`` when no margin moved) and ``margins_moved``, the
+number of records whose margin changed at all, then one line per status
 change, ``set checker record old→new``. With ``--compare`` the script exits
 1 when any status changed or a record is missing on either side, else 0::
 
@@ -135,27 +136,30 @@ def scale_line(power: int, unit: list[dict]) -> str:
 
 def drift_lines(name: str, old: list, new: list) -> tuple[list[str], int]:
     """Per checker: records, status mismatches and the largest |margin change| of ``new`` against ``old``,
-    with its key; then one ``set checker record old→new`` line per status change (``-`` for a missing record).
-    Returns the lines and the number of status changes."""
+    with its key, and the number of records whose margin moved at all; then one ``set checker record old→new``
+    line per status change (``-`` for a missing record). Returns the lines and the number of status changes."""
     before = {(key, checker): (status, margin) for key, checker, status, margin in old}
     stats: dict[str, list] = {}
     changes = []
     for key, checker, status, margin in new:
-        row = stats.setdefault(checker, [0, 0, 0.0, "-"])
+        row = stats.setdefault(checker, [0, 0, 0.0, "-", 0])
         row[0] += 1
         old_status, old_margin = before.pop((key, checker), ("-", margin))
         if old_status != status:
             row[1] += 1
             changes.append(f"{name} {checker} {key} {old_status}→{status}")
-        change = abs(margin - old_margin) if old_margin != margin else 0.0  # equal infinities differ by nothing
+        moved = old_margin != margin  # equal infinities differ by nothing
+        row[4] += moved
+        change = abs(margin - old_margin) if moved else 0.0
         if change > row[2]:
-            row[2:] = change, key
+            row[2:4] = change, key
     for (key, checker), (status, _) in before.items():  # records the new run no longer has
-        stats.setdefault(checker, [0, 0, 0.0, "-"])[1] += 1
+        stats.setdefault(checker, [0, 0, 0.0, "-", 0])[1] += 1
         changes.append(f"{name} {checker} {key} {status}→-")
     return [
         f"drift {name} {checker} records={n} status_mismatches={bad} max_abs_dmargin={worst:.3e} at={where}"
-        for checker, (n, bad, worst, where) in sorted(stats.items())
+        f" margins_moved={moved}"
+        for checker, (n, bad, worst, where, moved) in sorted(stats.items())
     ] + changes, len(changes)
 
 

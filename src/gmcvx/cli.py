@@ -291,9 +291,9 @@ def cmd_check(args) -> int:
         else:
             report = implication_chain_report(prob, cfg, engine_cfg, seed=args.seed)
             if report.inecov.holds:
-                verdict = Verdict(Status.HOLDS, report.inecov.margin, None, report.as_dict())
+                verdict = Verdict(Status.HOLDS, report.inecov.margin, report.inecov.witness, report.as_dict())
             elif report.inegsqrt.fails:
-                verdict = Verdict(Status.FAILS, report.inegsqrt.margin, None, report.as_dict())
+                verdict = Verdict(Status.FAILS, report.inegsqrt.margin, report.inegsqrt.witness, report.as_dict())
             else:
                 verdict = Verdict(Status.UNKNOWN, report.inegsqrt.margin, None, report.as_dict())
     except (NonCenteredMeans, SingularM) as exc:

@@ -1001,10 +1001,11 @@ def implication_chain_report(
 ) -> ChainReport:
     """Run every checker and assert the implication chain is not inverted.
 
-    Certificates found at a stronger level are handed down as warm starts,
-    so a stronger Holds always propagates. With two components inecovf is
-    inecov, so its verdict is reused. Any inversion (stronger Holds
-    with weaker Fails beyond tolerance) raises :class:`ChainViolation`.
+    A correl certificate is handed down as a warm start, so a stronger Holds
+    always propagates. inecovf is inecov for two components and whenever
+    inecov holds: each pair block of its Gamma is a principal submatrix, by
+    Cauchy interlacing no further from the PSD cone. Any inversion (stronger
+    Holds with weaker Fails beyond tolerance) raises :class:`ChainViolation`.
     """
     from . import cxverify  # local import to avoid a module cycle
 
@@ -1016,12 +1017,11 @@ def implication_chain_report(
     v3 = check_inecov(
         prob, engine_cfg, search_cfg, extra_candidates=extra, inegsqrt_verdict=v5, seed=seed
     )
-    if prob.n == 2:
-        v3f = v3  # the one pair block is the whole coupling matrix: inecovf is inecov
+    if prob.n == 2 or v3.holds:
+        v3f = v3  # the pairwise cone is the full one for n = 2, and holds any full-cone witness
     else:
-        extra_f = extra + [v3.witness.gamma] if v3.holds else extra
         v3f = check_inecovf(
-            prob, engine_cfg, search_cfg, extra_candidates=extra_f, inegsqrt_verdict=v5, seed=seed
+            prob, engine_cfg, search_cfg, extra_candidates=extra, inegsqrt_verdict=v5, seed=seed
         )
     lhs = cxverify.GaussianLaw(np.zeros(prob.d), prob.target)
     suite = cxverify.default_suite(prob, seed=seed)

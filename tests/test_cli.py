@@ -125,6 +125,25 @@ def test_check_chain_report(tmp_path, capsys):
     assert report["diagnostics"]["correl"]["status"] == "unknown"
 
 
+def test_check_chain_emits_the_inecov_certificate(tmp_path, capsys):
+    # a chain Holds is decided by inecov, so it writes inecov's coupling matrix
+    doc = {**exterior_doc(), "target": [[2.0, 1.0], [1.0, 2.0]]}
+    prob = write_json(tmp_path / "prob.json", doc)
+    cert = tmp_path / "cert.json"
+    code, report = run_cli(
+        capsys, "check", "--condition", "chain", "--input", prob, "--emit-certificate", str(cert)
+    )
+    assert code == 0
+    assert report["status"] == "holds"
+    assert report["witness"]["kind"] == "gamma"
+    assert json.loads(cert.read_text())["input_digest"] == report["input_digest"]
+    code, _ = run_cli(
+        capsys, "couple", "--input", prob, "--gamma", str(cert),
+        "--samples", "2000", "--seed", "3", "--out", str(tmp_path / "samples.csv"),
+    )
+    assert code == 0
+
+
 def test_check_chain_rejects_with_m(tmp_path, capsys):
     # the chain report has no basis input, so the flag would be ignored
     prob = write_json(tmp_path / "prob.json", separation_doc())
@@ -138,6 +157,7 @@ def test_check_chain_refuted_exit_code(tmp_path, capsys):
     code, report = run_cli(capsys, "check", "--condition", "chain", "--input", prob)
     assert code == 1
     assert report["diagnostics"]["inegsqrt"]["status"] == "fails"
+    assert report["witness"]["kind"] == "direction"  # the refuting direction of inegsqrt
 
 
 def test_bad_weight_sum_is_invariant_violation(tmp_path, capsys):

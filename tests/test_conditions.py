@@ -714,13 +714,49 @@ def test_chain_interior_point_all_holds():
     assert report.order_evidence.holds
 
 
-def test_chain_two_components_decides_coupling_once(monkeypatch):
+def assert_chain_reuses_inecov_holds(monkeypatch, prob, seed=0):
     def unexpected(*args, **kwargs):
-        raise AssertionError("inecovf decided again for two components")
+        raise AssertionError("inecovf decided again after inecov held")
 
     monkeypatch.setattr(C, "check_inecovf", unexpected)
-    report = C.implication_chain_report(fam.axis_swap_problem(2.0, 1.0), mc_samples=2000)
+    report = C.implication_chain_report(prob, mc_samples=2000, seed=seed)
+    assert report.inecov.holds
     assert report.inecovf is report.inecov
+    # inecov's full-cone witness is a pairwise one: each pair block interlaces the whole
+    assert C.validate_gamma_witness(prob, report.inecovf.witness, pairwise=True)["ok"]
+    assert all(ok for ok, _ in C.validate_pairwise_blocks(prob, report.inecovf.witness).values())
+
+
+def test_chain_two_components_decides_coupling_once(monkeypatch):
+    assert_chain_reuses_inecov_holds(monkeypatch, fam.axis_swap_problem(2.0, 1.0))
+
+
+def test_chain_three_components_reuse_an_inecov_holds(monkeypatch):
+    prob = fam.random_chain_problem(38)
+    assert (prob.n, prob.d) == (3, 2)
+    assert_chain_reuses_inecov_holds(monkeypatch, prob, seed=38)
+
+
+@pytest.mark.parametrize("seed", [2, 77])  # n = 3: inecov fails (by inegsqrt); inecov unknown
+def test_chain_decides_inecovf_when_inecov_does_not_hold(monkeypatch, seed):
+    calls = []
+    check_inecovf = C.check_inecovf
+
+    def counted(*args, **kwargs):
+        calls.append(seed)
+        return check_inecovf(*args, **kwargs)
+
+    monkeypatch.setattr(C, "check_inecovf", counted)
+    prob = fam.random_chain_problem(seed)
+    # the 50-iteration cap only shortens seed 77's Dykstra stall: its inecov
+    # is unknown at 1,500 and at the default 20,000 iterations too
+    report = C.implication_chain_report(
+        prob, engine_cfg=psdfeas.EngineConfig(max_iter=50), mc_samples=2000, seed=seed
+    )
+    assert prob.n == 3 and not report.inecov.holds
+    assert calls == [seed]
+    assert report.inecovf is not report.inecov
+    assert report.inecovf.status == (C.Status.FAILS if seed == 2 else C.Status.HOLDS)
 
 
 def test_chain_scaled_up_target_all_fail():

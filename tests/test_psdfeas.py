@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from families import (
     axis_swap_problem,
@@ -281,6 +283,28 @@ def reference_warm_start(task, candidates):
     if task.cone == psdfeas.FULL and task.n >= 3 and (best_key is None or best_key[0] > matcore.EPS_ENGINE * task.scale):
         score(task.factor_ascent[1])
     return best
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.sampled_from([3, 4]),
+    st.sampled_from([1, 2, 3]),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+def test_pairwise_cone_distance_is_at_most_the_full_one(seed, n, d, slack_size):
+    # a pair block is a principal submatrix, so by Cauchy interlacing its k-th
+    # smallest eigenvalue is at least Gamma's: any negative part it has is no
+    # larger than Gamma's; Gamma need not be PSD and the slack is shared
+    rng = CounterRng(seed)
+    gamma = matcore.symmetrize(rng.normal_matrix(n * d, n * d))
+    slack = slack_size * matcore.symmetrize(rng.normal_matrix(d, d))
+    prob = MixtureProblem(np.full(n, 1.0 / n), np.stack([np.eye(d)] * n), np.eye(d))
+    full, pairwise = (
+        float(psdfeas._cone_distance(*psdfeas._spectra(psdfeas.FeasibilityTask(prob, cone), gamma[None], slack[None]))[0])
+        for cone in (psdfeas.FULL, psdfeas.PAIRWISE)
+    )
+    assert pairwise <= full + 1e-12 * matcore.fro_norm(gamma)
 
 
 @pytest.mark.parametrize("cone", [psdfeas.FULL, psdfeas.PAIRWISE])
