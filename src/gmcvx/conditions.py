@@ -557,6 +557,8 @@ def _coupling_check(prob, cone, engine_cfg, search_cfg, extra_candidates, inegsq
         diag["pair_ascent_margin"] = ascent[0]
 
     out = psdfeas.solve(task, engine_cfg, candidates)
+    if "factor_ascent" in vars(task):
+        diag["factor_ascent_evals"] = task.factor_ascent[2]
     diag["engine_iterations"] = out.iterations
     diag["cone_dist"] = out.cone_dist
     diag["affine_dist"] = out.affine_dist
@@ -1001,11 +1003,12 @@ def implication_chain_report(
 ) -> ChainReport:
     """Run every checker and assert the implication chain is not inverted.
 
-    A correl certificate is handed down as a warm start, so a stronger Holds
-    always propagates. inecovf is inecov for two components and whenever
-    inecov holds: each pair block of its Gamma is a principal submatrix, by
-    Cauchy interlacing no further from the PSD cone. Any inversion (stronger
-    Holds with weaker Fails beyond tolerance) raises :class:`ChainViolation`.
+    A correl certificate is handed down to inecov as a warm start, so a
+    stronger Holds always propagates. inecovf is inecov for two components
+    and whenever inecov holds: each pair block of its Gamma is a principal
+    submatrix, by Cauchy interlacing no further from the PSD cone. Any
+    inversion (stronger Holds with weaker Fails beyond tolerance) raises
+    :class:`ChainViolation`.
     """
     from . import cxverify  # local import to avoid a module cycle
 
@@ -1020,9 +1023,7 @@ def implication_chain_report(
     if prob.n == 2 or v3.holds:
         v3f = v3  # the pairwise cone is the full one for n = 2, and holds any full-cone witness
     else:
-        v3f = check_inecovf(
-            prob, engine_cfg, search_cfg, extra_candidates=extra, inegsqrt_verdict=v5, seed=seed
-        )
+        v3f = check_inecovf(prob, engine_cfg, search_cfg, inegsqrt_verdict=v5, seed=seed)
     lhs = cxverify.GaussianLaw(np.zeros(prob.d), prob.target)
     suite = cxverify.default_suite(prob, seed=seed)
     v4 = cxverify.test_convex_order(lhs, prob, suite, mc_samples=mc_samples, seed=seed, z=5.0)
@@ -1032,8 +1033,6 @@ def implication_chain_report(
     problems = []
     if v2.holds and not v3.holds:
         problems.append("correl holds but inecov does not")
-    if v3.holds and not v3f.holds:
-        problems.append("inecov holds but inecovf does not")
     if v3f.holds and v5.fails and v5.margin < -tol_std:
         problems.append("inecovf holds but inegsqrt fails")
     if v3.holds and v4.fails:

@@ -15,9 +15,12 @@ an angular grid and Brent's method, both on the closed-form smallest
 eigenvalue of a 2 x 2 matrix affine in (cos phi, sin phi). For the full
 cone with n >= 3 the orthogonal-factor ascent writes
 Gamma_ij = root_i O_i O_j' root_j with orthonormal-row factors O_i, which
-is PSD by construction. :func:`warm_start_from` scores the one candidate
-list (:func:`default_candidates`) with the caller's candidates as one
-stack through the one spectral test (:func:`_spectra`).
+is PSD by construction. It ends at the first evaluation at which a
+start's slack clears the engine tolerance, so the slack of its coupling is
+the one where it stopped, not the most it could reach.
+:func:`warm_start_from` scores the one candidate list
+(:func:`default_candidates`) with the caller's candidates as one stack
+through the one spectral test (:func:`_spectra`).
 
 Only for the full cone with n >= 3, where no exact construction is known,
 do Dykstra alternating projections follow an infeasible warm start: one
@@ -412,7 +415,9 @@ def contraction_ascent(task: FeasibilityTask):
     if iters:
         # ``iters`` evaluations in all, the first scoring the starts: the loop takes
         # iters - 1 steps, as a step after the last evaluation would never be scored
-        best_val, best_ks, tail = _batched_ascent(ks, best_val, iters - 1, evaluate, supergradient, clip_operator_ball)
+        best_val, best_ks, tail, _ = _batched_ascent(
+            ks, best_val, iters - 1, evaluate, supergradient, clip_operator_ball
+        )
     i = int(np.argmax(best_val))
     best, best_ks = float(best_val[i]), best_ks[i]
     if d == 2 and n_pairs > 1:
@@ -442,8 +447,12 @@ def factor_ascent(task: FeasibilityTask):
     2008) through :func:`_batched_ascent`, retracted onto orthonormal rows
     by the polar factor, for ``task.ascent_iters`` steps from four starts:
     every O_i = [I_d 0], then three polar-projected draws from
-    ``task.seed``. Returns the best value and its coupling matrix
-    Gamma = F F', F the stacked root_i O_i, which is PSD by construction.
+    ``task.seed``. Its one use is a feasible candidate, so it ends after the
+    first evaluation at which a start's value exceeds
+    ``matcore.EPS_ENGINE * task.scale``, the tolerance of
+    :func:`warm_start_from`; otherwise it takes every step. Returns the best
+    value, its coupling matrix Gamma = F F', F the stacked root_i O_i, which
+    is PSD by construction, and the number of evaluations.
     Read it through :attr:`FeasibilityTask.factor_ascent`.
     """
     n, d = task.n, task.d
@@ -472,11 +481,12 @@ def factor_ascent(task: FeasibilityTask):
         return 2.0 * left * np.swapaxes(right, -1, -2)[:, None]
 
     best_val = np.full(len(factors), -np.inf)
-    steps = task.ascent_iters
-    best_val, best_factors, _ = _batched_ascent(factors, best_val, steps, evaluate, supergradient, matcore.polar)
+    best_val, best_factors, _, evals = _batched_ascent(
+        factors, best_val, task.ascent_iters, evaluate, supergradient, matcore.polar, matcore.EPS_ENGINE * task.scale
+    )
     i = int(np.argmax(best_val))
     stacked = (roots @ best_factors[i]).reshape(nd, nd)
-    return float(best_val[i]), stacked @ stacked.T
+    return float(best_val[i]), stacked @ stacked.T, evals
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +496,9 @@ def factor_ascent(task: FeasibilityTask):
 _TAIL_EVALS = 25  # evaluations at the end of an ascent whose bottom eigenvectors are kept
 
 
-def _batched_ascent(xs: np.ndarray, best_val: np.ndarray, steps: int, evaluate, supergradient, retract):
+def _batched_ascent(
+    xs: np.ndarray, best_val: np.ndarray, steps: int, evaluate, supergradient, retract, stop: float = math.inf
+):
     """Normalised supergradient ascent of all starts of the stack ``xs`` at once, in place.
 
     ``evaluate(x)`` gives the live starts' values, bottom eigenvectors and
@@ -495,11 +507,14 @@ def _batched_ascent(xs: np.ndarray, best_val: np.ndarray, steps: int, evaluate, 
     the feasible set. Each start is evaluated, then takes up to ``steps``
     steps of length 0.5 / sqrt(k), k = 1, 2, ..., each followed by an
     evaluation, and stops when its supergradient, computed only when a step
-    follows, vanishes. ``best_val`` holds each start's value before the loop
-    (-inf for none); only a strictly larger value replaces it, so each start
-    keeps its first-occurrence best, as if the starts ran one after another.
-    Returns the best values and points, and the bottom eigenvectors of each
-    start's last :data:`_TAIL_EVALS` evaluations, the starts in order.
+    follows, vanishes. The whole loop ends after the first evaluation at
+    which some start's value exceeds ``stop``. ``best_val`` holds each
+    start's value before the loop (-inf for none); only a strictly larger
+    value replaces it, so each start keeps its first-occurrence best, as if
+    the starts ran one after another up to that evaluation.
+    Returns the best values and points, the bottom eigenvectors of each
+    start's last :data:`_TAIL_EVALS` evaluations, the starts in order, and
+    the number of evaluations.
     """
     best_x = xs.copy()
     tails: list[list] = [[] for _ in xs]
@@ -513,7 +528,7 @@ def _batched_ascent(xs: np.ndarray, best_val: np.ndarray, steps: int, evaluate, 
         if it > steps - _TAIL_EVALS:
             for start, vec in zip(live, vecs):
                 tails[start].append(vec)
-        if it == steps:
+        if it == steps or vals.max() > stop:
             break
         grads = supergradient(cur, vecs, aux)
         sq = np.sum((grads * grads).reshape(live.size, grads.shape[1], -1), axis=-1)
@@ -527,7 +542,7 @@ def _batched_ascent(xs: np.ndarray, best_val: np.ndarray, steps: int, evaluate, 
             break
         step = 0.5 / math.sqrt(it + 1)
         xs[live] = retract(cur[moving] + step * grads[moving] / gnorm[moving, None, None, None])
-    return best_val, best_x, [vec for vecs in tails for vec in vecs]
+    return best_val, best_x, [vec for vecs in tails for vec in vecs], it + 1
 
 
 def _pair_coupling(task: FeasibilityTask, thetas) -> np.ndarray:

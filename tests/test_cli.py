@@ -83,6 +83,7 @@ def test_check_inecov_factor_ascent_certificate_couples(tmp_path, capsys):
     assert code == 0
     assert report["status"] == "holds"
     assert report["diagnostics"]["engine_iterations"] == 0
+    assert 1 < report["diagnostics"]["factor_ascent_evals"] < 10  # a start clears the tolerance after a few steps
     code, diags = run_cli(
         capsys, "couple", "--input", prob, "--gamma", str(cert),
         "--samples", "2000", "--seed", "3", "--out", str(tmp_path / "samples.csv"),

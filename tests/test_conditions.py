@@ -351,10 +351,37 @@ def test_inecov_n3_stalls_decided_by_factor_ascent(seed):
 
 
 def test_inecov_seed_77_stays_undecided():
-    # inecovf and inegsqrt hold here, but no full coupling is known to exist
+    # inecovf and inegsqrt hold here, but no full coupling is known to exist;
+    # no start of the factor ascent clears the tolerance, so it takes every step
     prob = fam.random_chain_problem(77)
     v = C.check_inecov(prob, psdfeas.EngineConfig(max_iter=1500), fam.MID, seed=77)
     assert not v.holds
+    assert v.diagnostics["factor_ascent_evals"] == fam.MID.ascent_iters + 1
+
+
+def test_inecov_reports_the_factor_ascent_evaluations():
+    # seed 32: a start clears the tolerance after a few steps
+    v = C.check_inecov(fam.random_chain_problem(32), psdfeas.EngineConfig(max_iter=1500), fam.MID, seed=32)
+    assert v.holds and 1 < v.diagnostics["factor_ascent_evals"] < 10
+    assert "factor_ascent_evals" not in C.check_inecov(fam.axis_swap_problem(5.0, 0.5)).diagnostics  # n = 2
+
+
+def test_factor_ascent_holds_validate_with_a_positive_margin():
+    # the ascent stops once a start's slack clears the engine tolerance: each
+    # n = 3 Holds it decides keeps a validated witness whose margin is that slack
+    decided = []
+    for seed in range(200):
+        prob = fam.random_chain_problem(seed)
+        if prob.n != 3:
+            continue
+        v = C.check_inecov(prob, psdfeas.EngineConfig(max_iter=50), fam.MID, seed=seed)
+        if not v.holds or "factor_ascent_evals" not in v.diagnostics:
+            continue
+        decided.append(seed)
+        check = C.validate_gamma_witness(prob, v.witness)
+        assert check["ok"] and check["lmin_slack"] == v.margin, seed
+        assert v.margin > matcore.EPS_ENGINE * prob.var_scale(), seed
+    assert len(decided) >= 10
 
 
 def test_factor_ascent_runs_only_for_an_infeasible_n3_full_cone(monkeypatch):

@@ -507,7 +507,9 @@ def test_batched_ascent_keeps_the_first_start_on_a_tie():
 
 def reference_factor_ascent(task):
     """:func:`psdfeas.factor_ascent` as a plain loop, one start after another
-    and one component at a time. Returns ``(value, Gamma)``."""
+    and one component at a time: each start runs all its steps, then every
+    start is cut at the first evaluation at which any start's value exceeds
+    ``EPS_ENGINE * scale``. Returns ``(value, Gamma, evaluations)``."""
     n, d, iters = task.n, task.d, task.ascent_iters
     nd = n * d
     roots = [np.asarray(r) for r in task.roots]
@@ -522,15 +524,15 @@ def reference_factor_ascent(task):
     for s in range(3):
         start_sets.append([polar(draws[(s * n + i) * d : (s * n + i + 1) * d]) for i in range(n)])
 
-    best_val, best_os = -np.inf, None
+    runs = []  # per start, the value and factors of each evaluation
     for os_ in start_sets:
+        run = []
         for it in range(iters + 1):
             m = weighted[0] @ os_[0]
             for i in range(1, n):
                 m = m + weighted[i] @ os_[i]
             w, q = np.linalg.eigh(m @ m.T - task.target)
-            if w[0] > best_val:
-                best_val, best_os = float(w[0]), [o.copy() for o in os_]
+            run.append((float(w[0]), [o.copy() for o in os_]))
             if it == iters:
                 break
             vec, mv = q[:, 0], m.T @ q[:, 0]
@@ -540,22 +542,71 @@ def reference_factor_ascent(task):
                 break
             step = 0.5 / math.sqrt(it + 1)
             os_ = [polar(o + step * g / gnorm) for o, g in zip(os_, grads)]
+        runs.append(run)
+    stop = matcore.EPS_ENGINE * task.scale
+    cleared = [k + 1 for run in runs for k, (val, _) in enumerate(run) if val > stop]
+    evals = min(cleared) if cleared else max(len(run) for run in runs)
+
+    best_val, best_os = -np.inf, None
+    for run in runs:
+        for val, os_ in run[:evals]:
+            if val > best_val:
+                best_val, best_os = val, os_
     stacked = np.vstack([r @ o for r, o in zip(roots, best_os)])
-    return best_val, stacked @ stacked.T
+    return best_val, stacked @ stacked.T, evals
+
+
+# per d, a target scale (shrink) at which no start clears the tolerance in
+# 60 steps, and one at which a start clears it after a few steps
+NO_START_CLEARS = {2: 2.5, 3: 2.0}
+CLEARS_AFTER_STEPS = {2: (2.2, 5), 3: (1.9, 6)}
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_batched_factor_ascent_matches_per_start_loop(d):
-    task, _ = random_instance(50 + d, n=3, d=d, shrink=1.3)
+    task, _ = random_instance(50 + d, n=3, d=d, shrink=NO_START_CLEARS[d])
     task = dataclasses.replace(task, seed=7, ascent_iters=60)
-    val, gamma = task.factor_ascent
-    ref_val, ref_gamma = reference_factor_ascent(task)
-    assert val == ref_val
+    val, gamma, evals = task.factor_ascent
+    ref_val, ref_gamma, ref_evals = reference_factor_ascent(task)
+    assert val == ref_val and evals == ref_evals == 61
     assert np.array_equal(gamma, ref_gamma)
     # the steps gain over the starts, and Gamma is PSD with the pinned blocks
     assert val > dataclasses.replace(task, ascent_iters=0).factor_ascent[0]
+    check, tol = psdfeas.validate_gamma(task, gamma, 1e-12), 1e-12 * task.scale
+    assert check["block_err"] <= tol and check["lmin_gamma"] >= -tol
+    assert abs(check["lmin_slack"] - val) <= tol
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_factor_ascent_stops_once_a_start_clears_the_tolerance(d):
+    shrink, expected = CLEARS_AFTER_STEPS[d]
+    task, _ = random_instance(50 + d, n=3, d=d, shrink=shrink)
+    task = dataclasses.replace(task, seed=7, ascent_iters=60)
+    val, gamma, evals = task.factor_ascent
+    ref_val, ref_gamma, ref_evals = reference_factor_ascent(task)
+    assert val == ref_val and evals == ref_evals == expected
+    assert np.array_equal(gamma, ref_gamma)
+    # no start cleared it before the last evaluation, which did
+    stop = matcore.EPS_ENGINE * task.scale
+    assert dataclasses.replace(task, ascent_iters=evals - 2).factor_ascent[0] <= stop < val
     check = psdfeas.validate_gamma(task, gamma, 1e-12)
     assert check["ok"] and abs(check["lmin_slack"] - val) <= 1e-12 * task.scale
+
+
+def test_factor_ascent_without_a_clearing_start_runs_as_without_the_stop(monkeypatch):
+    # seed 77: no start clears the tolerance, so the loop takes every step,
+    # with the bits of a loop that has no stop value
+    task = psdfeas.FeasibilityTask(random_chain_problem(77), psdfeas.FULL, seed=77, ascent_iters=200)
+    val, gamma, evals = psdfeas.factor_ascent(task)
+    real = psdfeas._batched_ascent
+
+    def unstopped_loop(xs, best, steps, evaluate, supergradient, retract, stop):
+        return real(xs, best, steps, evaluate, supergradient, retract)
+
+    monkeypatch.setattr(psdfeas, "_batched_ascent", unstopped_loop)
+    unstopped = psdfeas.factor_ascent(task)
+    assert evals == unstopped[2] == 201
+    assert val == unstopped[0] and np.array_equal(gamma, unstopped[1])
 
 
 def reference_batched_contraction_ascent(task):
@@ -624,7 +675,8 @@ def reference_batched_contraction_ascent(task):
 
 
 def reference_batched_factor_ascent(task):
-    """:func:`psdfeas.factor_ascent` with its own batched loop."""
+    """:func:`psdfeas.factor_ascent` with its own batched loop, which ends after
+    the first evaluation at which a start's value exceeds ``EPS_ENGINE * scale``."""
     n, d = task.n, task.d
     nd = n * d
     roots = np.array(task.roots).reshape(n, d, d)
@@ -646,7 +698,7 @@ def reference_batched_factor_ascent(task):
         better = vals > best_val[live]
         best_val[live[better]] = vals[better]
         best_factors[live[better]] = cur[better]
-        if it == task.ascent_iters:
+        if it == task.ascent_iters or vals.max() > matcore.EPS_ENGINE * task.scale:
             break
         left = weighted @ vecs[:, None, :, None]
         right = np.swapaxes(m, -1, -2) @ vecs[:, :, None]
@@ -665,7 +717,7 @@ def reference_batched_factor_ascent(task):
         factors[live] = u @ vt
     i = int(np.argmax(best_val))
     stacked = (roots @ best_factors[i]).reshape(nd, nd)
-    return float(best_val[i]), stacked @ stacked.T
+    return float(best_val[i]), stacked @ stacked.T, it + 1
 
 
 @pytest.mark.parametrize("n", [2, 3], ids=["1-pair", "3-pairs"])
@@ -687,6 +739,7 @@ def test_shared_loop_matches_the_contraction_ascent_loop(iters, d, n):
 def test_shared_loop_matches_the_factor_ascent_loop():
     prob = random_chain_problem(32)
     task = psdfeas.FeasibilityTask(prob, psdfeas.FULL, seed=32, ascent_iters=200)
-    val, gamma = task.factor_ascent
-    ref_val, ref_gamma = reference_batched_factor_ascent(task)
+    val, gamma, evals = task.factor_ascent
+    ref_val, ref_gamma, ref_evals = reference_batched_factor_ascent(task)
     assert val == ref_val and np.array_equal(gamma, ref_gamma)
+    assert evals == ref_evals < 10  # a start clears the tolerance after a few steps
