@@ -555,6 +555,8 @@ def _coupling_check(prob, cone, engine_cfg, search_cfg, extra_candidates, inegsq
     if cone == psdfeas.PAIRWISE or prob.n == 2:
         ascent = task.ascent  # its coupling is one of the engine's default candidates
         diag["pair_ascent_margin"] = ascent[0]
+        if ascent[3]:
+            diag["pair_ascent_evals"] = ascent[3]
 
     out = psdfeas.solve(task, engine_cfg, candidates)
     if "factor_ascent" in vars(task):

@@ -15,9 +15,11 @@ an angular grid and Brent's method, both on the closed-form smallest
 eigenvalue of a 2 x 2 matrix affine in (cos phi, sin phi). For the full
 cone with n >= 3 the orthogonal-factor ascent writes
 Gamma_ij = root_i O_i O_j' root_j with orthonormal-row factors O_i, which
-is PSD by construction. It ends at the first evaluation at which a
-start's slack clears the engine tolerance, so the slack of its coupling is
-the one where it stopped, not the most it could reach.
+is PSD by construction. Both ascents end at the first evaluation at which
+a start's slack clears the engine tolerance, so the slack of their
+coupling is the one where they stopped, not the most they could reach;
+only an ascent that never clears it takes every step and keeps the tail
+the refutation functional reads.
 :func:`warm_start_from` scores the one candidate list
 (:func:`default_candidates`) with the caller's candidates as one stack
 through the one spectral test (:func:`_spectra`).
@@ -364,12 +366,17 @@ def contraction_ascent(task: FeasibilityTask):
     Supergradient ascent on a concave objective (:func:`_batched_ascent`,
     retracted onto the operator-norm ball), with a closed form for d = 1, an
     exact angular grid for a single d = 2 pair, and a cyclic per-pair grid
-    polish for several d = 2 pairs; ``task.ascent_iters`` evaluations from
-    each start, one start drawn from ``task.seed``. Returns the best value,
-    the contractions as a (pairs, d, d) stack, and the exactly symmetric,
-    trace-one average of the bottom eigenvectors' outer products over the
-    ascent tail, in start order, which :func:`dual_refutation_value` takes as it is.
-    Read it through :attr:`FeasibilityTask.ascent`, which runs it once.
+    polish for several d = 2 pairs; up to ``task.ascent_iters`` evaluations
+    from each start, one start drawn from ``task.seed``. The loop ends after
+    the first evaluation at which a start's value exceeds
+    ``matcore.EPS_ENGINE * task.scale``, the tolerance of
+    :func:`warm_start_from`. Returns the best value, the contractions as a
+    (pairs, d, d) stack, the exactly symmetric, trace-one average of the
+    bottom eigenvectors' outer products over the ascent tail, in start
+    order, which :func:`dual_refutation_value` takes as it is (None when the
+    loop stopped at the tolerance, so a tail is only ever that of a run that
+    took every step), and the number of loop evaluations (0 when there is
+    no loop). Read it through :attr:`FeasibilityTask.ascent`, which runs it once.
     """
     pairs = task.root_pairs
     weights, roots_i, roots_j = pairs
@@ -386,7 +393,7 @@ def contraction_ascent(task: FeasibilityTask):
         ks = np.ones((n_pairs, 1, 1))
         val = float(values_of(ks))
         y = np.array([[1.0]]) if val < 0 else None
-        return val, ks, y
+        return val, ks, y, 0
 
     iters = task.ascent_iters
     starts = [np.zeros((n_pairs, d, d)), np.broadcast_to(np.eye(d), (n_pairs, d, d))]
@@ -411,12 +418,13 @@ def contraction_ascent(task: FeasibilityTask):
         return grad_weights * ((roots_i @ cols) * np.swapaxes(roots_j @ cols, -1, -2))
 
     ks = np.stack(starts)
-    best_val, best_ks, tail = np.full(len(ks), -np.inf) if iters else values_of(ks), ks, []
+    stop = matcore.EPS_ENGINE * task.scale
+    best_val, best_ks, tail, evals = np.full(len(ks), -np.inf) if iters else values_of(ks), ks, [], 0
     if iters:
         # ``iters`` evaluations in all, the first scoring the starts: the loop takes
         # iters - 1 steps, as a step after the last evaluation would never be scored
-        best_val, best_ks, tail, _ = _batched_ascent(
-            ks, best_val, iters - 1, evaluate, supergradient, clip_operator_ball
+        best_val, best_ks, tail, evals = _batched_ascent(
+            ks, best_val, iters - 1, evaluate, supergradient, clip_operator_ball, stop
         )
     i = int(np.argmax(best_val))
     best, best_ks = float(best_val[i]), best_ks[i]
@@ -426,11 +434,11 @@ def contraction_ascent(task: FeasibilityTask):
         if val > best:
             best, best_ks = val, polished
     y_avg = None
-    if tail:
+    if tail and best <= stop:  # above it nothing is refuted, and a stopped loop's tail is cut short
         vs = np.array(tail)
         y_avg = matcore.symmetrize(sum(vs[:, :, None] * vs[:, None, :]) / len(tail))
         y_avg = y_avg / float(np.trace(y_avg))  # unit eigenvectors: the trace is 1 up to rounding
-    return best, best_ks, y_avg
+    return best, best_ks, y_avg, evals
 
 
 # ---------------------------------------------------------------------------
@@ -496,9 +504,7 @@ def factor_ascent(task: FeasibilityTask):
 _TAIL_EVALS = 25  # evaluations at the end of an ascent whose bottom eigenvectors are kept
 
 
-def _batched_ascent(
-    xs: np.ndarray, best_val: np.ndarray, steps: int, evaluate, supergradient, retract, stop: float = math.inf
-):
+def _batched_ascent(xs: np.ndarray, best_val: np.ndarray, steps: int, evaluate, supergradient, retract, stop: float):
     """Normalised supergradient ascent of all starts of the stack ``xs`` at once, in place.
 
     ``evaluate(x)`` gives the live starts' values, bottom eigenvectors and
@@ -508,7 +514,9 @@ def _batched_ascent(
     steps of length 0.5 / sqrt(k), k = 1, 2, ..., each followed by an
     evaluation, and stops when its supergradient, computed only when a step
     follows, vanishes. The whole loop ends after the first evaluation at
-    which some start's value exceeds ``stop``. ``best_val`` holds each
+    which some start's value exceeds ``stop``, which both ascents set to
+    the engine tolerance; only a loop that never does so takes every step
+    and keeps whole tails. ``best_val`` holds each
     start's value before the loop (-inf for none); only a strictly larger
     value replaces it, so each start keeps its first-occurrence best, as if
     the starts ran one after another up to that evaluation.

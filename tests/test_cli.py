@@ -72,6 +72,15 @@ def test_check_inecov_emits_certificate(tmp_path, capsys):
     assert stored["input_digest"] == report["input_digest"]
 
 
+def test_check_inecov_reports_the_pair_ascent_evaluations(tmp_path, capsys):
+    # n = 2, d = 3: a start of the contraction ascent clears the tolerance after a few steps
+    prob = write_json(tmp_path / "prob.json", chain_doc(40))
+    code, report = run_cli(capsys, "check", "--condition", "inecov", "--input", prob)
+    assert code == 0
+    assert report["status"] == "holds"
+    assert 1 < report["diagnostics"]["pair_ascent_evals"] < 10
+
+
 def test_check_inecov_factor_ascent_certificate_couples(tmp_path, capsys):
     # n = 3, d = 2: Dykstra stalls here at the default cap; the orthogonal
     # factor ascent's coupling decides it before the first iteration

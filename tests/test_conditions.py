@@ -281,10 +281,41 @@ def test_inecov_convexity_of_witnesses():
 def test_contraction_dual_refutes_outside_point():
     prob = fam.axis_swap_problem(6.1, 0.0)
     task = psdfeas.FeasibilityTask(prob, psdfeas.PAIRWISE, ascent_iters=150)
-    val, ks, y = task.ascent
-    assert val < -1e-6
+    val, ks, y, evals = task.ascent
+    assert val < -1e-6 and evals == 150  # no start clears the tolerance, so the loop takes every step
     assert y is not None
     assert psdfeas.dual_refutation_value(task, y) < 0
+
+
+def test_inecovf_reports_the_pair_ascent_evaluations():
+    # outside the pairwise region: past inegsqrt, the ascent runs all its
+    # evaluations and its tail refutes; inside, a start clears the tolerance at once
+    prob = fam.axis_swap_problem(6.1, 0.0)
+    v = C.check_inecovf(prob, inegsqrt_verdict=C.Verdict(C.Status.UNKNOWN, 0.0))
+    assert v.fails and v.witness[0] == "dual"
+    assert v.diagnostics["pair_ascent_evals"] == C.SearchConfig().ascent_iters
+    assert C.check_inecovf(fam.axis_swap_problem(5.0, 0.5)).diagnostics["pair_ascent_evals"] == 1
+    # d = 1 has a closed form and no loop
+    v = C.check_inecov(fam.random_chain_problem(3))
+    assert v.holds and "pair_ascent_margin" in v.diagnostics and "pair_ascent_evals" not in v.diagnostics
+
+
+def test_pair_ascent_holds_validate_with_a_positive_margin():
+    # the contraction ascent stops once a start's slack clears the engine
+    # tolerance: each n = 2 Holds keeps a validated witness whose margin is that slack
+    decided = []
+    for seed in range(200):
+        prob = fam.random_chain_problem(seed)
+        if prob.n != 2:
+            continue
+        v = C.check_inecov(prob, psdfeas.EngineConfig(max_iter=50), fam.MID, seed=seed)
+        if not v.holds:
+            continue
+        decided.append(seed)
+        check = C.validate_gamma_witness(prob, v.witness)
+        assert check["ok"] and check["lmin_slack"] == v.margin, seed
+        assert v.margin > matcore.EPS_ENGINE * prob.var_scale(), seed
+    assert len(decided) >= 40
 
 
 def test_n2_d2_check_scores_each_warm_start_once(monkeypatch):

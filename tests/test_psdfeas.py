@@ -383,7 +383,7 @@ def test_task_roots_computed_once_per_task(monkeypatch):
     # share the two block roots; the transport candidate adds one more root
     prob = axis_swap_problem(6.1, 0.0)
     task = psdfeas.FeasibilityTask(prob, psdfeas.FULL, ascent_iters=20)
-    _, ks, y = task.ascent
+    _, ks, y, _ = task.ascent
     psdfeas.gamma_from_contractions(task, ks)
     psdfeas.default_candidates(task)
     psdfeas.dual_refutation_value(task, y)
@@ -400,8 +400,11 @@ def test_task_roots_computed_once_per_task(monkeypatch):
 
 def reference_ascent(task):
     """:func:`psdfeas.contraction_ascent` as a plain loop, one start after
-    another and one pair at a time. Returns ``(value, contractions, tail
-    average)`` and the step at which each start stopped."""
+    another and one pair at a time: each start runs all its evaluations,
+    then every start is cut at the first evaluation at which any start's
+    value exceeds ``EPS_ENGINE * scale``. Returns ``(value, contractions,
+    tail average, evaluations)``, the tail average None above that value,
+    and the step at which each start stopped."""
     weights, roots_i, roots_j = task.root_pairs
     pairs = list(zip(weights.tolist(), roots_i, roots_j))
     c0, d, iters = task.offset, task.d, task.ascent_iters
@@ -423,19 +426,14 @@ def reference_ascent(task):
         rand.append(u @ vt)
     start_sets.append(rand)
 
-    best_val, best_ks, tail, stops = -np.inf, None, [], []
+    runs, stops = [], []  # per start, the value, contractions and bottom eigenvector of each evaluation
     for ks in start_sets:
-        val = float(np.linalg.eigvalsh(slack(ks))[0])
-        if val > best_val:
-            best_val, best_ks = val, [k.copy() for k in ks]
+        run = []
         stops.append(iters)
         for it in range(1, iters + 1):
             w, q = np.linalg.eigh(slack(ks))
             vec = q[:, 0]
-            if w[0] > best_val:
-                best_val, best_ks = float(w[0]), [k.copy() for k in ks]
-            if it > iters - 25:
-                tail.append(np.outer(vec, vec))
+            run.append((float(w[0]), [k.copy() for k in ks], vec))
             grads = [2.0 * wij * np.outer(a @ vec, b @ vec) for wij, a, b in pairs]
             gnorm = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
             if gnorm == 0.0:
@@ -448,26 +446,84 @@ def reference_ascent(task):
                 u, s, vt = np.linalg.svd(k)
                 stepped.append(k if s[0] <= 1.0 else (u * np.minimum(s, 1.0)) @ vt)
             ks = stepped
+        runs.append(run)
+    stop = matcore.EPS_ENGINE * task.scale
+    cleared = [k + 1 for run in runs for k, (val, _, _) in enumerate(run) if val > stop]
+    evals = min(cleared) if cleared else max(len(run) for run in runs)
+
+    best_val, best_ks, tail = -np.inf, None, []
+    for run in runs:
+        for k, (val, ks, vec) in enumerate(run[:evals]):
+            if val > best_val:
+                best_val, best_ks = val, ks
+            if k >= iters - 25:
+                tail.append(np.outer(vec, vec))
     if d == 2 and len(pairs) > 1:
         polished = psdfeas._coordinate_rotation_polish(c0, task.root_pairs, best_ks, task.scale)
         val = float(np.linalg.eigvalsh(slack(polished))[0])
         if val > best_val:
             best_val, best_ks = val, polished
-    y = matcore.symmetrize(sum(tail) / len(tail))
-    return best_val, np.array(best_ks), y / float(np.trace(y)), stops
+    y = None
+    if best_val <= stop:
+        y = matcore.symmetrize(sum(tail) / len(tail))
+        y = y / float(np.trace(y))
+    return best_val, np.array(best_ks), y, evals, stops
+
+
+# a target scale (shrink) at which no start of the contraction ascent clears
+# the tolerance in 80 steps on the instances of the per-start comparison
+NO_PAIR_START_CLEARS = 2.0
 
 
 @pytest.mark.parametrize(
     "n, d, cone", [(2, 3, psdfeas.FULL), (3, 2, psdfeas.PAIRWISE), (3, 3, psdfeas.PAIRWISE)]
 )
 def test_batched_ascent_matches_per_start_loop(n, d, cone):
-    task, _ = random_instance(40 + n + d, n=n, d=d, shrink=1.4, cone=cone)
+    task, _ = random_instance(40 + n + d, n=n, d=d, shrink=NO_PAIR_START_CLEARS, cone=cone)
     task = dataclasses.replace(task, seed=5, ascent_iters=80)
-    val, ks, y = task.ascent
-    ref_val, ref_ks, ref_y, _ = reference_ascent(task)
-    assert val == ref_val
+    val, ks, y, evals = task.ascent
+    ref_val, ref_ks, ref_y, ref_evals, _ = reference_ascent(task)
+    assert val == ref_val and evals == ref_evals == 80
     assert np.array_equal(ks, ref_ks)
     assert np.array_equal(y, ref_y)
+
+
+@pytest.mark.parametrize(
+    "seed, n, cone, shrink, expected", [(49, 2, psdfeas.FULL, 1.12, 5), (46, 3, psdfeas.PAIRWISE, 1.44, 6)]
+)
+def test_contraction_ascent_stops_once_a_start_clears_the_tolerance(seed, n, cone, shrink, expected):
+    # d = 3, so no rotation polish follows the loop
+    task, _ = random_instance(seed, n=n, d=3, shrink=shrink, cone=cone)
+    task = dataclasses.replace(task, seed=5, ascent_iters=80)
+    val, ks, y, evals = task.ascent
+    ref_val, ref_ks, ref_y, ref_evals, _ = reference_ascent(task)
+    assert val == ref_val and evals == ref_evals == expected
+    assert np.array_equal(ks, ref_ks)
+    assert y is None and ref_y is None  # a stopped ascent keeps no tail
+    assert reference_batched_contraction_ascent(task)[3] == expected
+    # no start cleared it before the last evaluation, which did
+    stop = matcore.EPS_ENGINE * task.scale
+    assert dataclasses.replace(task, ascent_iters=evals - 1).ascent[0] <= stop < val
+    check = psdfeas.validate_gamma(task, task.ascent_gamma, 1e-12)
+    assert check["ok"] and abs(check["lmin_slack"] - val) <= 1e-12 * task.scale
+
+
+def test_contraction_ascent_without_a_clearing_start_runs_as_without_the_stop(monkeypatch):
+    # outside the pairwise region no start clears the tolerance, so the loop
+    # takes every step with the bits of a loop that has no stop value, and
+    # its tail still refutes
+    task = psdfeas.FeasibilityTask(axis_swap_problem(6.1, 0.0), psdfeas.PAIRWISE, ascent_iters=200)
+    val, ks, y, evals = psdfeas.contraction_ascent(task)
+    real = psdfeas._batched_ascent
+
+    def unstopped_loop(xs, best, steps, evaluate, supergradient, retract, stop):
+        return real(xs, best, steps, evaluate, supergradient, retract, math.inf)
+
+    monkeypatch.setattr(psdfeas, "_batched_ascent", unstopped_loop)
+    unstopped = psdfeas.contraction_ascent(task)
+    assert evals == unstopped[3] == 200
+    assert val == unstopped[0] and np.array_equal(ks, unstopped[1]) and np.array_equal(y, unstopped[2])
+    assert psdfeas.dual_refutation_value(task, y) < -matcore.EPS_ENGINE * task.scale
 
 
 def test_batched_ascent_stops_a_start_whose_supergradient_vanishes():
@@ -482,9 +538,9 @@ def test_batched_ascent_stops_a_start_whose_supergradient_vanishes():
     prob = MixtureProblem(p, blocks, pinned - np.diag([1.0, 2.0, -5.0]))
     task = psdfeas.FeasibilityTask(prob, psdfeas.PAIRWISE, seed=3, ascent_iters=60)
     assert np.count_nonzero(task.offset - np.diag(np.diag(task.offset))) == 0
-    val, ks, y = task.ascent
-    ref_val, ref_ks, ref_y, stops = reference_ascent(task)
-    assert stops == [1, 60, 60]
+    val, ks, y, evals = task.ascent
+    ref_val, ref_ks, ref_y, ref_evals, stops = reference_ascent(task)
+    assert stops == [1, 60, 60] and evals == ref_evals == 60
     assert val == ref_val
     assert np.array_equal(ks, ref_ks)
     assert np.array_equal(y, ref_y)
@@ -496,9 +552,9 @@ def test_batched_ascent_keeps_the_first_start_on_a_tie():
     blocks = np.stack([np.diag([1.0, 2.0, 3.0]), np.zeros((3, 3))])
     prob = MixtureProblem([0.5, 0.5], blocks, np.eye(3))
     task = psdfeas.FeasibilityTask(prob, psdfeas.PAIRWISE, seed=3, ascent_iters=10)
-    val, ks, y = task.ascent
-    ref_val, ref_ks, ref_y, stops = reference_ascent(task)
-    assert stops == [1, 1, 1]
+    val, ks, y, evals = task.ascent
+    ref_val, ref_ks, ref_y, ref_evals, stops = reference_ascent(task)
+    assert stops == [1, 1, 1] and evals == ref_evals == 1
     assert np.array_equal(ks, np.zeros((1, 3, 3)))
     assert val == ref_val
     assert np.array_equal(ks, ref_ks)
@@ -601,7 +657,7 @@ def test_factor_ascent_without_a_clearing_start_runs_as_without_the_stop(monkeyp
     real = psdfeas._batched_ascent
 
     def unstopped_loop(xs, best, steps, evaluate, supergradient, retract, stop):
-        return real(xs, best, steps, evaluate, supergradient, retract)
+        return real(xs, best, steps, evaluate, supergradient, retract, math.inf)
 
     monkeypatch.setattr(psdfeas, "_batched_ascent", unstopped_loop)
     unstopped = psdfeas.factor_ascent(task)
@@ -612,8 +668,11 @@ def test_factor_ascent_without_a_clearing_start_runs_as_without_the_stop(monkeyp
 def reference_batched_contraction_ascent(task):
     """:func:`psdfeas.contraction_ascent` with its own batched loop:
     ``task.ascent_iters`` eigh evaluations from -inf, the first scoring the
-    starts, each followed by a step (the last one never scored); with no
-    iterations the starts are scored by ``eigvalsh``."""
+    starts, each followed by a step (the last one never scored), ending
+    after the first evaluation at which a start's value exceeds
+    ``EPS_ENGINE * scale``, and then with no tail average; with no
+    iterations the starts are scored by ``eigvalsh``. Returns ``(value,
+    contractions, tail average, evaluations)``."""
     pairs = task.root_pairs
     weights, roots_i, roots_j = pairs
     n_pairs, c0, d, iters = len(weights), task.offset, task.d, task.ascent_iters
@@ -636,7 +695,9 @@ def reference_batched_contraction_ascent(task):
     tails = [[] for _ in starts]
     live = np.arange(len(starts))
     grad_weights = (2.0 * weights)[:, None, None]
+    stop, evals = matcore.EPS_ENGINE * task.scale, 0
     for it in range(1, iters + 1):
+        evals = it
         cur = ks[live]
         w, q = np.linalg.eigh(psdfeas.assemble_contraction_slack(c0, pairs, cur))
         vals, vecs = w[:, 0], q[:, :, 0]
@@ -646,6 +707,8 @@ def reference_batched_contraction_ascent(task):
         if it > iters - 25:
             for start, y in zip(live, vecs[:, :, None] * vecs[:, None, :]):
                 tails[start].append(y)
+        if vals.max() > stop:
+            break
         cols = vecs[:, None, :, None]
         grads = grad_weights * ((roots_i @ cols) * np.swapaxes(roots_j @ cols, -1, -2))
         sq = np.sum((grads * grads).reshape(live.size, n_pairs, d * d), axis=-1)
@@ -668,10 +731,10 @@ def reference_batched_contraction_ascent(task):
             best, best_ks = val, polished
     y_avg = None
     tail = [y for ys in tails for y in ys]
-    if tail:
+    if tail and best <= stop:
         y_avg = matcore.symmetrize(sum(tail) / len(tail))
         y_avg = y_avg / float(np.trace(y_avg))
-    return best, best_ks, y_avg
+    return best, best_ks, y_avg, evals
 
 
 def reference_batched_factor_ascent(task):
@@ -725,13 +788,15 @@ def reference_batched_factor_ascent(task):
 @pytest.mark.parametrize("iters", [0, 1, 30, 200])
 def test_shared_loop_matches_the_contraction_ascent_loop(iters, d, n):
     # the shared loop scores the starts by eigh, then takes iters - 1 steps;
-    # several instances, as eigh's and eigvalsh's bits differ on only some d = 3 slacks
+    # several instances, as eigh's and eigvalsh's bits differ on only some d = 3 slacks;
+    # no start clears the tolerance on them, so every step is compared
     for instance in range(4):
-        task, _ = random_instance(60 + 10 * instance + 2 * n + d, n=n, d=d, shrink=1.3, cone=psdfeas.PAIRWISE)
+        task, _ = random_instance(260 + 10 * instance + 2 * n + d, n=n, d=d, shrink=3.0, cone=psdfeas.PAIRWISE)
         task = dataclasses.replace(task, seed=11 + instance, ascent_iters=iters)
-        val, ks, y = task.ascent
-        ref_val, ref_ks, ref_y = reference_batched_contraction_ascent(task)
+        val, ks, y, evals = task.ascent
+        ref_val, ref_ks, ref_y, ref_evals = reference_batched_contraction_ascent(task)
         assert val == ref_val and np.array_equal(ks, ref_ks)
+        assert evals == ref_evals == iters
         assert (y is None) == (ref_y is None) == (iters == 0)
         assert y is None or np.array_equal(y, ref_y)
 
