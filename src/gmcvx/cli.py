@@ -68,7 +68,7 @@ EXIT_BAD_JSON = 64
 EXIT_INVARIANT = 65
 EXIT_USAGE = 66
 
-_CSV_CHUNK = 4096  # sample rows formatted per write in ``couple``
+_CSV_CHUNK = 1024  # sample rows formatted per write in ``couple``
 MAX_SAMPLES = 10_000_000  # sample count bound of ``couple`` and ``mcverify``, checked at parsing
 
 _STATUS_EXIT = {Status.HOLDS: EXIT_HOLDS, Status.FAILS: EXIT_FAILS, Status.UNKNOWN: EXIT_UNKNOWN}
@@ -493,10 +493,9 @@ def cmd_couple(args) -> int:
             fh.write(header + "\n")
             for part in range(0, args.samples, _CSV_CHUNK):  # chunks bound the Python lists alive
                 rows = slice(part, part + _CSV_CHUNK)
-                fh.writelines(
-                    ",".join([*map(repr, x), str(i), *map(repr, y)]) + "\n"
-                    for x, i, y in zip(xs[rows].tolist(), (idx[rows] + 1).tolist(), ys[rows].tolist())
-                )
+                # formatted column by column (repr of an int is its str); zip rebuilds the rows
+                cols = [*xs[rows].T.tolist(), (idx[rows] + 1).tolist(), *ys[rows].T.tolist()]
+                fh.write("\n".join(map(",".join, zip(*(map(repr, c) for c in cols)))) + "\n")
     except OSError as exc:
         raise CliFailure(EXIT_USAGE, f"cannot write {args.out}: {exc}")
 

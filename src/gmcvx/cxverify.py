@@ -10,10 +10,10 @@ order itself stays with the condition checkers.
 Radial (orthogonally invariant) noise generalizations are covered by
 :func:`radial_order_check`.
 
-:func:`test_convex_order` builds the mixture's component laws once per
-call, and a max-affine function is evaluated as a pieces-by-samples array
-whose maximum runs over the few pieces column by column, which gives the
-row-wise maxima exactly and several times faster.
+:func:`test_convex_order` integrates each closed-form family in one batched
+pass over the lhs law and every component (one law is a batch of one). A
+max-affine function is one pieces-by-samples array, shifted in place, whose
+maximum over the few pieces runs column by column: the row maxima exactly.
 """
 
 from __future__ import annotations
@@ -95,6 +95,7 @@ def max_affine(slopes, intercepts) -> TestFunction:
 
 
 def evaluate(f: TestFunction, xs: np.ndarray) -> np.ndarray:
+    """Values of ``f`` at the rows of ``xs``."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     if f.kind == "abs_linear":
         return f.scale * np.abs(xs @ f.xi)
@@ -103,40 +104,52 @@ def evaluate(f: TestFunction, xs: np.ndarray) -> np.ndarray:
     if f.kind == "quadratic":
         return np.einsum("mi,ij,mj->m", xs, f.mat, xs) + xs @ f.xi0 + f.const
     if f.kind == "max_affine":
-        # pieces by samples, so the maximum runs over the short axis column by column
-        return (f.slopes @ xs.T + f.intercepts[:, None]).max(axis=0)
+        # pieces by samples, shifted in place: the maximum runs over the short axis column by column
+        v = f.slopes @ xs.T
+        return np.add(v, f.intercepts[:, None], out=v).max(axis=0)
     raise ValueError(f"unknown test function kind {f.kind!r}")
 
 
 def exact_expectation(law: GaussianLaw, f: TestFunction) -> float | None:
-    """Closed-form Gaussian expectation, or None when only sampling works."""
-    if f.kind == "abs_linear":
-        mu = float(f.xi @ law.mean)
-        var = float(f.xi @ law.cov @ f.xi)
-        sd = math.sqrt(max(var, 0.0))
-        if sd == 0.0:
-            return f.scale * abs(mu)
-        value = sd * _SQRT_2_OVER_PI * math.exp(-0.5 * (mu / sd) ** 2) + mu * math.erf(
-            mu / (sd * math.sqrt(2.0))
-        )
-        return f.scale * value
-    if f.kind == "exp_linear":
-        return math.exp(_log_exp_expectation(law, f))
-    if f.kind == "quadratic":
-        trace = float(np.sum(f.mat * law.cov))
-        return trace + float(law.mean @ f.mat @ law.mean) + float(f.xi0 @ law.mean) + f.const
-    return None
+    """Closed-form Gaussian expectation, or None when only sampling works: the batch of one law."""
+    if not f.closed_form:
+        return None
+    value = _closed_forms(law.mean[None], law.cov[None], [f])[0][0]
+    return math.exp(value) if f.kind == "exp_linear" else value
 
 
-def mixture_expectation(p: np.ndarray, laws: list[GaussianLaw], f: TestFunction) -> float | None:
-    """Closed-form expectation under the mixture of ``laws`` with weights ``p``, or None."""
-    total = 0.0
-    for weight, law in zip(p, laws):
-        value = exact_expectation(law, f)
-        if value is None:
-            return None
-        total += float(weight) * value
-    return total
+def _closed_forms(means: np.ndarray, covs: np.ndarray, suite: list[TestFunction]) -> list:
+    """Per function of ``suite``, its expectations under the Gaussian laws
+    (``means[k]``, ``covs[k]``) as a list over k (logs for an exponential tilt),
+    or None where only sampling works. Each family is one batched pass whose
+    products give the bits of ``xi @ cov @ xi``, ``xi @ mean`` and ``mean @ mat @ mean``."""
+    out, d = [None] * len(suite), means.shape[1]
+    lin = [k for k, f in enumerate(suite) if f.kind in ("abs_linear", "exp_linear")]
+    xi = np.array([suite[k].xi for k in lin]).reshape(-1, d)
+    mus = np.matmul(xi[:, None, None, :], means[:, :, None])[..., 0, 0].tolist()
+    variances = np.matmul((xi @ covs)[:, :, None, :], xi[:, :, None])[..., 0, 0].T.tolist()
+    for k, mu_k, var_k in zip(lin, mus, variances):
+        f = suite[k]
+        if f.kind == "exp_linear":
+            out[k] = [f.lam * mu + 0.5 * f.lam * f.lam * max(var, 0.0) for mu, var in zip(mu_k, var_k)]
+        else:
+            out[k] = [f.scale * _abs_mean(mu, math.sqrt(max(var, 0.0))) for mu, var in zip(mu_k, var_k)]
+    quad = [k for k, f in enumerate(suite) if f.kind == "quadratic"]
+    mats = np.array([suite[k].mat for k in quad]).reshape(-1, d, d)
+    traces = (covs * mats[:, None]).sum(axis=(2, 3)).tolist()
+    quads = np.matmul((means @ mats)[:, :, None, :], means[:, :, None])[..., 0, 0].tolist()
+    xi0 = np.array([suite[k].xi0 for k in quad]).reshape(-1, d)
+    lins = np.matmul(xi0[:, None, None, :], means[:, :, None])[..., 0, 0].tolist()
+    for k, *terms in zip(quad, traces, quads, lins):
+        out[k] = [t + q + l + suite[k].const for t, q, l in zip(*terms)]
+    return out
+
+
+def _abs_mean(mu: float, sd: float) -> float:
+    """E|Z| for Z normal with mean ``mu`` and standard deviation ``sd``."""
+    if sd == 0.0:
+        return abs(mu)
+    return sd * _SQRT_2_OVER_PI * math.exp(-0.5 * (mu / sd) ** 2) + mu * math.erf(mu / (sd * math.sqrt(2.0)))
 
 
 def sphere_directions(count: int, d: int, seed: int = 0) -> np.ndarray:
@@ -232,12 +245,6 @@ def _gaussian_samples(law: GaussianLaw, count: int, rng: CounterRng) -> np.ndarr
     return rng.normal_matrix(count, law.mean.shape[0]) @ root.T + law.mean[None, :]
 
 
-def _log_exp_expectation(law: GaussianLaw, f: TestFunction) -> float:
-    mu = float(f.xi @ law.mean)
-    var = float(f.xi @ law.cov @ f.xi)
-    return f.lam * mu + 0.5 * f.lam * f.lam * max(var, 0.0)
-
-
 def _logsumexp(values) -> float:
     top = max(values)
     return top + math.log(sum(math.exp(v - top) for v in values))
@@ -259,30 +266,33 @@ def test_convex_order(
     the offending function as witness. A pass is evidence only, never a
     proof, and is labeled as such in the diagnostics. The ``lhs`` covariance
     enters here: below ``-EPS_PSD`` times the larger of its own norm and
-    ``rhs.var_scale()`` it raises :class:`matcore.NotPSD`.
+    ``rhs.var_scale()`` it raises :class:`matcore.NotPSD`. ``mc_samples`` is 0
+    (no sampling) or at least 2 (one sample has no variance), else ``ValueError``.
     """
+    if mc_samples < 0 or mc_samples == 1:
+        raise ValueError(f"mc_samples must be 0 or at least 2, got {mc_samples}")
     w, own_scale = matcore.spectral_scale([lhs.cov])
     if w[0, 0] < -matcore.EPS_PSD * max(own_scale, rhs.var_scale()):
         raise matcore.NotPSD(f"lhs covariance lambda_min={w[0, 0]:.3e} below tolerance")
-    worst_margin = np.inf
-    witness = None
-    n_mc = sum(1 for f in suite if not f.closed_form)
+    worst_margin, witness, mc_checked = np.inf, None, 0
     rng = CounterRng(seed, stream=61)
     xs_l = xs_r = None
-    if n_mc and mc_samples > 0:
+    if mc_samples > 0 and not all(f.closed_form for f in suite):
         xs_l = _gaussian_samples(lhs, mc_samples, rng)
         xs_r = _mixture_samples(rhs, mc_samples, rng)
-    mc_checked = 0
-    laws = [GaussianLaw(mean, cov) for mean, cov in zip(rhs.means, rhs.covs)]
-    for f in suite:
-        if f.closed_form:
+    # row 0 is the lhs law, row 1 + i the mixture's component i
+    exact = _closed_forms(np.vstack([lhs.mean, rhs.means]), np.concatenate([lhs.cov[None], rhs.covs]), suite)
+    weights = rhs.p.tolist()
+    for f, values in zip(suite, exact):
+        if values is not None:
+            left = values[0]
             if f.kind == "exp_linear":
                 # compare in log space: exact for Gaussians and overflow-proof
-                left = _log_exp_expectation(lhs, f)
-                right = _logsumexp([math.log(w) + _log_exp_expectation(law, f) for w, law in zip(rhs.p, laws)])
+                right = _logsumexp([math.log(w) + v for w, v in zip(weights, values[1:])])
             else:
-                left = exact_expectation(lhs, f)
-                right = mixture_expectation(rhs.p, laws, f)
+                right = 0.0  # added in component order, as sum() may not on every Python
+                for w, v in zip(weights, values[1:]):
+                    right += w * v
             margin = (right - left) / (1.0 + abs(left) + abs(right))
             if margin < worst_margin:
                 worst_margin = margin
@@ -299,15 +309,9 @@ def test_convex_order(
                     worst_margin = margin
                     witness = f
             mc_checked += 1
-    diag = {
-        "functions": len(suite),
-        "mc_functions": mc_checked,
-        "evidence_only": True,
-        "worst_margin": float(worst_margin),
-    }
-    if witness is not None:
-        return Verdict(Status.FAILS, float(worst_margin), witness, diag)
-    return Verdict(Status.HOLDS, float(worst_margin), None, diag)
+    worst_margin = float(worst_margin)
+    diag = {"functions": len(suite), "mc_functions": mc_checked, "evidence_only": True, "worst_margin": worst_margin}
+    return Verdict(Status.HOLDS if witness is None else Status.FAILS, worst_margin, witness, diag)
 
 
 def test_mixture_dominated(prob: MixtureProblem) -> Verdict:
@@ -333,13 +337,9 @@ def test_mixture_dominated(prob: MixtureProblem) -> Verdict:
             gap = float(xi @ cov @ xi - xi @ prob.target @ xi)
             lam = 2.0 * math.sqrt(math.log(1.0 / prob.p[i])) / math.sqrt(gap)
             # compare in log space: the tilt can overflow the linear scale
-            log_single = 0.5 * lam * lam * float(xi @ prob.target @ xi)
-            log_mixture = _logsumexp(
-                [
-                    math.log(float(prob.p[j])) + 0.5 * lam * lam * float(xi @ prob.covs[j] @ xi)
-                    for j in range(prob.n)
-                ]
-            )
+            laws = np.zeros((prob.n + 1, prob.d)), np.concatenate([prob.target[None], prob.covs])
+            log_single, *log_comps = _closed_forms(*laws, [exp_linear(lam, xi)])[0]
+            log_mixture = _logsumexp([math.log(w) + v for w, v in zip(prob.p.tolist(), log_comps)])
             if log_mixture > log_single:
                 found = {
                     "index": i,

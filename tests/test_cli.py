@@ -406,6 +406,33 @@ def test_couple_deterministic_given_seed(tmp_path, capsys):
     assert a.read_bytes() == ("\n".join(rows) + "\n").encode()
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_couple_csv_matches_the_row_formatter(tmp_path, capsys, monkeypatch, d):
+    # rows across chunk boundaries, with values whose repr is unusual, against the rows formatted one by one
+    eye = np.eye(d).tolist()
+    prob_path = write_json(tmp_path / "prob.json", {
+        "d": d, "n": 2, "p": [0.5, 0.5], "target": eye, "components": [{"cov": eye}, {"cov": eye}],
+    })
+    cert_path = tmp_path / "cert.json"
+    assert run_cli(capsys, "check", "--condition", "inecov", "--input", prob_path,
+                   "--emit-certificate", str(cert_path))[0] == 0
+    count = 4097
+    assert count > cli._CSV_CHUNK and count % cli._CSV_CHUNK == 1
+    rng = CounterRng(40 + d)
+    xs, ys = rng.normal_matrix(count, d), 1e3 * rng.normal_matrix(count, d)
+    xs[0, 0], ys[1, -1], xs[2, -1], ys[cli._CSV_CHUNK, 0] = -0.0, 1e-300, 1e16, 5e-324
+    idx = np.arange(count) % 2
+    monkeypatch.setattr(coupling, "sample_batch", lambda kernel, n, rng: (xs, idx, ys))
+    out = tmp_path / "s.csv"
+    code, _ = run_cli(capsys, "couple", "--input", prob_path, "--gamma", str(cert_path),
+                      "--samples", str(count), "--out", str(out))
+    assert code == 0
+    header = ",".join([f"x{k + 1}" for k in range(d)] + ["i"] + [f"y{k + 1}" for k in range(d)])
+    rows = [",".join([*map(repr, x), str(i), *map(repr, y)])
+            for x, i, y in zip(xs.tolist(), (idx + 1).tolist(), ys.tolist())]
+    assert out.read_bytes() == ("\n".join([header, *rows]) + "\n").encode()
+
+
 def test_mcverify_identical_laws(tmp_path, capsys):
     doc = {
         "d": 2,

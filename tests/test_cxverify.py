@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import families as fam
 from families import refine_minimizer_by_slope
 from gmcvx import conditions as C
 from gmcvx import cxverify as X
+from gmcvx import matcore
 from gmcvx.rng import CounterRng
 from gmcvx.utils import golden_section_minimize
 
@@ -221,6 +223,146 @@ def test_max_affine_evaluate_matches_row_maximum(d):
     xs = 3.0 * rng.normal_matrix(6000, d)
     f = X.max_affine(slopes, intercepts)
     assert np.array_equal(X.evaluate(f, xs), (xs @ slopes.T + intercepts).max(axis=1))
+
+
+def reference_exact_expectation(mean, cov, f):
+    """The closed forms one law and one function at a time."""
+    if f.kind == "abs_linear":
+        mu = float(f.xi @ mean)
+        var = float(f.xi @ cov @ f.xi)
+        sd = math.sqrt(max(var, 0.0))
+        if sd == 0.0:
+            return f.scale * abs(mu)
+        value = sd * math.sqrt(2.0 / math.pi) * math.exp(-0.5 * (mu / sd) ** 2) + mu * math.erf(
+            mu / (sd * math.sqrt(2.0))
+        )
+        return f.scale * value
+    if f.kind == "exp_linear":
+        return math.exp(reference_log_exp_expectation(mean, cov, f))
+    if f.kind == "quadratic":
+        trace = float(np.sum(f.mat * cov))
+        return trace + float(mean @ f.mat @ mean) + float(f.xi0 @ mean) + f.const
+    return None
+
+
+def reference_log_exp_expectation(mean, cov, f):
+    mu = float(f.xi @ mean)
+    var = float(f.xi @ cov @ f.xi)
+    return f.lam * mu + 0.5 * f.lam * f.lam * max(var, 0.0)
+
+
+def reference_convex_order(lhs, rhs, suite, mc_samples, seed, z):
+    """``test_convex_order`` as a loop over the suite that integrates each
+    closed form law by law and builds the max-affine values in two arrays."""
+    worst_margin, witness, mc_checked = np.inf, None, 0
+    rng = CounterRng(seed, stream=61)
+    xs_l = xs_r = None
+    if any(not f.closed_form for f in suite) and mc_samples > 0:
+        xs_l = X._gaussian_samples(lhs, mc_samples, rng)
+        xs_r = X._mixture_samples(rhs, mc_samples, rng)
+    laws = [X.GaussianLaw(mean, cov) for mean, cov in zip(rhs.means, rhs.covs)]
+    for f in suite:
+        if f.closed_form:
+            if f.kind == "exp_linear":
+                left = reference_log_exp_expectation(lhs.mean, lhs.cov, f)
+                right = X._logsumexp(
+                    [math.log(w) + reference_log_exp_expectation(law.mean, law.cov, f) for w, law in zip(rhs.p, laws)]
+                )
+            else:
+                left = reference_exact_expectation(lhs.mean, lhs.cov, f)
+                right = 0.0
+                for w, law in zip(rhs.p, laws):
+                    right += float(w) * reference_exact_expectation(law.mean, law.cov, f)
+            margin = (right - left) / (1.0 + abs(left) + abs(right))
+            if margin < worst_margin:
+                worst_margin = margin
+                if margin < -matcore.RANK_TOL:
+                    witness = f
+        elif xs_l is not None:
+            vl = (f.slopes @ xs_l.T + f.intercepts[:, None]).max(axis=0)
+            vr = (f.slopes @ xs_r.T + f.intercepts[:, None]).max(axis=0)
+            se = math.sqrt(vl.var(ddof=1) / len(vl) + vr.var(ddof=1) / len(vr))
+            gap = float(vr.mean() - vl.mean())
+            if se > 0 and gap < -z * se:
+                margin = gap / (1.0 + abs(vl.mean()))
+                if margin < worst_margin:
+                    worst_margin = margin
+                    witness = f
+            mc_checked += 1
+    diag = {"functions": len(suite), "mc_functions": mc_checked, "evidence_only": True,
+            "worst_margin": float(worst_margin)}
+    status = C.Status.HOLDS if witness is None else C.Status.FAILS
+    return status, float(worst_margin), witness, diag
+
+
+def centred_pair_problem(seed):
+    """Two components with means that cancel under the weights, d = 1 + seed % 3."""
+    rng = CounterRng(seed, stream=97)
+    d = 1 + seed % 3
+    covs = np.stack([fam.random_psd(rng.spawn(i), d) for i in range(2)])
+    p1 = 0.2 + 0.6 * rng.uniforms(1)[0]
+    m1 = 0.8 * rng.normals(d)
+    target = fam.random_psd(rng.spawn(9), d) * (0.5 + rng.uniforms(1)[0])
+    return C.MixtureProblem(p=[p1, 1.0 - p1], covs=covs, target=target, means=np.stack([m1, -p1 * m1 / (1.0 - p1)]))
+
+
+def assert_matches_reference(prob, seed, mc_samples, z):
+    lhs = X.GaussianLaw(np.zeros(prob.d), prob.target)
+    suite = X.default_suite(prob, seed=seed)
+    v = X.test_convex_order(lhs, prob, suite, mc_samples=mc_samples, seed=seed, z=z)
+    status, margin, witness, diag = reference_convex_order(lhs, prob, suite, mc_samples, seed, z)
+    assert v.status == status, seed
+    assert v.margin == margin, seed
+    assert v.witness is witness, seed
+    assert v.diagnostics == diag, seed
+    return v
+
+
+def test_convex_order_matches_the_scalar_reference_on_chain_problems():
+    statuses = set()
+    for seed in range(200):
+        v = assert_matches_reference(fam.random_chain_problem(seed), seed, 6000, 5.0)
+        statuses.add(v.status)
+    assert statuses == {C.Status.HOLDS, C.Status.FAILS}
+
+
+def test_convex_order_matches_the_scalar_reference_with_centred_means():
+    witnesses = []
+    for seed in range(16):
+        prob = centred_pair_problem(seed)
+        assert np.abs(prob.p @ prob.means).max() < 1e-15
+        v = assert_matches_reference(prob, seed, 20000, 2.576)
+        if v.fails:
+            witnesses.append(v.witness.kind)
+    # a closed-form Fails and a Monte Carlo Fails (max-affine witness) both occur
+    assert "max_affine" in witnesses
+    assert any(kind != "max_affine" for kind in witnesses)
+
+
+def test_exact_expectation_matches_the_scalar_reference():
+    for seed in range(40):
+        prob = centred_pair_problem(seed) if seed % 2 else fam.random_chain_problem(seed)
+        for f in X.default_suite(prob, seed=seed):
+            for mean, cov in zip(prob.means, prob.covs):
+                assert X.exact_expectation(X.GaussianLaw(mean, cov), f) == reference_exact_expectation(mean, cov, f)
+
+
+@pytest.mark.parametrize("mc_samples", [1, -1, -3])
+def test_convex_order_rejects_sample_counts_without_a_variance(mc_samples):
+    prob = fam.axis_swap_problem(2.0, 1.0)
+    lhs = X.GaussianLaw(np.zeros(2), prob.target)
+    with pytest.raises(ValueError, match="mc_samples"):
+        X.test_convex_order(lhs, prob, X.default_suite(prob), mc_samples=mc_samples)
+
+
+@pytest.mark.parametrize("mc_samples, checked", [(0, 0), (2, 10)])
+def test_convex_order_counts_the_sampled_functions_it_checks(mc_samples, checked):
+    prob = fam.axis_swap_problem(2.0, 1.0)
+    lhs = X.GaussianLaw(np.zeros(2), prob.target)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # two samples give every standard error a variance
+        v = X.test_convex_order(lhs, prob, X.default_suite(prob), mc_samples=mc_samples)
+    assert v.diagnostics["mc_functions"] == checked
 
 
 def per_call_random_functions(d, seed):
