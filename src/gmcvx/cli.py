@@ -21,7 +21,7 @@ wrong size, a sweep expression that fails or is non-finite at a cell, a
 sweep cell whose problem is invalid for any reason but a non-PSD target,
 and a certificate matrix of the wrong shape or with non-finite entries),
 66 usage or IO error (including a sample count below the minimum or
-above ``MAX_SAMPLES``, and ``--with-M`` given with ``--condition chain``).
+above ``MAX_SAMPLES``, and ``--with-M`` given with any condition but ``correl``).
 
 A sweep grid may have at most ``sweep.MAX_CELLS`` (1,000,000) cells; a
 spec whose axes give more, whose cell count is not finite, or with an axis
@@ -277,8 +277,8 @@ def load_bases(path: str, d: int) -> list[np.ndarray]:
 
 
 def cmd_check(args) -> int:
-    if args.condition == "chain" and args.with_m:
-        raise CliFailure(EXIT_USAGE, "--with-M applies to one checker; --condition chain does not take it")
+    if args.with_m and args.condition != "correl":
+        raise CliFailure(EXIT_USAGE, f"--with-M feeds correl only; --condition {args.condition} does not take it")
     doc = _load_json(args.input)
     prob, digest = problem_from_doc(doc)
     cfg = SearchConfig(seed=args.seed)

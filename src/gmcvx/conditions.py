@@ -21,14 +21,10 @@ certificates re-validate through :func:`validate_gamma_witness` and
 :func:`validate_correl_certificate`. Callers that pick a checker by name
 (sweeps, the CLI) go through :func:`run_checker`. Every verdict is a
 pure function of (problem, config, seed), so checkers can run concurrently.
-What the cells of a sweep share is kept in one-entry read-only
-:class:`matcore.SharedCache` stores, as in ``psdfeas``: on the bytes of the
-component covariances, :class:`MixtureProblem`'s mirrored component stack
-(which problems with equal components share as ``covs``) with each
-lambda_min and their sigma^2, their eigenvector starts and colinear
-structure; on ``grid_points`` and the bytes of weights and covariances, the
-components' half of h on the d = 2 angular grid; on (seed,
-``random_starts``, d), the random starts. The grid is kept per ``grid_points``.
+What the cells of a sweep share comes from functions that keep their last
+value (:func:`matcore.last_value`), as in ``psdfeas``: the mirrored stack
+of components (shared as ``covs``), their lambda_mins, sigma^2, eigenvectors,
+colinear structure and half of h on the d = 2 grid, and the random starts.
 """
 
 from __future__ import annotations
@@ -45,13 +41,6 @@ from .rng import CounterRng
 from .utils import golden_section_minimize
 
 STEP0 = 1.0  # first subgradient step length of the directional descent
-
-# one component set or (seed, count, d) each: the one a sweep's cells share
-_COMPONENTS = matcore.SharedCache()
-_COMPONENT_EIGVECS = matcore.SharedCache()
-_COLINEAR = matcore.SharedCache()
-_GRID_HALVES = matcore.SharedCache()
-_RANDOM_STARTS = matcore.SharedCache()
 
 
 class InvalidProblem(ValueError):
@@ -123,6 +112,7 @@ def _symmetric(name: str, a) -> np.ndarray:
         raise InvalidProblem(f"{name}: {exc}") from None
 
 
+@matcore.last_value
 def _components(covs: np.ndarray) -> tuple:
     """``(stack, lmins, sigma^2)`` of a (n, d, d) component array: the mirrored
     stack, each component's lambda_min and the components' largest spectral norm."""
@@ -155,7 +145,7 @@ class MixtureProblem:
             raise InvalidProblem("component covariances must be a (n, d, d) array")
         if covs.shape[0] < 2:
             raise InvalidProblem("need at least two mixture components")
-        self.covs, comp_lmins, comp_scale = _COMPONENTS.get(matcore.array_key(covs), lambda: _components(covs))
+        self.covs, comp_lmins, comp_scale = _components(covs)
         n, d = self.covs.shape[0], self.target.shape[0]
         if self.covs.shape[1] != d:
             raise InvalidProblem("component and target dimensions differ")
@@ -254,9 +244,9 @@ class CorrelCertificate:
 # ---------------------------------------------------------------------------
 
 
-def _mixture_std(prob: MixtureProblem, xis: np.ndarray) -> np.ndarray:
+def _mixture_std(p: np.ndarray, covs: np.ndarray, xis: np.ndarray) -> np.ndarray:
     """sum_i p_i sqrt(xi' S_i xi) over the rows of ``xis``: the components' half of h."""
-    return prob.p @ np.sqrt(np.clip(np.einsum("kij,mi,mj->km", prob.covs, xis, xis), 0.0, None))
+    return p @ np.sqrt(np.clip(np.einsum("kij,mi,mj->km", covs, xis, xis), 0.0, None))
 
 
 def _target_std(prob: MixtureProblem, xis: np.ndarray) -> np.ndarray:
@@ -267,7 +257,7 @@ def _target_std(prob: MixtureProblem, xis: np.ndarray) -> np.ndarray:
 def h_values(prob: MixtureProblem, xis) -> np.ndarray:
     """Directional slack sum_i p_i sqrt(xi' S_i xi) - sqrt(xi' S xi), rowwise."""
     xis = np.atleast_2d(np.asarray(xis, dtype=float))
-    return _mixture_std(prob, xis) - _target_std(prob, xis)
+    return _mixture_std(prob.p, prob.covs, xis) - _target_std(prob, xis)
 
 
 def h_margin(prob: MixtureProblem, xi) -> float:
@@ -295,15 +285,15 @@ def _normalize_rows(x: np.ndarray) -> np.ndarray:
     return x / norms[:, None]
 
 
+@matcore.last_value
+def _component_rows(covs: np.ndarray) -> np.ndarray:
+    return np.swapaxes(np.linalg.eigh(covs)[1], -1, -2).reshape(-1, covs.shape[-1])
+
+
 def _eigvector_starts(prob: MixtureProblem) -> np.ndarray:
     """Eigenvectors of the target, then of each component, as rows; ``eigh`` gives a
     matrix of a stack the bits it gets alone, so the components' are computed once."""
-
-    def rows(mats: np.ndarray) -> np.ndarray:
-        return np.swapaxes(np.linalg.eigh(mats)[1], -1, -2).reshape(-1, prob.d)
-
-    comps = _COMPONENT_EIGVECS.get(matcore.array_key(prob.covs), lambda: rows(prob.covs))
-    return np.concatenate([rows(prob.target[None]), comps])
+    return np.concatenate([np.linalg.eigh(prob.target)[1].T, _component_rows(prob.covs)])
 
 
 def _h_on_circle(prob: MixtureProblem):
@@ -344,6 +334,17 @@ def _half_circle(count: int) -> tuple[np.ndarray, np.ndarray]:
     return out
 
 
+@matcore.last_value
+def _grid_half(p: np.ndarray, covs: np.ndarray, grid_points: int) -> np.ndarray:
+    """The components' half of h on the d = 2 angular grid of ``grid_points`` directions."""
+    return _mixture_std(p, covs, _half_circle(grid_points)[1])
+
+
+@matcore.last_value
+def _random_starts(seed: int, count: int, d: int) -> np.ndarray:
+    return _normalize_rows(CounterRng(seed, stream=17).normal_matrix(count, d))
+
+
 def _sphere_search(prob: MixtureProblem, cfg: SearchConfig):
     """Minimize h over the unit sphere; returns (min h, its direction, diagnostics).
 
@@ -361,12 +362,7 @@ def _sphere_search(prob: MixtureProblem, cfg: SearchConfig):
     d = prob.d
     starts = [_eigvector_starts(prob)]
     if cfg.random_starts > 0:
-        starts.append(
-            _RANDOM_STARTS.get(
-                (cfg.seed, cfg.random_starts, d),
-                lambda: _normalize_rows(CounterRng(cfg.seed, stream=17).normal_matrix(cfg.random_starts, d)),
-            )
-        )
+        starts.append(_random_starts(cfg.seed, cfg.random_starts, d))
     best_h = np.inf
     best_xi = np.zeros(d)
     diag: dict = {}
@@ -376,10 +372,7 @@ def _sphere_search(prob: MixtureProblem, cfg: SearchConfig):
     if d == 2 and cfg.grid_points > 0:
         iters = 0
         thetas, grid = _half_circle(cfg.grid_points)
-        mix = _GRID_HALVES.get(
-            (cfg.grid_points, *matcore.array_key(prob.p, prob.covs)), lambda: _mixture_std(prob, grid)
-        )
-        hs = mix - _target_std(prob, grid)
+        hs = _grid_half(prob.p, prob.covs, cfg.grid_points) - _target_std(prob, grid)
         order = np.argsort(hs)
         width = np.pi / cfg.grid_points
         h_of = _h_on_circle(prob)
@@ -496,6 +489,7 @@ def check_inegsqrt(prob: MixtureProblem, cfg: SearchConfig | None = None) -> Ver
     return Verdict(Status.HOLDS, margin, None, diag)
 
 
+@matcore.last_value
 def _colinear_parts(covs: np.ndarray) -> tuple:
     """``(base, coeffs, residuals)``: the component of largest Frobenius norm, each
     component's nonnegative coefficient on it and the norm of what is left."""
@@ -512,7 +506,7 @@ def _colinear_parts(covs: np.ndarray) -> tuple:
 def _colinear_structure(prob: MixtureProblem):
     """``(base, coeffs)`` when every component is a multiple of one base to
     ``EPS_PSD`` times the problem's sigma^2, else None."""
-    base, coeffs, residuals = _COLINEAR.get(matcore.array_key(prob.covs), lambda: _colinear_parts(prob.covs))
+    base, coeffs, residuals = _colinear_parts(prob.covs)
     if (residuals > matcore.EPS_PSD * prob.var_scale()).any():
         return None
     return base, coeffs

@@ -26,7 +26,9 @@ import numpy as np
 
 from . import matcore, psdfeas
 from .conditions import (
+    DimensionMismatch,
     MixtureProblem,
+    NonCenteredMeans,
     SearchConfig,
     Status,
     Verdict,
@@ -41,12 +43,16 @@ _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 @dataclass
 class GaussianLaw:
+    """Gaussian law of a finite mean and a finite square covariance of its length, else ``ValueError``."""
+
     mean: np.ndarray
     cov: np.ndarray
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=float).reshape(-1)
         self.cov = matcore.symmetrize(matcore.as_square(self.cov))
+        if self.mean.shape != self.cov.shape[:1] or not np.isfinite(self.mean).all():  # a NaN margin fails no test
+            raise ValueError(f"mean must be {len(self.cov)} finite numbers, got {self.mean.tolist()}")
 
 
 @dataclass
@@ -265,12 +271,15 @@ def test_convex_order(
     standard errors (2.576 is a 99% interval). Any violation fails with
     the offending function as witness. A pass is evidence only, never a
     proof, and is labeled as such in the diagnostics. The ``lhs`` covariance
-    enters here: below ``-EPS_PSD`` times the larger of its own norm and
-    ``rhs.var_scale()`` it raises :class:`matcore.NotPSD`. ``mc_samples`` is 0
-    (no sampling) or at least 2 (one sample has no variance), else ``ValueError``.
+    enters here: of another dimension than ``rhs`` it raises :class:`DimensionMismatch`,
+    below ``-EPS_PSD`` times the larger of its own norm and ``rhs.var_scale()``
+    :class:`matcore.NotPSD`. ``mc_samples`` is 0 (no sampling) or at least 2
+    (one sample has no variance), else ``ValueError``.
     """
     if mc_samples < 0 or mc_samples == 1:
         raise ValueError(f"mc_samples must be 0 or at least 2, got {mc_samples}")
+    if len(lhs.cov) != rhs.d:
+        raise DimensionMismatch(f"lhs law of dimension {len(lhs.cov)} against a mixture of dimension {rhs.d}")
     w, own_scale = matcore.spectral_scale([lhs.cov])
     if w[0, 0] < -matcore.EPS_PSD * max(own_scale, rhs.var_scale()):
         raise matcore.NotPSD(f"lhs covariance lambda_min={w[0, 0]:.3e} below tolerance")
@@ -321,8 +330,6 @@ def test_mixture_dominated(prob: MixtureProblem) -> Verdict:
     exponential tilt whose mixture expectation exceeds the target one is
     produced and verified in closed form.
     """
-    from .conditions import NonCenteredMeans
-
     if np.abs(prob.means).max(initial=0.0) > matcore.RANK_TOL * prob.std_scale():
         raise NonCenteredMeans("moment-growth falsification needs zero component means")
     gaps, lmins = dominance_spectrum(prob)

@@ -4,20 +4,10 @@ Matrices are plain float ndarrays kept exactly symmetric by mirroring the
 upper triangle (see :func:`symmetrize`). Every function is pure.
 Eigenproblems go to LAPACK's ``eigh``/``eigvalsh``.
 
-Shared state: :class:`SharedCache`. ``psdfeas`` and ``conditions`` keep a
-few of them at module level for what the cells of a sweep share. Keyed on
-the bytes of the component covariances (and weights, where used): the
-validated component stack with each lambda_min and sigma^2, its
-eigenvectors, colinear structure, block roots and n = 2 transport block,
-and the components' half of a sphere-search grid; on the bytes of the pair
-weights and roots, the d = 2 rotation-grid coefficients; on (seed, shape),
-random starts. Each keeps the value of the last key it was asked for: enough
-for a sweep, whose cells share one component set and one seed, too little
-to carry anything from one problem of a list to the next unless the two
-share that input. A cached value is a pure function of its key, its arrays
-are read-only, and the entry is guarded by a lock, so concurrent callers
-stay safe: two threads that miss together compute the same bits, and no
-caller can write into a shared value.
+Shared state: :func:`last_value`, with which ``conditions`` and ``psdfeas``
+keep what the cells of a sweep share. Kept arrays are read-only and an
+entry is replaced whole, so concurrent callers stay safe: two threads that
+miss together compute the same bits, and no caller can write into a kept value.
 
 Tolerance policy: every threshold in gmcvx is one of the constants below
 times the problem's scale, with no absolute floor. The scale is sigma^2,
@@ -37,9 +27,9 @@ rescaled, and margins scale exactly by powers of 4.
 from __future__ import annotations
 
 import math
-import threading
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -81,57 +71,52 @@ def _triu_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
     return upper, strict
 
 
-SHARED_CACHES: list["SharedCache"] = []  # every SharedCache, in creation order
+LAST_VALUES: list = []  # every function decorated with last_value, in definition order
 
 
-class SharedCache:
-    """The value of the last key asked for, computed once and shared read-only.
+def _key(arg):
+    """An argument as part of a key: an int as it is, an array as its dtype, shape and bytes."""
+    if isinstance(arg, np.ndarray):
+        return arg.dtype.str, arg.shape, arg.tobytes()
+    if isinstance(arg, tuple):
+        return tuple(map(_key, arg))
+    return operator.index(arg)  # TypeError for anything else, so no input is left out
 
-    ``get(key, compute)`` returns the value kept under ``key``, or keeps and
-    returns ``compute()`` in its place, its arrays (an array, or a tuple of
-    them and ``None``) made read-only first. ``key`` must determine the
-    value: ints, or the bytes of the arrays ``compute`` reads
-    (:func:`array_key`). ``compute`` runs outside the lock, so a miss in two
-    threads at once computes the same value twice.
 
-    One entry is what the cells of a sweep need, as they ask for one key. A
-    second would carry values from pass to pass over a short list of
-    problems, the CLI benchmark's six sessions for instance, a reuse that
-    commands run as separate processes never see.
+def last_value(fn):
+    """``fn``, a pure function of ints and arrays (also in tuples), keeping the
+    value of the last arguments it was called with, its arrays read-only; a
+    call that raises keeps nothing. ``hits``, ``misses``, ``entry`` (``(key,
+    value)`` or None) and ``clear()`` sit on the result. One entry is what
+    the cells of a sweep need, as they share their arguments. A second would
+    carry values from pass to pass over a short list of problems, the CLI
+    benchmark's six sessions for instance, a reuse that commands run as
+    separate processes never see.
     """
 
-    def __init__(self):
-        self.hits = self.misses = 0
-        self._entry: tuple | None = None  # (key, value)
-        self._lock = threading.Lock()
-        SHARED_CACHES.append(self)
-
-    def __len__(self) -> int:
-        return 0 if self._entry is None else 1
-
-    def get(self, key, compute):
-        with self._lock:
-            if self._entry is not None and self._entry[0] == key:
-                self.hits += 1
-                return self._entry[1]
-        value = compute()
+    @wraps(fn)
+    def kept(*args):
+        key = tuple(map(_key, args))
+        entry = kept.entry
+        if entry is not None and entry[0] == key:
+            kept.hits += 1
+            return entry[1]
+        value = fn(*args)
         for arr in value if isinstance(value, tuple) else (value,):
             if isinstance(arr, np.ndarray):
                 arr.flags.writeable = False
-        with self._lock:
-            self.misses += 1
-            self._entry = (key, value)
+        kept.misses += 1
+        kept.entry = (key, value)
         return value
 
-    def clear(self) -> None:
-        with self._lock:
-            self._entry = None
-            self.hits = self.misses = 0
+    def clear() -> None:
+        kept.entry = None
+        kept.hits = kept.misses = 0
 
-
-def array_key(*arrays) -> tuple:
-    """Cache key of float arrays: the shape and bytes of each, so equal keys mean equal bits."""
-    return tuple((a.shape, a.tobytes()) for a in arrays)
+    kept.clear = clear
+    clear()
+    LAST_VALUES.append(kept)
+    return kept
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:

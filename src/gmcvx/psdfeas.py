@@ -38,13 +38,10 @@ checks an input again. The task computes what is shared once, up front
 or on first use: the pinned-block gap, the pair weights, slices and rows,
 the block roots and both ascents.
 
-What the tasks of a sweep share is computed once per sweep, in small
-:class:`matcore.SharedCache` stores: the block roots and the n = 2
-transport block, keyed on the bytes of the blocks; the pair layout, keyed
-on d and the bytes of the weights; the d = 2 rotation-grid coefficients of
-every pair, keyed on the grid size and the bytes of the pair weights and
-roots, so a cell computes only the part its target changes; and the polar
-random starts of both ascents, keyed on (seed, shape).
+What the tasks of a sweep share comes from functions that keep their last
+value (:func:`matcore.last_value`): the block roots, the n = 2 transport
+block, the pair layout, the random starts of both ascents and the d = 2
+rotation-grid coefficients, so a cell computes only what its target changes.
 """
 
 from __future__ import annotations
@@ -68,14 +65,6 @@ PAIRWISE = "pairwise"
 
 FEASIBLE = "feasible"
 MAX_ITERATIONS = "max_iterations"
-
-# one component set, weight vector or (seed, shape) each: the one a sweep's cells share
-_ROOTS = matcore.SharedCache()
-_TRANSPORT = matcore.SharedCache()
-_CONTRACTION_STARTS = matcore.SharedCache()
-_FACTOR_STARTS = matcore.SharedCache()
-_ROTATION_PARTS = matcore.SharedCache()
-_PAIR_LAYOUT = matcore.SharedCache()
 
 
 @dataclass(frozen=True)
@@ -102,9 +91,8 @@ class FeasibilityTask:
         prob = self.prob
         self.p, self.blocks, self.target = prob.p, prob.covs, prob.target
         self.n, self.d, self.scale = prob.n, prob.d, prob.var_scale()
-        self.pairs, self.affine_denom, self.pair_weights, self.pair_slices, self.pair_rows = _PAIR_LAYOUT.get(
-            (self.d, *matcore.array_key(self.p)), lambda: _pair_layout(self.p, self.d)
-        )
+        layout = _pair_layout(self.p, self.d)
+        self.pairs, self.affine_denom, self.pair_weights, self.pair_slices, self.pair_rows = layout
         # sum_i p_i^2 S_i, the part of A Gamma A* the pinned blocks fix
         self.pinned_sum = np.einsum("i,ikl->kl", self.p**2, self.blocks)
         self.offset = self.pinned_sum - self.target  # difference of exactly symmetric terms
@@ -141,6 +129,7 @@ class FeasibilityTask:
         return factor_ascent(self)
 
 
+@matcore.last_value
 def _pair_layout(p: np.ndarray, d: int) -> tuple:
     """``(pairs, affine_denom, pair_weights, pair_slices, pair_rows)``, which only d and p decide."""
     n = len(p)
@@ -153,10 +142,10 @@ def _pair_layout(p: np.ndarray, d: int) -> tuple:
     return pairs, affine_denom, weights, slices, rows
 
 
+@matcore.last_value
 def block_roots(blocks: np.ndarray) -> np.ndarray:
-    """PSD square roots of a (n, d, d) stack of blocks, read-only; computed once
-    for every caller that asks for the same blocks (:data:`_ROOTS`)."""
-    return _ROOTS.get(matcore.array_key(blocks), lambda: np.array([matcore.sqrt_psd(b) for b in blocks]))
+    """PSD square roots of a (n, d, d) stack of blocks, read-only."""
+    return np.array([matcore.sqrt_psd(b) for b in blocks])
 
 
 @dataclass
@@ -258,6 +247,7 @@ def clip_operator_ball(ks: np.ndarray) -> np.ndarray:
     return np.where((s[..., 0] > 1.0)[..., None, None], clipped, ks)
 
 
+@matcore.last_value
 def _rotation_parts_2d(pairs, count: int) -> tuple:
     """The rotation grid's parts that do not depend on c0, per pair of ``pairs``
     (:attr:`FeasibilityTask.root_pairs`): w (T + T') = cos(phi) P + sin(phi) Q
@@ -266,22 +256,18 @@ def _rotation_parts_2d(pairs, count: int) -> tuple:
     Two arrays a pair: (p00, p01, p11, q00, q01, q11) per branch, shape (2, 6),
     and (cos P, sin Q) on the angle grid, shape (2, 6, count).
     """
-
-    def compute() -> tuple:
-        _, cos, sin = _angle_grid(count)
-        out = []
-        for w, a, b in zip(*pairs):
-            rows = []
-            for branch in (1.0, -1.0):
-                for k in (np.diag([1.0, branch]), np.array([[0.0, -branch], [1.0, 0.0]])):
-                    t = a @ k @ b
-                    (m00, m01), (_, m11) = (w * (t + t.T)).tolist()
-                    rows += [m00, m01, m11]
-            pq = np.array(rows).reshape(2, 6)
-            out += [pq, np.concatenate([cos * pq[:, :3, None], sin * pq[:, 3:, None]], axis=1)]
-        return tuple(out)
-
-    return _ROTATION_PARTS.get((count, *matcore.array_key(*pairs)), compute)
+    _, cos, sin = _angle_grid(count)
+    out = []
+    for w, a, b in zip(*pairs):
+        rows = []
+        for branch in (1.0, -1.0):
+            for k in (np.diag([1.0, branch]), np.array([[0.0, -branch], [1.0, 0.0]])):
+                t = a @ k @ b
+                (m00, m01), (_, m11) = (w * (t + t.T)).tolist()
+                rows += [m00, m01, m11]
+        pq = np.array(rows).reshape(2, 6)
+        out += [pq, np.concatenate([cos * pq[:, :3, None], sin * pq[:, 3:, None]], axis=1)]
+    return tuple(out)
 
 
 def _rotation_neg_lmin_2d(coeffs: tuple):
@@ -360,6 +346,12 @@ def _coordinate_rotation_polish(c0, pairs, ks, scale: float, passes: int = 8, co
     return ks
 
 
+@matcore.last_value
+def _contraction_starts(seed: int, n_pairs: int, d: int) -> np.ndarray:
+    rng = CounterRng(seed, stream=29)
+    return matcore.polar(np.array([rng.normal_matrix(d, d) for _ in range(n_pairs)]).reshape(n_pairs, d, d))
+
+
 def contraction_ascent(task: FeasibilityTask):
     """Maximize the smallest slack eigenvalue over the pair contractions.
 
@@ -400,11 +392,7 @@ def contraction_ascent(task: FeasibilityTask):
     if d == 2 and n_pairs == 1:
         starts.append(_rotation_grid_2d(c0, _rotation_parts_2d(pairs, 256), 256)[1][None])
 
-    def draw():
-        rng = CounterRng(task.seed, stream=29)
-        return matcore.polar(np.array([rng.normal_matrix(d, d) for _ in range(n_pairs)]).reshape(n_pairs, d, d))
-
-    starts.append(_CONTRACTION_STARTS.get((task.seed, n_pairs, d), draw))
+    starts.append(_contraction_starts(task.seed, n_pairs, d))
 
     def evaluate(ks):
         w, q = np.linalg.eigh(assemble_contraction_slack(c0, pairs, ks))
@@ -448,6 +436,11 @@ def contraction_ascent(task: FeasibilityTask):
 # ---------------------------------------------------------------------------
 
 
+@matcore.last_value
+def _factor_starts(seed: int, n: int, d: int) -> np.ndarray:
+    return matcore.polar(CounterRng(seed, stream=31).normal_matrix(3 * n * d, n * d).reshape(3, n, d, n * d))
+
+
 def factor_ascent(task: FeasibilityTask):
     """Maximize lambda_min(M M' - target) over the orthogonal factors O_i.
 
@@ -468,11 +461,7 @@ def factor_ascent(task: FeasibilityTask):
     roots = task.roots
     weighted = task.p[:, None, None] * roots
 
-    def draw():
-        return matcore.polar(CounterRng(task.seed, stream=31).normal_matrix(3 * nd, nd).reshape(3, n, d, nd))
-
-    draws = _FACTOR_STARTS.get((task.seed, n, d), draw)
-    factors = np.concatenate([np.broadcast_to(np.eye(d, nd), (1, n, d, nd)), draws])
+    factors = np.concatenate([np.broadcast_to(np.eye(d, nd), (1, n, d, nd)), _factor_starts(task.seed, n, d)])
 
     def evaluate(fs):
         terms = weighted @ fs
@@ -583,11 +572,12 @@ def dual_refutation_value(task: FeasibilityTask, y: np.ndarray) -> float:
     return total
 
 
-def _transport_block(task: FeasibilityTask) -> np.ndarray:
+@matcore.last_value
+def _transport_block(blocks: np.ndarray) -> np.ndarray:
     """Off-diagonal block of the optimal quadratic coupling of two components,
     root1 (root1 S2 root1)^(1/2) root1^+."""
-    root1 = task.roots[0]
-    inner = matcore.sqrt_psd(root1 @ task.blocks[1] @ root1)
+    root1 = block_roots(blocks)[0]
+    inner = matcore.sqrt_psd(root1 @ blocks[1] @ root1)
     # theta = S1 S2* of the optimal quadratic coupling when blocks[0]
     # is nonsingular; degenerate cases just yield a weaker candidate
     return root1 @ inner @ matcore.pinv_psd(root1)
@@ -601,8 +591,7 @@ def default_candidates(task: FeasibilityTask) -> list[np.ndarray]:
     closed-form: the pairwise cone, n = 2 and d = 1."""
     cands = [_pair_coupling(task, []), _pair_coupling(task, [task.target] * len(task.pairs))]
     if task.n == 2:
-        theta = _TRANSPORT.get(matcore.array_key(task.blocks), lambda: _transport_block(task))
-        cands.append(_pair_coupling(task, [theta]))
+        cands.append(_pair_coupling(task, [_transport_block(task.blocks)]))
     if task.cone == PAIRWISE or task.n == 2 or task.d == 1:
         cands.append(task.ascent_gamma)
     return cands

@@ -7,14 +7,12 @@ round-trip floats, LF endings). Every checker goes through
 :func:`gmcvx.conditions.run_checker`, so a cell's verdict is exactly the
 direct call's; the directional search runs once per cell and is shared
 with the coupling checkers. What every cell of a grid shares with its
-neighbours (the validated components with their spectra and eigenvectors,
-the angular grid of the d = 2 directional search and the components' half
-of h on it, the block roots, the n = 2 transport block, the rotation-grid
-coefficients and the random starts) is computed by the first cell that
-needs it and reused by the others, bit for bit, through the small caches
-of ``conditions`` and ``psdfeas``, so a cell computes what its target
-changes. Cells whose template produces a non-PSD
-target covariance cannot carry a Gaussian law at all and are reported as
+neighbours (the validated components and what follows from them alone,
+the angular grids and the random starts) is computed by the first cell
+that needs it and kept for the others, bit for bit
+(:func:`gmcvx.matcore.last_value`), so a cell computes what its target
+changes. Cells whose template produces a non-PSD target covariance
+cannot carry a Gaussian law at all and are reported as
 failing with the offending eigenvalue as margin; any other
 :class:`~gmcvx.conditions.InvalidProblem` from the template propagates
 out of :func:`run_sweep` (``gmcvx sweep`` exits 65).
@@ -162,10 +160,13 @@ def boundary_bisect(
     ``checker`` is a registered name or a callable mapping a problem to a
     :class:`Verdict`. The caller asserts the verdict is monotone on the
     bracket; ends must disagree (Unknown at an end raises
-    :class:`BracketNotSeparating`).
+    :class:`BracketNotSeparating`). The bracket halves until it is at most
+    ``xtol`` >= 0 wide or its ends are adjacent floats, with no float between.
     """
     if not callable(checker) and checker not in CHECKERS:
         raise ValueError(f"unknown checker {checker!r}")
+    if not xtol >= 0.0:  # also rejects NaN
+        raise ValueError(f"xtol must be nonnegative, got {xtol!r}")
 
     def status_at(value: float) -> Status:
         prob = template(value)
@@ -178,10 +179,11 @@ def boundary_bisect(
     if s_lo == s_hi or Status.UNKNOWN in (s_lo, s_hi):
         raise BracketNotSeparating(f"verdicts at bracket ends: {s_lo.value}, {s_hi.value}")
     a, b = float(lo), float(hi)
-    while b - a > xtol:
-        mid = 0.5 * (a + b)
+    mid = 0.5 * (a + b)
+    while b - a > xtol and a < mid < b:
         if status_at(mid) == s_lo:
             a = mid
         else:
             b = mid
-    return 0.5 * (a + b)
+        mid = 0.5 * (a + b)
+    return mid

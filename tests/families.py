@@ -19,9 +19,9 @@ MID = SearchConfig(iters=80, random_starts=24)
 
 
 def clear_shared_caches() -> None:
-    """Empty every cache the checkers keep across calls, so the next call computes cold."""
-    for cache in matcore.SHARED_CACHES:
-        cache.clear()
+    """Empty every value the checkers keep across calls, so the next call computes cold."""
+    for kept in matcore.LAST_VALUES:
+        kept.clear()
     conditions._half_circle.cache_clear()
     psdfeas._angle_grid.cache_clear()
 

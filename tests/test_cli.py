@@ -154,11 +154,13 @@ def test_check_chain_emits_the_inecov_certificate(tmp_path, capsys):
     assert code == 0
 
 
-def test_check_chain_rejects_with_m(tmp_path, capsys):
-    # the chain report has no basis input, so the flag would be ignored
+@pytest.mark.parametrize("condition", ["chain", "inegsqrt", "inecov", "inecovf", "dominates"])
+@pytest.mark.parametrize("bases", [[[1.0, 0.5], [0.0, 1.0]], np.eye(3).tolist()], ids=["2x2", "3x3"])
+def test_check_chain_rejects_with_m(tmp_path, capsys, condition, bases):
+    # only correl takes a basis, so any other condition would ignore the flag, even a malformed file
     prob = write_json(tmp_path / "prob.json", separation_doc())
-    m_path = write_json(tmp_path / "m.json", {"matrices": [[[1.0, 0.5], [0.0, 1.0]]]})
-    assert cli.main(["check", "--condition", "chain", "--input", prob, "--with-M", m_path]) == 66
+    m_path = write_json(tmp_path / "m.json", {"matrices": [bases]})
+    assert cli.main(["check", "--condition", condition, "--input", prob, "--with-M", m_path]) == 66
     assert "--with-M" in capsys.readouterr().err
 
 

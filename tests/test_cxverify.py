@@ -398,3 +398,21 @@ def test_default_suite_draws_match_per_call_layout(d):
             if f.kind == "max_affine":
                 pieces_seen.add(len(f.intercepts))
     assert pieces_seen == {2, 3, 4, 5, 6}
+
+
+@pytest.mark.parametrize(
+    "mean", [[math.nan, 0.0], [math.inf, 0.0], [0.0], [0.0, 0.0, 0.0]], ids=["nan", "inf", "short", "long"]
+)
+def test_gaussian_law_rejects_a_non_finite_or_misshapen_mean(mean):
+    with pytest.raises(ValueError, match="mean"):
+        X.GaussianLaw(np.array(mean), 20.0 * np.eye(2))
+
+
+def test_convex_order_fails_a_wide_lhs_and_rejects_one_of_another_dimension():
+    # a non-finite mean once made every margin NaN, which compares as no violation
+    prob = fam.axis_swap_problem(20.0, 0.0)
+    suite = X.default_suite(prob)
+    v = X.test_convex_order(X.GaussianLaw(np.zeros(2), prob.target), prob, suite, mc_samples=0)
+    assert v.fails and v.margin == pytest.approx(-0.6498, abs=1e-4)
+    with pytest.raises(C.DimensionMismatch):
+        X.test_convex_order(X.GaussianLaw(np.zeros(3), 20.0 * np.eye(3)), prob, suite, mc_samples=0)

@@ -274,3 +274,38 @@ def test_pinv_projection_property(seed):
     a = rand_psd(seed, 4, rank=2 + seed % 3)
     pinv = matcore.pinv_psd(a)
     assert matcore.fro_norm(a @ pinv @ a - a) <= 1e-8 * (1.0 + matcore.fro_norm(a))
+
+
+def test_last_value_keys_on_every_argument_and_keeps_nothing_that_raised(monkeypatch):
+    monkeypatch.setattr(matcore, "LAST_VALUES", [])  # keep the test function off the package's list
+    calls = []
+
+    @matcore.last_value
+    def combine(count, arr, pair):
+        calls.append(count)
+        if count < 0:
+            raise ValueError("negative count")
+        return arr * count + pair[0] @ pair[1], count
+
+    arr, pair = np.arange(4.0).reshape(2, 2), (np.eye(2), np.ones(2))
+    first = combine(2, arr, pair)
+    assert matcore.LAST_VALUES == [combine] and not first[0].flags.writeable
+    assert combine(2, arr.copy(), (pair[0].copy(), pair[1].copy())) is first  # equal bytes: the kept object
+    assert (combine.misses, combine.hits) == (1, 1)
+    changed_inside = (pair[0], pair[1] + 0.5)
+    for args in [(3, arr, pair), (2, arr + 1.0, pair), (2, arr.reshape(2, 2, 1), pair), (2, arr, changed_inside)]:
+        value = combine(*args)
+        assert value is not first and combine.entry[1] is value
+    assert combine.misses == 5
+    arr[0, 0] = 7.0  # the same array object with new bytes is a new key
+    mutated = combine(2, arr, pair)
+    assert mutated[0][0, 0] == 15.0 and combine.misses == 6
+    with pytest.raises(ValueError, match="negative"):
+        combine(-1, arr, pair)
+    assert combine.entry[1] is mutated and combine.misses == 6  # nothing kept from the raising call
+    assert combine(2, arr, pair) is mutated
+    with pytest.raises(TypeError):
+        combine(2.0, arr, pair)  # a float is not part of any key
+    combine.clear()
+    assert (combine.entry, combine.hits, combine.misses) == (None, 0, 0)
+    assert calls == [2, 3, 2, 2, 2, 2, -1]

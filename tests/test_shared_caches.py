@@ -1,5 +1,5 @@
-"""What the checkers cache across calls: the same bits cold and warm, read-only
-values, keys that follow the data, and bounded stores."""
+"""What the checkers keep across calls (:func:`gmcvx.matcore.last_value`): the same
+bits cold and warm, read-only values, keys that follow the data, and one entry each."""
 
 import dataclasses
 import math
@@ -55,7 +55,7 @@ def test_cold_warm_and_per_cell_cleared_caches_give_the_same_bits(tmp_path):
 
 
 def stored_arrays() -> list[np.ndarray]:
-    stored = [cache._entry[1] for cache in matcore.SHARED_CACHES if cache._entry is not None]
+    stored = [kept.entry[1] for kept in matcore.LAST_VALUES if kept.entry is not None]
     return [a for v in stored for a in (v if isinstance(v, tuple) else (v,)) if isinstance(a, np.ndarray)]
 
 
@@ -109,7 +109,7 @@ def test_a_warm_component_entry_keeps_every_per_problem_check():
     assert build_scale_bound(1e4 * np.eye(2)).var_scale() == 1e4  # valid: stores the components
     warm = {name: raised_by(target) for name, target in BAD_TARGETS.items()}
     assert warm == cold
-    assert (C._COMPONENTS.misses, C._COMPONENTS.hits) == (1, 3)
+    assert (C._components.misses, C._components.hits) == (1, 3)
 
 
 @pytest.mark.parametrize(
@@ -125,7 +125,7 @@ def test_an_invalid_component_set_raises_on_every_build(covs):
     for _ in range(2):
         with pytest.raises(C.InvalidProblem, match="component"):
             C.MixtureProblem([0.5, 0.5], covs, np.eye(2))
-    assert C._COMPONENTS.misses == 1  # only the valid set was stored, and it still is
+    assert C._components.misses == 1  # only the valid set was stored, and it still is
     assert C.MixtureProblem(valid.p, valid.covs, valid.target).covs is valid.covs
 
 
@@ -235,6 +235,12 @@ def test_mutated_covariances_get_their_own_roots():
     assert (warm.status, warm.margin) == (cold.status, cold.margin)
 
 
+def one_entry(kept) -> bool:
+    """A decorated function keeps one ``(key, value)`` pair at most, and no other state."""
+    bounded = kept.entry is None or len(kept.entry) == 2
+    return bounded and set(vars(kept)) == {"__wrapped__", "entry", "hits", "misses", "clear"}
+
+
 def chain_pass(count: int) -> None:
     # a search and checker seed per problem, as the CLI and the chain benchmark set them
     for seed in range(count):
@@ -250,14 +256,14 @@ def chain_pass(count: int) -> None:
 def test_caches_stay_bounded_and_carry_nothing_from_problem_to_problem():
     clear_shared_caches()
     chain_pass(200)
-    first = {id(cache): cache.hits for cache in matcore.SHARED_CACHES}
-    for cache in matcore.SHARED_CACHES:
-        assert len(cache) <= 1
-        assert cache.misses > 0
+    first = {kept: kept.hits for kept in matcore.LAST_VALUES}
+    for kept in matcore.LAST_VALUES:
+        assert one_entry(kept)
+        assert kept.misses > 0
     chain_pass(200)
-    for cache in matcore.SHARED_CACHES:
-        assert len(cache) <= 1
-        assert cache.hits - first[id(cache)] <= first[id(cache)]
+    for kept in matcore.LAST_VALUES:
+        assert one_entry(kept)
+        assert kept.hits - first[kept] <= first[kept]
 
 
 def test_concurrent_callers_get_the_serial_bits():
@@ -292,4 +298,4 @@ def test_concurrent_callers_get_the_serial_bits():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert all(r == serial for r in results)
-    assert all(len(cache) <= 1 for cache in matcore.SHARED_CACHES)
+    assert all(one_entry(kept) for kept in matcore.LAST_VALUES)

@@ -192,3 +192,25 @@ def test_boundary_bisect_callable_checker():
         xtol=1e-5,
     )
     assert thr == pytest.approx(6.0 + 4.0 * math.sqrt(2.0), abs=1e-3)
+
+
+@pytest.mark.parametrize("xtol", [0.0, 1e-17])
+def test_boundary_bisect_ends_at_adjacent_floats(xtol):
+    flip = 5.0 + 1.0 / 3.0
+    calls = []
+
+    def checker(value):
+        calls.append(value)
+        assert len(calls) <= 60  # the midpoint of adjacent floats is one of them: stop there
+        return C.Verdict(C.Status.HOLDS if value < flip else C.Status.FAILS, 0.0)
+
+    thr = S.boundary_bisect(lambda value: value, checker, 5.0, 6.0, xtol=xtol)
+    assert abs(thr - flip) <= np.spacing(thr)
+
+
+@pytest.mark.parametrize("xtol", [-1e-6, math.nan])
+def test_boundary_bisect_rejects_a_negative_or_nan_xtol(xtol):
+    calls = []
+    with pytest.raises(ValueError, match="xtol"):
+        S.boundary_bisect(lambda value: value, lambda v: calls.append(v), 5.0, 6.0, xtol=xtol)
+    assert calls == []  # rejected before the checker runs
