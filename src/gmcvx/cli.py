@@ -205,23 +205,12 @@ _CORREL_FIELDS = tuple(field.name for field in dataclasses.fields(CorrelCertific
 def _emit_certificate(path: str, verdict: Verdict, digest: str):
     witness = verdict.witness
     if isinstance(witness, GammaWitness):
-        doc = {
-            "kind": "gamma",
-            "gamma": witness.gamma.tolist(),
-            "tolerances": {"validation": matcore.EPS_ENGINE},
-            "tool_version": __version__,
-            "input_digest": digest,
-        }
+        doc = {"kind": "gamma", "gamma": witness.gamma.tolist()}
     elif isinstance(witness, CorrelCertificate):
-        doc = {
-            "kind": "correl",
-            **{key: getattr(witness, key).tolist() for key in _CORREL_FIELDS},
-            "tolerances": {"validation": matcore.EPS_ENGINE},
-            "tool_version": __version__,
-            "input_digest": digest,
-        }
+        doc = {"kind": "correl", **{key: getattr(witness, key).tolist() for key in _CORREL_FIELDS}}
     else:
         return
+    doc.update(tolerances={"validation": matcore.EPS_ENGINE}, tool_version=__version__, input_digest=digest)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")

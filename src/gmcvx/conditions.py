@@ -266,23 +266,28 @@ def h_margin(prob: MixtureProblem, xi) -> float:
 
 
 def _h_and_grad(prob: MixtureProblem, xis: np.ndarray):
-    prods_c = np.einsum("kij,mj->kmi", prob.covs, xis)
-    q_c = np.einsum("kmi,mi->km", prods_c, xis)
-    root_c = np.sqrt(np.clip(q_c, 0.0, None))
-    prod_t = xis @ prob.target
-    q_t = np.einsum("mi,mi->m", prod_t, xis)
-    root_t = np.sqrt(np.clip(q_t, 0.0, None))
-    h = prob.p @ root_c - root_t
-    inv_c = np.where(root_c > 0.0, 1.0 / np.where(root_c > 0.0, root_c, 1.0), 0.0)
-    inv_t = np.where(root_t > 0.0, 1.0 / np.where(root_t > 0.0, root_t, 1.0), 0.0)
-    grad = np.einsum("k,km,kmi->mi", prob.p, inv_c, prods_c) - prod_t * inv_t[:, None]
-    return h, grad
+    """h and a subgradient at the rows of ``xis``: one pass over the stack [S_1 ... S_n, S]
+    (mirrored, so each is its own transpose) with weights (p_1 ... p_n, -1), where a zero
+    form adds nothing. h agrees with :func:`h_values` to rounding, not bit for bit."""
+    w = np.concatenate([prob.p, [-1.0]])
+    prods = np.matmul(xis, np.concatenate([prob.covs, prob.target[None]]))
+    root = np.sqrt(np.maximum(np.add.reduce(prods * xis, axis=2), 0.0))
+    inv = np.divide(w[:, None], root, out=np.zeros(root.shape), where=root > 0.0)
+    return w @ root, np.einsum("km,kmi->mi", inv, prods)
 
 
 def _normalize_rows(x: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(x, axis=1)
-    norms = np.where(norms > 0.0, norms, 1.0)
-    return x / norms[:, None]
+    """Rows of ``x`` scaled to unit length, in a new array; a row of norm 0 (or NaN) is kept."""
+    norms = np.sqrt(np.add.reduce(x * x, axis=1))[:, None]
+    return np.divide(x, norms, out=x.copy(), where=norms > 0.0)
+
+
+def _unit_tangents(grad: np.ndarray, x: np.ndarray, floor: float) -> np.ndarray:
+    """The part of each row of ``grad`` tangent to the unit row of ``x``, normalized;
+    zero where its norm is at most ``floor``."""
+    tangent = grad - np.add.reduce(grad * x, axis=1)[:, None] * x
+    norms = np.sqrt(np.add.reduce(tangent * tangent, axis=1))[:, None]
+    return np.divide(tangent, norms, out=np.zeros(tangent.shape), where=norms > floor)
 
 
 @matcore.last_value
@@ -354,10 +359,11 @@ def _sphere_search(prob: MixtureProblem, cfg: SearchConfig):
     (eigenvectors, random directions and the four best grid points) are
     scored once, and neither the descent nor the alpha scan of
     :func:`check_inegsqrt` follows. Otherwise multistart projected
-    subgradient descent runs for ``cfg.iters`` steps from the starts.
-    Subgradients are normalized before stepping so the search behaves the
-    same under rescaling of the covariances; at a degenerate direction (a
-    tangent below ``matcore.EPS_ROUND`` sigma) the zero subgradient is used.
+    subgradient descent runs for ``cfg.iters`` steps, each one stacked
+    :func:`_h_and_grad` pass over all starts. Subgradients are normalized
+    before stepping so the search behaves the same under rescaling; at a
+    degenerate direction (a tangent below ``matcore.EPS_ROUND`` sigma) the
+    zero subgradient is used.
     """
     d = prob.d
     starts = [_eigvector_starts(prob)]
@@ -396,10 +402,7 @@ def _sphere_search(prob: MixtureProblem, cfg: SearchConfig):
         if h[j] < best_h:
             best_h = float(h[j])
             best_xi = x[j].copy()
-        tangent = grad - np.sum(grad * x, axis=1)[:, None] * x
-        norms = np.linalg.norm(tangent, axis=1)
-        dirs = np.where(norms[:, None] > floor, tangent / np.where(norms > floor, norms, 1.0)[:, None], 0.0)
-        x = _normalize_rows(x - (STEP0 / k) * dirs)
+        x = _normalize_rows(x - (STEP0 / k) * _unit_tangents(grad, x, floor))
     h = h_values(prob, x)
     j = int(np.argmin(h))
     if h[j] < best_h:

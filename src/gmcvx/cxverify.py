@@ -11,9 +11,11 @@ Radial (orthogonally invariant) noise generalizations are covered by
 :func:`radial_order_check`.
 
 :func:`test_convex_order` integrates each closed-form family in one batched
-pass over the lhs law and every component (one law is a batch of one). A
-max-affine function is one pieces-by-samples array, shifted in place, whose
-maximum over the few pieces runs column by column: the row maxima exactly.
+pass over the lhs law and every component (one law is a batch of one). The
+two sides' samples are laid out once as one contiguous d x 2m array; a
+max-affine function is then one pieces-by-samples product, shifted in place,
+maxed over the pieces column by column, and each side's mean and ddof = 1
+variance come from one sum of its values (the bits of ``mean()`` and ``var(ddof=1)``).
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .conditions import (
     SearchConfig,
     Status,
     Verdict,
+    _normalize_rows,
     check_inegsqrt,
     dominance_spectrum,
     h_values,
@@ -165,11 +168,7 @@ def sphere_directions(count: int, d: int, seed: int = 0) -> np.ndarray:
     if d == 2:
         angles = np.linspace(0.0, np.pi, count, endpoint=False)
         return np.column_stack([np.cos(angles), np.sin(angles)])
-    rng = CounterRng(seed, stream=53)
-    raw = rng.normal_matrix(count, d)
-    norms = np.linalg.norm(raw, axis=1)
-    norms = np.where(norms > 0, norms, 1.0)
-    return raw / norms[:, None]
+    return _normalize_rows(CounterRng(seed, stream=53).normal_matrix(count, d))
 
 
 def default_suite(prob: MixtureProblem, seed: int = 0) -> list[TestFunction]:
@@ -285,10 +284,10 @@ def test_convex_order(
         raise matcore.NotPSD(f"lhs covariance lambda_min={w[0, 0]:.3e} below tolerance")
     worst_margin, witness, mc_checked = np.inf, None, 0
     rng = CounterRng(seed, stream=61)
-    xs_l = xs_r = None
+    xs = None  # the lhs samples, then the mixture's, in Fortran order: xs.T is one contiguous d x 2m array
     if mc_samples > 0 and not all(f.closed_form for f in suite):
-        xs_l = _gaussian_samples(lhs, mc_samples, rng)
-        xs_r = _mixture_samples(rhs, mc_samples, rng)
+        samples = _gaussian_samples(lhs, mc_samples, rng), _mixture_samples(rhs, mc_samples, rng)
+        xs = np.asfortranarray(np.concatenate(samples))
     # row 0 is the lhs law, row 1 + i the mixture's component i
     exact = _closed_forms(np.vstack([lhs.mean, rhs.means]), np.concatenate([lhs.cov[None], rhs.covs]), suite)
     weights = rhs.p.tolist()
@@ -307,13 +306,17 @@ def test_convex_order(
                 worst_margin = margin
                 if margin < -matcore.RANK_TOL:
                     witness = f
-        elif xs_l is not None:
-            vl = evaluate(f, xs_l)
-            vr = evaluate(f, xs_r)
-            se = math.sqrt(vl.var(ddof=1) / len(vl) + vr.var(ddof=1) / len(vr))
-            gap = float(vr.mean() - vl.mean())
+        elif xs is not None:
+            # the bits of mean() and var(ddof=1) per side, by numpy's steps but summing once
+            v = evaluate(f, xs).reshape(2, mc_samples)
+            means = np.add.reduce(v, axis=1) / mc_samples
+            v -= means[:, None]
+            variances = np.add.reduce(np.square(v, out=v), axis=1) / (mc_samples - 1)
+            (mean_l, mean_r), (var_l, var_r) = means.tolist(), variances.tolist()
+            se = math.sqrt(var_l / mc_samples + var_r / mc_samples)
+            gap = mean_r - mean_l
             if se > 0 and gap < -z * se:
-                margin = gap / (1.0 + abs(vl.mean()))
+                margin = gap / (1.0 + abs(mean_l))
                 if margin < worst_margin:
                     worst_margin = margin
                     witness = f
@@ -398,10 +401,8 @@ def sphere_noise(q: int, radius_value: float = 1.0) -> RadialNoise:
 
 
 def sample_radial(noise: RadialNoise, count: int, rng: CounterRng) -> np.ndarray:
-    dirs = rng.normal_matrix(count, noise.q)
-    norms = np.linalg.norm(dirs, axis=1)
-    norms = np.where(norms > 0, norms, 1.0)
-    return dirs / norms[:, None] * noise.radius_sampler(rng, count)[:, None]
+    dirs = _normalize_rows(rng.normal_matrix(count, noise.q))
+    return dirs * noise.radius_sampler(rng, count)[:, None]
 
 
 def radial_order_check(

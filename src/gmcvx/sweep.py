@@ -162,11 +162,14 @@ def boundary_bisect(
     bracket; ends must disagree (Unknown at an end raises
     :class:`BracketNotSeparating`). The bracket halves until it is at most
     ``xtol`` >= 0 wide or its ends are adjacent floats, with no float between.
+    A bracket that is not finite with ``lo < hi`` raises ``ValueError``.
     """
     if not callable(checker) and checker not in CHECKERS:
         raise ValueError(f"unknown checker {checker!r}")
     if not xtol >= 0.0:  # also rejects NaN
         raise ValueError(f"xtol must be nonnegative, got {xtol!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"bracket must be finite with lo < hi, got [{lo!r}, {hi!r}]")
 
     def status_at(value: float) -> Status:
         prob = template(value)

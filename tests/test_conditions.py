@@ -168,6 +168,119 @@ def test_subgradient_loop_runs_only_without_the_d2_grid(monkeypatch):
     assert len(calls) == 30 and len(scans) == 1
 
 
+def reference_h_and_grad(prob, xis):
+    """h and its subgradient with one einsum for the components and one for the target."""
+    prods_c = np.einsum("kij,mj->kmi", prob.covs, xis)
+    root_c = np.sqrt(np.clip(np.einsum("kmi,mi->km", prods_c, xis), 0.0, None))
+    prod_t = xis @ prob.target
+    root_t = np.sqrt(np.clip(np.einsum("mi,mi->m", prod_t, xis), 0.0, None))
+    inv_c = np.where(root_c > 0.0, 1.0 / np.where(root_c > 0.0, root_c, 1.0), 0.0)
+    inv_t = np.where(root_t > 0.0, 1.0 / np.where(root_t > 0.0, root_t, 1.0), 0.0)
+    grad = np.einsum("k,km,kmi->mi", prob.p, inv_c, prods_c) - prod_t * inv_t[:, None]
+    return prob.p @ root_c - root_t, grad
+
+
+def forms(prob, xis):
+    """Every x' S_k x, the target's last, as rows over k."""
+    return np.einsum("kij,mi,mj->km", np.concatenate([prob.covs, prob.target[None]]), xis, xis)
+
+
+def test_stacked_step_matches_the_einsum_reference_on_chain_problems():
+    # away from the kinks (every form above 1e-12 sigma^2) h and the subgradient
+    # agree to 1e-12 (1 + sigma); where a form is zero up to rounding (a start in
+    # a singular component's null space) sqrt turns that rounding into about
+    # 1e-8 sigma, so h agrees to sqrt(eps) sigma and the subgradient there, at a
+    # kink, is not compared
+    smooth_rows = kink_rows = 0
+    for seed in range(100):
+        prob = fam.random_chain_problem(seed)
+        if prob.d < 2:
+            continue
+        xis = C._normalize_rows(np.vstack([C._eigvector_starts(prob), C._random_starts(seed, 24, prob.d)]))
+        h, grad = C._h_and_grad(prob, xis)
+        ref_h, ref_grad = reference_h_and_grad(prob, xis)
+        smooth = forms(prob, xis).min(axis=0) >= 1e-12 * prob.var_scale()
+        tol = 1e-12 * (1.0 + prob.std_scale())
+        assert np.all(np.abs(h - ref_h)[smooth] <= tol), seed
+        assert np.all(np.abs(grad - ref_grad)[smooth] <= tol), seed
+        assert np.all(np.abs(h - ref_h)[~smooth] <= 16.0 * math.sqrt(np.finfo(float).eps) * prob.std_scale()), seed
+        smooth_rows += int(smooth.sum())
+        kink_rows += int((~smooth).sum())
+    assert smooth_rows > 10 * kink_rows > 0
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_stacked_step_drops_zero_forms(d):
+    # components of rank 1 and d - 1 along the axes and a rank-1 target: at an
+    # axis direction some forms are exactly 0 and add nothing to h or the subgradient
+    low = np.diag([1.0] + [0.0] * (d - 1))
+    high = np.diag([0.0] + [2.0 + k for k in range(d - 1)])
+    prob = C.MixtureProblem(p=[0.3, 0.7], covs=np.stack([low, high]), target=np.diag([0.0] * (d - 1) + [1.5]))
+    xis = np.vstack([np.eye(d), C._normalize_rows(CounterRng(40 + d).normal_matrix(16, d))])
+    h, grad = C._h_and_grad(prob, xis)
+    ref_h, ref_grad = reference_h_and_grad(prob, xis)
+    assert np.all(np.abs(h - ref_h) <= 1e-12 * (1.0 + prob.std_scale()))
+    assert np.all(np.abs(grad - ref_grad) <= 1e-12 * (1.0 + prob.std_scale()))
+    assert np.count_nonzero(forms(prob, np.eye(d)) == 0.0) == 2 * d - 1
+    for k in range(d):
+        h_k, grad_k = 0.0, np.zeros(d)
+        for weight, s in zip([*prob.p, -1.0], [*prob.covs, prob.target]):
+            if s[k, k] > 0.0:  # the nonzero forms alone
+                h_k += weight * math.sqrt(s[k, k])
+                grad_k += weight * s[k] / math.sqrt(s[k, k])
+        assert h[k] == pytest.approx(h_k, rel=0.0, abs=1e-15)
+        assert np.allclose(grad[k], grad_k, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("power", [-20, 20])
+def test_stacked_step_scales_exactly(power):
+    # covariances times 4**k give h and the subgradient times 2**k, bit for bit
+    for seed in range(100):
+        prob = fam.random_chain_problem(seed)
+        if prob.d < 2:
+            continue
+        scaled = C.MixtureProblem(p=prob.p, covs=prob.covs * 4.0**power, target=prob.target * 4.0**power)
+        xis = C._normalize_rows(C._random_starts(seed, 24, prob.d))
+        h, grad = C._h_and_grad(prob, xis)
+        h_s, grad_s = C._h_and_grad(scaled, xis)
+        assert np.array_equal(h_s, h * 2.0**power) and np.array_equal(grad_s, grad * 2.0**power), seed
+
+
+def reference_normalize_rows(x):
+    norms = np.linalg.norm(x, axis=1)
+    norms = np.where(norms > 0.0, norms, 1.0)
+    return x / norms[:, None]
+
+
+def reference_unit_tangents(grad, x, floor):
+    tangent = grad - np.sum(grad * x, axis=1)[:, None] * x
+    norms = np.linalg.norm(tangent, axis=1)
+    return np.where(norms[:, None] > floor, tangent / np.where(norms > floor, norms, 1.0)[:, None], 0.0)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_lean_loop_arithmetic_matches_norm_and_where_bit_for_bit(d):
+    rng = CounterRng(90 + d)
+    x = rng.normal_matrix(40, d) * 10.0 ** (6.0 * rng.uniforms(40)[:, None] - 3.0)
+    x[::7] = 0.0  # zero rows stay zero
+    x[3] = 1e-200  # squares underflow: a norm of 0, so the row is kept as it is
+    x.flags.writeable = False  # last_value keeps its arrays read-only
+    unit = C._normalize_rows(x)
+    assert same_bits(unit, reference_normalize_rows(x))
+    assert not np.any(unit[::7]) and np.array_equal(unit[3], x[3])
+    grad = rng.normal_matrix(40, d)
+    grad[5] = 3.0 * unit[5]  # radial: its tangent is (about) zero, below the floor
+    grad[::9] = 0.0
+    for floor in (0.0, 1e-12, 1e-6):
+        dirs = C._unit_tangents(grad, unit, floor)
+        assert same_bits(dirs, reference_unit_tangents(grad, unit, floor))
+    assert not np.any(C._unit_tangents(grad, unit, 1e-6)[[0, 5, 9]])
+
+
 @pytest.mark.parametrize("a, b, minima", [(4.0, 1.0, 1), (5.0, -3.0, 1), (4.0, 0.25, 2), (4.0, 0.0, 2)])
 def test_d2_search_refines_once_per_grid_minimum(monkeypatch, a, b, minima):
     # the three best grid points are a minimum and its neighbours or two

@@ -306,9 +306,9 @@ def centred_pair_problem(seed):
     return C.MixtureProblem(p=[p1, 1.0 - p1], covs=covs, target=target, means=np.stack([m1, -p1 * m1 / (1.0 - p1)]))
 
 
-def assert_matches_reference(prob, seed, mc_samples, z):
+def assert_matches_reference(prob, seed, mc_samples, z, sampled_only=False):
     lhs = X.GaussianLaw(np.zeros(prob.d), prob.target)
-    suite = X.default_suite(prob, seed=seed)
+    suite = [f for f in X.default_suite(prob, seed=seed) if not (sampled_only and f.closed_form)]
     v = X.test_convex_order(lhs, prob, suite, mc_samples=mc_samples, seed=seed, z=z)
     status, margin, witness, diag = reference_convex_order(lhs, prob, suite, mc_samples, seed, z)
     assert v.status == status, seed
@@ -337,6 +337,25 @@ def test_convex_order_matches_the_scalar_reference_with_centred_means():
     # a closed-form Fails and a Monte Carlo Fails (max-affine witness) both occur
     assert "max_affine" in witnesses
     assert any(kind != "max_affine" for kind in witnesses)
+
+
+def test_convex_order_matches_the_scalar_reference_at_two_samples():
+    # two samples per side leave one degree of freedom: the ddof = 1 edge of the moments
+    for seed in range(60):
+        prob = centred_pair_problem(seed) if seed % 2 else fam.random_chain_problem(seed)
+        v = assert_matches_reference(prob, seed, 2, 2.576)
+        assert v.diagnostics["mc_functions"] == 10
+
+
+def test_convex_order_matches_the_scalar_reference_on_a_max_affine_suite():
+    statuses = set()
+    for seed in range(60):
+        prob = centred_pair_problem(seed) if seed % 2 else fam.random_chain_problem(seed)
+        for mc_samples in (2, 3, 6000):
+            v = assert_matches_reference(prob, seed, mc_samples, 2.576, sampled_only=True)
+            assert v.diagnostics["functions"] == v.diagnostics["mc_functions"] == 10
+            statuses.add(v.status)
+    assert statuses == {C.Status.HOLDS, C.Status.FAILS}
 
 
 def test_exact_expectation_matches_the_scalar_reference():

@@ -214,3 +214,16 @@ def test_boundary_bisect_rejects_a_negative_or_nan_xtol(xtol):
     with pytest.raises(ValueError, match="xtol"):
         S.boundary_bisect(lambda value: value, lambda v: calls.append(v), 5.0, 6.0, xtol=xtol)
     assert calls == []  # rejected before the checker runs
+
+
+@pytest.mark.parametrize("lo, hi", [(6.0, 5.0), (5.0, 5.0), (math.nan, 6.0), (5.0, math.inf), (-math.inf, math.inf)])
+def test_boundary_bisect_rejects_a_reversed_empty_or_unbounded_bracket(lo, hi):
+    calls = []
+
+    def checker(value):
+        calls.append(value)
+        return C.Verdict(C.Status.HOLDS if value < 5.3 else C.Status.FAILS, 0.0)
+
+    with pytest.raises(ValueError, match="bracket"):
+        S.boundary_bisect(lambda value: value, checker, lo, hi)
+    assert calls == []  # rejected before the checker runs
