@@ -15,7 +15,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 from families import LIGHT, axis_swap_problem
-from gmcvx.psdfeas import EngineConfig
 from gmcvx.sweep import Axis, SweepSpec, run_sweep, write_region_csv
 
 
@@ -34,7 +33,7 @@ def main() -> int:
         tuple(args.checkers.split(",")),
         seed=args.seed,
     )
-    cells = run_sweep(spec, search_cfg=LIGHT, engine_cfg=EngineConfig(max_iter=300))
+    cells = run_sweep(spec, search_cfg=LIGHT)
     write_region_csv(cells, args.out)
 
     counts = Counter((c.checker, c.status) for c in cells)

@@ -3,21 +3,19 @@
 
 * ``region``: the sweep CSV of the axis-swap family for a in [0, 6],
   b in [-6, 6], step 0.25, all five checkers, under criterion 2's search
-  settings and 300-iteration engine cap;
+  settings;
 * ``chain``: ``implication_chain_report(...).as_dict()`` for
   ``random_chain_problem(0..99)`` under criterion 6's settings
-  (1500-iteration engine cap, 6000 Monte Carlo samples, seed = index),
-  serialised as sorted-key JSON;
+  (6000 Monte Carlo samples, seed = index), serialised as sorted-key JSON;
 * ``defaults``: all five checkers through ``run_checker`` on
   ``random_chain_problem(0..29)`` with the CLI's settings,
-  ``SearchConfig(seed=s)`` and ``EngineConfig()`` (seed s = index),
-  serialised as sorted-key JSON.
+  ``SearchConfig(seed=s)`` (seed s = index), serialised as sorted-key JSON.
 
 Each line gives the set's name, the digest of its full record (statuses
 and margins) and the digest of its statuses alone. The search settings of
 the first two sets are ``LIGHT`` and ``MID`` from ``tests/families.py``,
-which criteria 2 and 6 of ``tests/test_acceptance.py`` use; the engine
-caps and sample count are the literals those criteria pass.
+which criteria 2 and 6 of ``tests/test_acceptance.py`` use; the sample
+count is the literal criterion 6 passes.
 Run it on two checkouts and compare the output lines.
 
 A scale check follows: the ``defaults`` set recomputed with the target
@@ -40,6 +38,14 @@ change, ``set checker record old→new``. With ``--compare`` the script exits
 
     python3 scripts/verdict_digest.py --dump before.json        # on the old checkout
     python3 scripts/verdict_digest.py --compare before.json     # on the new one
+
+With ``--boundary`` the script prints the ``boundary`` set alone, the
+problems near the directional boundary where the coupling checks leave
+most of their ``unknown`` verdicts: ``boundary_problems(0..29, (1e-2,
+1e-3))`` from ``tests/families.py`` (30 bisection steps), all five checkers
+through ``run_checker`` with ``SearchConfig()`` and seed = index. It gives
+the set's two digests as above, then one line per ε and checker with the
+count of each status. Takes about 7 s on a 2-CPU x86-64 virtual machine.
 """
 
 import argparse
@@ -53,11 +59,12 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
-from families import LIGHT, MID, axis_swap_problem, random_chain_problem  # noqa: E402
+from families import LIGHT, MID, axis_swap_problem, boundary_problems, random_chain_problem  # noqa: E402
 
 from gmcvx import conditions as C  # noqa: E402
-from gmcvx import psdfeas  # noqa: E402
 from gmcvx import sweep as S  # noqa: E402
+
+BOUNDARY_EPS = (1e-2, 1e-3)
 
 
 def sha(text: str) -> str:
@@ -75,7 +82,7 @@ def region_digests() -> tuple[str, str, list]:
     spec = S.SweepSpec(
         axis_swap_problem, S.Axis("a", 0.0, 6.0, 0.25), S.Axis("b", -6.0, 6.0, 0.25), C.CHECKERS
     )
-    cells = S.run_sweep(spec, search_cfg=LIGHT, engine_cfg=psdfeas.EngineConfig(max_iter=300))
+    cells = S.run_sweep(spec, search_cfg=LIGHT)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "region.csv"
         S.write_region_csv(cells, path)
@@ -90,11 +97,8 @@ def region_digests() -> tuple[str, str, list]:
 
 
 def chain_digests() -> tuple[str, str, list]:
-    engine_cfg = psdfeas.EngineConfig(max_iter=1500)
     reports = [
-        C.implication_chain_report(
-            random_chain_problem(seed), search_cfg=MID, engine_cfg=engine_cfg, mc_samples=6000, seed=seed
-        ).as_dict()
+        C.implication_chain_report(random_chain_problem(seed), search_cfg=MID, mc_samples=6000, seed=seed).as_dict()
         for seed in range(100)
     ]
     return json_digests(reports)
@@ -108,11 +112,30 @@ def defaults_verdicts(power: int = 0) -> list[dict]:
         prob = C.MixtureProblem(p=prob.p, covs=prob.covs * 4.0**power, target=prob.target * 4.0**power)
         out.append(
             {
-                name: C.run_checker(name, prob, C.SearchConfig(seed=seed), psdfeas.EngineConfig(), seed)
+                name: C.run_checker(name, prob, C.SearchConfig(seed=seed), seed)
                 for name in C.CHECKERS
             }
         )
     return out
+
+
+def boundary_lines() -> list[str]:
+    """The ``boundary`` set's digest line and its status counts per ε and checker."""
+    verdicts = {eps: [] for eps in BOUNDARY_EPS}
+    cfg = C.SearchConfig()
+    for seed in range(30):
+        for eps, prob in zip(BOUNDARY_EPS, boundary_problems(seed, BOUNDARY_EPS)):
+            v5 = C.check_inegsqrt(prob, cfg)
+            verdicts[eps].append(
+                {name: C.run_checker(name, prob, cfg, seed, inegsqrt_verdict=v5) for name in C.CHECKERS}
+            )
+    full, status, _ = json_digests([rec for eps in BOUNDARY_EPS for rec in records_of(verdicts[eps])])
+    lines = [f"boundary {full} {status}"]
+    for eps, recs in verdicts.items():
+        for name in C.CHECKERS:
+            counts = {s.value: sum(rec[name].status is s for rec in recs) for s in C.Status}
+            lines.append(f"boundary eps={eps:g} {name} " + " ".join(f"{k}={n}" for k, n in counts.items() if n))
+    return lines
 
 
 def records_of(verdicts: list[dict]) -> list[dict]:
@@ -167,7 +190,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--dump", metavar="FILE", help="write every (key, checker, status, margin) as JSON")
     parser.add_argument("--compare", metavar="FILE", help="report drift against a file written by --dump")
+    parser.add_argument("--boundary", action="store_true", help="print the boundary set alone")
     args = parser.parse_args(argv)
+    if args.boundary:
+        print("\n".join(boundary_lines()), flush=True)
+        return 0
     saved = json.loads(Path(args.compare).read_text()) if args.compare else {}
     dump = {}
     status_changes = 0

@@ -30,5 +30,5 @@ from .conditions import (  # noqa: F401
     orthogonal_factors_from_gamma,
 )
 from .coupling import MartingaleKernel, build_kernel, sample_batch  # noqa: F401
-from .psdfeas import EngineConfig, FeasibilityTask, solve  # noqa: F401
+from .psdfeas import FeasibilityTask, solve  # noqa: F401
 from .rng import CounterRng  # noqa: F401

@@ -43,7 +43,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, coupling, cxverify, matcore, psdfeas, sweep as sweep_mod
+from . import __version__, coupling, cxverify, matcore, sweep as sweep_mod
 from .conditions import (
     CHECKERS,
     ChainViolation,
@@ -271,14 +271,13 @@ def cmd_check(args) -> int:
     doc = _load_json(args.input)
     prob, digest = problem_from_doc(doc)
     cfg = SearchConfig(seed=args.seed)
-    engine_cfg = psdfeas.EngineConfig()
     extra_m = load_bases(args.with_m, prob.d) if args.with_m else []
 
     try:
         if args.condition != "chain":
-            verdict = run_checker(args.condition, prob, cfg, engine_cfg, args.seed, extra_m=extra_m)
+            verdict = run_checker(args.condition, prob, cfg, args.seed, extra_m=extra_m)
         else:
-            report = implication_chain_report(prob, cfg, engine_cfg, seed=args.seed)
+            report = implication_chain_report(prob, cfg, seed=args.seed)
             if report.inecov.holds:
                 verdict = Verdict(Status.HOLDS, report.inecov.margin, report.inecov.witness, report.as_dict())
             elif report.inegsqrt.fails:

@@ -112,6 +112,13 @@ def _symmetric(name: str, a) -> np.ndarray:
         raise InvalidProblem(f"{name}: {exc}") from None
 
 
+def _numbers(name: str, a) -> np.ndarray:
+    try:
+        return np.asarray(a, dtype=float)
+    except (TypeError, ValueError) as exc:  # ragged nesting, or an entry that is no number
+        raise InvalidProblem(f"{name}: not an array of numbers ({exc})") from None
+
+
 @matcore.last_value
 def _components(covs: np.ndarray) -> tuple:
     """``(stack, lmins, sigma^2)`` of a (n, d, d) component array: the mirrored
@@ -138,9 +145,9 @@ class MixtureProblem:
     means: np.ndarray | None = None
 
     def __post_init__(self):
-        self.p = np.asarray(self.p, dtype=float).reshape(-1)
-        self.target = _symmetric("target", self.target)
-        covs = np.asarray(self.covs, dtype=float)
+        self.p = _numbers("weights", self.p).reshape(-1)
+        self.target = _symmetric("target", _numbers("target", self.target))
+        covs = _numbers("component covariances", self.covs)
         if covs.ndim != 3:
             raise InvalidProblem("component covariances must be a (n, d, d) array")
         if covs.shape[0] < 2:
@@ -155,12 +162,9 @@ class MixtureProblem:
             raise InvalidProblem("weights must lie strictly in (0, 1)")
         if abs(self.p.sum() - 1.0) > matcore.EPS_ROUND:
             raise InvalidProblem(f"weights sum to {self.p.sum()!r}, expected 1")
-        if self.means is None:
-            self.means = np.zeros((n, d))
-        elif np.shape(self.means) != (n, d):
-            raise InvalidProblem(f"means must have shape (n, d) = {(n, d)}, got {np.shape(self.means)}")
-        else:
-            self.means = np.asarray(self.means, dtype=float)
+        self.means = np.zeros((n, d)) if self.means is None else _numbers("means", self.means)
+        if self.means.shape != (n, d):
+            raise InvalidProblem(f"means must have shape (n, d) = {(n, d)}, got {self.means.shape}")
         if not np.all(np.isfinite(self.means)):
             raise InvalidProblem("means have non-finite entries")
         w, target_scale = matcore.spectral_scale(self.target[None])
@@ -532,8 +536,7 @@ def validate_gamma_witness(prob: MixtureProblem, gamma, tol: float = matcore.EPS
     return psdfeas.validate_gamma(task, witness_matrix(gamma), tol)
 
 
-def _coupling_check(prob, cone, engine_cfg, search_cfg, extra_candidates, inegsqrt_verdict, seed):
-    engine_cfg = engine_cfg or psdfeas.EngineConfig()
+def _coupling_check(prob, cone, search_cfg, extra_candidates, inegsqrt_verdict, seed):
     v5 = inegsqrt_verdict if inegsqrt_verdict is not None else check_inegsqrt(prob, search_cfg)
     diag: dict = {"inegsqrt_margin": v5.margin}
     if v5.fails:
@@ -555,12 +558,10 @@ def _coupling_check(prob, cone, engine_cfg, search_cfg, extra_candidates, inegsq
         if ascent[3]:
             diag["pair_ascent_evals"] = ascent[3]
 
-    out = psdfeas.solve(task, engine_cfg, candidates)
+    out = psdfeas.solve(task, candidates)
     if "factor_ascent" in vars(task):
         diag["factor_ascent_evals"] = task.factor_ascent[2]
-    diag["engine_iterations"] = out.iterations
     diag["cone_dist"] = out.cone_dist
-    diag["affine_dist"] = out.affine_dist
 
     if out.feasible:
         check = psdfeas.validate_gamma(task, out.gamma, matcore.EPS_ENGINE)
@@ -579,7 +580,6 @@ def _coupling_check(prob, cone, engine_cfg, search_cfg, extra_candidates, inegsq
 
 def check_inecov(
     prob: MixtureProblem,
-    engine_cfg: psdfeas.EngineConfig | None = None,
     search_cfg: SearchConfig | None = None,
     extra_candidates=(),
     inegsqrt_verdict: Verdict | None = None,
@@ -590,28 +590,25 @@ def check_inecov(
     Holds come with a validated :class:`GammaWitness`. Failure is declared
     only through necessary conditions: a directional violation, or for the
     two-component case a certified refutation of the pair-contraction
-    program. Otherwise the verdict is Unknown with the residuals of the
-    contraction coupling (n = 2) or of a Dykstra stall (n >= 3) in the
-    diagnostics. Extra candidates must be finite square matrices
-    (:class:`matcore.InvalidMatrix`); one of the wrong size is not used.
+    program. Otherwise the verdict is Unknown, its margin minus the cone
+    distance of the best coupling found (``cone_dist`` in the diagnostics):
+    the contraction coupling (n = 2), or the best of the candidates and the
+    orthogonal-factor coupling (n >= 3). Extra candidates must be finite
+    square matrices (:class:`matcore.InvalidMatrix`); one of the wrong size
+    is not used.
     """
-    return _coupling_check(
-        prob, psdfeas.FULL, engine_cfg, search_cfg, extra_candidates, inegsqrt_verdict, seed
-    )
+    return _coupling_check(prob, psdfeas.FULL, search_cfg, extra_candidates, inegsqrt_verdict, seed)
 
 
 def check_inecovf(
     prob: MixtureProblem,
-    engine_cfg: psdfeas.EngineConfig | None = None,
     search_cfg: SearchConfig | None = None,
     extra_candidates=(),
     inegsqrt_verdict: Verdict | None = None,
     seed: int = 0,
 ) -> Verdict:
     """Pairwise relaxation: every 2d x 2d pair block PSD instead of the whole."""
-    return _coupling_check(
-        prob, psdfeas.PAIRWISE, engine_cfg, search_cfg, extra_candidates, inegsqrt_verdict, seed
-    )
+    return _coupling_check(prob, psdfeas.PAIRWISE, search_cfg, extra_candidates, inegsqrt_verdict, seed)
 
 
 def validate_pairwise_blocks(prob: MixtureProblem, gamma, tol: float = matcore.EPS_ENGINE) -> dict:
@@ -945,7 +942,6 @@ def run_checker(
     name: str,
     prob: MixtureProblem,
     search_cfg: SearchConfig | None,
-    engine_cfg: psdfeas.EngineConfig | None,
     seed: int,
     inegsqrt_verdict: Verdict | None = None,
     extra_m=(),
@@ -960,9 +956,9 @@ def run_checker(
     if name == "inegsqrt":
         return inegsqrt_verdict if inegsqrt_verdict is not None else check_inegsqrt(prob, search_cfg)
     if name == "inecov":
-        return check_inecov(prob, engine_cfg, search_cfg, inegsqrt_verdict=inegsqrt_verdict, seed=seed)
+        return check_inecov(prob, search_cfg, inegsqrt_verdict=inegsqrt_verdict, seed=seed)
     if name == "inecovf":
-        return check_inecovf(prob, engine_cfg, search_cfg, inegsqrt_verdict=inegsqrt_verdict, seed=seed)
+        return check_inecovf(prob, search_cfg, inegsqrt_verdict=inegsqrt_verdict, seed=seed)
     if name == "correl":
         return find_correl_certificate(prob, extra_m=extra_m, seed=seed)
     if name == "dominates":
@@ -996,9 +992,10 @@ class ChainReport:
 def implication_chain_report(
     prob: MixtureProblem,
     search_cfg: SearchConfig | None = None,
-    engine_cfg: psdfeas.EngineConfig | None = None,
     mc_samples: int = 20000,
     seed: int = 0,
+    *,
+    engine_cfg=None,  # ignored: kept for callers that still pass it
 ) -> ChainReport:
     """Run every checker and assert the implication chain is not inverted.
 
@@ -1016,13 +1013,11 @@ def implication_chain_report(
     extra = []
     if v2.holds:
         extra.append(certificate_to_gamma(prob, v2.witness))
-    v3 = check_inecov(
-        prob, engine_cfg, search_cfg, extra_candidates=extra, inegsqrt_verdict=v5, seed=seed
-    )
+    v3 = check_inecov(prob, search_cfg, extra_candidates=extra, inegsqrt_verdict=v5, seed=seed)
     if prob.n == 2 or v3.holds:
         v3f = v3  # the pairwise cone is the full one for n = 2, and holds any full-cone witness
     else:
-        v3f = check_inecovf(prob, engine_cfg, search_cfg, inegsqrt_verdict=v5, seed=seed)
+        v3f = check_inecovf(prob, search_cfg, inegsqrt_verdict=v5, seed=seed)
     lhs = cxverify.GaussianLaw(np.zeros(prob.d), prob.target)
     suite = cxverify.default_suite(prob, seed=seed)
     v4 = cxverify.test_convex_order(lhs, prob, suite, mc_samples=mc_samples, seed=seed, z=5.0)

@@ -255,6 +255,12 @@ def _logsumexp(values) -> float:
     return top + math.log(sum(math.exp(v - top) for v in values))
 
 
+def _require_sample_count(mc_samples: int) -> None:
+    """``mc_samples`` is 0 (no sampling) or at least 2 (one sample has no variance), else ``ValueError``."""
+    if mc_samples < 0 or mc_samples == 1:
+        raise ValueError(f"mc_samples must be 0 or at least 2, got {mc_samples}")
+
+
 def test_convex_order(
     lhs: GaussianLaw,
     rhs: MixtureProblem,
@@ -275,8 +281,7 @@ def test_convex_order(
     :class:`matcore.NotPSD`. ``mc_samples`` is 0 (no sampling) or at least 2
     (one sample has no variance), else ``ValueError``.
     """
-    if mc_samples < 0 or mc_samples == 1:
-        raise ValueError(f"mc_samples must be 0 or at least 2, got {mc_samples}")
+    _require_sample_count(mc_samples)
     if len(lhs.cov) != rhs.d:
         raise DimensionMismatch(f"lhs law of dimension {len(lhs.cov)} against a mixture of dimension {rhs.d}")
     w, own_scale = matcore.spectral_scale([lhs.cov])
@@ -419,8 +424,10 @@ def radial_order_check(
     The condition only involves the Gram matrices ``sigma sigma*`` so it is
     decided exactly through the directional checker; a Monte Carlo check of
     the absolute linear expectations (whose closed form uses E|Z_1|) guards
-    the statistics when the moment is known.
+    the statistics when the moment is known. ``mc_samples`` is 0 (no
+    sampling) or at least 2, else ``ValueError``.
     """
+    _require_sample_count(mc_samples)
     sigma = np.asarray(sigma, dtype=float)
     mats = [np.asarray(s, dtype=float) for s in sigma_list]
     gram = matcore.symmetrize(sigma @ sigma.T)

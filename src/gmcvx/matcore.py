@@ -177,8 +177,8 @@ def clamp_psd(a: np.ndarray) -> np.ndarray:
     """Nearest PSD matrix in Frobenius norm (negative eigenvalues to zero).
 
     ``a`` must be a finite square float matrix; it is not validated here, as
-    this runs in the inner loop of the feasibility engine on matrices built
-    from validated problems. The result is exactly symmetric and never ``a`` itself.
+    its callers (the coupling kernel) build it from a validated problem and
+    witness. The result is exactly symmetric and never ``a`` itself.
     """
     sym = a + a.T
     sym *= 0.5

@@ -1,4 +1,4 @@
-"""Block-constrained PSD feasibility: exact constructions, then Dykstra.
+"""Block-constrained PSD feasibility by exact constructions.
 
 The engine looks for a symmetric ``nd x nd`` matrix Gamma whose diagonal
 d-blocks equal prescribed component covariances, whose weighted block sum
@@ -22,15 +22,10 @@ only an ascent that never clears it takes every step and keeps the tail
 the refutation functional reads.
 :func:`warm_start_from` scores the one candidate list
 (:func:`default_candidates`) with the caller's candidates as one stack
-through the one spectral test (:func:`_spectra`).
-
-Only for the full cone with n >= 3, where no exact construction is known,
-do Dykstra alternating projections follow an infeasible warm start: one
-PSD projection of Gamma and one of S per iteration, then the closed-form
-projection onto the affine constraint set (a scalar correction
-precomputed once per task). The engine never claims infeasibility: it
-returns a feasible, exactly block-pinned Gamma or the residuals it got
-stuck at.
+through the one spectral test (:func:`_spectra`), and :func:`solve`
+returns the best candidate. The engine never claims infeasibility: it
+returns a feasible, exactly block-pinned Gamma or the cone distance of
+the best one it has.
 
 Everything takes one :class:`FeasibilityTask` of a ``MixtureProblem``,
 which has checked and mirrored every matrix once: nothing in the engine
@@ -64,11 +59,13 @@ FULL = "full"
 PAIRWISE = "pairwise"
 
 FEASIBLE = "feasible"
-MAX_ITERATIONS = "max_iterations"
+NO_FEASIBLE_CANDIDATE = "no_feasible_candidate"
 
 
 @dataclass(frozen=True)
 class EngineConfig:
+    """Nothing in gmcvx reads this; it stays until the benchmark stops building it."""
+
     max_iter: int = 20000
 
 
@@ -92,10 +89,10 @@ class FeasibilityTask:
         self.p, self.blocks, self.target = prob.p, prob.covs, prob.target
         self.n, self.d, self.scale = prob.n, prob.d, prob.var_scale()
         layout = _pair_layout(self.p, self.d)
-        self.pairs, self.affine_denom, self.pair_weights, self.pair_slices, self.pair_rows = layout
-        # sum_i p_i^2 S_i, the part of A Gamma A* the pinned blocks fix
-        self.pinned_sum = np.einsum("i,ikl->kl", self.p**2, self.blocks)
-        self.offset = self.pinned_sum - self.target  # difference of exactly symmetric terms
+        self.pairs, self.pair_weights, self.pair_slices, self.pair_rows = layout
+        # sum_i p_i^2 S_i, the part of A Gamma A* the pinned blocks fix, less the
+        # target: a difference of exactly symmetric terms
+        self.offset = np.einsum("i,ikl->kl", self.p**2, self.blocks) - self.target
 
     def block_slice(self, i: int) -> slice:
         return slice(i * self.d, (i + 1) * self.d)
@@ -131,15 +128,13 @@ class FeasibilityTask:
 
 @matcore.last_value
 def _pair_layout(p: np.ndarray, d: int) -> tuple:
-    """``(pairs, affine_denom, pair_weights, pair_slices, pair_rows)``, which only d and p decide."""
+    """``(pairs, pair_weights, pair_slices, pair_rows)``, which only d and p decide."""
     n = len(p)
     pairs = tuple((i, j) for i in range(n) for j in range(i + 1, n))
-    # S = A Gamma A* - target couples the free off-diagonal blocks through one scalar correction
-    affine_denom = 1.0 + 2.0 * sum((p[i] * p[j]) ** 2 for i, j in pairs)
     weights = tuple(float(p[i] * p[j]) for i, j in pairs)
     slices = tuple((slice(i * d, (i + 1) * d), slice(j * d, (j + 1) * d)) for i, j in pairs)
     rows = np.array([pair_index(d, i, j)[1] for i, j in pairs]).reshape(-1, 2 * d)
-    return pairs, affine_denom, weights, slices, rows
+    return pairs, weights, slices, rows
 
 
 @matcore.last_value
@@ -152,9 +147,8 @@ def block_roots(blocks: np.ndarray) -> np.ndarray:
 class FeasibilityOutcome:
     status: str
     gamma: np.ndarray
-    iterations: int
+    iterations: int  # always 0, kept for the benchmark's tracer
     cone_dist: float
-    affine_dist: float
 
     @property
     def feasible(self) -> bool:
@@ -181,20 +175,6 @@ def pair_index(d: int, i: int, j: int):
     """Index of the 2d x 2d pair block of components i and j, for reads and writes."""
     rows = np.array([*range(i * d, (i + 1) * d), *range(j * d, (j + 1) * d)])
     return rows[:, None], rows
-
-
-def _affine_project(task: FeasibilityTask, gamma: np.ndarray, slack: np.ndarray):
-    """Orthogonal projection onto {blocks pinned, S = A Gamma A* - target}."""
-    gamma = pin_blocks(gamma, task.blocks)
-    r = mix_compress(gamma, task.p, task.d)
-    r -= task.pinned_sum  # the off-diagonal part of A Gamma A*
-    r += task.offset
-    r -= slack
-    r /= task.affine_denom
-    for (si, sj), w in zip(task.pair_slices, task.pair_weights):
-        gamma[si, sj] -= w * r
-        gamma[sj, si] = gamma[si, sj].T
-    return gamma, slack + r
 
 
 def _spectra(task: FeasibilityTask, gammas: np.ndarray, slacks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -635,42 +615,20 @@ def warm_start_from(task: FeasibilityTask, candidates) -> tuple[np.ndarray, floa
     return gamma, dist
 
 
-def solve(task: FeasibilityTask, cfg: EngineConfig = EngineConfig(), candidates=()) -> FeasibilityOutcome:
-    """Warm start from the best candidate; Dykstra only for the full cone with n >= 3.
+def solve(task: FeasibilityTask, candidates=()) -> FeasibilityOutcome:
+    """The best of ``candidates`` plus :func:`default_candidates`, as
+    :func:`warm_start_from` picks it.
 
-    Starts from the best of ``candidates`` plus :func:`default_candidates`.
     For the pairwise cone and for n = 2 that list holds the contraction
-    ascent's coupling, which decides the cone, so the warm start is the
-    answer: ``solve`` returns it, feasible or with ``MAX_ITERATIONS`` at 0
-    iterations. For the full cone with n >= 3 up to ``cfg.max_iter``
-    Dykstra iterations follow an infeasible warm start. Feasibility is
-    declared once the cone distance of the warm start or of an
-    affine-projected iterate (its blocks are exact by construction) drops
-    under ``matcore.EPS_ENGINE * task.scale``; otherwise the residuals are reported.
+    ascent's coupling, which decides the cone; for the full cone with
+    n >= 3 the pick falls back to the orthogonal-factor coupling. The
+    outcome is ``FEASIBLE`` when the pick's cone distance is at most
+    ``matcore.EPS_ENGINE * task.scale``, else ``NO_FEASIBLE_CANDIDATE``
+    with that distance.
     """
-    tol_abs = matcore.EPS_ENGINE * task.scale
-
-    def cone_dist(gamma, slack) -> float:
-        return float(_cone_distance(*_spectra(task, gamma[None], slack[None]))[0])
-
-    gamma, viol = warm_start_from(task, [*candidates, *default_candidates(task)])
-    if viol <= tol_abs:
-        return FeasibilityOutcome(FEASIBLE, gamma, 0, viol, 0.0)
-
-    max_iter = cfg.max_iter if task.cone == FULL and task.n >= 3 else 0
-    slack = mix_compress(gamma, task.p, task.d) - task.target
-    inc_g, inc_s = np.zeros_like(gamma), np.zeros_like(slack)
-    affine_dist = 0.0
-    for it in range(1, max_iter + 1):
-        yg, ys = gamma + inc_g, slack + inc_s
-        pg, ps = matcore.clamp_psd(yg), matcore.clamp_psd(ys)
-        inc_g, inc_s = yg - pg, ys - ps
-        gamma, slack = _affine_project(task, pg, ps)
-        affine_dist = float(np.sqrt(matcore.fro_norm(gamma - pg) ** 2 + matcore.fro_norm(slack - ps) ** 2))
-        viol = cone_dist(gamma, slack)
-        if viol <= tol_abs:
-            return FeasibilityOutcome(FEASIBLE, gamma, it, viol, affine_dist)
-    return FeasibilityOutcome(MAX_ITERATIONS, gamma, max_iter, viol, affine_dist)
+    gamma, dist = warm_start_from(task, [*candidates, *default_candidates(task)])
+    status = FEASIBLE if dist <= matcore.EPS_ENGINE * task.scale else NO_FEASIBLE_CANDIDATE
+    return FeasibilityOutcome(status, gamma, 0, dist)
 
 
 def validate_gamma(task: FeasibilityTask, gamma: np.ndarray, tol: float) -> dict:

@@ -28,7 +28,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import psdfeas
 from .conditions import (
     CHECKERS,
     MixtureProblem,
@@ -101,7 +100,7 @@ class RegionCell:
     margin: float
 
 
-def _evaluate_cell(spec: SweepSpec, v1: float, v2: float, search_cfg, engine_cfg) -> list[RegionCell]:
+def _evaluate_cell(spec: SweepSpec, v1: float, v2: float, search_cfg) -> list[RegionCell]:
     try:
         prob = spec.template(v1, v2)
     except TargetNotPSD as exc:
@@ -114,7 +113,7 @@ def _evaluate_cell(spec: SweepSpec, v1: float, v2: float, search_cfg, engine_cfg
     if any(name in ("inegsqrt", "inecov", "inecovf") for name in spec.checkers):
         v5 = check_inegsqrt(prob, search_cfg)
     for name in spec.checkers:
-        verdict = run_checker(name, prob, search_cfg, engine_cfg, spec.seed, inegsqrt_verdict=v5)
+        verdict = run_checker(name, prob, search_cfg, spec.seed, inegsqrt_verdict=v5)
         cells.append(RegionCell(v1, v2, name, verdict.status.value, float(verdict.margin)))
     return cells
 
@@ -122,14 +121,15 @@ def _evaluate_cell(spec: SweepSpec, v1: float, v2: float, search_cfg, engine_cfg
 def run_sweep(
     spec: SweepSpec,
     search_cfg: SearchConfig | None = None,
-    engine_cfg: psdfeas.EngineConfig | None = None,
+    *,
+    engine_cfg=None,  # ignored: kept for callers that still pass it
 ) -> list[RegionCell]:
     """Evaluate the grid cell by cell, ordered by (row, col)."""
     return [
         cell
         for v1 in spec.axis1.values()
         for v2 in spec.axis2.values()
-        for cell in _evaluate_cell(spec, v1, v2, search_cfg, engine_cfg)
+        for cell in _evaluate_cell(spec, v1, v2, search_cfg)
     ]
 
 
@@ -153,7 +153,6 @@ def boundary_bisect(
     xtol: float = 1e-4,
     seed: int = 0,
     search_cfg: SearchConfig | None = None,
-    engine_cfg: psdfeas.EngineConfig | None = None,
 ) -> float:
     """Bisect a scalar parameter for the point where a verdict flips.
 
@@ -175,7 +174,7 @@ def boundary_bisect(
         prob = template(value)
         if callable(checker):
             return checker(prob).status
-        return run_checker(checker, prob, search_cfg, engine_cfg, seed).status
+        return run_checker(checker, prob, search_cfg, seed).status
 
     s_lo = status_at(lo)
     s_hi = status_at(hi)

@@ -177,6 +177,38 @@ def random_chain_problem(seed: int) -> MixtureProblem:
     return MixtureProblem(p=p, covs=covs, target=0.5 * (target + target.T))
 
 
+def boundary_problems(seed: int, eps: tuple[float, ...], steps: int = 30) -> list[MixtureProblem]:
+    """Seeded three-component problems just inside the directional boundary.
+
+    d = 2 or 3, and with probability 0.4 every component after the first is
+    singular. The target is t (1 - e) base for each e of ``eps``, with t the
+    largest multiple of a random PSD ``base`` at which ``check_inegsqrt``
+    holds under ``SearchConfig()``: doubled from 1 while it holds, then
+    ``steps`` bisections, t the holding end.
+    """
+    rng = CounterRng(seed, stream=901)
+    u = rng.uniforms(2)
+    d = 2 + seed % 2
+    raw = rng.uniforms(3) + 0.15
+    p = raw / raw.sum()
+    covs = np.stack([random_psd(rng.spawn(i), d, d if u[0] < 0.6 or i == 0 else d - 1) for i in range(3)])
+    base = random_psd(rng.spawn(50), d)
+
+    def holds(t: float) -> bool:
+        return conditions.check_inegsqrt(MixtureProblem(p, covs, t * base), SearchConfig()).holds
+
+    lo, hi = 0.0, 1.0
+    while holds(hi):
+        lo, hi = hi, 2.0 * hi
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid
+    return [MixtureProblem(p, covs, lo * (1.0 - e) * base) for e in eps]
+
+
 def refine_minimizer_by_slope(
     f: Callable[[float], float],
     x0: float,

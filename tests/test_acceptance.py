@@ -61,7 +61,7 @@ def test_criterion_02_region_grid():
             S.Axis("b", -6.0, 6.0, step),
             ("inegsqrt", "inecov"),
         )
-        cells = S.run_sweep(spec, search_cfg=LIGHT, engine_cfg=psdfeas.EngineConfig(max_iter=300))
+        cells = S.run_sweep(spec, search_cfg=LIGHT)
         table = {}
         for cell in cells:
             table.setdefault((cell.v1, cell.v2), {})[cell.checker] = cell
@@ -157,14 +157,11 @@ def test_criterion_05_pairwise_versus_full_gap():
 
 def test_criterion_06_chain_soundness():
     with criterion(6, "implication chain sound on 500 random problems", 300.0):
-        engine_cfg = psdfeas.EngineConfig(max_iter=1500)
         statuses = {"holds": 0, "fails": 0, "unknown": 0}
         correl_unknown = 0
         for seed in range(500):
             prob = fam.random_chain_problem(seed)
-            report = C.implication_chain_report(
-                prob, search_cfg=MID, engine_cfg=engine_cfg, mc_samples=6000, seed=seed
-            )
+            report = C.implication_chain_report(prob, search_cfg=MID, mc_samples=6000, seed=seed)
             statuses[report.inecov.status.value] += 1
             correl_unknown += report.correl.status is C.Status.UNKNOWN
         # sanity: the generator must exercise every branch; inecov decides

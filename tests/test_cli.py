@@ -82,8 +82,8 @@ def test_check_inecov_reports_the_pair_ascent_evaluations(tmp_path, capsys):
 
 
 def test_check_inecov_factor_ascent_certificate_couples(tmp_path, capsys):
-    # n = 3, d = 2: Dykstra stalls here at the default cap; the orthogonal
-    # factor ascent's coupling decides it before the first iteration
+    # n = 3, d = 2: no default candidate is feasible; the orthogonal
+    # factor ascent's coupling decides it
     prob = write_json(tmp_path / "prob.json", chain_doc(38))
     cert = tmp_path / "cert.json"
     code, report = run_cli(
@@ -91,7 +91,6 @@ def test_check_inecov_factor_ascent_certificate_couples(tmp_path, capsys):
     )
     assert code == 0
     assert report["status"] == "holds"
-    assert report["diagnostics"]["engine_iterations"] == 0
     assert 1 < report["diagnostics"]["factor_ascent_evals"] < 10  # a start clears the tolerance after a few steps
     code, diags = run_cli(
         capsys, "couple", "--input", prob, "--gamma", str(cert),
@@ -125,6 +124,16 @@ def test_check_correl_unknown_exit_code(tmp_path, capsys):
     code, report = run_cli(capsys, "check", "--condition", "correl", "--input", prob)
     assert code == 2
     assert report["status"] == "unknown"
+
+
+def test_check_inecov_unknown_exit_code(tmp_path, capsys):
+    # n = 3: no construction makes a full coupling, and no refutation applies
+    prob = write_json(tmp_path / "prob.json", chain_doc(77))
+    code, report = run_cli(capsys, "check", "--condition", "inecov", "--input", prob)
+    assert code == 2
+    assert report["status"] == "unknown" and report["witness"] is None
+    assert report["diagnostics"]["cone_dist"] > 0.0
+    assert report["margin"] == -report["diagnostics"]["cone_dist"]
 
 
 def test_check_chain_report(tmp_path, capsys):

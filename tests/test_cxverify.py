@@ -191,6 +191,14 @@ def test_radial_sphere_noise_trivial_and_scaled_violation():
     assert v.fails
 
 
+@pytest.mark.parametrize("mc_samples", [1, -1, -5])
+def test_radial_order_check_rejects_sample_counts_without_a_variance(mc_samples):
+    # one sample has no variance, and a negative count used to skip the check unseen
+    sig = np.eye(2)
+    with pytest.raises(ValueError, match="mc_samples must be 0 or at least 2"):
+        X.radial_order_check(sig, [sig, sig], [0.5, 0.5], X.gaussian_noise(2), mc_samples=mc_samples)
+
+
 def test_radial_direction_orthogonal_invariance():
     noise = X.sphere_noise(3)
     rng = CounterRng(17)

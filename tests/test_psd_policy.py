@@ -31,7 +31,7 @@ STATUSES = {
 @pytest.mark.parametrize("scale", SCALES)
 def test_small_component_problem_gets_every_verdict(scale):
     prob = fam.small_component_problem(scale)
-    found = {name: C.run_checker(name, prob, None, None, 0).status for name in C.CHECKERS}
+    found = {name: C.run_checker(name, prob, None, 0).status for name in C.CHECKERS}
     assert found == STATUSES
     report = C.implication_chain_report(prob, mc_samples=2000)
     assert report.inecov.holds and report.correl.holds and report.inegsqrt.holds

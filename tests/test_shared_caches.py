@@ -24,7 +24,7 @@ def tile_csv(tmp_path, name: str, template=fam.axis_swap_problem) -> bytes:
     """CSV of a 3 x 3 axis-swap tile across the region boundary, inegsqrt and inecov under LIGHT."""
     spec = S.SweepSpec(template, S.Axis("a", 5.5, 5.6, 0.05), S.Axis("b", -0.55, -0.45, 0.05), ("inegsqrt", "inecov"))
     path = tmp_path / f"{name}.csv"
-    S.write_region_csv(S.run_sweep(spec, search_cfg=LIGHT, engine_cfg=psdfeas.EngineConfig(max_iter=300)), path)
+    S.write_region_csv(S.run_sweep(spec, search_cfg=LIGHT), path)
     return path.read_bytes()
 
 
@@ -32,9 +32,7 @@ def chain_reports(before_each=lambda: None) -> list[dict]:
     out = []
     for seed in CHAIN_SEEDS:
         before_each()
-        report = C.implication_chain_report(
-            random_chain_problem(seed), MID, psdfeas.EngineConfig(max_iter=1500), mc_samples=2000, seed=seed
-        )
+        report = C.implication_chain_report(random_chain_problem(seed), MID, mc_samples=2000, seed=seed)
         out.append(report.as_dict())
     return out
 
@@ -68,7 +66,7 @@ def test_cached_arrays_are_read_only(tmp_path):
     # two rotation-grid arrays of the one pair, and the pair layout's rows
     assert len(stored_arrays()) == 14
     tile_csv(tmp_path, "tile")
-    C.implication_chain_report(random_chain_problem(32), MID, psdfeas.EngineConfig(max_iter=1500), mc_samples=2000)
+    C.implication_chain_report(random_chain_problem(32), MID, mc_samples=2000)
     arrays = stored_arrays()
     assert len(arrays) >= 14
     for arr in arrays:
@@ -247,7 +245,6 @@ def chain_pass(count: int) -> None:
         C.implication_chain_report(
             random_chain_problem(seed),
             dataclasses.replace(MID, iters=10, seed=seed),
-            psdfeas.EngineConfig(max_iter=20),
             mc_samples=200,
             seed=seed,
         )
@@ -274,7 +271,7 @@ def test_concurrent_callers_get_the_serial_bits():
         out = []
         for prob in problems:
             for name in ("inegsqrt", "inecov"):
-                v = C.run_checker(name, prob, LIGHT, None, 0)
+                v = C.run_checker(name, prob, LIGHT, 0)
                 out.append((v.status, v.margin))
         return out
 

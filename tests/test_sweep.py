@@ -6,7 +6,6 @@ import pytest
 import families as fam
 from families import LIGHT
 from gmcvx import conditions as C
-from gmcvx import psdfeas
 from gmcvx import sweep as S
 
 
@@ -104,8 +103,7 @@ def test_sweep_cells_equal_direct_checker_calls():
         C.CHECKERS,
         seed=2,
     )
-    engine = psdfeas.EngineConfig(max_iter=300)
-    cells = S.run_sweep(spec, search_cfg=LIGHT, engine_cfg=engine)
+    cells = S.run_sweep(spec, search_cfg=LIGHT)
     assert len(cells) == 3 * 3 * len(C.CHECKERS)
     assert any(c.v1 == 0.5 and c.v2 == 2.0 for c in cells)
     for cell in cells:
@@ -114,12 +112,12 @@ def test_sweep_cells_equal_direct_checker_calls():
         except C.InvalidProblem as exc:
             assert (cell.status, cell.margin) == ("fails", exc.lmin)
             continue
-        verdict = C.run_checker(cell.checker, prob, LIGHT, engine, spec.seed)
+        verdict = C.run_checker(cell.checker, prob, LIGHT, spec.seed)
         assert (cell.status, cell.margin) == (verdict.status.value, float(verdict.margin))
         named = {
             "inegsqrt": lambda: C.check_inegsqrt(prob, LIGHT),
-            "inecov": lambda: C.check_inecov(prob, engine, LIGHT, seed=spec.seed),
-            "inecovf": lambda: C.check_inecovf(prob, engine, LIGHT, seed=spec.seed),
+            "inecov": lambda: C.check_inecov(prob, LIGHT, seed=spec.seed),
+            "inecovf": lambda: C.check_inecovf(prob, LIGHT, seed=spec.seed),
             "correl": lambda: C.find_correl_certificate(prob, seed=spec.seed),
             "dominates": lambda: C.check_dominated_by_single(prob),
         }[cell.checker]()
@@ -151,7 +149,7 @@ def test_three_diag_family_pairwise_region():
         S.Axis("x", x_lo, 1.0, (1.0 - x_lo) / 3.0),
         ("inecovf",),
     )
-    cells = S.run_sweep(spec, engine_cfg=psdfeas.EngineConfig(max_iter=500))
+    cells = S.run_sweep(spec)
     assert all(c.status == "holds" for c in cells), [
         (c.v1, c.v2, c.status) for c in cells if c.status != "holds"
     ]
