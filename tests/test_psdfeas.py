@@ -50,15 +50,26 @@ def test_rank_deficient_pair_instance_feasible():
     assert psdfeas.validate_gamma(task, RANK_DEFICIENT_GAMMA, 1e-9)["ok"]
 
 
+def test_exterior_point_hits_iteration_cap_with_residual():
+    # an n = 3 full-cone problem that no construction makes feasible: solve
+    # takes no iteration past its warm start and reports the residual there
+    prob = random_chain_problem(77)
+    task = psdfeas.FeasibilityTask(prob, psdfeas.FULL)
+    assert task.n == 3
+    out = psdfeas.solve(task)
+    assert out.status == psdfeas.NO_FEASIBLE_CANDIDATE and out.iterations == 0
+    assert out.cone_dist > 1e-3
+    assert np.array_equal(out.gamma, psdfeas.warm_start_from(task, psdfeas.default_candidates(task))[0])
+
+
 def test_n2_exterior_point_returns_the_warm_start():
-    # with n = 2 the contraction coupling decides; on seed 77 (n = 3) no
-    # construction is feasible: either way solve returns its warm start
-    for prob in (axis_swap_problem(6.0, 0.0), random_chain_problem(77)):
-        task = psdfeas.FeasibilityTask(prob, psdfeas.FULL)
-        out = psdfeas.solve(task)
-        assert out.status == psdfeas.NO_FEASIBLE_CANDIDATE and out.iterations == 0
-        assert out.cone_dist > 1e-3
-        assert np.array_equal(out.gamma, psdfeas.warm_start_from(task, psdfeas.default_candidates(task))[0])
+    # with n = 2 the contraction coupling decides: solve returns its warm start
+    prob = axis_swap_problem(6.0, 0.0)
+    task = psdfeas.FeasibilityTask(prob, psdfeas.FULL)
+    out = psdfeas.solve(task)
+    assert out.status == psdfeas.NO_FEASIBLE_CANDIDATE and out.iterations == 0
+    assert out.cone_dist > 1e-3
+    assert np.array_equal(out.gamma, psdfeas.warm_start_from(task, psdfeas.default_candidates(task))[0])
 
 
 @pytest.mark.parametrize("cone", [psdfeas.FULL, psdfeas.PAIRWISE])
