@@ -7,9 +7,10 @@
 * ``chain``: ``implication_chain_report(...).as_dict()`` for
   ``random_chain_problem(0..99)`` under criterion 6's settings
   (6000 Monte Carlo samples, seed = index), serialised as sorted-key JSON;
-* ``defaults``: all five checkers through ``run_checker`` on
-  ``random_chain_problem(0..29)`` with the CLI's settings,
-  ``SearchConfig(seed=s)`` (seed s = index), serialised as sorted-key JSON.
+* ``defaults``: all five checkers, each decided alone (``decide`` with one
+  name, as ``gmcvx check`` does) on ``random_chain_problem(0..29)`` with the
+  CLI's settings, ``SearchConfig(seed=s)`` (seed s = index), serialised as
+  sorted-key JSON.
 
 Each line gives the set's name, the digest of its full record (statuses
 and margins) and the digest of its statuses alone. The search settings of
@@ -23,7 +24,7 @@ and every component multiplied by 4**-20 and by 4**20. Each ``scale``
 line gives the status digest, which should equal the ``defaults`` one,
 and ``exact=K/150``, the number of margins equal to the unit-scale margin
 times the exact power: 2**k for std-unit margins (``inegsqrt``, and a
-coupling verdict refuted by it), 4**k for all others. Takes about 20 s
+coupling verdict refuted by it), 4**k for all others. Takes about 3 s
 on a 2-CPU x86-64 virtual machine.
 
 A full digest changes with any margin, however small the change. To see
@@ -42,10 +43,12 @@ change, ``set checker record old→new``. With ``--compare`` the script exits
 With ``--boundary`` the script prints the ``boundary`` set alone, the
 problems near the directional boundary where the coupling checks leave
 most of their ``unknown`` verdicts: ``boundary_problems(0..29, (1e-2,
-1e-3))`` from ``tests/families.py`` (30 bisection steps), all five checkers
-through ``run_checker`` with ``SearchConfig()`` and seed = index. It gives
+1e-3))`` from ``tests/families.py`` (30 bisection steps), all five checkers,
+each decided alone, with ``SearchConfig()`` and seed = index. It gives
 the set's two digests as above, then one line per ε and checker with the
-count of each status. Takes about 7 s on a 2-CPU x86-64 virtual machine.
+count of each status. ``--dump`` and ``--compare`` work on it as on the
+other sets, its records keyed ``seed,ε``. Takes about 7 s on a 2-CPU
+x86-64 virtual machine.
 """
 
 import argparse
@@ -104,33 +107,45 @@ def chain_digests() -> tuple[str, str, list]:
     return json_digests(reports)
 
 
+def standalone(prob: C.MixtureProblem, cfg: C.SearchConfig, seed: int) -> dict:
+    """Every checker's verdict on ``prob``, each decided alone."""
+    return {name: C.decide(prob, (name,), cfg, seed)[name] for name in C.CHECKERS}
+
+
 def defaults_verdicts(power: int = 0) -> list[dict]:
     """The ``defaults`` verdicts with the target and components scaled by 4**power."""
     out = []
     for seed in range(30):
         prob = random_chain_problem(seed)
         prob = C.MixtureProblem(p=prob.p, covs=prob.covs * 4.0**power, target=prob.target * 4.0**power)
-        out.append(
-            {
-                name: C.run_checker(name, prob, C.SearchConfig(seed=seed), seed)
-                for name in C.CHECKERS
-            }
-        )
+        out.append(standalone(prob, C.SearchConfig(seed=seed), seed))
     return out
 
 
-def boundary_lines() -> list[str]:
-    """The ``boundary`` set's digest line and its status counts per ε and checker."""
+def boundary_verdicts() -> dict:
+    """The ``boundary`` verdicts: for each ε, one record of every checker per seed."""
     verdicts = {eps: [] for eps in BOUNDARY_EPS}
-    cfg = C.SearchConfig()
     for seed in range(30):
         for eps, prob in zip(BOUNDARY_EPS, boundary_problems(seed, BOUNDARY_EPS)):
-            v5 = C.check_inegsqrt(prob, cfg)
-            verdicts[eps].append(
-                {name: C.run_checker(name, prob, cfg, seed, inegsqrt_verdict=v5) for name in C.CHECKERS}
-            )
+            verdicts[eps].append(standalone(prob, C.SearchConfig(), seed))
+    return verdicts
+
+
+def boundary_digests(verdicts: dict) -> tuple[str, str, list]:
+    """The ``boundary`` set's two digests and its flat records, keyed ``seed,ε``."""
     full, status, _ = json_digests([rec for eps in BOUNDARY_EPS for rec in records_of(verdicts[eps])])
-    lines = [f"boundary {full} {status}"]
+    flat = [
+        [f"{seed},{eps:g}", name, v.status.value, float(v.margin)]
+        for eps in BOUNDARY_EPS
+        for seed, rec in enumerate(verdicts[eps])
+        for name, v in rec.items()
+    ]
+    return full, status, flat
+
+
+def boundary_counts(verdicts: dict) -> list[str]:
+    """One line per ε and checker with the count of each status."""
+    lines = []
     for eps, recs in verdicts.items():
         for name in C.CHECKERS:
             counts = {s.value: sum(rec[name].status is s for rec in recs) for s in C.Status}
@@ -192,14 +207,15 @@ def main(argv=None) -> int:
     parser.add_argument("--compare", metavar="FILE", help="report drift against a file written by --dump")
     parser.add_argument("--boundary", action="store_true", help="print the boundary set alone")
     args = parser.parse_args(argv)
-    if args.boundary:
-        print("\n".join(boundary_lines()), flush=True)
-        return 0
     saved = json.loads(Path(args.compare).read_text()) if args.compare else {}
     dump = {}
     status_changes = 0
-    unit = defaults_verdicts()
-    sets = {"region": region_digests, "chain": chain_digests, "defaults": lambda: json_digests(records_of(unit))}
+    if args.boundary:
+        boundary = boundary_verdicts()
+        sets = {"boundary": lambda: boundary_digests(boundary)}
+    else:
+        unit = defaults_verdicts()
+        sets = {"region": region_digests, "chain": chain_digests, "defaults": lambda: json_digests(records_of(unit))}
     for name, digests in sets.items():
         full, status, records = digests()
         print(name, full, status, flush=True)
@@ -208,8 +224,11 @@ def main(argv=None) -> int:
             lines, changes = drift_lines(name, saved[name], records)
             status_changes += changes
             print("\n".join(lines), flush=True)
-    for power in (-20, 20):
-        print(scale_line(power, unit), flush=True)
+    if args.boundary:
+        print("\n".join(boundary_counts(boundary)), flush=True)
+    else:
+        for power in (-20, 20):
+            print(scale_line(power, unit), flush=True)
     if args.dump:
         Path(args.dump).write_text(json.dumps(dump))
     return 1 if status_changes else 0

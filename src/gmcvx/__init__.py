@@ -25,6 +25,7 @@ from .conditions import (  # noqa: F401
     check_inecovf,
     check_inegsqrt,
     check_n2_theta,
+    decide,
     find_correl_certificate,
     implication_chain_report,
     orthogonal_factors_from_gamma,

@@ -56,8 +56,8 @@ from .conditions import (
     SingularM,
     Status,
     Verdict,
+    decide,
     implication_chain_report,
-    run_checker,
 )
 from .rng import CounterRng
 
@@ -275,7 +275,7 @@ def cmd_check(args) -> int:
 
     try:
         if args.condition != "chain":
-            verdict = run_checker(args.condition, prob, cfg, args.seed, extra_m=extra_m)
+            verdict = decide(prob, (args.condition,), cfg, args.seed, extra_m)[args.condition]
         else:
             report = implication_chain_report(prob, cfg, seed=args.seed)
             if report.inecov.holds:

@@ -18,9 +18,10 @@ against a finite Gaussian mixture, from strongest to weakest:
 
 Failures always carry a witness that re-verifies standalone; positive
 certificates re-validate through :func:`validate_gamma_witness` and
-:func:`validate_correl_certificate`. Callers that pick a checker by name
-(sweeps, the CLI) go through :func:`run_checker`. Every verdict is a
-pure function of (problem, config, seed), so checkers can run concurrently.
+:func:`validate_correl_certificate`. Every caller that picks checkers by
+name (sweeps, the CLI, the implication chain) goes through :func:`decide`,
+the one place where one condition's verdict serves another. Every verdict
+is a pure function of (problem, config, seed), so checkers can run concurrently.
 What the cells of a sweep share comes from functions that keep their last
 value (:func:`matcore.last_value`), as in ``psdfeas``: the mirrored stack
 of components (shared as ``covs``), their lambda_mins, sigma^2, eigenvectors,
@@ -32,7 +33,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cache
 
 import numpy as np
 
@@ -112,11 +112,11 @@ def _symmetric(name: str, a) -> np.ndarray:
         raise InvalidProblem(f"{name}: {exc}") from None
 
 
-def _numbers(name: str, a) -> np.ndarray:
+def _numbers(name: str, a, error: type = InvalidProblem) -> np.ndarray:
     try:
         return np.asarray(a, dtype=float)
     except (TypeError, ValueError) as exc:  # ragged nesting, or an entry that is no number
-        raise InvalidProblem(f"{name}: not an array of numbers ({exc})") from None
+        raise error(f"{name}: not an array of numbers ({exc})") from None
 
 
 @matcore.last_value
@@ -207,11 +207,15 @@ class SearchConfig:
     """Knobs for the directional search and the n = 2 cross checks."""
 
     random_starts: int = 64
-    iters: int = 200  # subgradient steps: d >= 3, or d = 2 with grid_points = 0
-    grid_points: int = 720  # angular grid, d = 2 only
-    alpha_points: int = 400  # log-spaced scan: n = 2 wherever the subgradient steps run
+    iters: int = 200  # subgradient steps, d >= 3
+    grid_points: int = 720  # angular grid, d = 2; at least 1
+    alpha_points: int = 400  # log-spaced scan, n = 2 and d >= 3; at least 1
     ascent_iters: int = 200
     seed: int = 0
+
+    def __post_init__(self):
+        if self.grid_points < 1 or self.alpha_points < 1:
+            raise ValueError("grid_points and alpha_points must be at least 1")
 
 
 @dataclass
@@ -333,20 +337,10 @@ def _h_on_circle(prob: MixtureProblem):
     return h_of
 
 
-@cache
-def _half_circle(count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only ``count`` equispaced angles in [0, pi) and their unit directions as rows."""
-    thetas = np.linspace(0.0, np.pi, count, endpoint=False)
-    out = (thetas, np.column_stack([np.cos(thetas), np.sin(thetas)]))
-    for arr in out:
-        arr.flags.writeable = False
-    return out
-
-
 @matcore.last_value
 def _grid_half(p: np.ndarray, covs: np.ndarray, grid_points: int) -> np.ndarray:
     """The components' half of h on the d = 2 angular grid of ``grid_points`` directions."""
-    return _mixture_std(p, covs, _half_circle(grid_points)[1])
+    return _mixture_std(p, covs, matcore.angle_grid(grid_points, np.pi)[1])
 
 
 @matcore.last_value
@@ -357,12 +351,11 @@ def _random_starts(seed: int, count: int, d: int) -> np.ndarray:
 def _sphere_search(prob: MixtureProblem, cfg: SearchConfig):
     """Minimize h over the unit sphere; returns (min h, its direction, diagnostics).
 
-    For d = 2 with ``cfg.grid_points > 0`` an angular grid decides the case,
-    refined by Brent's method once per grid minimum among its three best
-    points (a point next to one already refined is skipped); the starts
+    For d = 2 an angular grid of ``cfg.grid_points`` directions decides the
+    case, refined by Brent's method once per grid minimum among its three
+    best points (a point next to one already refined is skipped); the starts
     (eigenvectors, random directions and the four best grid points) are
-    scored once, and neither the descent nor the alpha scan of
-    :func:`check_inegsqrt` follows. Otherwise multistart projected
+    scored once, and no descent follows. For d >= 3 multistart projected
     subgradient descent runs for ``cfg.iters`` steps, each one stacked
     :func:`_h_and_grad` pass over all starts. Subgradients are normalized
     before stepping so the search behaves the same under rescaling; at a
@@ -376,12 +369,11 @@ def _sphere_search(prob: MixtureProblem, cfg: SearchConfig):
     best_h = np.inf
     best_xi = np.zeros(d)
     diag: dict = {}
-    iters = cfg.iters
+    iters = cfg.iters if d >= 3 else 0
     floor = matcore.EPS_ROUND * prob.std_scale()
 
-    if d == 2 and cfg.grid_points > 0:
-        iters = 0
-        thetas, grid = _half_circle(cfg.grid_points)
+    if d == 2:
+        thetas, grid = matcore.angle_grid(cfg.grid_points, np.pi)
         hs = _grid_half(prob.p, prob.covs, cfg.grid_points) - _target_std(prob, grid)
         order = np.argsort(hs)
         width = np.pi / cfg.grid_points
@@ -456,11 +448,10 @@ def check_inegsqrt(prob: MixtureProblem, cfg: SearchConfig | None = None) -> Ver
 
     Fails carry the violating unit direction as witness (which re-verifies
     through :func:`h_margin`); Holds report the smallest directional slack
-    found. For d = 2 with ``cfg.grid_points > 0`` the angular grid, refined
-    by Brent's method once per grid minimum, alone decides. Wherever the
-    subgradient descent runs instead (d >= 3, or d = 2 without a grid) and
-    n = 2, the independent alpha scan guards it; an irreconcilable
-    borderline disagreement yields Unknown.
+    found. For d = 2 the angular grid, refined by Brent's method once per
+    grid minimum, alone decides. For d >= 3 the subgradient descent runs
+    instead, and when n = 2 the independent alpha scan guards it; an
+    irreconcilable borderline disagreement yields Unknown.
     """
     cfg = cfg or SearchConfig()
     tol_std = matcore.EPS_PSD * prob.std_scale()
@@ -477,8 +468,7 @@ def check_inegsqrt(prob: MixtureProblem, cfg: SearchConfig | None = None) -> Ver
         margin, xi, search_diag = _sphere_search(prob, cfg)
         diag.update(search_diag)
 
-    grid_decides = prob.d == 2 and cfg.grid_points > 0
-    if prob.d > 1 and prob.n == 2 and not grid_decides and cfg.alpha_points > 0:
+    if prob.d >= 3 and prob.n == 2:
         scan_val, alpha_best, scan_xi = _alpha_scan(prob, cfg)
         diag["alpha_scan_min"] = scan_val
         diag["alpha_best"] = alpha_best
@@ -552,7 +542,7 @@ def _coupling_check(prob, cone, search_cfg, extra_candidates, inegsqrt_verdict, 
     iters = (search_cfg or SearchConfig()).ascent_iters
     task = psdfeas.FeasibilityTask(prob, cone, seed, iters)
     ascent = None
-    if cone == psdfeas.PAIRWISE or prob.n == 2:
+    if task.cone == psdfeas.PAIRWISE:
         ascent = task.ascent  # its coupling is one of the engine's default candidates
         diag["pair_ascent_margin"] = ascent[0]
         if ascent[3]:
@@ -648,7 +638,7 @@ def check_correl_with(prob: MixtureProblem, m) -> Verdict:
     report whether the built correlation is also associated with the
     diagonal-corrected target.
     """
-    m = np.asarray(m, dtype=float)
+    m = _numbers("candidate basis", m, SingularM)
     d = prob.d
     if m.shape != (d, d):
         raise SingularM(f"expected a {d} x {d} matrix, got {m.shape}")
@@ -832,7 +822,7 @@ def find_correl_certificate(prob: MixtureProblem, extra_m=(), seed: int = 0) -> 
     if orth is not None:
         candidates.append(("orthogonal_product", orth))
     for idx, m in enumerate(extra_m):
-        candidates.append((f"user_{idx}", np.asarray(m, dtype=float)))
+        candidates.append((f"user_{idx}", m))
 
     diag: dict = {"tried": []}
     for name, m in candidates:
@@ -877,7 +867,7 @@ def check_n2_theta(prob: MixtureProblem, theta) -> Verdict:
     two-component mixture: its coupling passes :func:`psdfeas.validate_gamma` at ``EPS_PSD``."""
     if prob.n != 2:
         raise DimensionMismatch("explicit block check requires exactly two components")
-    theta = np.asarray(theta, dtype=float)
+    theta = _numbers("block", theta, DimensionMismatch)
     if theta.shape != (prob.d, prob.d):
         raise DimensionMismatch(f"expected block shape {(prob.d, prob.d)}, got {theta.shape}")
     task = psdfeas.FeasibilityTask(prob)
@@ -932,38 +922,51 @@ def orthogonal_factors_from_gamma(prob: MixtureProblem, gamma, q: int | None = N
 
 
 # ---------------------------------------------------------------------------
-# checker dispatch
+# deciding a set of checkers
 # ---------------------------------------------------------------------------
 
 CHECKERS = ("inegsqrt", "inecov", "inecovf", "correl", "dominates")
 
 
-def run_checker(
-    name: str,
+def decide(
     prob: MixtureProblem,
-    search_cfg: SearchConfig | None,
-    seed: int,
-    inegsqrt_verdict: Verdict | None = None,
+    names=CHECKERS,
+    search_cfg: SearchConfig | None = None,
+    seed: int = 0,
     extra_m=(),
-) -> Verdict:
-    """Run the checker registered under ``name`` (one of :data:`CHECKERS`).
+) -> dict:
+    """One verdict per checker of ``names`` (each one of :data:`CHECKERS`), in that order;
+    an unknown name raises ``ValueError`` before any checker runs.
 
-    ``inegsqrt_verdict`` is a directional verdict already computed for
-    ``prob``; it is returned for ``inegsqrt`` and handed to the coupling
-    checkers so the directional search runs once. ``extra_m`` feeds
-    user-supplied bases to ``correl``.
+    The implication chain links the checkers asked for, and only those: the
+    directional search runs once and its verdict goes to the coupling checks,
+    a ``correl`` Holds hands its coupling to ``inecov`` as a candidate, and
+    ``inecovf`` is the ``inecov`` verdict when n = 2 (one program) or when
+    inecov holds (each pair block of its Gamma is a principal submatrix, by
+    Cauchy interlacing no further from the PSD cone). So a single name gets
+    its checker's standalone verdict. ``extra_m`` feeds user bases to ``correl``.
     """
-    if name == "inegsqrt":
-        return inegsqrt_verdict if inegsqrt_verdict is not None else check_inegsqrt(prob, search_cfg)
-    if name == "inecov":
-        return check_inecov(prob, search_cfg, inegsqrt_verdict=inegsqrt_verdict, seed=seed)
-    if name == "inecovf":
-        return check_inecovf(prob, search_cfg, inegsqrt_verdict=inegsqrt_verdict, seed=seed)
-    if name == "correl":
-        return find_correl_certificate(prob, extra_m=extra_m, seed=seed)
-    if name == "dominates":
-        return check_dominated_by_single(prob)
-    raise ValueError(f"unknown checker {name!r}")
+    unknown = [name for name in names if name not in CHECKERS]
+    if unknown:
+        raise ValueError(f"unknown checker {unknown[0]!r}")
+    out: dict = {}
+    # module globals, looked up at each call, so that a wrapped checker is the one called
+    if {"inegsqrt", "inecov", "inecovf"}.intersection(names):
+        out["inegsqrt"] = check_inegsqrt(prob, search_cfg)
+    v5 = out.get("inegsqrt")
+    if "correl" in names:
+        out["correl"] = find_correl_certificate(prob, extra_m=extra_m, seed=seed)
+    if "inecov" in names:
+        v2 = out.get("correl")
+        extra = [certificate_to_gamma(prob, v2.witness)] if v2 is not None and v2.holds else []
+        out["inecov"] = check_inecov(prob, search_cfg, extra, v5, seed)
+    if "inecovf" in names:
+        v3 = out.get("inecov")
+        reuse = v3 is not None and (prob.n == 2 or v3.holds)
+        out["inecovf"] = v3 if reuse else check_inecovf(prob, search_cfg, inegsqrt_verdict=v5, seed=seed)
+    if "dominates" in names:
+        out["dominates"] = check_dominated_by_single(prob)
+    return {name: out[name] for name in names}
 
 
 # ---------------------------------------------------------------------------
@@ -997,27 +1000,15 @@ def implication_chain_report(
     *,
     engine_cfg=None,  # ignored: kept for callers that still pass it
 ) -> ChainReport:
-    """Run every checker and assert the implication chain is not inverted.
-
-    A correl certificate is handed down to inecov as a warm start, so a
-    stronger Holds always propagates. inecovf is inecov for two components
-    and whenever inecov holds: each pair block of its Gamma is a principal
-    submatrix, by Cauchy interlacing no further from the PSD cone. Any
-    inversion (stronger Holds with weaker Fails beyond tolerance) raises
+    """Decide the four chain conditions together (:func:`decide`, so a stronger
+    Holds always propagates), add the Monte Carlo evidence of the convex-order
+    suite, and assert the implication chain is not inverted: any inversion
+    (stronger Holds with weaker Fails beyond tolerance) raises
     :class:`ChainViolation`.
     """
     from . import cxverify  # local import to avoid a module cycle
 
-    v5 = check_inegsqrt(prob, search_cfg)
-    v2 = find_correl_certificate(prob, seed=seed)
-    extra = []
-    if v2.holds:
-        extra.append(certificate_to_gamma(prob, v2.witness))
-    v3 = check_inecov(prob, search_cfg, extra_candidates=extra, inegsqrt_verdict=v5, seed=seed)
-    if prob.n == 2 or v3.holds:
-        v3f = v3  # the pairwise cone is the full one for n = 2, and holds any full-cone witness
-    else:
-        v3f = check_inecovf(prob, search_cfg, inegsqrt_verdict=v5, seed=seed)
+    v2, v3, v3f, v5 = decide(prob, ("correl", "inecov", "inecovf", "inegsqrt"), search_cfg, seed).values()
     lhs = cxverify.GaussianLaw(np.zeros(prob.d), prob.target)
     suite = cxverify.default_suite(prob, seed=seed)
     v4 = cxverify.test_convex_order(lhs, prob, suite, mc_samples=mc_samples, seed=seed, z=5.0)

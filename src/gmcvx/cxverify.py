@@ -162,12 +162,12 @@ def _abs_mean(mu: float, sd: float) -> float:
 
 
 def sphere_directions(count: int, d: int, seed: int = 0) -> np.ndarray:
-    """Deterministic, reasonably spread unit directions."""
+    """Deterministic, reasonably spread unit directions; for d = 2 the read-only
+    half-circle grid of :func:`matcore.angle_grid`."""
     if d == 1:
         return np.array([[1.0] if k % 2 == 0 else [-1.0] for k in range(count)])
     if d == 2:
-        angles = np.linspace(0.0, np.pi, count, endpoint=False)
-        return np.column_stack([np.cos(angles), np.sin(angles)])
+        return matcore.angle_grid(count, np.pi)[1]
     return _normalize_rows(CounterRng(seed, stream=53).normal_matrix(count, d))
 
 

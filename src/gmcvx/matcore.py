@@ -55,7 +55,10 @@ class FactorMismatch(ValueError):
 def as_square(a) -> np.ndarray:
     """``a`` as a finite square float matrix, else :class:`InvalidMatrix`: the one
     check of a matrix from outside, made once where it enters."""
-    a = np.asarray(a, dtype=float)
+    try:
+        a = np.asarray(a, dtype=float)
+    except (TypeError, ValueError) as exc:  # ragged nesting, or an entry that is no number
+        raise InvalidMatrix(f"not a matrix of numbers ({exc})") from None
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise InvalidMatrix(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
@@ -69,6 +72,17 @@ def _triu_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
     upper, strict = np.triu(np.ones((n, n), dtype=bool)), np.triu(np.ones((n, n), dtype=bool), 1)
     upper.flags.writeable = strict.flags.writeable = False
     return upper, strict
+
+
+@lru_cache(maxsize=None)
+def angle_grid(count: int, span: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``count`` equispaced angles in [0, span) and their unit directions
+    (cos, sin) as rows."""
+    angles = np.linspace(0.0, span, count, endpoint=False)
+    out = (angles, np.column_stack([np.cos(angles), np.sin(angles)]))
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
 LAST_VALUES: list = []  # every function decorated with last_value, in definition order

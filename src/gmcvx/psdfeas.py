@@ -9,10 +9,11 @@ which lives either in the full PSD cone or in the product of pairwise
 Each cone has one construction that decides it, and both ascents share
 one batched loop (:func:`_batched_ascent`). The pair-contraction ascent
 writes each pair block as root_i K root_j with a contraction K; it is
-exact for the pairwise cone and, with n = 2, for the full cone. For d = 2
-the contraction of a pair is searched over rotations and reflections by
-an angular grid and Brent's method, both on the closed-form smallest
-eigenvalue of a 2 x 2 matrix affine in (cos phi, sin phi). For the full
+exact for the pairwise cone, which every task with n = 2 takes, as its
+one pair block is the whole Gamma. For d = 2 the contraction of a pair
+is searched over rotations and reflections by an angular grid and
+Brent's method, both on the closed-form smallest eigenvalue of a 2 x 2
+matrix affine in (cos phi, sin phi). For the full
 cone with n >= 3 the orthogonal-factor ascent writes
 Gamma_ij = root_i O_i O_j' root_j with orthonormal-row factors O_i, which
 is PSD by construction. Both ascents end at the first evaluation at which
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -75,6 +76,8 @@ class FeasibilityTask:
 
     ``p``, ``blocks`` (the component covariances), ``target``, ``n``, ``d`` and
     ``scale`` (sigma^2, ``var_scale()``) are the problem's, checked there once.
+    With n = 2 the cone is :data:`PAIRWISE` whichever is asked for: the one
+    pair block is the whole Gamma, so both cones are one program.
     ``seed`` and ``ascent_iters`` configure the pair-contraction :attr:`ascent`
     and the :attr:`factor_ascent`.
     """
@@ -88,6 +91,8 @@ class FeasibilityTask:
         prob = self.prob
         self.p, self.blocks, self.target = prob.p, prob.covs, prob.target
         self.n, self.d, self.scale = prob.n, prob.d, prob.var_scale()
+        if self.n == 2:
+            self.cone = PAIRWISE
         layout = _pair_layout(self.p, self.d)
         self.pairs, self.pair_weights, self.pair_slices, self.pair_rows = layout
         # sum_i p_i^2 S_i, the part of A Gamma A* the pinned blocks fix, less the
@@ -180,8 +185,9 @@ def pair_index(d: int, i: int, j: int):
 def _spectra(task: FeasibilityTask, gammas: np.ndarray, slacks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending spectra of a (k, nd, nd) stack of exactly symmetric Gammas, shape
     (k, parts, m), and of their (k, d, d) slacks: the one part is the whole Gamma
-    for the full cone, the parts are the pair blocks in order for the pairwise cone."""
-    if task.cone == FULL:
+    for the full cone, the parts are the pair blocks in order for the pairwise cone.
+    A single pair block is the whole Gamma, read in place rather than gathered."""
+    if task.cone == FULL or len(task.pairs) == 1:
         parts = gammas[:, None]
     else:
         parts = gammas[:, task.pair_rows[:, :, None], task.pair_rows[:, None, :]]
@@ -236,7 +242,7 @@ def _rotation_parts_2d(pairs, count: int) -> tuple:
     Two arrays a pair: (p00, p01, p11, q00, q01, q11) per branch, shape (2, 6),
     and (cos P, sin Q) on the angle grid, shape (2, 6, count).
     """
-    _, cos, sin = _angle_grid(count)
+    cos, sin = matcore.angle_grid(count, 2.0 * np.pi)[1].T
     out = []
     for w, a, b in zip(*pairs):
         rows = []
@@ -263,16 +269,6 @@ def _rotation_neg_lmin_2d(coeffs: tuple):
     return neg_lmin
 
 
-@cache
-def _angle_grid(count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only ``(phi, cos phi, sin phi)`` on ``count`` equispaced angles in [0, 2 pi)."""
-    phis = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
-    out = (phis, np.cos(phis), np.sin(phis))
-    for arr in out:
-        arr.flags.writeable = False
-    return out
-
-
 def _rotation_grid_2d(c0: np.ndarray, parts: tuple, count: int):
     """Best rotation or reflection contraction of a pair term on a 2-d angular grid.
 
@@ -284,7 +280,7 @@ def _rotation_grid_2d(c0: np.ndarray, parts: tuple, count: int):
     (:func:`_rotation_neg_lmin_2d`).
     """
     pq, grid = parts
-    phis = _angle_grid(count)[0]
+    phis = matcore.angle_grid(count, 2.0 * np.pi)[0]
     width = 2.0 * np.pi / count
     (z00, _), (z01, z11) = c0.tolist()
     z = (z00, z01, z11)
@@ -568,11 +564,11 @@ def default_candidates(task: FeasibilityTask) -> list[np.ndarray]:
     (feasible when the target is dominated by every component), the
     optimal-transport pair coupling when n = 2, and the contraction
     construction of the task's ascent wherever that ascent is exact or
-    closed-form: the pairwise cone, n = 2 and d = 1."""
+    closed-form: the pairwise cone (which n = 2 always is) and d = 1."""
     cands = [_pair_coupling(task, []), _pair_coupling(task, [task.target] * len(task.pairs))]
     if task.n == 2:
         cands.append(_pair_coupling(task, [_transport_block(task.blocks)]))
-    if task.cone == PAIRWISE or task.n == 2 or task.d == 1:
+    if task.cone == PAIRWISE or task.d == 1:
         cands.append(task.ascent_gamma)
     return cands
 
@@ -602,14 +598,14 @@ def warm_start_from(task: FeasibilityTask, candidates) -> tuple[np.ndarray, floa
     ties keep the earlier candidate. A candidate of the wrong shape is not
     scored; at least one must have the right shape.
 
-    For the full cone with n >= 3, when no candidate is within
+    For the full cone (so n >= 3), when no candidate is within
     ``matcore.EPS_ENGINE * task.scale`` of feasible, the coupling of the
     task's :attr:`~FeasibilityTask.factor_ascent` is scored as one more.
     """
     nd = task.n * task.d
     cands = [cand for cand in (np.asarray(c, dtype=float) for c in candidates) if cand.shape == (nd, nd)]
     scored = _score_candidates(task, cands)
-    if task.cone == FULL and task.n >= 3 and min(key for key, _, _ in scored)[0] > matcore.EPS_ENGINE * task.scale:
+    if task.cone == FULL and min(key for key, _, _ in scored)[0] > matcore.EPS_ENGINE * task.scale:
         scored += _score_candidates(task, [task.factor_ascent[1]])
     _, gamma, dist = min(scored, key=lambda entry: entry[0])
     return gamma, dist
@@ -619,9 +615,9 @@ def solve(task: FeasibilityTask, candidates=()) -> FeasibilityOutcome:
     """The best of ``candidates`` plus :func:`default_candidates`, as
     :func:`warm_start_from` picks it.
 
-    For the pairwise cone and for n = 2 that list holds the contraction
-    ascent's coupling, which decides the cone; for the full cone with
-    n >= 3 the pick falls back to the orthogonal-factor coupling. The
+    For the pairwise cone (which n = 2 always is) that list holds the
+    contraction ascent's coupling, which decides the cone; for the full cone
+    the pick falls back to the orthogonal-factor coupling. The
     outcome is ``FEASIBLE`` when the pick's cone distance is at most
     ``matcore.EPS_ENGINE * task.scale``, else ``NO_FEASIBLE_CANDIDATE``
     with that distance.

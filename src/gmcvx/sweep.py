@@ -3,10 +3,10 @@
 A sweep evaluates selected checkers over a rectangular parameter grid,
 one cell after another in row order, and writes the region as
 deterministic CSV (``param1,param2,checker,status,margin``, shortest
-round-trip floats, LF endings). Every checker goes through
-:func:`gmcvx.conditions.run_checker`, so a cell's verdict is exactly the
-direct call's; the directional search runs once per cell and is shared
-with the coupling checkers. What every cell of a grid shares with its
+round-trip floats, LF endings). A cell's checkers are decided together
+by :func:`gmcvx.conditions.decide`, which runs the directional search
+once per cell and links the spec's checkers along the implication chain,
+one row per entry of the spec. What every cell of a grid shares with its
 neighbours (the validated components and what follows from them alone,
 the angular grids and the random starts) is computed by the first cell
 that needs it and kept for the others, bit for bit
@@ -34,8 +34,7 @@ from .conditions import (
     SearchConfig,
     Status,
     TargetNotPSD,
-    check_inegsqrt,
-    run_checker,
+    decide,
 )
 
 
@@ -108,14 +107,11 @@ def _evaluate_cell(spec: SweepSpec, v1: float, v2: float, search_cfg) -> list[Re
         return [
             RegionCell(v1, v2, name, Status.FAILS.value, float(exc.lmin)) for name in spec.checkers
         ]
-    cells = []
-    v5 = None
-    if any(name in ("inegsqrt", "inecov", "inecovf") for name in spec.checkers):
-        v5 = check_inegsqrt(prob, search_cfg)
-    for name in spec.checkers:
-        verdict = run_checker(name, prob, search_cfg, spec.seed, inegsqrt_verdict=v5)
-        cells.append(RegionCell(v1, v2, name, verdict.status.value, float(verdict.margin)))
-    return cells
+    verdicts = decide(prob, spec.checkers, search_cfg, spec.seed)
+    return [
+        RegionCell(v1, v2, name, verdicts[name].status.value, float(verdicts[name].margin))
+        for name in spec.checkers
+    ]
 
 
 def run_sweep(
@@ -174,7 +170,7 @@ def boundary_bisect(
         prob = template(value)
         if callable(checker):
             return checker(prob).status
-        return run_checker(checker, prob, search_cfg, seed).status
+        return decide(prob, (checker,), search_cfg, seed)[checker].status
 
     s_lo = status_at(lo)
     s_hi = status_at(hi)

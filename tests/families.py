@@ -7,7 +7,7 @@ from typing import Callable
 
 import numpy as np
 
-from gmcvx import conditions, matcore, psdfeas
+from gmcvx import conditions, matcore
 from gmcvx.conditions import MixtureProblem, SearchConfig
 from gmcvx.rng import CounterRng
 
@@ -22,8 +22,7 @@ def clear_shared_caches() -> None:
     """Empty every value the checkers keep across calls, so the next call computes cold."""
     for kept in matcore.LAST_VALUES:
         kept.clear()
-    conditions._half_circle.cache_clear()
-    psdfeas._angle_grid.cache_clear()
+    matcore.angle_grid.cache_clear()
 
 
 def axis_swap_problem(a: float, b: float) -> MixtureProblem:

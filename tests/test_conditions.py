@@ -5,6 +5,7 @@ import pytest
 
 import families as fam
 from gmcvx import conditions as C
+from gmcvx import cxverify as X
 from gmcvx import matcore, psdfeas
 from gmcvx.rng import CounterRng
 from gmcvx.utils import golden_section_minimize
@@ -172,7 +173,7 @@ def test_eigvector_starts_match_per_matrix_eigh(seed):
 
 
 def test_subgradient_loop_runs_only_without_the_d2_grid(monkeypatch):
-    # the n = 2 alpha scan guards the descent and runs exactly where it does
+    # the descent runs for d >= 3 only, and the alpha scan exactly where n = 2 as well
     calls = []
     scans = []
     real = C._h_and_grad
@@ -183,14 +184,15 @@ def test_subgradient_loop_runs_only_without_the_d2_grid(monkeypatch):
     prob3 = C.MixtureProblem(
         p=[0.5, 0.5], covs=np.stack([np.diag([3.0, 2.0, 1.0]), np.diag([1.0, 2.0, 3.0])]), target=np.eye(3)
     )
+    prob3_n3 = C.MixtureProblem(p=[0.25, 0.25, 0.5], covs=np.stack([*prob3.covs, np.eye(3)]), target=np.eye(3))
     assert C.check_inegsqrt(prob2, C.SearchConfig(iters=30)).holds
     assert calls == [] and scans == []
-    assert C.check_inegsqrt(prob2, C.SearchConfig(iters=30, grid_points=0)).holds
+    assert C.check_inegsqrt(prob3, C.SearchConfig(iters=30)).holds
     assert len(calls) == 30 and len(scans) == 1
     calls.clear()
     scans.clear()
-    assert C.check_inegsqrt(prob3, C.SearchConfig(iters=30)).holds
-    assert len(calls) == 30 and len(scans) == 1
+    C.check_inegsqrt(prob3_n3, C.SearchConfig(iters=30))
+    assert len(calls) == 30 and scans == []
 
 
 def reference_h_and_grad(prob, xis):
@@ -322,7 +324,7 @@ def test_d2_search_refines_once_per_grid_minimum(monkeypatch, a, b, minima):
     monkeypatch.setattr(C, "golden_section_minimize", recording)
     prob = fam.axis_swap_problem(a, b)
     C.check_inegsqrt(prob, fam.LIGHT)
-    hs = C.h_values(prob, C._half_circle(count)[1])
+    hs = C.h_values(prob, matcore.angle_grid(count, math.pi)[1])
     grid_minima = [i for i in range(count) if hs[i] < hs[i - 1] and hs[i] < hs[(i + 1) % count]]
     assert len(grid_minima) == minima
     assert sorted(centers) == grid_minima
@@ -887,6 +889,102 @@ def test_chain_interior_point_all_holds():
     assert report.inecovf.holds
     assert report.inegsqrt.holds
     assert report.order_evidence.holds
+
+
+# ---------------------------------------------------------------------------
+# deciding a set of checkers
+# ---------------------------------------------------------------------------
+
+
+def test_decide_returns_the_verdicts_in_the_order_asked():
+    prob = fam.axis_swap_problem(2.0, 1.0)
+    names = ("dominates", "inecovf", "inegsqrt", "correl")
+    found = C.decide(prob, names, fam.LIGHT)
+    assert tuple(found) == names
+    assert tuple(C.decide(prob)) == C.CHECKERS
+    for name, v in found.items():  # n = 2: every link gives the standalone verdict
+        alone = C.decide(prob, (name,), fam.LIGHT)[name]
+        assert (v.status, v.margin) == (alone.status, alone.margin)
+
+
+def test_decide_rejects_an_unknown_name_before_any_checker(monkeypatch):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("a checker ran")
+
+    for checker in ("check_inegsqrt", "check_inecov", "check_inecovf", "find_correl_certificate",
+                    "check_dominated_by_single"):
+        monkeypatch.setattr(C, checker, unexpected)
+    with pytest.raises(ValueError, match="bogus"):
+        C.decide(fam.axis_swap_problem(2.0, 1.0), ("inegsqrt", "inecov", "bogus"))
+
+
+def test_decide_calls_the_module_global_checker(monkeypatch):
+    sentinel = C.Verdict(C.Status.UNKNOWN, -1.0)
+    seen = []
+
+    def patched(prob, search_cfg=None, extra_candidates=(), inegsqrt_verdict=None, seed=0):
+        seen.append(inegsqrt_verdict)
+        return sentinel
+
+    monkeypatch.setattr(C, "check_inecov", patched)
+    found = C.decide(fam.axis_swap_problem(2.0, 1.0), ("inecov", "inegsqrt"), fam.LIGHT)
+    assert found["inecov"] is sentinel
+    assert seen == [found["inegsqrt"]]  # the directional search ran once and was handed on
+
+
+def test_decide_hands_a_correl_coupling_to_inecov(monkeypatch):
+    prob = fam.axis_swap_problem(2.0, 1.0)
+    handed = []
+    check_inecov = C.check_inecov
+
+    def recording(prob, search_cfg=None, extra_candidates=(), inegsqrt_verdict=None, seed=0):
+        handed.append(list(extra_candidates))
+        return check_inecov(prob, search_cfg, extra_candidates, inegsqrt_verdict, seed)
+
+    monkeypatch.setattr(C, "check_inecov", recording)
+    found = C.decide(prob, ("correl", "inecov"))
+    assert found["correl"].holds
+    assert np.array_equal(handed[0][0], C.certificate_to_gamma(prob, found["correl"].witness))
+    C.decide(prob, ("inecov",))
+    assert handed[1] == []
+
+
+def test_n2_decides_both_coupling_checks_with_one_solve(monkeypatch):
+    solves = []
+    solve = psdfeas.solve
+    monkeypatch.setattr(psdfeas, "solve", lambda task, candidates=(): solves.append(task.cone) or solve(task, candidates))
+    found = C.decide(fam.axis_swap_problem(5.0, 0.5), ("inecov", "inecovf"), fam.LIGHT)
+    assert found["inecovf"] is found["inecov"] and solves == [psdfeas.PAIRWISE]
+
+
+@pytest.mark.parametrize("field", ["grid_points", "alpha_points"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_search_config_rejects_a_grid_or_scan_without_points(field, value):
+    with pytest.raises(ValueError, match=field):
+        C.SearchConfig(**{field: value})
+
+
+RAGGED = [[1.0, 0.0], [0.0]]
+TEXT = [["1", "0"], ["0", "one"]]
+
+
+@pytest.mark.parametrize("entry", [RAGGED, TEXT], ids=["ragged", "text"])
+@pytest.mark.parametrize("call, error", [
+    (lambda prob, a: C.check_inecov(prob, fam.LIGHT, extra_candidates=[a]), matcore.InvalidMatrix),
+    (lambda prob, a: X.GaussianLaw(np.zeros(2), a), matcore.InvalidMatrix),
+    (lambda prob, a: X.quadratic(a), matcore.InvalidMatrix),
+    (lambda prob, a: C.check_correl_with(prob, a), C.SingularM),
+    (lambda prob, a: C.check_n2_theta(prob, a), C.DimensionMismatch),
+], ids=["extra_candidate", "gaussian_law", "quadratic", "correl_basis", "n2_theta"])
+def test_a_matrix_that_is_not_numbers_raises_the_documented_error(call, error, entry):
+    with pytest.raises(error, match="not a"):
+        call(fam.axis_swap_problem(5.0, 0.5), entry)
+
+
+@pytest.mark.parametrize("entry", [RAGGED, TEXT], ids=["ragged", "text"])
+def test_find_correl_records_a_basis_that_is_not_numbers_as_singular(entry):
+    v = C.find_correl_certificate(fam.rank_deficient_pair(), extra_m=[entry])
+    assert v.diagnostics["tried"][-1] == ("user_0", "singular", None)
 
 
 def assert_chain_reuses_inecov_holds(monkeypatch, prob, seed=0):

@@ -72,6 +72,19 @@ def test_n2_exterior_point_returns_the_warm_start():
     assert np.array_equal(out.gamma, psdfeas.warm_start_from(task, psdfeas.default_candidates(task))[0])
 
 
+@pytest.mark.parametrize("seed, d", [(60, 1), (61, 2), (62, 3)])
+def test_n2_task_takes_the_pairwise_cone_whose_one_block_is_gamma(seed, d):
+    task, gamma0 = random_instance(seed, 2, d)
+    assert task.cone == psdfeas.PAIRWISE
+    assert psdfeas.FeasibilityTask(random_chain_problem(77), psdfeas.FULL).cone == psdfeas.FULL  # n = 3
+    # the one pair block is the whole Gamma, so its spectrum has the bits of Gamma's
+    indefinite = gamma0 - 2.0 * np.eye(2 * d) * float(np.trace(gamma0))
+    rows = task.pair_rows[0]
+    assert np.array_equal(indefinite[rows[:, None], rows], indefinite)
+    w_pairs, _ = psdfeas._spectra(task, indefinite[None], np.empty((1, 0, 0)))
+    assert np.array_equal(w_pairs[0, 0], np.linalg.eigvalsh(indefinite))
+
+
 @pytest.mark.parametrize("cone", [psdfeas.FULL, psdfeas.PAIRWISE])
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 6, 7])
 def test_oracle_cross_check_random_instances(seed, cone):

@@ -20,10 +20,7 @@ def scaled(prob: C.MixtureProblem, c: float) -> C.MixtureProblem:
 
 
 def verdicts(prob: C.MixtureProblem, seed: int) -> dict:
-    return {
-        name: C.run_checker(name, prob, C.SearchConfig(seed=seed), seed)
-        for name in C.CHECKERS
-    }
+    return C.decide(prob, C.CHECKERS, C.SearchConfig(seed=seed), seed)
 
 
 def statuses(found: dict) -> dict:

@@ -270,8 +270,7 @@ def test_concurrent_callers_get_the_serial_bits():
     def verdicts():
         out = []
         for prob in problems:
-            for name in ("inegsqrt", "inecov"):
-                v = C.run_checker(name, prob, LIGHT, 0)
+            for v in C.decide(prob, ("inegsqrt", "inecov"), LIGHT).values():
                 out.append((v.status, v.margin))
         return out
 

@@ -6,6 +6,7 @@ import pytest
 import families as fam
 from families import LIGHT
 from gmcvx import conditions as C
+from gmcvx import psdfeas
 from gmcvx import sweep as S
 
 
@@ -112,7 +113,7 @@ def test_sweep_cells_equal_direct_checker_calls():
         except C.InvalidProblem as exc:
             assert (cell.status, cell.margin) == ("fails", exc.lmin)
             continue
-        verdict = C.run_checker(cell.checker, prob, LIGHT, spec.seed)
+        verdict = C.decide(prob, (cell.checker,), LIGHT, spec.seed)[cell.checker]
         assert (cell.status, cell.margin) == (verdict.status.value, float(verdict.margin))
         named = {
             "inegsqrt": lambda: C.check_inegsqrt(prob, LIGHT),
@@ -122,6 +123,21 @@ def test_sweep_cells_equal_direct_checker_calls():
             "dominates": lambda: C.check_dominated_by_single(prob),
         }[cell.checker]()
         assert (named.status, named.margin) == (verdict.status, verdict.margin)
+
+
+def test_cell_repeating_a_checker_writes_one_row_per_entry_and_solves_once(monkeypatch):
+    # n = 2: inecov and inecovf are one coupling program, decided once per cell
+    solves = []
+    solve = psdfeas.solve
+    monkeypatch.setattr(psdfeas, "solve", lambda task, candidates=(): solves.append(1) or solve(task, candidates))
+    spec = S.SweepSpec(
+        fam.axis_swap_problem, S.Axis("a", 5.0, 5.5, 0.5), S.Axis("b", 0.5, 0.5, 1.0), ("inecov", "inecovf", "inecov")
+    )
+    cells = S.run_sweep(spec, search_cfg=LIGHT)
+    assert [cell.checker for cell in cells] == ["inecov", "inecovf", "inecov"] * 2
+    assert len(solves) == 2
+    for first, second, third in zip(cells[::3], cells[1::3], cells[2::3]):
+        assert (first.status, first.margin) == (second.status, second.margin) == (third.status, third.margin)
 
 
 def test_holds_interval_contiguous_in_b():
