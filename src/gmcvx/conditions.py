@@ -946,6 +946,7 @@ def decide(
     Cauchy interlacing no further from the PSD cone). So a single name gets
     its checker's standalone verdict. ``extra_m`` feeds user bases to ``correl``.
     """
+    names = tuple(names)
     unknown = [name for name in names if name not in CHECKERS]
     if unknown:
         raise ValueError(f"unknown checker {unknown[0]!r}")

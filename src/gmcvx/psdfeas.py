@@ -91,7 +91,7 @@ class FeasibilityTask:
         prob = self.prob
         self.p, self.blocks, self.target = prob.p, prob.covs, prob.target
         self.n, self.d, self.scale = prob.n, prob.d, prob.var_scale()
-        if self.n == 2:
+        if self.n == 2:  # the one pair block is the whole Gamma, which _spectra reads in place
             self.cone = PAIRWISE
         layout = _pair_layout(self.p, self.d)
         self.pairs, self.pair_weights, self.pair_slices, self.pair_rows = layout
@@ -186,8 +186,8 @@ def _spectra(task: FeasibilityTask, gammas: np.ndarray, slacks: np.ndarray) -> t
     """Ascending spectra of a (k, nd, nd) stack of exactly symmetric Gammas, shape
     (k, parts, m), and of their (k, d, d) slacks: the one part is the whole Gamma
     for the full cone, the parts are the pair blocks in order for the pairwise cone.
-    A single pair block is the whole Gamma, read in place rather than gathered."""
-    if task.cone == FULL or len(task.pairs) == 1:
+    At n = 2 the one pair block is the whole Gamma, read in place rather than gathered."""
+    if task.cone == FULL or task.n == 2:
         parts = gammas[:, None]
     else:
         parts = gammas[:, task.pair_rows[:, :, None], task.pair_rows[:, None, :]]

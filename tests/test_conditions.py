@@ -902,6 +902,7 @@ def test_decide_returns_the_verdicts_in_the_order_asked():
     found = C.decide(prob, names, fam.LIGHT)
     assert tuple(found) == names
     assert tuple(C.decide(prob)) == C.CHECKERS
+    assert tuple(C.decide(prob, (name for name in names), fam.LIGHT)) == names  # any iterable, read once
     for name, v in found.items():  # n = 2: every link gives the standalone verdict
         alone = C.decide(prob, (name,), fam.LIGHT)[name]
         assert (v.status, v.margin) == (alone.status, alone.margin)
@@ -947,14 +948,6 @@ def test_decide_hands_a_correl_coupling_to_inecov(monkeypatch):
     assert np.array_equal(handed[0][0], C.certificate_to_gamma(prob, found["correl"].witness))
     C.decide(prob, ("inecov",))
     assert handed[1] == []
-
-
-def test_n2_decides_both_coupling_checks_with_one_solve(monkeypatch):
-    solves = []
-    solve = psdfeas.solve
-    monkeypatch.setattr(psdfeas, "solve", lambda task, candidates=(): solves.append(task.cone) or solve(task, candidates))
-    found = C.decide(fam.axis_swap_problem(5.0, 0.5), ("inecov", "inecovf"), fam.LIGHT)
-    assert found["inecovf"] is found["inecov"] and solves == [psdfeas.PAIRWISE]
 
 
 @pytest.mark.parametrize("field", ["grid_points", "alpha_points"])

@@ -88,7 +88,10 @@ def test_n2_task_takes_the_pairwise_cone_whose_one_block_is_gamma(seed, d):
 @pytest.mark.parametrize("cone", [psdfeas.FULL, psdfeas.PAIRWISE])
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 6, 7])
 def test_oracle_cross_check_random_instances(seed, cone):
-    task, _ = random_instance(seed, n=2, d=2, shrink=0.85, cone=cone)
+    # every n = 2 task takes the pairwise cone, so the full cone runs at n = 3
+    n = 3 if cone == psdfeas.FULL else 2
+    task, _ = random_instance(seed, n=n, d=2, shrink=0.85, cone=cone)
+    assert task.cone == cone
     out = psdfeas.solve(task)
     assert out.feasible, (out.cone_dist, out.iterations)
     assert psdfeas.validate_gamma(task, out.gamma, 1e-7)["ok"]
@@ -284,6 +287,8 @@ def test_pairwise_cone_distance_is_at_most_the_full_one(seed, n, d, slack_size):
 def test_batched_warm_start_matches_per_candidate_loop(seed, n, d, cone):
     # random, feasible, default, repeated and wrong-shape candidates
     task, gamma0 = random_instance(seed, n, d, cone=cone)
+    # full at n = 2 deliberately runs the override: the task scores on the pairwise cone
+    assert task.cone == (psdfeas.PAIRWISE if n == 2 else cone)
     rng = CounterRng(seed, stream=5)
     nd = n * d
     noise = [matcore.symmetrize(rng.normal_matrix(nd, nd)) for _ in range(3)]

@@ -20,11 +20,20 @@ def scaled(prob: C.MixtureProblem, c: float) -> C.MixtureProblem:
 
 
 def verdicts(prob: C.MixtureProblem, seed: int) -> dict:
-    return C.decide(prob, C.CHECKERS, C.SearchConfig(seed=seed), seed)
+    """Each checker's standalone verdict: one name per :func:`C.decide` call."""
+    return {name: C.decide(prob, (name,), C.SearchConfig(seed=seed), seed)[name] for name in C.CHECKERS}
 
 
 def statuses(found: dict) -> dict:
     return {name: v.status for name, v in found.items()}
+
+
+def assert_margins_scale(found: dict, unit: dict, power: int) -> None:
+    """Same statuses, and margins times 2**power (std-unit) or 4**power (all others)."""
+    assert statuses(found) == statuses(unit)
+    for name, v in found.items():
+        std_unit = name == "inegsqrt" or v.diagnostics.get("refuted_by") == "inegsqrt"
+        assert v.margin == unit[name].margin * (2.0 if std_unit else 4.0) ** power, name
 
 
 @pytest.mark.parametrize("c", [1e-14, 1e-10, 1e10])
@@ -82,7 +91,16 @@ def test_factor_ascent_holds_scales_exactly(power):
     unit = verdicts(fam.random_chain_problem(32), 32)
     assert unit["inecov"].holds
     found = verdicts(scaled(fam.random_chain_problem(32), 4.0**power), 32)
-    assert statuses(found) == statuses(unit)
-    for name, v in found.items():
-        std_unit = name == "inegsqrt" or v.diagnostics.get("refuted_by") == "inegsqrt"
-        assert v.margin == unit[name].margin * (2.0 if std_unit else 4.0) ** power, name
+    assert_margins_scale(found, unit, power)
+
+
+@pytest.mark.parametrize("power", [-20, 20])
+def test_linked_verdicts_scale_exactly(power):
+    # decide over every name links the chain: inecovf is inecov's Holds at every scale
+    def linked(prob):
+        return C.decide(prob, C.CHECKERS, C.SearchConfig(seed=32), 32)
+
+    unit = linked(fam.random_chain_problem(32))
+    assert unit["inecovf"] is unit["inecov"] and unit["inecov"].holds
+    found = linked(scaled(fam.random_chain_problem(32), 4.0**power))
+    assert_margins_scale(found, unit, power)

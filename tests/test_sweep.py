@@ -126,16 +126,16 @@ def test_sweep_cells_equal_direct_checker_calls():
 
 
 def test_cell_repeating_a_checker_writes_one_row_per_entry_and_solves_once(monkeypatch):
-    # n = 2: inecov and inecovf are one coupling program, decided once per cell
+    # n = 2: inecov and inecovf are one pairwise coupling program, decided once per cell
     solves = []
     solve = psdfeas.solve
-    monkeypatch.setattr(psdfeas, "solve", lambda task, candidates=(): solves.append(1) or solve(task, candidates))
+    monkeypatch.setattr(psdfeas, "solve", lambda task, candidates=(): solves.append(task.cone) or solve(task, candidates))
     spec = S.SweepSpec(
         fam.axis_swap_problem, S.Axis("a", 5.0, 5.5, 0.5), S.Axis("b", 0.5, 0.5, 1.0), ("inecov", "inecovf", "inecov")
     )
     cells = S.run_sweep(spec, search_cfg=LIGHT)
     assert [cell.checker for cell in cells] == ["inecov", "inecovf", "inecov"] * 2
-    assert len(solves) == 2
+    assert solves == [psdfeas.PAIRWISE] * 2
     for first, second, third in zip(cells[::3], cells[1::3], cells[2::3]):
         assert (first.status, first.margin) == (second.status, second.margin) == (third.status, third.margin)
 
