@@ -40,15 +40,16 @@ change, ``set checker record old→new``. With ``--compare`` the script exits
     python3 scripts/verdict_digest.py --dump before.json        # on the old checkout
     python3 scripts/verdict_digest.py --compare before.json     # on the new one
 
-With ``--boundary`` the script prints the ``boundary`` set alone, the
+With ``--boundary`` the script prints the two boundary sets alone, the
 problems near the directional boundary where the coupling checks leave
-most of their ``unknown`` verdicts: ``boundary_problems(0..29, (1e-2,
-1e-3))`` from ``tests/families.py`` (30 bisection steps), all five checkers,
-each decided alone, with ``SearchConfig()`` and seed = index. It gives
-the set's two digests as above, then one line per ε and checker with the
-count of each status. ``--dump`` and ``--compare`` work on it as on the
-other sets, its records keyed ``seed,ε``. Takes about 7 s on a 2-CPU
-x86-64 virtual machine.
+most of their ``unknown`` verdicts: ``boundary`` is
+``boundary_problems(0..29, (1e-2, 1e-3))`` from ``tests/families.py``
+(three components, 30 bisection steps) and ``boundary-n2`` the same with
+``n=2``, all five checkers, each decided alone, with ``SearchConfig()`` and
+seed = index. Each set gives its two digests as above, then one line per
+ε and checker with the count of each status. ``--dump`` and ``--compare``
+work on them as on the other sets, their records keyed ``seed,ε``. Takes
+about 15 s on a 2-CPU x86-64 virtual machine.
 """
 
 import argparse
@@ -122,17 +123,18 @@ def defaults_verdicts(power: int = 0) -> list[dict]:
     return out
 
 
-def boundary_verdicts() -> dict:
-    """The ``boundary`` verdicts: for each ε, one record of every checker per seed."""
+def boundary_verdicts(n: int) -> dict:
+    """The verdicts of a boundary set of ``n``-component problems: for each ε, one record of every
+    checker per seed."""
     verdicts = {eps: [] for eps in BOUNDARY_EPS}
     for seed in range(30):
-        for eps, prob in zip(BOUNDARY_EPS, boundary_problems(seed, BOUNDARY_EPS)):
+        for eps, prob in zip(BOUNDARY_EPS, boundary_problems(seed, BOUNDARY_EPS, n=n)):
             verdicts[eps].append(standalone(prob, C.SearchConfig(), seed))
     return verdicts
 
 
 def boundary_digests(verdicts: dict) -> tuple[str, str, list]:
-    """The ``boundary`` set's two digests and its flat records, keyed ``seed,ε``."""
+    """A boundary set's two digests and its flat records, keyed ``seed,ε``."""
     full, status, _ = json_digests([rec for eps in BOUNDARY_EPS for rec in records_of(verdicts[eps])])
     flat = [
         [f"{seed},{eps:g}", name, v.status.value, float(v.margin)]
@@ -143,13 +145,13 @@ def boundary_digests(verdicts: dict) -> tuple[str, str, list]:
     return full, status, flat
 
 
-def boundary_counts(verdicts: dict) -> list[str]:
+def boundary_counts(set_name: str, verdicts: dict) -> list[str]:
     """One line per ε and checker with the count of each status."""
     lines = []
     for eps, recs in verdicts.items():
         for name in C.CHECKERS:
             counts = {s.value: sum(rec[name].status is s for rec in recs) for s in C.Status}
-            lines.append(f"boundary eps={eps:g} {name} " + " ".join(f"{k}={n}" for k, n in counts.items() if n))
+            lines.append(f"{set_name} eps={eps:g} {name} " + " ".join(f"{k}={n}" for k, n in counts.items() if n))
     return lines
 
 
@@ -211,8 +213,8 @@ def main(argv=None) -> int:
     dump = {}
     status_changes = 0
     if args.boundary:
-        boundary = boundary_verdicts()
-        sets = {"boundary": lambda: boundary_digests(boundary)}
+        boundary = {"boundary": boundary_verdicts(3), "boundary-n2": boundary_verdicts(2)}
+        sets = {name: lambda v=v: boundary_digests(v) for name, v in boundary.items()}
     else:
         unit = defaults_verdicts()
         sets = {"region": region_digests, "chain": chain_digests, "defaults": lambda: json_digests(records_of(unit))}
@@ -225,7 +227,8 @@ def main(argv=None) -> int:
             status_changes += changes
             print("\n".join(lines), flush=True)
     if args.boundary:
-        print("\n".join(boundary_counts(boundary)), flush=True)
+        for name, verdicts in boundary.items():
+            print("\n".join(boundary_counts(name, verdicts)), flush=True)
     else:
         for power in (-20, 20):
             print(scale_line(power, unit), flush=True)

@@ -15,11 +15,12 @@ Subcommands
              mixture (evidence only).
 
 Exit codes: 0 holds, 1 fails, 2 unknown, 64 malformed JSON, sweep spec
-field or expression (ragged, non-numeric or mistyped) or certificate
-field, 65 invariant violation (including a sweep matrix or mean of the
-wrong size, a sweep expression that fails or is non-finite at a cell, a
-sweep cell whose problem is invalid for any reason but a non-PSD target,
-and a certificate matrix of the wrong shape or with non-finite entries),
+field or expression (ragged, non-numeric or mistyped), two sweep axes of
+one name, or certificate field, 65 invariant violation (including a
+sweep matrix or mean of the wrong size, a sweep expression that fails or
+is non-finite at a cell, a sweep cell whose problem is invalid for any
+reason but a non-PSD target, and a certificate matrix of the wrong shape
+or with non-finite entries),
 66 usage or IO error (including a sample count below the minimum or
 above ``MAX_SAMPLES``, and ``--with-M`` given with any condition but ``correl``).
 
@@ -155,6 +156,10 @@ def _witness_summary(witness) -> object:
         return {"kind": "correl", "m": witness.m.tolist(), "corr": witness.corr.tolist()}
     if isinstance(witness, np.ndarray):
         return {"kind": "direction", "xi": witness.tolist()}
+    if isinstance(witness, cxverify.TestFunction):
+        fields = {f.name: getattr(witness, f.name) for f in dataclasses.fields(witness)}
+        family = fields.pop("kind")
+        return {"kind": "test_function", "family": family, **{k: v for k, v in fields.items() if v is not None}}
     if isinstance(witness, tuple):
         return {"kind": "tuple", "value": [_witness_summary(w) for w in witness]}
     if isinstance(witness, (int, float, str)):
@@ -426,6 +431,8 @@ def cmd_sweep(args) -> int:
         if not isinstance(doc["axes"], list) or len(doc["axes"]) != 2:
             raise ValueError("'axes' must list exactly two axes")
         axes = [sweep_mod.Axis(a["name"], a["min"], a["max"], a["step"]) for a in doc["axes"]]
+        if axes[0].name == axes[1].name:  # an expression would read the first axis for both
+            raise ValueError(f"both axes are named {axes[0].name!r}")
         checkers = doc.get("checkers", ["inegsqrt"])
         if not isinstance(checkers, list) or not checkers:
             raise ValueError("'checkers' must be a non-empty list of checker names")

@@ -24,8 +24,8 @@ the one place where one condition's verdict serves another. Every verdict
 is a pure function of (problem, config, seed), so checkers can run concurrently.
 What the cells of a sweep share comes from functions that keep their last
 value (:func:`matcore.last_value`), as in ``psdfeas``: the mirrored stack
-of components (shared as ``covs``), their lambda_mins, sigma^2, eigenvectors,
-colinear structure and half of h on the d = 2 grid, and the random starts.
+of components (shared as ``covs``), their lambda_mins, sigma^2, eigenvectors
+and half of h on the d = 2 grid, and the random starts.
 """
 
 from __future__ import annotations
@@ -225,10 +225,6 @@ class GammaWitness:
     gamma: np.ndarray
     n: int
     d: int
-
-    def block(self, i: int, j: int) -> np.ndarray:
-        d = self.d
-        return self.gamma[i * d : (i + 1) * d, j * d : (j + 1) * d]
 
 
 @dataclass
@@ -486,29 +482,6 @@ def check_inegsqrt(prob: MixtureProblem, cfg: SearchConfig | None = None) -> Ver
     return Verdict(Status.HOLDS, margin, None, diag)
 
 
-@matcore.last_value
-def _colinear_parts(covs: np.ndarray) -> tuple:
-    """``(base, coeffs, residuals)``: the component of largest Frobenius norm, each
-    component's nonnegative coefficient on it and the norm of what is left."""
-    norms = np.array([matcore.fro_norm(c) for c in covs])
-    ref = int(np.argmax(norms))
-    if norms[ref] == 0.0:
-        return np.zeros_like(covs[0]), np.zeros(len(covs)), np.zeros(len(covs))
-    base = covs[ref]
-    denom = float(np.sum(base * base))
-    coeffs = np.array([max(float(np.sum(c * base)) / denom, 0.0) for c in covs])
-    return base, coeffs, np.array([matcore.fro_norm(c - k * base) for c, k in zip(covs, coeffs)])
-
-
-def _colinear_structure(prob: MixtureProblem):
-    """``(base, coeffs)`` when every component is a multiple of one base to
-    ``EPS_PSD`` times the problem's sigma^2, else None."""
-    base, coeffs, residuals = _colinear_parts(prob.covs)
-    if (residuals > matcore.EPS_PSD * prob.var_scale()).any():
-        return None
-    return base, coeffs
-
-
 # ---------------------------------------------------------------------------
 # coupling conditions (inecov / inecovf)
 # ---------------------------------------------------------------------------
@@ -533,11 +506,6 @@ def _coupling_check(prob, cone, search_cfg, extra_candidates, inegsqrt_verdict, 
         return Verdict(Status.FAILS, v5.margin, v5.witness, {**diag, "refuted_by": "inegsqrt"})
 
     candidates = [witness_matrix(cand) for cand in extra_candidates]
-    col = _colinear_structure(prob)
-    if col is not None:
-        base, coeffs = col
-        weights = np.sqrt(coeffs)
-        candidates.append(np.kron(np.outer(weights, weights), base))
 
     iters = (search_cfg or SearchConfig()).ascent_iters
     task = psdfeas.FeasibilityTask(prob, cone, seed, iters)
@@ -649,9 +617,6 @@ def check_correl_with(prob: MixtureProblem, m) -> Verdict:
 
     transformed, t_target, scale_m = _in_basis(prob, m)
     diag: dict = {}
-
-    col = _colinear_structure(prob)
-    diag["colinear_components"] = col is not None
 
     corr_sum = np.zeros((d, d))
     corr_min = np.full((d, d), np.inf)

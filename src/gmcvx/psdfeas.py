@@ -35,9 +35,9 @@ or on first use: the pinned-block gap, the pair weights, slices and rows,
 the block roots and both ascents.
 
 What the tasks of a sweep share comes from functions that keep their last
-value (:func:`matcore.last_value`): the block roots, the n = 2 transport
-block, the pair layout, the random starts of both ascents and the d = 2
-rotation-grid coefficients, so a cell computes only what its target changes.
+value (:func:`matcore.last_value`): the block roots, the pair layout, the
+random starts of both ascents and the d = 2 rotation-grid coefficients, so
+a cell computes only what its target changes.
 """
 
 from __future__ import annotations
@@ -99,9 +99,6 @@ class FeasibilityTask:
         # target: a difference of exactly symmetric terms
         self.offset = np.einsum("i,ikl->kl", self.p**2, self.blocks) - self.target
 
-    def block_slice(self, i: int) -> slice:
-        return slice(i * self.d, (i + 1) * self.d)
-
     @cached_property
     def roots(self) -> np.ndarray:
         """:func:`block_roots` of the diagonal blocks, shape (n, d, d)."""
@@ -138,7 +135,7 @@ def _pair_layout(p: np.ndarray, d: int) -> tuple:
     pairs = tuple((i, j) for i in range(n) for j in range(i + 1, n))
     weights = tuple(float(p[i] * p[j]) for i, j in pairs)
     slices = tuple((slice(i * d, (i + 1) * d), slice(j * d, (j + 1) * d)) for i, j in pairs)
-    rows = np.array([pair_index(d, i, j)[1] for i, j in pairs]).reshape(-1, 2 * d)
+    rows = np.array([[*range(i * d, (i + 1) * d), *range(j * d, (j + 1) * d)] for i, j in pairs]).reshape(-1, 2 * d)
     return pairs, weights, slices, rows
 
 
@@ -174,12 +171,6 @@ def pin_blocks(gamma: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     for i, block in enumerate(blocks):
         out[i * d : (i + 1) * d, i * d : (i + 1) * d] = block
     return out
-
-
-def pair_index(d: int, i: int, j: int):
-    """Index of the 2d x 2d pair block of components i and j, for reads and writes."""
-    rows = np.array([*range(i * d, (i + 1) * d), *range(j * d, (j + 1) * d)])
-    return rows[:, None], rows
 
 
 def _spectra(task: FeasibilityTask, gammas: np.ndarray, slacks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -548,26 +539,12 @@ def dual_refutation_value(task: FeasibilityTask, y: np.ndarray) -> float:
     return total
 
 
-@matcore.last_value
-def _transport_block(blocks: np.ndarray) -> np.ndarray:
-    """Off-diagonal block of the optimal quadratic coupling of two components,
-    root1 (root1 S2 root1)^(1/2) root1^+."""
-    root1 = block_roots(blocks)[0]
-    inner = matcore.sqrt_psd(root1 @ blocks[1] @ root1)
-    # theta = S1 S2* of the optimal quadratic coupling when blocks[0]
-    # is nonsingular; degenerate cases just yield a weaker candidate
-    return root1 @ inner @ matcore.pinv_psd(root1)
-
-
 def default_candidates(task: FeasibilityTask) -> list[np.ndarray]:
     """The one candidate list: block diagonal, shared-target off-diagonals
-    (feasible when the target is dominated by every component), the
-    optimal-transport pair coupling when n = 2, and the contraction
-    construction of the task's ascent wherever that ascent is exact or
-    closed-form: the pairwise cone (which n = 2 always is) and d = 1."""
+    (feasible when the target is dominated by every component), and the
+    contraction construction of the task's ascent wherever that ascent is
+    exact or closed-form: the pairwise cone (which n = 2 always is) and d = 1."""
     cands = [_pair_coupling(task, []), _pair_coupling(task, [task.target] * len(task.pairs))]
-    if task.n == 2:
-        cands.append(_pair_coupling(task, [_transport_block(task.blocks)]))
     if task.cone == PAIRWISE or task.d == 1:
         cands.append(task.ascent_gamma)
     return cands
@@ -631,11 +608,11 @@ def validate_gamma(task: FeasibilityTask, gamma: np.ndarray, tol: float) -> dict
     """Re-validate a candidate witness against the task constraints, to ``tol`` times its scale."""
     gamma = matcore.symmetrize(gamma)
     tol_abs = tol * task.scale
+    d = task.d
     block_err = max(
-        matcore.fro_norm(gamma[task.block_slice(i), task.block_slice(i)] - task.blocks[i])
-        for i in range(task.n)
+        matcore.fro_norm(gamma[i * d : (i + 1) * d, i * d : (i + 1) * d] - task.blocks[i]) for i in range(task.n)
     )
-    slack = mix_compress(gamma, task.p, task.d) - task.target
+    slack = mix_compress(gamma, task.p, d) - task.target
     w_gamma, w_slack = _spectra(task, gamma[None], slack[None])
     lmin_gamma, lmin_slack = float(w_gamma[0, :, 0].min()), float(w_slack[0, 0])
     ok = block_err <= tol_abs and lmin_gamma >= -tol_abs and lmin_slack >= -tol_abs

@@ -176,8 +176,8 @@ def random_chain_problem(seed: int) -> MixtureProblem:
     return MixtureProblem(p=p, covs=covs, target=0.5 * (target + target.T))
 
 
-def boundary_problems(seed: int, eps: tuple[float, ...], steps: int = 30) -> list[MixtureProblem]:
-    """Seeded three-component problems just inside the directional boundary.
+def boundary_problems(seed: int, eps: tuple[float, ...], steps: int = 30, n: int = 3) -> list[MixtureProblem]:
+    """Seeded ``n``-component problems just inside the directional boundary.
 
     d = 2 or 3, and with probability 0.4 every component after the first is
     singular. The target is t (1 - e) base for each e of ``eps``, with t the
@@ -188,9 +188,9 @@ def boundary_problems(seed: int, eps: tuple[float, ...], steps: int = 30) -> lis
     rng = CounterRng(seed, stream=901)
     u = rng.uniforms(2)
     d = 2 + seed % 2
-    raw = rng.uniforms(3) + 0.15
+    raw = rng.uniforms(n) + 0.15
     p = raw / raw.sum()
-    covs = np.stack([random_psd(rng.spawn(i), d, d if u[0] < 0.6 or i == 0 else d - 1) for i in range(3)])
+    covs = np.stack([random_psd(rng.spawn(i), d, d if u[0] < 0.6 or i == 0 else d - 1) for i in range(n)])
     base = random_psd(rng.spawn(50), d)
 
     def holds(t: float) -> bool:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -465,6 +466,15 @@ def test_mcverify_exterior_fails(tmp_path, capsys):
     prob_path = write_json(tmp_path / "prob.json", exterior_doc())
     code, report = run_cli(capsys, "mcverify", "--input", prob_path, "--samples", "20000")
     assert code == 1
+    # the witness is reported field by field, at full precision
+    prob, _ = cli.problem_from_doc(exterior_doc())
+    lhs = cxverify.GaussianLaw(np.zeros(prob.d), prob.target)
+    suite = cxverify.default_suite(prob, seed=0)
+    witness = cxverify.test_convex_order(lhs, prob, suite, mc_samples=20000, seed=0).witness
+    fields = {f.name: getattr(witness, f.name) for f in dataclasses.fields(witness)}
+    expected = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in fields.items() if v is not None}
+    expected["family"] = expected.pop("kind")
+    assert report["witness"] == {"kind": "test_function", **expected}
 
 
 def test_sweep_spec_with_expressions(tmp_path, capsys):
@@ -606,10 +616,17 @@ def test_sweep_fractional_d_is_malformed(tmp_path, capsys):
             **one_cell_spec(),
             "axes": [{"name": "a", "min": 5.0, "max": 4.0, "step": 0.5}, one_cell_spec()["axes"][1]],
         },
+        {  # two axes named a: the second would be lost
+            **one_cell_spec(),
+            "axes": [
+                {"name": "a", "min": 4.0, "max": 5.0, "step": 1.0},
+                {"name": "a", "min": 0.0, "max": 1.0, "step": 1.0},
+            ],
+        },
     ],
     ids=[
         "non-numeric-weight", "ragged-target", "ragged-cov", "fractional-seed", "three-axes", "fractional-n",
-        "tiny-step", "too-many-cells", "empty-checkers", "checkers-not-a-list", "max-below-min",
+        "tiny-step", "too-many-cells", "empty-checkers", "checkers-not-a-list", "max-below-min", "repeated-axis-name",
     ],
 )
 def test_sweep_malformed_spec_exits_64(tmp_path, capsys, monkeypatch, spec):

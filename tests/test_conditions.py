@@ -390,10 +390,9 @@ def test_inecov_axis_swap_boundary_and_equal_blocks():
     prob = C.MixtureProblem(p=[0.25, 0.75], covs=np.stack([sigma, sigma]), target=sigma)
     v = C.check_inecov(prob)
     assert v.holds
-    w = v.witness
     for i in range(2):
         for j in range(2):
-            assert np.allclose(w.block(i, j), sigma, atol=1e-7)
+            assert np.allclose(v.witness.gamma[2 * i : 2 * i + 2, 2 * j : 2 * j + 2], sigma, atol=1e-7)
 
 
 def test_inecov_fails_through_directional_refutation():
@@ -474,7 +473,23 @@ def test_n2_d2_check_scores_each_warm_start_once(monkeypatch):
         psdfeas, "_score_candidates", lambda task, cands: scored.extend(cands) or real_score(task, cands)
     )
     assert C.check_inecov(fam.axis_swap_problem(5.0, 0.5)).holds
-    assert counts == [4]
+    assert counts == [3]
+
+
+def test_inecov_colinear_full_cone_boundary():
+    # S_i = c_i B with n = 3, d = 2: the coupling sqrt(c_i c_j) B reaches the
+    # target (sum_i p_i sqrt(c_i))^2 B exactly, and the factor ascent finds it
+    c, p = np.array([1.0, 2.5, 0.4]), np.array([0.2, 0.5, 0.3])
+    base = np.array([[2.0, 0.6], [0.6, 1.0]])
+    target = float(p @ np.sqrt(c)) ** 2 * base
+    for frac in (1.0, 0.999):
+        prob = C.MixtureProblem(p, c[:, None, None] * base, frac * target)
+        v = C.check_inecov(prob)
+        assert v.holds, frac
+        assert C.validate_gamma_witness(prob, v.witness)["ok"], frac
+    prob = C.MixtureProblem(p, c[:, None, None] * base, 1.001 * target)
+    assert C.check_inegsqrt(prob).fails
+    assert C.check_inecov(prob).diagnostics["refuted_by"] == "inegsqrt"
 
 
 @pytest.mark.parametrize("ascent_iters", [0, 200])
@@ -552,16 +567,6 @@ def test_factor_ascent_runs_only_for_an_infeasible_n3_full_cone(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def test_inecovf_three_diag_gamma_pairwise_but_not_full():
-    prob = fam.three_diag_problem(np.eye(2))
-    gamma = fam.three_diag_gamma(17.0 / 3.0, 1.0)
-    blocks = C.validate_pairwise_blocks(prob, gamma)
-    assert all(ok for ok, _ in blocks.values())
-    ok, lmin = matcore.is_psd(gamma, prob.var_scale())
-    assert not ok
-    assert lmin == pytest.approx(-2.58, abs=0.02)
-
-
 def test_inecovf_matches_inecov_for_two_components():
     for (a, b) in [(5.0, 0.5), (2.0, 1.0), (5.9, 0.0)]:
         prob = fam.axis_swap_problem(a, b)
@@ -637,7 +642,6 @@ def test_find_correl_colinear_margin_zero():
     v = C.find_correl_certificate(prob)
     assert v.holds
     assert v.diagnostics["generator"] == "identity"
-    assert v.diagnostics["colinear_components"]
     assert abs(v.margin) < 1e-9
     # the saturated target shares the correlation of the corrected-diagonal
     # target, which the checker reports

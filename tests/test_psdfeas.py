@@ -234,7 +234,9 @@ def reference_warm_key(task, cand):
     if task.cone == psdfeas.FULL:
         parts = [pinned]
     else:
-        parts = [pinned[psdfeas.pair_index(task.d, i, j)] for i, j in task.pairs]
+        d = task.d
+        rows = [[*range(i * d, (i + 1) * d), *range(j * d, (j + 1) * d)] for i, j in task.pairs]
+        parts = [pinned[np.ix_(r, r)] for r in rows]
     res = max([0.0, *map(neg_norm, parts), neg_norm(slack)])
     return pinned, (res if res > matcore.EPS_ROUND * task.scale else 0.0, -float(np.linalg.eigvalsh(slack)[0]))
 
@@ -321,29 +323,15 @@ def test_batched_warm_start_matches_per_candidate_loop_with_factor_ascent():
     assert np.array_equal(start, psdfeas.pin_blocks(matcore.symmetrize(task.factor_ascent[1]), task.blocks))
 
 
-@pytest.mark.parametrize("index", [2, -1], ids=["wasserstein", "contraction"])
+@pytest.mark.parametrize("index", [-1], ids=["contraction"])
 def test_wasserstein_candidate_closes_pair_slack(index):
-    # n = 2, d = 2 with a nonsingular first block: the transport candidate
-    # (index 2) and the contraction candidate (last) both make the weighted
-    # block sum as large as the analytic two-sided bound
+    # n = 2, d = 2 with a nonsingular first block: the contraction candidate
+    # (last) makes the weighted block sum as large as the analytic two-sided bound
     prob = axis_swap_problem(3.0 + 2.0 * np.sqrt(2.0) - 1e-9, 0.0)
     task = psdfeas.FeasibilityTask(prob, psdfeas.FULL)
     cand = psdfeas.default_candidates(task)[index]
     mix = psdfeas.mix_compress(cand, task.p, 2)
     assert np.allclose(mix, (3.0 + 2.0 * np.sqrt(2.0)) * np.eye(2), atol=1e-9)
-
-
-def test_transport_candidate_pair_block_has_d_null_directions():
-    # the optimal-transport coupling of two nonsingular laws is supported on
-    # the graph of a map: its 2d x 2d pair block is PSD with rank exactly d
-    rng = CounterRng(19)
-    covs = np.stack([random_psd(rng, 3) + 0.2 * np.eye(3), random_psd(rng, 3)])
-    task = psdfeas.FeasibilityTask(MixtureProblem([0.4, 0.6], covs, 0.5 * covs[0]), psdfeas.FULL)
-    w = np.linalg.eigvalsh(psdfeas.default_candidates(task)[2])
-    tol = 1e-9 * task.scale
-    assert w[0] >= -tol
-    assert int(np.sum(np.abs(w) <= tol)) == task.d
-    assert w[task.d] > 1e3 * tol
 
 
 def test_task_roots_computed_once_per_task(monkeypatch):
@@ -357,21 +345,21 @@ def test_task_roots_computed_once_per_task(monkeypatch):
     assert calls == [] and "roots" not in vars(task3)
 
     # the contraction ascent, its Gamma, the warm starts and the dual bound
-    # share the two block roots; the transport candidate adds one more root
+    # share the two block roots
     prob = axis_swap_problem(6.1, 0.0)
     task = psdfeas.FeasibilityTask(prob, psdfeas.FULL, ascent_iters=20)
     _, ks, y, _ = task.ascent
     psdfeas.gamma_from_contractions(task, ks)
     psdfeas.default_candidates(task)
     psdfeas.dual_refutation_value(task, y)
-    assert len(calls) == 3
+    assert len(calls) == 2
     for root, block in zip(task.roots, task.blocks):
         assert np.allclose(root @ root, block, atol=1e-12)
     assert np.array_equal(task.offset, matcore.symmetrize(np.einsum("i,ikl->kl", task.p**2, task.blocks) - task.target))
     # a task of another problem with the same components computes none again
     other = psdfeas.FeasibilityTask(MixtureProblem(prob.p, axis_swap_problem(5.0, 0.5).covs, np.eye(2)), psdfeas.FULL)
     psdfeas.default_candidates(other)
-    assert len(calls) == 3 and other.roots is task.roots
+    assert len(calls) == 2 and other.roots is task.roots
 
 
 

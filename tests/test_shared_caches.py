@@ -61,14 +61,14 @@ def test_cached_arrays_are_read_only(tmp_path):
     clear_shared_caches()
     prob = fam.axis_swap_problem(5.0, 0.5)
     assert C.check_inecov(prob, search_cfg=LIGHT).holds
-    # component stack and lambda_mins, component eigenvectors, colinear base, coefficients and
-    # residuals, grid half, random starts, roots, transport block, contraction starts, the
-    # two rotation-grid arrays of the one pair, and the pair layout's rows
-    assert len(stored_arrays()) == 14
+    # component stack and lambda_mins, component eigenvectors, grid half, random starts,
+    # roots, contraction starts, the two rotation-grid arrays of the one pair, and the
+    # pair layout's rows
+    assert len(stored_arrays()) == 10
     tile_csv(tmp_path, "tile")
     C.implication_chain_report(random_chain_problem(32), MID, mc_samples=2000)
     arrays = stored_arrays()
-    assert len(arrays) >= 14
+    assert len(arrays) >= 10
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
             arr.flat[0] = 1.0
@@ -137,12 +137,12 @@ def test_components_mutated_in_place_get_a_new_entry():
     second = C.MixtureProblem([0.5, 0.5], covs, target)
     assert np.array_equal(first.covs[0], np.diag([8.0, 4.0])) and np.array_equal(second.covs, covs)
     assert (first.var_scale(), second.var_scale()) == (8.0, 32.0)
-    warm = [C._eigvector_starts(second), C._colinear_structure(second), C.check_inecov(second, search_cfg=LIGHT)]
+    warm = [C._eigvector_starts(second), C.check_inecov(second, search_cfg=LIGHT)]
     clear_shared_caches()
-    cold = [C._eigvector_starts(second), C._colinear_structure(second), C.check_inecov(second, search_cfg=LIGHT)]
-    assert np.array_equal(warm[0], cold[0]) and warm[1] is cold[1] is None
-    assert (warm[2].status, warm[2].margin) == (cold[2].status, cold[2].margin)
-    assert (warm_first.status, warm_first.margin) != (warm[2].status, warm[2].margin)
+    cold = [C._eigvector_starts(second), C.check_inecov(second, search_cfg=LIGHT)]
+    assert np.array_equal(warm[0], cold[0])
+    assert (warm[1].status, warm[1].margin) == (cold[1].status, cold[1].margin)
+    assert (warm_first.status, warm_first.margin) != (warm[1].status, warm[1].margin)
 
 
 def reference_h_of(prob):
