@@ -160,6 +160,8 @@ def _witness_summary(witness) -> object:
         fields = {f.name: getattr(witness, f.name) for f in dataclasses.fields(witness)}
         family = fields.pop("kind")
         return {"kind": "test_function", "family": family, **{k: v for k, v in fields.items() if v is not None}}
+    if isinstance(witness, tuple) and len(witness) == 2 and witness[0] == "dual":
+        return {"kind": "pair_dual", "y": witness[1].tolist()}  # a pairwise dual refutation
     if isinstance(witness, tuple):
         return {"kind": "tuple", "value": [_witness_summary(w) for w in witness]}
     if isinstance(witness, (int, float, str)):

@@ -41,6 +41,7 @@ from .rng import CounterRng
 from .utils import golden_section_minimize
 
 STEP0 = 1.0  # first subgradient step length of the directional descent
+NEAR_REAL = 1e-3  # largest imaginary part of a pencil root probed at its real part
 
 
 class InvalidProblem(ValueError):
@@ -204,12 +205,12 @@ class MixtureProblem:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs for the directional search and the n = 2 cross checks."""
+    """Knobs for the directional search and the coupling ascents."""
 
     random_starts: int = 64
-    iters: int = 200  # subgradient steps, d >= 3
+    iters: int = 200  # subgradient steps, n >= 3 and d >= 3
     grid_points: int = 720  # angular grid, d = 2; at least 1
-    alpha_points: int = 400  # log-spaced scan, n = 2 and d >= 3; at least 1
+    alpha_points: int = 400  # Chebyshev nodes in s of the pencil, n = 2 and d >= 3; at least 1
     ascent_iters: int = 200
     seed: int = 0
 
@@ -344,6 +345,14 @@ def _random_starts(seed: int, count: int, d: int) -> np.ndarray:
     return _normalize_rows(CounterRng(seed, stream=17).normal_matrix(count, d))
 
 
+def _search_starts(prob: MixtureProblem, cfg: SearchConfig) -> list:
+    """The eigenvector starts, then ``cfg.random_starts`` random unit directions."""
+    starts = [_eigvector_starts(prob)]
+    if cfg.random_starts > 0:
+        starts.append(_random_starts(cfg.seed, cfg.random_starts, prob.d))
+    return starts
+
+
 def _sphere_search(prob: MixtureProblem, cfg: SearchConfig):
     """Minimize h over the unit sphere; returns (min h, its direction, diagnostics).
 
@@ -351,17 +360,15 @@ def _sphere_search(prob: MixtureProblem, cfg: SearchConfig):
     case, refined by Brent's method once per grid minimum among its three
     best points (a point next to one already refined is skipped); the starts
     (eigenvectors, random directions and the four best grid points) are
-    scored once, and no descent follows. For d >= 3 multistart projected
-    subgradient descent runs for ``cfg.iters`` steps, each one stacked
-    :func:`_h_and_grad` pass over all starts. Subgradients are normalized
-    before stepping so the search behaves the same under rescaling; at a
-    degenerate direction (a tangent below ``matcore.EPS_ROUND`` sigma) the
-    zero subgradient is used.
+    scored once, and no descent follows. For d >= 3 (where :func:`check_inegsqrt`
+    calls it for n >= 3 only) multistart projected subgradient descent runs
+    for ``cfg.iters`` steps, each one stacked :func:`_h_and_grad` pass over
+    all starts. Subgradients are normalized before stepping so the search
+    behaves the same under rescaling; at a degenerate direction (a tangent
+    below ``matcore.EPS_ROUND`` sigma) the zero subgradient is used.
     """
     d = prob.d
-    starts = [_eigvector_starts(prob)]
-    if cfg.random_starts > 0:
-        starts.append(_random_starts(cfg.seed, cfg.random_starts, d))
+    starts = _search_starts(prob, cfg)
     best_h = np.inf
     best_xi = np.zeros(d)
     diag: dict = {}
@@ -403,40 +410,46 @@ def _sphere_search(prob: MixtureProblem, cfg: SearchConfig):
     return best_h, best_xi, diag
 
 
-def _alpha_scan(prob: MixtureProblem, cfg: SearchConfig):
-    """n = 2 cross check of the descent: scan the two-sided bound over alpha > 0.
+def _pencil_search(prob: MixtureProblem, cfg: SearchConfig):
+    """n = 2: min h over the directions the quadratic pencil points at, as :func:`_sphere_search` returns it.
 
-    The directional condition holds iff
-    ``p1^2 S1 + p2^2 S2 + p1 p2 (alpha S1 + S2/alpha) - S`` stays PSD for
-    every positive alpha, so the smallest eigenvalue is scanned on a log
-    grid and polished by Brent's method (:func:`utils.golden_section_minimize`).
+    The condition holds iff Q(s) = (1 - s^2) P(alpha) = A s^2 + B s + C0 is PSD on (-1, 1), where
+    alpha = (1 + s)/(1 - s), P(alpha) = M + p1 p2 (alpha S1 + S2/alpha), M = p1^2 S1 + p2^2 S2 - S,
+    A = p1 p2 (S1 + S2) - M, B = 2 p1 p2 (S1 - S2) and C0 = S1bar - S; Q is bounded there, P is not.
+    Q is taken at ``cfg.alpha_points`` Chebyshev nodes, then at the real and near-real roots of det Q
+    in (-1, 1), from one companion matrix centred at the node of largest lambda_min, and midway
+    between consecutive ones and +-1. xi' Q(s) xi < 0 makes h(xi) < 0, so the bottom eigenvectors
+    and the search starts are scored by h, never by lambda_min(Q), which carries the weight 1 - s^2.
     """
-    p1, p2 = prob.p
-    s1, s2 = prob.covs
-    w = p1 * p2
-    base = p1 * p1 * s1 + p2 * p2 * s2 - prob.target
+    (p1, p2), (s1, s2) = prob.p, prob.covs
+    a = (p2 - p1) * (p1 * s1 - p2 * s2) + prob.target
+    b = 2.0 * p1 * p2 * (s1 - s2)
+    c0 = p1 * s1 + p2 * s2 - prob.target
 
-    def pencil(alpha: float) -> np.ndarray:
-        return base + w * (alpha * s1 + s2 / alpha)
+    def pencil(s: np.ndarray) -> np.ndarray:
+        s = s[:, None, None]
+        return (a * s + b) * s + c0
 
-    alphas = np.logspace(-6.0, 6.0, cfg.alpha_points)
-    mats = (
-        base[None, :, :]
-        + w * (alphas[:, None, None] * s1[None] + (1.0 / alphas)[:, None, None] * s2[None])
-    )
-    lmins = np.linalg.eigvalsh(mats)[:, 0]
-    k = int(np.argmin(lmins))
-    logstep = 12.0 / max(cfg.alpha_points - 1, 1)
-
-    def f(t: float) -> float:
-        return float(np.linalg.eigvalsh(pencil(10.0**t))[0])
-
-    t0 = math.log10(alphas[k])
-    t_best, val = golden_section_minimize(f, t0 - logstep, t0 + logstep, xtol=1e-12)
-    if lmins[k] < val:
-        t_best, val = t0, float(lmins[k])
-    _, q = np.linalg.eigh(pencil(10.0**t_best))
-    return float(val), 10.0**t_best, q[:, 0]
+    k = cfg.alpha_points
+    nodes = np.cos(np.pi * (np.arange(k) + 0.5) / k)
+    lams, vecs = np.linalg.eigh(pencil(nodes))
+    j = int(np.argmax(lams[:, 0]))
+    s0 = nodes[j]
+    # whitened by Q(s0) on its range, which drops a null direction common to A, B and C0:
+    # det Q(s0 + 1/mu) = 0 for mu an eigenvalue of [[-W'(2 A s0 + B)W, -W'AW], [I, 0]]
+    keep = lams[j] > matcore.RANK_TOL * max(lams[j, -1], 0.0)
+    wh = vecs[j][:, keep] / np.sqrt(lams[j][keep])
+    r = wh.shape[1]
+    lin = np.block([[-wh.T @ (2.0 * s0 * a + b) @ wh, -wh.T @ a @ wh], [np.eye(r), np.zeros((r, r))]])
+    mus = np.linalg.eigvals(lin)
+    ss = s0 + 1.0 / mus[np.abs(mus) > 0.5]  # from s0, (-1, 1) is within |1/mu| < 2
+    roots = np.sort(ss.real[(np.abs(ss.imag) <= NEAR_REAL) & (np.abs(ss.real) < 1.0)])
+    edges = np.concatenate([[-1.0], roots, [1.0]])
+    probes = np.concatenate([roots, 0.5 * (edges[:-1] + edges[1:])])
+    xis = np.vstack([*_search_starts(prob, cfg), vecs[:, :, 0], np.linalg.eigh(pencil(probes))[1][:, :, 0]])
+    h = h_values(prob, xis)
+    j = int(np.argmin(h))
+    return float(h[j]), xis[j].copy(), {"pencil_roots": int(roots.size)}
 
 
 def check_inegsqrt(prob: MixtureProblem, cfg: SearchConfig | None = None) -> Verdict:
@@ -444,37 +457,20 @@ def check_inegsqrt(prob: MixtureProblem, cfg: SearchConfig | None = None) -> Ver
 
     Fails carry the violating unit direction as witness (which re-verifies
     through :func:`h_margin`); Holds report the smallest directional slack
-    found. For d = 2 the angular grid, refined by Brent's method once per
-    grid minimum, alone decides. For d >= 3 the subgradient descent runs
-    instead, and when n = 2 the independent alpha scan guards it; an
-    irreconcilable borderline disagreement yields Unknown.
+    found. d = 1 is exact. For d = 2 the angular grid, refined by Brent's
+    method once per grid minimum, decides; for n = 2 and d >= 3 the
+    quadratic pencil in alpha (:func:`_pencil_search`); for n >= 3 and
+    d >= 3 the subgradient descent (:func:`_sphere_search`).
     """
     cfg = cfg or SearchConfig()
     tol_std = matcore.EPS_PSD * prob.std_scale()
-    tol_var = matcore.EPS_PSD * prob.var_scale()
-    diag: dict = {}
-
     if prob.d == 1:
         sig = math.sqrt(max(prob.target[0, 0], 0.0))
         sigs = np.sqrt(np.clip(prob.covs[:, 0, 0], 0.0, None))
-        margin = float(prob.p @ sigs - sig)
-        xi = np.array([1.0])
-        diag["exact"] = True
+        margin, xi, diag = float(prob.p @ sigs - sig), np.array([1.0]), {"exact": True}
     else:
-        margin, xi, search_diag = _sphere_search(prob, cfg)
-        diag.update(search_diag)
-
-    if prob.d >= 3 and prob.n == 2:
-        scan_val, alpha_best, scan_xi = _alpha_scan(prob, cfg)
-        diag["alpha_scan_min"] = scan_val
-        diag["alpha_best"] = alpha_best
-        if scan_val < -tol_var and margin >= -tol_std:
-            recheck = h_margin(prob, scan_xi)
-            if recheck < -tol_std:
-                margin, xi = recheck, scan_xi
-            else:
-                diag["disagreement"] = True
-                return Verdict(Status.UNKNOWN, min(margin, recheck), None, diag)
+        search = _pencil_search if prob.d >= 3 and prob.n == 2 else _sphere_search
+        margin, xi, diag = search(prob, cfg)
 
     if margin < -tol_std:
         return Verdict(Status.FAILS, margin, xi, diag)

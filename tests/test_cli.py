@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from families import random_chain_problem
+from families import boundary_problems, random_chain_problem
 from gmcvx import cli, coupling, cxverify
 from gmcvx.rng import CounterRng
 
@@ -41,8 +41,11 @@ def exterior_doc():
 
 
 def chain_doc(seed):
-    """Problem document of ``random_chain_problem(seed)``; JSON keeps every float exactly."""
-    prob = random_chain_problem(seed)
+    return problem_doc(random_chain_problem(seed))
+
+
+def problem_doc(prob):
+    """Problem document of ``prob``; JSON keeps every float exactly."""
     return {
         "d": prob.d,
         "n": prob.n,
@@ -118,6 +121,17 @@ def test_check_inegsqrt_exterior_fails_with_witness(tmp_path, capsys):
     assert code == 1
     assert report["status"] == "fails"
     assert report["witness"]["kind"] == "direction"
+
+
+def test_check_inecovf_reports_the_pair_dual_refutation(tmp_path, capsys):
+    # n = 3 just inside the directional boundary: the pairwise dual refutes the pair cone
+    prob = write_json(tmp_path / "prob.json", problem_doc(boundary_problems(55, (1e-3,))[0]))
+    code, report = run_cli(capsys, "check", "--condition", "inecovf", "--input", prob, "--seed", "55")
+    assert code == 1
+    assert report["status"] == "fails" and report["diagnostics"]["dual_bound"] < 0.0
+    y = np.array(report["witness"]["y"])
+    assert report["witness"] == {"kind": "pair_dual", "y": y.tolist()}
+    assert y.shape == (3, 3) and abs(np.trace(y) - 1.0) < 1e-12
 
 
 def test_check_correl_unknown_exit_code(tmp_path, capsys):

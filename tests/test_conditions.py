@@ -173,26 +173,92 @@ def test_eigvector_starts_match_per_matrix_eigh(seed):
 
 
 def test_subgradient_loop_runs_only_without_the_d2_grid(monkeypatch):
-    # the descent runs for d >= 3 only, and the alpha scan exactly where n = 2 as well
+    # the descent runs where n >= 3 and d >= 3 only: d = 2 has its grid, n = 2 its pencil
     calls = []
-    scans = []
     real = C._h_and_grad
-    real_scan = C._alpha_scan
     monkeypatch.setattr(C, "_h_and_grad", lambda prob, xis: calls.append(1) or real(prob, xis))
-    monkeypatch.setattr(C, "_alpha_scan", lambda prob, cfg: scans.append(1) or real_scan(prob, cfg))
     prob2 = fam.axis_swap_problem(5.0, 0.5)
     prob3 = C.MixtureProblem(
         p=[0.5, 0.5], covs=np.stack([np.diag([3.0, 2.0, 1.0]), np.diag([1.0, 2.0, 3.0])]), target=np.eye(3)
     )
     prob3_n3 = C.MixtureProblem(p=[0.25, 0.25, 0.5], covs=np.stack([*prob3.covs, np.eye(3)]), target=np.eye(3))
     assert C.check_inegsqrt(prob2, C.SearchConfig(iters=30)).holds
-    assert calls == [] and scans == []
     assert C.check_inegsqrt(prob3, C.SearchConfig(iters=30)).holds
-    assert len(calls) == 30 and len(scans) == 1
-    calls.clear()
-    scans.clear()
-    C.check_inegsqrt(prob3_n3, C.SearchConfig(iters=30))
-    assert len(calls) == 30 and scans == []
+    assert calls == []
+    assert C.check_inegsqrt(prob3_n3, C.SearchConfig(iters=30)).holds
+    assert len(calls) == 30
+
+
+PENCIL_EPS = (1e-2, -1e-2, 1e-3, -1e-3)
+
+
+@pytest.fixture(scope="module")
+def pencil_problems():
+    """The n = 2, d = 3 chain problems of seeds 0..499 and boundary problems of the odd seeds
+    1..59 at 1 -+ 1e-2 and 1 -+ 1e-3 of their directional threshold: 212 problems."""
+    chain = [(f"chain {s}", fam.random_chain_problem(s)) for s in range(500)]
+    probs = [(key, prob) for key, prob in chain if prob.n == 2 and prob.d == 3]
+    for seed in range(1, 60, 2):
+        found = fam.boundary_problems(seed, PENCIL_EPS, n=2)
+        probs += [(f"boundary {seed},{e:g}", prob) for e, prob in zip(PENCIL_EPS, found)]
+    assert len(probs) == 212
+    return probs
+
+
+@pytest.mark.parametrize("cfg", [fam.MID, C.SearchConfig()], ids=["MID", "default"])
+def test_pencil_decides_as_the_descent(pencil_problems, cfg):
+    # n = 2, d = 3: the pencil's status is the reference descent's, and each Fails re-verifies
+    for key, prob in pencil_problems:
+        tol = matcore.EPS_PSD * prob.std_scale()
+        ref, _, _ = C._sphere_search(prob, cfg)
+        v = C.check_inegsqrt(prob, cfg)
+        assert v.fails == (ref < -tol), key
+        if v.fails:
+            assert C.h_margin(prob, v.witness) < -tol, key
+
+
+def test_pencil_roots_find_the_violations_one_node_misses(pencil_problems):
+    # one node (s = 0) and no random starts: the probes at the roots of det Q and between
+    # them refute every boundary problem outside the threshold, most of which s = 0 misses
+    cfg = C.SearchConfig(alpha_points=1, random_starts=0)
+    outside = [prob for key, prob in pencil_problems if key.endswith((",-0.01", ",-0.001"))]
+    assert len(outside) == 60
+    assert all(C.check_inegsqrt(prob, cfg).fails for prob in outside)
+
+
+def padded_pair(a: float, b: float, c1: float, c2: float, t: float) -> C.MixtureProblem:
+    """The axis-swap cell (a, b) with a third coordinate: variances c1 and c2 for the
+    components, t for the target."""
+    covs = np.zeros((2, 3, 3))
+    covs[:, :2, :2] = fam.axis_swap_problem(a, b).covs
+    covs[:, 2, 2] = c1, c2
+    target = np.zeros((3, 3))
+    target[:2, :2] = [[a, b], [b, a]]
+    target[2, 2] = t
+    return C.MixtureProblem(p=[0.5, 0.5], covs=covs, target=target)
+
+
+@pytest.mark.parametrize("prob, status", [
+    # a + |b| = 6: C0 = S1bar - S is singular, and h touches zero
+    (padded_pair(4.0, 2.0, 1.0, 1.0, 1.0), C.Status.HOLDS),
+    (padded_pair(3.5, -2.5, 2.0, 3.0, 0.5), C.Status.HOLDS),
+    # the third axis is null for S1, S2 and S: Q(s) is singular for every s
+    (padded_pair(2.0, 1.0, 0.0, 0.0, 0.0), C.Status.HOLDS),
+    (padded_pair(4.0, 2.0, 0.0, 0.0, 0.0), C.Status.HOLDS),
+    (padded_pair(5.0, 2.0, 0.0, 0.0, 0.0), C.Status.FAILS),
+    # C0 indefinite: the target exceeds the mixture's covariance along some axis
+    (padded_pair(2.0, 0.0, 1.0, 1.0, 1.5), C.Status.FAILS),
+    (padded_pair(6.5, 0.0, 1.0, 1.0, 1.0), C.Status.FAILS),
+], ids=["singular_c0", "singular_c0_skew", "common_null_inside", "common_null_on_6", "common_null_outside",
+        "indefinite_c0_third_axis", "indefinite_c0_plane"])
+def test_pencil_degenerate_problems_end_in_a_verdict(prob, status):
+    for cfg in (C.SearchConfig(), fam.MID, fam.LIGHT):
+        v = C.check_inegsqrt(prob, cfg)
+        assert v.status is status
+        if v.fails:
+            assert C.h_margin(prob, v.witness) < -matcore.EPS_PSD * prob.std_scale()
+        else:  # h vanishes on the null axis, or at the boundary cell's touching direction
+            assert abs(v.margin) <= matcore.EPS_PSD * prob.std_scale() and v.diagnostics["boundary"]
 
 
 def reference_h_and_grad(prob, xis):

@@ -323,13 +323,12 @@ def test_batched_warm_start_matches_per_candidate_loop_with_factor_ascent():
     assert np.array_equal(start, psdfeas.pin_blocks(matcore.symmetrize(task.factor_ascent[1]), task.blocks))
 
 
-@pytest.mark.parametrize("index", [-1], ids=["contraction"])
-def test_wasserstein_candidate_closes_pair_slack(index):
+def test_contraction_candidate_closes_pair_slack():
     # n = 2, d = 2 with a nonsingular first block: the contraction candidate
     # (last) makes the weighted block sum as large as the analytic two-sided bound
     prob = axis_swap_problem(3.0 + 2.0 * np.sqrt(2.0) - 1e-9, 0.0)
     task = psdfeas.FeasibilityTask(prob, psdfeas.FULL)
-    cand = psdfeas.default_candidates(task)[index]
+    cand = psdfeas.default_candidates(task)[-1]
     mix = psdfeas.mix_compress(cand, task.p, 2)
     assert np.allclose(mix, (3.0 + 2.0 * np.sqrt(2.0)) * np.eye(2), atol=1e-9)
 
