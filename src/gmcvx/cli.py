@@ -277,7 +277,7 @@ def cmd_check(args) -> int:
         raise CliFailure(EXIT_USAGE, f"--with-M feeds correl only; --condition {args.condition} does not take it")
     doc = _load_json(args.input)
     prob, digest = problem_from_doc(doc)
-    cfg = SearchConfig(seed=args.seed)
+    cfg = SearchConfig()
     extra_m = load_bases(args.with_m, prob.d) if args.with_m else []
 
     try:
@@ -447,7 +447,7 @@ def cmd_sweep(args) -> int:
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise CliFailure(EXIT_BAD_JSON, f"bad sweep spec: {exc}")
     try:
-        cells = sweep_mod.run_sweep(spec, SearchConfig(seed=seed))
+        cells = sweep_mod.run_sweep(spec, SearchConfig())
     except InvalidProblem as exc:  # a non-PSD target is a "fails" cell, never raised
         raise CliFailure(EXIT_INVARIANT, f"invalid sweep cell: {exc}")
     try:

@@ -205,18 +205,20 @@ class MixtureProblem:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs for the directional search and the coupling ascents."""
+    """Knobs for the directional search and the coupling ascents; a count below its
+    least legal value raises ``ValueError``. The seed is the checkers' own argument."""
 
-    random_starts: int = 64
+    random_starts: int = 64  # random directions of the search, d = 2, or n >= 3 and d >= 3
     iters: int = 200  # subgradient steps, n >= 3 and d >= 3
     grid_points: int = 720  # angular grid, d = 2; at least 1
     alpha_points: int = 400  # Chebyshev nodes in s of the pencil, n = 2 and d >= 3; at least 1
     ascent_iters: int = 200
-    seed: int = 0
 
     def __post_init__(self):
-        if self.grid_points < 1 or self.alpha_points < 1:
-            raise ValueError("grid_points and alpha_points must be at least 1")
+        for name, least in (("random_starts", 0), ("iters", 0), ("grid_points", 1), ("alpha_points", 1),
+                            ("ascent_iters", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
 
 
 @dataclass
@@ -345,17 +347,11 @@ def _random_starts(seed: int, count: int, d: int) -> np.ndarray:
     return _normalize_rows(CounterRng(seed, stream=17).normal_matrix(count, d))
 
 
-def _search_starts(prob: MixtureProblem, cfg: SearchConfig) -> list:
-    """The eigenvector starts, then ``cfg.random_starts`` random unit directions."""
-    starts = [_eigvector_starts(prob)]
-    if cfg.random_starts > 0:
-        starts.append(_random_starts(cfg.seed, cfg.random_starts, prob.d))
-    return starts
-
-
-def _sphere_search(prob: MixtureProblem, cfg: SearchConfig):
+def _sphere_search(prob: MixtureProblem, cfg: SearchConfig, seed: int):
     """Minimize h over the unit sphere; returns (min h, its direction, diagnostics).
 
+    The starts are the eigenvectors of the target and the components and
+    ``cfg.random_starts`` random unit directions drawn from ``seed``.
     For d = 2 an angular grid of ``cfg.grid_points`` directions decides the
     case, refined by Brent's method once per grid minimum among its three
     best points (a point next to one already refined is skipped); the starts
@@ -368,7 +364,9 @@ def _sphere_search(prob: MixtureProblem, cfg: SearchConfig):
     below ``matcore.EPS_ROUND`` sigma) the zero subgradient is used.
     """
     d = prob.d
-    starts = _search_starts(prob, cfg)
+    starts = [_eigvector_starts(prob)]
+    if cfg.random_starts > 0:
+        starts.append(_random_starts(seed, cfg.random_starts, d))
     best_h = np.inf
     best_xi = np.zeros(d)
     diag: dict = {}
@@ -419,7 +417,8 @@ def _pencil_search(prob: MixtureProblem, cfg: SearchConfig):
     Q is taken at ``cfg.alpha_points`` Chebyshev nodes, then at the real and near-real roots of det Q
     in (-1, 1), from one companion matrix centred at the node of largest lambda_min, and midway
     between consecutive ones and +-1. xi' Q(s) xi < 0 makes h(xi) < 0, so the bottom eigenvectors
-    and the search starts are scored by h, never by lambda_min(Q), which carries the weight 1 - s^2.
+    at the nodes and the probes are scored by h, never by lambda_min(Q), which carries the weight
+    1 - s^2. Those are the only directions scored: no search start, random or not, is read.
     """
     (p1, p2), (s1, s2) = prob.p, prob.covs
     a = (p2 - p1) * (p1 * s1 - p2 * s2) + prob.target
@@ -446,21 +445,22 @@ def _pencil_search(prob: MixtureProblem, cfg: SearchConfig):
     roots = np.sort(ss.real[(np.abs(ss.imag) <= NEAR_REAL) & (np.abs(ss.real) < 1.0)])
     edges = np.concatenate([[-1.0], roots, [1.0]])
     probes = np.concatenate([roots, 0.5 * (edges[:-1] + edges[1:])])
-    xis = np.vstack([*_search_starts(prob, cfg), vecs[:, :, 0], np.linalg.eigh(pencil(probes))[1][:, :, 0]])
+    xis = np.vstack([vecs[:, :, 0], np.linalg.eigh(pencil(probes))[1][:, :, 0]])
     h = h_values(prob, xis)
     j = int(np.argmin(h))
     return float(h[j]), xis[j].copy(), {"pencil_roots": int(roots.size)}
 
 
-def check_inegsqrt(prob: MixtureProblem, cfg: SearchConfig | None = None) -> Verdict:
+def check_inegsqrt(prob: MixtureProblem, cfg: SearchConfig | None = None, seed: int = 0) -> Verdict:
     """Decide the directional condition over all directions.
 
     Fails carry the violating unit direction as witness (which re-verifies
     through :func:`h_margin`); Holds report the smallest directional slack
     found. d = 1 is exact. For d = 2 the angular grid, refined by Brent's
     method once per grid minimum, decides; for n = 2 and d >= 3 the
-    quadratic pencil in alpha (:func:`_pencil_search`); for n >= 3 and
-    d >= 3 the subgradient descent (:func:`_sphere_search`).
+    quadratic pencil in alpha (:func:`_pencil_search`), which reads neither
+    the random starts nor ``seed``; for n >= 3 and d >= 3 the subgradient
+    descent (:func:`_sphere_search`). ``seed`` draws the random starts.
     """
     cfg = cfg or SearchConfig()
     tol_std = matcore.EPS_PSD * prob.std_scale()
@@ -468,9 +468,10 @@ def check_inegsqrt(prob: MixtureProblem, cfg: SearchConfig | None = None) -> Ver
         sig = math.sqrt(max(prob.target[0, 0], 0.0))
         sigs = np.sqrt(np.clip(prob.covs[:, 0, 0], 0.0, None))
         margin, xi, diag = float(prob.p @ sigs - sig), np.array([1.0]), {"exact": True}
+    elif prob.d >= 3 and prob.n == 2:
+        margin, xi, diag = _pencil_search(prob, cfg)
     else:
-        search = _pencil_search if prob.d >= 3 and prob.n == 2 else _sphere_search
-        margin, xi, diag = search(prob, cfg)
+        margin, xi, diag = _sphere_search(prob, cfg, seed)
 
     if margin < -tol_std:
         return Verdict(Status.FAILS, margin, xi, diag)
@@ -489,14 +490,23 @@ def witness_matrix(gamma) -> np.ndarray:
     return matcore.as_square(gamma.gamma if isinstance(gamma, GammaWitness) else gamma)
 
 
+def _sized_witness(prob: MixtureProblem, gamma) -> np.ndarray:
+    """:func:`witness_matrix` of a coupling witness of ``prob``: n d x n d, else :class:`DimensionMismatch`."""
+    gamma = witness_matrix(gamma)
+    nd = prob.n * prob.d
+    if gamma.shape != (nd, nd):
+        raise DimensionMismatch(f"expected a {nd} x {nd} coupling witness, got {gamma.shape}")
+    return gamma
+
+
 def validate_gamma_witness(prob: MixtureProblem, gamma, tol: float = matcore.EPS_CHAIN, pairwise: bool = False) -> dict:
-    """Standalone re-validation of a coupling witness."""
+    """Standalone re-validation of a coupling witness of size n d x n d (else :class:`DimensionMismatch`)."""
     task = psdfeas.FeasibilityTask(prob, psdfeas.PAIRWISE if pairwise else psdfeas.FULL)
-    return psdfeas.validate_gamma(task, witness_matrix(gamma), tol)
+    return psdfeas.validate_gamma(task, _sized_witness(prob, gamma), tol)
 
 
 def _coupling_check(prob, cone, search_cfg, extra_candidates, inegsqrt_verdict, seed):
-    v5 = inegsqrt_verdict if inegsqrt_verdict is not None else check_inegsqrt(prob, search_cfg)
+    v5 = inegsqrt_verdict if inegsqrt_verdict is not None else check_inegsqrt(prob, search_cfg, seed)
     diag: dict = {"inegsqrt_margin": v5.margin}
     if v5.fails:
         return Verdict(Status.FAILS, v5.margin, v5.witness, {**diag, "refuted_by": "inegsqrt"})
@@ -566,9 +576,9 @@ def check_inecovf(
 
 
 def validate_pairwise_blocks(prob: MixtureProblem, gamma, tol: float = matcore.EPS_ENGINE) -> dict:
-    """Check each pair block of a coupling matrix for PSD-ness: ``(ok, lambda_min)``
-    per pair (i, j), i < j, to ``tol`` times the problem's sigma^2."""
-    gamma = matcore.symmetrize(witness_matrix(gamma))
+    """Check each pair block of an n d x n d coupling matrix (else :class:`DimensionMismatch`)
+    for PSD-ness: ``(ok, lambda_min)`` per pair (i, j), i < j, to ``tol`` times the problem's sigma^2."""
+    gamma = matcore.symmetrize(_sized_witness(prob, gamma))
     task = psdfeas.FeasibilityTask(prob, psdfeas.PAIRWISE)
     w_pairs, _ = psdfeas._spectra(task, gamma[None], np.empty((1, 0, 0)))  # no slack to test
     tol_abs = tol * prob.var_scale()
@@ -851,10 +861,11 @@ def orthogonal_factors_from_gamma(prob: MixtureProblem, gamma, q: int | None = N
     The rows of the witness square root give factors of each component
     covariance; polar factorization turns them into orthogonal matrices
     O_i such that the weighted sum of (padded) component square roots times
-    O_i dominates the target. Returns ``(factors, verdict)``. A witness below
-    ``-EPS_PSD`` times the problem's sigma^2 raises :class:`matcore.NotPSD`.
+    O_i dominates the target. Returns ``(factors, verdict)``. A witness that
+    is not n d x n d raises :class:`DimensionMismatch`, one below ``-EPS_PSD``
+    times the problem's sigma^2 :class:`matcore.NotPSD`.
     """
-    gamma = matcore.symmetrize(witness_matrix(gamma))
+    gamma = matcore.symmetrize(_sized_witness(prob, gamma))
     n, d = prob.n, prob.d
     if q is None:
         q = n * d
@@ -914,7 +925,7 @@ def decide(
     out: dict = {}
     # module globals, looked up at each call, so that a wrapped checker is the one called
     if {"inegsqrt", "inecov", "inecovf"}.intersection(names):
-        out["inegsqrt"] = check_inegsqrt(prob, search_cfg)
+        out["inegsqrt"] = check_inegsqrt(prob, search_cfg, seed)
     v5 = out.get("inegsqrt")
     if "correl" in names:
         out["correl"] = find_correl_certificate(prob, extra_m=extra_m, seed=seed)

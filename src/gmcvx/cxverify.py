@@ -176,7 +176,9 @@ def default_suite(prob: MixtureProblem, seed: int = 0) -> list[TestFunction]:
 
     32 absolute linear forms on spread directions, 8 exponential tilts
     along the worst direction, 8 random convex quadratics and 10 random
-    max-affine functions with up to six pieces.
+    max-affine functions with two to six pieces. The random functions
+    depend only on d and ``seed``: one ``uniforms`` call draws the piece
+    counts and one ``normals`` call every coefficient.
     """
     d = prob.d
     dirs = sphere_directions(32, d, seed=seed)
@@ -185,26 +187,12 @@ def default_suite(prob: MixtureProblem, seed: int = 0) -> list[TestFunction]:
     worst = dirs[int(np.argmin(margins))]
     for lam in (0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 4.0, -4.0):
         suite.append(exp_linear(lam, worst))
-    # stream 59 holds, per quadratic, one normals call each for W, b and c,
-    # then per max-affine function a uniform piece count (2 to 6) and one
-    # normals call each for the slopes and the intercepts; one block of
-    # uniforms covers the longest such sequence
-    def span(k: int) -> int:
-        return 2 * ((k + 1) // 2)
-
-    calls, pos = [], 0
-    for k in [d * d, d, 1] * 8:
-        calls.append((pos, k))
-        pos += span(k)
-    u = CounterRng(seed, stream=59).uniforms(pos + 10 * (1 + span(6 * d) + span(6)))
-    counts = []
-    for _ in range(10):
-        counts.append(2 + int(u[pos] * 5))
-        pos += 1
-        for k in (counts[-1] * d, counts[-1]):
-            calls.append((pos, k))
-            pos += span(k)
-    draws = iter(_box_muller_calls(u, calls))
+    # stream 59 holds the ten piece counts (2 to 6), then one block of normals: per quadratic
+    # W, b and c, then per max-affine function its slopes and intercepts
+    rng = CounterRng(seed, stream=59)
+    counts = (2 + (5.0 * rng.uniforms(10)).astype(int)).tolist()
+    sizes = [d * d, d, 1] * 8 + [k for pieces in counts for k in (pieces * d, pieces)]
+    draws = iter(np.split(rng.normals(sum(sizes)), np.cumsum(sizes)[:-1]))
     for _ in range(8):
         w = next(draws).reshape(d, d)
         # W W'/d is PSD by construction, so it skips the checks of quadratic()
@@ -213,29 +201,6 @@ def default_suite(prob: MixtureProblem, seed: int = 0) -> list[TestFunction]:
     for pieces in counts:
         suite.append(max_affine(next(draws).reshape(pieces, d), next(draws)))
     return suite
-
-
-def _box_muller_calls(u: np.ndarray, calls: list) -> list:
-    """What ``CounterRng.normals(k)`` returns, bit for bit, for each (pos, k)
-    of ``calls`` when ``u`` holds the stream's uniforms from position 0.
-
-    Such a call pairs u[pos + j] with u[pos + m + j], m = ceil(k / 2), and
-    returns the m cosine terms and then the first k - m sine terms; here the
-    transform runs once over the pairs of all calls.
-    """
-    half = [(k + 1) // 2 for _, k in calls]
-    pairs = sum(half)
-    first, second, take = [], [], []
-    base = 0
-    for (pos, k), m in zip(calls, half):
-        first += range(pos, pos + m)
-        second += range(pos + m, pos + 2 * m)
-        take += [*range(base, base + m), *range(pairs + base, pairs + base + k - m)]
-        base += m
-    r = np.sqrt(-2.0 * np.log(1.0 - u[first]))
-    ang = 2.0 * np.pi * u[second]
-    flat = np.concatenate([r * np.cos(ang), r * np.sin(ang)])[take]
-    return np.split(flat, np.cumsum([k for _, k in calls])[:-1])
 
 
 def _mixture_samples(prob: MixtureProblem, count: int, rng: CounterRng) -> np.ndarray:
@@ -424,8 +389,9 @@ def radial_order_check(
     The condition only involves the Gram matrices ``sigma sigma*`` so it is
     decided exactly through the directional checker; a Monte Carlo check of
     the absolute linear expectations (whose closed form uses E|Z_1|) guards
-    the statistics when the moment is known. ``mc_samples`` is 0 (no
-    sampling) or at least 2, else ``ValueError``.
+    the statistics when the moment is known. ``seed`` draws the checker's
+    random starts and the samples. ``mc_samples`` is 0 (no sampling) or at
+    least 2, else ``ValueError``.
     """
     _require_sample_count(mc_samples)
     sigma = np.asarray(sigma, dtype=float)
@@ -433,7 +399,7 @@ def radial_order_check(
     gram = matcore.symmetrize(sigma @ sigma.T)
     grams = np.stack([matcore.symmetrize(s @ s.T) for s in mats])
     prob = MixtureProblem(p=np.asarray(p, dtype=float), covs=grams, target=gram)
-    verdict = check_inegsqrt(prob, cfg)
+    verdict = check_inegsqrt(prob, cfg, seed)
     diag = dict(verdict.diagnostics)
     diag["noise"] = noise.name
 

@@ -4,8 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from families import boundary_problems, random_chain_problem
+from families import MID, boundary_problems, random_chain_problem
 from gmcvx import cli, coupling, cxverify
+from gmcvx import conditions as C
 from gmcvx.rng import CounterRng
 
 
@@ -121,6 +122,29 @@ def test_check_inegsqrt_exterior_fails_with_witness(tmp_path, capsys):
     assert code == 1
     assert report["status"] == "fails"
     assert report["witness"]["kind"] == "direction"
+
+
+def same_verdict(a, b) -> bool:
+    """Status, margin and witness equal bit for bit."""
+    witnesses = a.witness is None and b.witness is None or np.array_equal(a.witness, b.witness)
+    return a.status is b.status and a.margin == b.margin and witnesses
+
+
+def test_one_seed_decides_every_route_to_inegsqrt(tmp_path, capsys):
+    # n = 3, d = 3, whose margin moves with the random starts: the checker's seed is the
+    # only one, and decide, the chain report and gmcvx check all hand it on
+    prob = random_chain_problem(41)
+    path = write_json(tmp_path / "prob.json", problem_doc(prob))
+    assert (prob.n, prob.d) == (3, 3)
+    margins = set()
+    for seed in (3, 7):
+        alone = C.check_inegsqrt(prob, MID, seed)
+        margins.add(alone.margin)
+        assert same_verdict(alone, C.decide(prob, ("inegsqrt",), MID, seed)["inegsqrt"])
+        assert same_verdict(alone, C.implication_chain_report(prob, MID, mc_samples=2000, seed=seed).inegsqrt)
+        code, report = run_cli(capsys, "check", "--condition", "inegsqrt", "--input", path, "--seed", str(seed))
+        assert code == 0 and report["margin"] == C.check_inegsqrt(prob, C.SearchConfig(), seed).margin
+    assert len(margins) == 2
 
 
 def test_check_inecovf_reports_the_pair_dual_refutation(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -210,11 +211,25 @@ def test_pencil_decides_as_the_descent(pencil_problems, cfg):
     # n = 2, d = 3: the pencil's status is the reference descent's, and each Fails re-verifies
     for key, prob in pencil_problems:
         tol = matcore.EPS_PSD * prob.std_scale()
-        ref, _, _ = C._sphere_search(prob, cfg)
+        ref, _, _ = C._sphere_search(prob, cfg, 0)
         v = C.check_inegsqrt(prob, cfg)
         assert v.fails == (ref < -tol), key
         if v.fails:
             assert C.h_margin(prob, v.witness) < -tol, key
+
+
+def test_pencil_reads_neither_the_random_starts_nor_the_seed():
+    # n = 2, d = 3: the pencil scores its own directions only, so its verdicts are the same bits
+    # whatever random_starts and the seed are
+    probs = [fam.random_chain_problem(s) for s in range(100)]
+    probs = [prob for prob in probs if (prob.n, prob.d) == (2, 3)]
+    assert probs
+    for prob in probs:
+        ref = C.check_inegsqrt(prob, dataclasses.replace(fam.MID, random_starts=0), 0)
+        for starts, seed in ((64, 0), (0, 7), (64, 7)):
+            v = C.check_inegsqrt(prob, dataclasses.replace(fam.MID, random_starts=starts), seed)
+            assert (v.status, v.margin, v.diagnostics) == (ref.status, ref.margin, ref.diagnostics)
+            assert v.witness is None and ref.witness is None or np.array_equal(v.witness, ref.witness)
 
 
 def test_pencil_roots_find_the_violations_one_node_misses(pencil_problems):
@@ -933,6 +948,21 @@ def test_orthogonal_factors_rank_deficient_witness():
     assert verdict.diagnostics["ortho_defect"] <= 1e-8
 
 
+@pytest.mark.parametrize("validate", [
+    C.validate_gamma_witness, C.validate_pairwise_blocks, C.orthogonal_factors_from_gamma,
+], ids=["gamma_witness", "pairwise_blocks", "orthogonal_factors"])
+def test_coupling_witness_validators_reject_a_witness_of_another_size(validate):
+    # n d x n d only: an n = 2 witness was once read in place whatever its size
+    for prob in (fam.axis_swap_problem(3.0, 1.0), fam.random_chain_problem(41)):
+        nd = prob.n * prob.d
+        for size in (nd - 1, nd + 2, 2 * nd):
+            with pytest.raises(C.DimensionMismatch, match=f"{nd} x {nd}"):
+                validate(prob, np.eye(size))
+            with pytest.raises(C.DimensionMismatch):
+                validate(prob, C.GammaWitness(np.eye(size), prob.n, prob.d))
+        validate(prob, psdfeas.pin_blocks(np.zeros((nd, nd)), prob.covs))  # the right size is read
+
+
 def test_orthogonal_factors_rejects_small_q():
     prob = fam.rank_deficient_pair(0.0)
     with pytest.raises(C.DimensionMismatch):
@@ -1020,8 +1050,12 @@ def test_decide_hands_a_correl_coupling_to_inecov(monkeypatch):
     assert handed[1] == []
 
 
-@pytest.mark.parametrize("field", ["grid_points", "alpha_points"])
-@pytest.mark.parametrize("value", [0, -1])
+BAD_COUNTS = [(field, value) for field in ("grid_points", "alpha_points") for value in (0, -1)] + [
+    (field, -1) for field in ("random_starts", "iters", "ascent_iters")  # 0 is legal for these
+]
+
+
+@pytest.mark.parametrize("field, value", BAD_COUNTS, ids=[f"{value}-{field}" for field, value in BAD_COUNTS])
 def test_search_config_rejects_a_grid_or_scan_without_points(field, value):
     with pytest.raises(ValueError, match=field):
         C.SearchConfig(**{field: value})

@@ -21,7 +21,7 @@ def scaled(prob: C.MixtureProblem, c: float) -> C.MixtureProblem:
 
 def verdicts(prob: C.MixtureProblem, seed: int) -> dict:
     """Each checker's standalone verdict: one name per :func:`C.decide` call."""
-    return {name: C.decide(prob, (name,), C.SearchConfig(seed=seed), seed)[name] for name in C.CHECKERS}
+    return {name: C.decide(prob, (name,), C.SearchConfig(), seed)[name] for name in C.CHECKERS}
 
 
 def statuses(found: dict) -> dict:
@@ -98,7 +98,7 @@ def test_factor_ascent_holds_scales_exactly(power):
 def test_linked_verdicts_scale_exactly(power):
     # decide over every name links the chain: inecovf is inecov's Holds at every scale
     def linked(prob):
-        return C.decide(prob, C.CHECKERS, C.SearchConfig(seed=32), 32)
+        return C.decide(prob, C.CHECKERS, C.SearchConfig(), 32)
 
     unit = linked(fam.random_chain_problem(32))
     assert unit["inecovf"] is unit["inecov"] and unit["inecov"].holds

@@ -240,11 +240,11 @@ def one_entry(kept) -> bool:
 
 
 def chain_pass(count: int) -> None:
-    # a search and checker seed per problem, as the CLI and the chain benchmark set them
+    # a checker seed per problem, as the CLI and the chain benchmark set it
     for seed in range(count):
         C.implication_chain_report(
             random_chain_problem(seed),
-            dataclasses.replace(MID, iters=10, seed=seed),
+            dataclasses.replace(MID, iters=10),
             mc_samples=200,
             seed=seed,
         )
