@@ -49,6 +49,7 @@ from .conditions import (
     CHECKERS,
     ChainViolation,
     CorrelCertificate,
+    DimensionMismatch,
     GammaWitness,
     InvalidProblem,
     MixtureProblem,
@@ -235,8 +236,8 @@ def _float_array(doc, key, what: str = "certificate field") -> np.ndarray:
 
 
 def load_certificate(path: str, prob: MixtureProblem, digest: str):
-    """Read and validate a certificate file once: malformed fields exit 64,
-    wrong shapes and non-finite entries 65."""
+    """Read a certificate file once: malformed fields exit 64, non-finite
+    entries 65 (a witness's shape is checked where it is used)."""
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise CliFailure(EXIT_BAD_JSON, "certificate must be a JSON object")
@@ -244,11 +245,7 @@ def load_certificate(path: str, prob: MixtureProblem, digest: str):
         raise CliFailure(EXIT_INVARIANT, "certificate digest does not match the problem file")
     kind = doc.get("kind")
     if kind == "gamma":
-        gamma = _float_array(doc, "gamma")
-        nd = prob.n * prob.d
-        if gamma.shape != (nd, nd):
-            raise CliFailure(EXIT_INVARIANT, f"certificate gamma must be {nd} x {nd}, got shape {gamma.shape}")
-        return GammaWitness(gamma, prob.n, prob.d)
+        return GammaWitness(_float_array(doc, "gamma"), prob.n, prob.d)
     if kind == "correl":
         return CorrelCertificate(**{key: _float_array(doc, key) for key in _CORREL_FIELDS})
     raise CliFailure(EXIT_BAD_JSON, f"unknown certificate kind {kind!r}")
@@ -479,7 +476,7 @@ def cmd_couple(args) -> int:
         raise CliFailure(EXIT_INVARIANT, "coupling needs a gamma certificate")
     try:
         kernel = coupling.build_kernel(prob, cert)
-    except (coupling.InvalidGamma, NonCenteredMeans) as exc:
+    except (coupling.InvalidGamma, DimensionMismatch, matcore.InvalidMatrix, NonCenteredMeans) as exc:
         raise CliFailure(EXIT_INVARIANT, str(exc))
     rng = CounterRng(args.seed)
     xs, idx, ys = coupling.sample_batch(kernel, args.samples, rng)

@@ -45,8 +45,6 @@ def build_kernel(prob: MixtureProblem, gamma, tol: float = matcore.EPS_CHAIN) ->
     prob.require_centered()
     gamma = witness_matrix(gamma)
     n, d = prob.n, prob.d
-    if gamma.shape != (n * d, n * d):
-        raise InvalidGamma(f"expected shape {(n * d, n * d)}, got {gamma.shape}")
     check = validate_gamma_witness(prob, gamma, tol)
     if not check["ok"]:
         raise InvalidGamma(f"witness does not validate: {check}")

@@ -3,7 +3,11 @@
 A small family of convex test functions (absolute linear forms,
 exponentials of linear forms, convex quadratics, maxima of affine pieces)
 is integrated either in closed form under Gaussian laws or by seeded Monte
-Carlo. Comparing the two sides over a suite gives falsification with exact
+Carlo. Every function is exact but a max-affine one of three or more pieces
+at d >= 2: one of two pieces, or any at d = 1, is rank-one (a linear form
+plus a maximum of lines in one linear form t = u x) and integrates segment
+by segment over the upper envelope of those lines, so a d = 1 suite draws
+no sample. Comparing the two sides over a suite gives falsification with exact
 witnesses, or "no violation found" evidence; decision authority for the
 order itself stays with the condition checkers.
 
@@ -13,7 +17,7 @@ Radial (orthogonally invariant) noise generalizations are covered by
 :func:`test_convex_order` integrates each closed-form family in one batched
 pass over the lhs law and every component (one law is a batch of one). The
 two sides' samples are laid out once as one contiguous d x 2m array; a
-max-affine function is then one pieces-by-samples product, shifted in place,
+sampled max-affine function is then one pieces-by-samples product, shifted in place,
 maxed over the pieces column by column, and each side's mean and ddof = 1
 variance come from one sum of its values (the bits of ``mean()`` and ``var(ddof=1)``).
 """
@@ -42,6 +46,7 @@ from .conditions import (
 from .rng import CounterRng
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass
@@ -74,7 +79,8 @@ class TestFunction:
 
     @property
     def closed_form(self) -> bool:
-        return self.kind != "max_affine"
+        """Every family but max-affine; a max-affine function when rank-one: d = 1 or two pieces."""
+        return self.kind != "max_affine" or self.slopes.shape[1] == 1 or len(self.slopes) == 2
 
 
 def abs_linear(xi, scale: float = 1.0) -> TestFunction:
@@ -131,10 +137,13 @@ def _closed_forms(means: np.ndarray, covs: np.ndarray, suite: list[TestFunction]
     """Per function of ``suite``, its expectations under the Gaussian laws
     (``means[k]``, ``covs[k]``) as a list over k (logs for an exponential tilt),
     or None where only sampling works. Each family is one batched pass whose
-    products give the bits of ``xi @ cov @ xi``, ``xi @ mean`` and ``mean @ mat @ mean``."""
+    products give the bits of ``xi @ cov @ xi``, ``xi @ mean`` and ``mean @ mat @ mean``;
+    a rank-one max-affine function joins the linear forms with its direction ``u``."""
     out, d = [None] * len(suite), means.shape[1]
     lin = [k for k, f in enumerate(suite) if f.kind in ("abs_linear", "exp_linear")]
-    xi = np.array([suite[k].xi for k in lin]).reshape(-1, d)
+    ranked = [k for k, f in enumerate(suite) if f.kind == "max_affine" and f.closed_form]
+    rank_one = [_rank_one(suite[k]) for k in ranked]
+    xi = np.array([suite[k].xi for k in lin] + [u for _, u, _ in rank_one]).reshape(-1, d)
     mus = np.matmul(xi[:, None, None, :], means[:, :, None])[..., 0, 0].tolist()
     variances = np.matmul((xi @ covs)[:, :, None, :], xi[:, :, None])[..., 0, 0].T.tolist()
     for k, mu_k, var_k in zip(lin, mus, variances):
@@ -143,6 +152,10 @@ def _closed_forms(means: np.ndarray, covs: np.ndarray, suite: list[TestFunction]
             out[k] = [f.lam * mu + 0.5 * f.lam * f.lam * max(var, 0.0) for mu, var in zip(mu_k, var_k)]
         else:
             out[k] = [f.scale * _abs_mean(mu, math.sqrt(max(var, 0.0))) for mu, var in zip(mu_k, var_k)]
+    a0 = np.array([a for a, _, _ in rank_one]).reshape(-1, d)
+    offsets = np.matmul(a0[:, None, None, :], means[:, :, None])[..., 0, 0].tolist()
+    for k, (_, _, envelope), *terms in zip(ranked, rank_one, mus[len(lin) :], variances[len(lin) :], offsets):
+        out[k] = [off + _envelope_mean(*envelope, mu, math.sqrt(max(var, 0.0))) for mu, var, off in zip(*terms)]
     quad = [k for k, f in enumerate(suite) if f.kind == "quadratic"]
     mats = np.array([suite[k].mat for k in quad]).reshape(-1, d, d)
     traces = (covs * mats[:, None]).sum(axis=(2, 3)).tolist()
@@ -161,6 +174,48 @@ def _abs_mean(mu: float, sd: float) -> float:
     return sd * _SQRT_2_OVER_PI * math.exp(-0.5 * (mu / sd) ** 2) + mu * math.erf(mu / (sd * math.sqrt(2.0)))
 
 
+def _rank_one(f: TestFunction) -> tuple:
+    """``(a0, u, envelope)`` with f(x) = a0 x + max_k(c_k t + b_k) at t = u x: at d = 1
+    a0 = 0, u = 1 and c = the slopes; with two pieces a0 = a_1, u = a_2 - a_1 and c = (0, 1).
+    The envelope of the lines is :func:`_upper_envelope`'s, the same under every law."""
+    if f.slopes.shape[1] == 1:
+        a0, u, c = np.zeros(1), np.ones(1), f.slopes[:, 0].tolist()
+    else:
+        a0, u, c = f.slopes[0], f.slopes[1] - f.slopes[0], [0.0, 1.0]
+    return a0, u, _upper_envelope(c, f.intercepts.tolist())
+
+
+def _upper_envelope(slopes: list, intercepts: list) -> tuple:
+    """The lines ``(c, b)`` of t -> max(c t + b) from left to right, each on top
+    somewhere, and the breakpoints where one hands over to the next."""
+    lines, starts = [], []  # starts[i]: where lines[i] comes on top
+    for c, b in sorted(zip(slopes, intercepts)):  # of two parallel lines the higher comes last
+        while lines:
+            x = (lines[-1][1] - b) / (c - lines[-1][0]) if c > lines[-1][0] else -math.inf
+            if x > starts[-1]:
+                break
+            lines.pop()  # on top nowhere: the new line overtakes it before it comes on top
+            starts.pop()
+        starts.append(x if lines else -math.inf)
+        lines.append((c, b))
+    return lines, starts[1:]
+
+
+def _envelope_mean(lines: list, breaks: list, m: float, s: float) -> float:
+    """E max_k(c_k t + b_k) for t normal with mean ``m`` and standard deviation ``s``
+    over the segments of the envelope ``(lines, breaks)``: a line's value at ``m`` times
+    its segment's probability, plus ``c s`` times the drop of the normal density across it."""
+    if s == 0.0:
+        return max(c * m + b for c, b in lines)
+    total, cdf, pdf = 0.0, 0.0, 0.0
+    for (c, b), x in zip(lines, breaks + [math.inf]):
+        z = (x - m) / s
+        cdf_x, pdf_x = 0.5 * (1.0 + math.erf(z / math.sqrt(2.0))), math.exp(-0.5 * z * z) / _SQRT_2PI
+        total += (c * m + b) * (cdf_x - cdf) + c * s * (pdf - pdf_x)
+        cdf, pdf = cdf_x, pdf_x
+    return total
+
+
 def sphere_directions(count: int, d: int, seed: int = 0) -> np.ndarray:
     """Deterministic, reasonably spread unit directions; for d = 2 the read-only
     half-circle grid of :func:`matcore.angle_grid`."""
@@ -176,7 +231,9 @@ def default_suite(prob: MixtureProblem, seed: int = 0) -> list[TestFunction]:
 
     32 absolute linear forms on spread directions, 8 exponential tilts
     along the worst direction, 8 random convex quadratics and 10 random
-    max-affine functions with two to six pieces. The random functions
+    max-affine functions with two to six pieces. Only the max-affine functions
+    of three or more pieces at d >= 2 lack a closed form; at d = 1 every
+    function of the suite has one. The random functions
     depend only on d and ``seed``: one ``uniforms`` call draws the piece
     counts and one ``normals`` call every coefficient.
     """
@@ -236,9 +293,12 @@ def test_convex_order(
 ) -> Verdict:
     """Compare expectations over a suite of convex test functions.
 
-    Closed-form functions are compared exactly (normalised margin below
-    ``-matcore.RANK_TOL``); sampled functions use a z-score test at ``z`` combined
-    standard errors (2.576 is a 99% interval). Any violation fails with
+    Closed-form functions, rank-one max-affine ones among them, are compared
+    exactly (normalised margin below ``-matcore.RANK_TOL``). Samples are drawn
+    only when a function is left without one, a max-affine function of three
+    or more pieces at d >= 2, so a d = 1 problem draws none; those functions
+    use a z-score test at ``z`` combined standard errors (2.576 is a 99%
+    interval) and ``mc_functions`` in the diagnostics counts them. Any violation fails with
     the offending function as witness. A pass is evidence only, never a
     proof, and is labeled as such in the diagnostics. The ``lhs`` covariance
     enters here: of another dimension than ``rhs`` it raises :class:`DimensionMismatch`,

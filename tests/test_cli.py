@@ -355,8 +355,9 @@ def test_certificate_digest_mismatch_rejected(tmp_path, capsys):
         (lambda doc: [row.pop() for row in doc["gamma"]], 65),  # 4 x 3
         (lambda doc: doc["gamma"][1].__setitem__(2, float("nan")), 65),
         (lambda doc: doc.pop("gamma"), 64),
+        (lambda doc: doc.__setitem__("gamma", [row[:3] for row in doc["gamma"][:3]]), 65),  # 3 x 3 for n d = 4
     ],
-    ids=["ragged", "non-square", "nan-entry", "missing-gamma"],
+    ids=["ragged", "non-square", "nan-entry", "missing-gamma", "wrong-size"],
 )
 def test_couple_rejects_malformed_certificate(tmp_path, capsys, edit, code):
     prob_path = write_json(tmp_path / "prob.json", separation_doc())

@@ -57,7 +57,8 @@ def test_quadratic_requires_psd():
 
 
 def test_max_affine_has_no_closed_form():
-    f = X.max_affine(np.array([[1.0, 0.0], [0.0, 1.0]]), np.zeros(2))
+    # three pieces at d = 2 are not rank-one: only sampling integrates them
+    f = X.max_affine(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]), np.zeros(3))
     assert not f.closed_form
     assert X.exact_expectation(X.GaussianLaw(np.zeros(2), np.eye(2)), f) is None
 
@@ -250,7 +251,47 @@ def reference_exact_expectation(mean, cov, f):
     if f.kind == "quadratic":
         trace = float(np.sum(f.mat * cov))
         return trace + float(mean @ f.mat @ mean) + float(f.xi0 @ mean) + f.const
+    if f.closed_form:
+        return reference_rank_one_expectation(mean, cov, f)
     return None
+
+
+def reference_rank_one_expectation(mean, cov, f):
+    """A rank-one max-affine function as a0 x + max_k(c_k t + b_k) at t = u x, its envelope
+    found by testing each line against every other, summed segment by segment."""
+    if f.slopes.shape[1] == 1:
+        a0, u, c = np.zeros(1), np.ones(1), f.slopes[:, 0].tolist()
+    else:
+        a0, u, c = f.slopes[0], f.slopes[1] - f.slopes[0], [0.0, 1.0]
+    b = f.intercepts.tolist()
+    lines, starts = [], []
+    for ck, bk in zip(c, b):
+        # the line is on top over (lo, hi): right of where it meets each flatter line, left of
+        # where it meets each steeper one, and nowhere below a parallel line or a copy kept already
+        lo, hi = -math.inf, math.inf
+        for cj, bj in zip(c, b):
+            if cj < ck:
+                lo = max(lo, (bj - bk) / (ck - cj))
+            elif cj > ck:
+                hi = min(hi, (bk - bj) / (cj - ck))
+            elif bj > bk or (ck, bk) in lines:
+                lo = math.inf
+        if lo < hi:
+            lines.append((ck, bk))
+            starts.append(lo)
+    order = sorted(range(len(lines)), key=lambda i: lines[i][0])
+    lines, breaks = [lines[i] for i in order], [starts[i] for i in order][1:]
+    m, var, off = float(u @ mean), float(u @ cov @ u), float(a0 @ mean)
+    s = math.sqrt(max(var, 0.0))
+    if s == 0.0:
+        return off + max(ck * m + bk for ck, bk in lines)
+    total, cdf, pdf = 0.0, 0.0, 0.0
+    for (ck, bk), x in zip(lines, breaks + [math.inf]):
+        z = (x - m) / s
+        cdf_x, pdf_x = 0.5 * (1.0 + math.erf(z / math.sqrt(2.0))), math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+        total += (ck * m + bk) * (cdf_x - cdf) + ck * s * (pdf - pdf_x)
+        cdf, pdf = cdf_x, pdf_x
+    return off + total
 
 
 def reference_log_exp_expectation(mean, cov, f):
@@ -341,10 +382,17 @@ def test_convex_order_matches_the_scalar_reference_with_centred_means():
         assert np.abs(prob.p @ prob.means).max() < 1e-15
         v = assert_matches_reference(prob, seed, 20000, 2.576)
         if v.fails:
-            witnesses.append(v.witness.kind)
-    # a closed-form Fails and a Monte Carlo Fails (max-affine witness) both occur
-    assert "max_affine" in witnesses
-    assert any(kind != "max_affine" for kind in witnesses)
+            witnesses.append(v.witness)
+    # a closed-form Fails and a Monte Carlo Fails (a sampled max-affine witness) both occur
+    assert any(not f.closed_form for f in witnesses)
+    assert any(f.closed_form for f in witnesses)
+
+
+def sampled_count(prob, seed):
+    """The max-affine functions of the default suite that only sampling integrates: none at d = 1,
+    else those of three or more pieces."""
+    pieces = [len(f.slopes) for f in X.default_suite(prob, seed=seed) if f.kind == "max_affine"]
+    return 0 if prob.d == 1 else sum(k >= 3 for k in pieces)
 
 
 def test_convex_order_matches_the_scalar_reference_at_two_samples():
@@ -352,7 +400,7 @@ def test_convex_order_matches_the_scalar_reference_at_two_samples():
     for seed in range(60):
         prob = centred_pair_problem(seed) if seed % 2 else fam.random_chain_problem(seed)
         v = assert_matches_reference(prob, seed, 2, 2.576)
-        assert v.diagnostics["mc_functions"] == 10
+        assert v.diagnostics["mc_functions"] == sampled_count(prob, seed)
 
 
 def test_convex_order_matches_the_scalar_reference_on_a_max_affine_suite():
@@ -361,7 +409,7 @@ def test_convex_order_matches_the_scalar_reference_on_a_max_affine_suite():
         prob = centred_pair_problem(seed) if seed % 2 else fam.random_chain_problem(seed)
         for mc_samples in (2, 3, 6000):
             v = assert_matches_reference(prob, seed, mc_samples, 2.576, sampled_only=True)
-            assert v.diagnostics["functions"] == v.diagnostics["mc_functions"] == 10
+            assert v.diagnostics["functions"] == v.diagnostics["mc_functions"] == sampled_count(prob, seed)
             statuses.add(v.status)
     assert statuses == {C.Status.HOLDS, C.Status.FAILS}
 
@@ -372,6 +420,91 @@ def test_exact_expectation_matches_the_scalar_reference():
         for f in X.default_suite(prob, seed=seed):
             for mean, cov in zip(prob.means, prob.covs):
                 assert X.exact_expectation(X.GaussianLaw(mean, cov), f) == reference_exact_expectation(mean, cov, f)
+
+
+def test_convex_order_draws_no_sample_at_d1(monkeypatch):
+    # every suite function is closed-form at d = 1, so nothing is left to sample
+    def refuse(*args):
+        raise AssertionError("sampled a d = 1 problem")
+
+    monkeypatch.setattr(X, "_gaussian_samples", refuse)
+    monkeypatch.setattr(X, "_mixture_samples", refuse)
+    statuses = set()
+    for seed in range(40):
+        prob = centred_pair_problem(seed) if seed % 2 else fam.random_chain_problem(seed)
+        if prob.d > 1:
+            continue
+        lhs = X.GaussianLaw(np.zeros(1), prob.target)
+        v = X.test_convex_order(lhs, prob, X.default_suite(prob, seed=seed), mc_samples=6000, seed=seed)
+        assert v.diagnostics["mc_functions"] == 0
+        statuses.add(v.status)
+    assert statuses == {C.Status.HOLDS, C.Status.FAILS}
+
+
+def normal_mean_by_quadrature(g, kinks, m, s):
+    """E g(t) for t normal with mean ``m`` and standard deviation ``s``, ``g`` smooth between the
+    ``kinks``: adaptive quadrature piece by piece over 40 standard deviations either side."""
+    from scipy.integrate import quad
+
+    lo, hi = m - 40.0 * s, m + 40.0 * s
+    edges = [lo] + sorted(x for x in kinks if lo < x < hi) + [hi]
+    density = lambda t: math.exp(-0.5 * ((t - m) / s) ** 2) / (s * math.sqrt(2.0 * math.pi))
+    return sum(
+        quad(lambda t: g(t) * density(t), a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        for a, b in zip(edges, edges[1:])
+    )
+
+
+D1_CASES = {
+    "two-lines": ([1.0, -0.5], [0.0, 0.3], 0.4, 1.7),
+    "parallel-pair": ([0.7, 0.7, -1.2], [0.5, -0.4, 0.1], -0.3, 0.9),
+    "line-never-on-top": ([-1.0, 0.0, 1.0], [0.0, -2.0, 0.0], 0.2, 1.1),
+    "four-lines": ([-2.0, -0.3, 0.4, 1.5], [-1.0, 0.2, 0.1, -0.8], 0.6, 2.3),
+    "five-lines-one-under": ([-1.5, -0.5, 0.0, 0.5, 1.5], [0.0, 0.4, -3.0, 0.4, 0.0], -0.1, 0.8),
+    "six-lines": ([-2.5, -1.0, -0.2, 0.3, 1.1, 2.0], [-2.0, 0.1, 0.5, 0.45, -0.3, -1.9], 0.35, 1.4),
+    "far-tail": ([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0], 30.0, 1.5),
+    "far-left-tail": ([-0.5, 0.2, 2.0, 3.0], [0.0, 1.0, 0.0, -1.0], -25.0, 0.7),
+}
+
+
+@pytest.mark.parametrize("case", list(D1_CASES), ids=list(D1_CASES))
+def test_d1_max_affine_matches_quadrature(case):
+    slopes, intercepts, m, s = D1_CASES[case]
+    f = X.max_affine(np.array(slopes)[:, None], np.array(intercepts))
+    assert f.closed_form
+    exact = X.exact_expectation(X.GaussianLaw(np.array([m]), np.array([[s * s]])), f)
+    lines = list(zip(slopes, intercepts))
+    g = lambda t: max(c * t + b for c, b in lines)
+    kinks = [(b1 - b2) / (c2 - c1) for c1, b1 in lines for c2, b2 in lines if c1 != c2]
+    assert exact == pytest.approx(normal_mean_by_quadrature(g, kinks, m, s), rel=1e-12, abs=0.0)
+    # a law of no variance sits at its mean
+    point = X.exact_expectation(X.GaussianLaw(np.array([m]), np.zeros((1, 1))), f)
+    assert point == g(m)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_two_piece_max_affine_matches_quadrature(d):
+    # E max(U, V) integrated over U, with V given U normal: apart from the reduction to u x
+    from scipy.stats import norm
+
+    for seed in range(4):
+        rng = CounterRng(seed, stream=101 + d)
+        slopes, intercepts = rng.normal_matrix(2, d), rng.normals(2)
+        law = X.GaussianLaw(rng.normals(d), fam.random_psd(rng.spawn(1), d) + 0.1 * np.eye(d))
+        f = X.max_affine(slopes, intercepts)
+        assert f.closed_form
+        means = slopes @ law.mean + intercepts
+        cov = slopes @ law.cov @ slopes.T
+        sd_u = math.sqrt(cov[0, 0])
+        beta = cov[0, 1] / cov[0, 0]
+        tau = math.sqrt(cov[1, 1] - beta * cov[0, 1])
+
+        def given_u(u):
+            gap = means[1] + beta * (u - means[0]) - u  # E(V | U = u) - u
+            return u + gap * norm.cdf(gap / tau) + tau * norm.pdf(gap / tau)
+
+        value = normal_mean_by_quadrature(given_u, [], means[0], sd_u)
+        assert X.exact_expectation(law, f) == pytest.approx(value, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("mc_samples", [1, -1, -3])

@@ -45,7 +45,7 @@ INDEFINITE_GAMMA = RANK_DEFICIENT_GAMMA + np.diag([0.0, 0.0, 0.0, -1e-6])
         (lambda prob: cxverify.GaussianLaw(np.zeros(2), NAN2), matcore.InvalidMatrix),
         (lambda prob: cxverify.quadratic(NAN2), matcore.InvalidMatrix),
         (lambda prob: coupling.build_kernel(prob, NAN_GAMMA), matcore.InvalidMatrix),
-        (lambda prob: coupling.build_kernel(prob, np.eye(6)), coupling.InvalidGamma),
+        (lambda prob: coupling.build_kernel(prob, np.eye(6)), C.DimensionMismatch),
         (lambda prob: C.validate_gamma_witness(prob, C.GammaWitness(NAN_GAMMA, 2, 2)), matcore.InvalidMatrix),
         (lambda prob: C.validate_pairwise_blocks(prob, NAN_GAMMA), matcore.InvalidMatrix),
         (lambda prob: C.orthogonal_factors_from_gamma(prob, NAN_GAMMA), matcore.InvalidMatrix),
