@@ -235,9 +235,11 @@ def _float_array(doc, key, what: str = "certificate field") -> np.ndarray:
     return out
 
 
-def load_certificate(path: str, prob: MixtureProblem, digest: str):
+def load_certificate(path: str, digest: str):
     """Read a certificate file once: malformed fields exit 64, non-finite
-    entries 65 (a witness's shape is checked where it is used)."""
+    entries 65 (a witness's shape is checked where it is used). Keys it does
+    not read, such as the ``mix_scale`` and ``stacked`` older correl files
+    carry, are ignored."""
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise CliFailure(EXIT_BAD_JSON, "certificate must be a JSON object")
@@ -245,7 +247,7 @@ def load_certificate(path: str, prob: MixtureProblem, digest: str):
         raise CliFailure(EXIT_INVARIANT, "certificate digest does not match the problem file")
     kind = doc.get("kind")
     if kind == "gamma":
-        return GammaWitness(_float_array(doc, "gamma"), prob.n, prob.d)
+        return GammaWitness(_float_array(doc, "gamma"))
     if kind == "correl":
         return CorrelCertificate(**{key: _float_array(doc, key) for key in _CORREL_FIELDS})
     raise CliFailure(EXIT_BAD_JSON, f"unknown certificate kind {kind!r}")
@@ -471,7 +473,7 @@ def cmd_couple(args) -> int:
         raise CliFailure(EXIT_USAGE, f"--samples must be at least 2, got {args.samples}")
     doc = _load_json(args.input)
     prob, digest = problem_from_doc(doc)
-    cert = load_certificate(args.gamma, prob, digest)
+    cert = load_certificate(args.gamma, digest)
     if not isinstance(cert, GammaWitness):
         raise CliFailure(EXIT_INVARIANT, "coupling needs a gamma certificate")
     try:

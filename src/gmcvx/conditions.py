@@ -226,24 +226,19 @@ class GammaWitness:
     """Symmetric nd x nd coupling certificate with pinned diagonal blocks."""
 
     gamma: np.ndarray
-    n: int
-    d: int
 
 
 @dataclass
 class CorrelCertificate:
-    """Shared-correlation certificate: basis M, correlation C and scales.
+    """Shared-correlation certificate: basis M, correlation C and component scales.
 
     ``comp_scales[i]`` holds the diagonal of D_i = diag(sqrt((M S_i M*)_kk));
-    ``mix_scale`` is the weight-combined diagonal of D and ``stacked`` the
-    nd x d stack of the D_i satisfying (p_1 I, ..., p_n I) stacked == D.
+    the mixture's scales are their weighted sum ``prob.p @ comp_scales``.
     """
 
     m: np.ndarray
     corr: np.ndarray
     comp_scales: np.ndarray  # (n, d)
-    mix_scale: np.ndarray  # (d,)
-    stacked: np.ndarray  # (n*d, d)
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +525,7 @@ def _coupling_check(prob, cone, search_cfg, extra_candidates, inegsqrt_verdict, 
     if out.feasible:
         check = psdfeas.validate_gamma(task, out.gamma, matcore.EPS_ENGINE)
         diag.update(check)
-        witness = GammaWitness(out.gamma, prob.n, prob.d)
+        witness = GammaWitness(out.gamma)
         return Verdict(Status.HOLDS, check["lmin_slack"], witness, diag)
 
     tol_var = matcore.EPS_ENGINE * prob.var_scale()
@@ -575,16 +570,6 @@ def check_inecovf(
     return _coupling_check(prob, psdfeas.PAIRWISE, search_cfg, extra_candidates, inegsqrt_verdict, seed)
 
 
-def validate_pairwise_blocks(prob: MixtureProblem, gamma, tol: float = matcore.EPS_ENGINE) -> dict:
-    """Check each pair block of an n d x n d coupling matrix (else :class:`DimensionMismatch`)
-    for PSD-ness: ``(ok, lambda_min)`` per pair (i, j), i < j, to ``tol`` times the problem's sigma^2."""
-    gamma = matcore.symmetrize(_sized_witness(prob, gamma))
-    task = psdfeas.FeasibilityTask(prob, psdfeas.PAIRWISE)
-    w_pairs, _ = psdfeas._spectra(task, gamma[None], np.empty((1, 0, 0)))  # no slack to test
-    tol_abs = tol * prob.var_scale()
-    return {pair: (lmin >= -tol_abs, lmin) for pair, lmin in zip(task.pairs, w_pairs[0, :, 0].tolist())}
-
-
 # ---------------------------------------------------------------------------
 # shared-correlation condition (correl)
 # ---------------------------------------------------------------------------
@@ -598,19 +583,42 @@ def _in_basis(prob: MixtureProblem, m: np.ndarray):
     return transformed, t_target, scale_m
 
 
+def _correl_checks(prob: MixtureProblem, cert: CorrelCertificate, basis, tol: float):
+    """What a shared-correlation certificate must satisfy, read in ``basis``, the
+    :func:`_in_basis` of its M: ``(errs, (ok, lambda_min, gap), (gamma, induced))``.
+
+    ``errs[i]`` is the Frobenius distance of M S_i M* from D_i C D_i; ``gap`` is
+    D C D - M S M* for the mixture scales D = sum p_i D_i, PSD to ``EPS_PSD``
+    times the sigma^2 there; ``induced`` is :func:`validate_gamma_witness` at
+    ``tol`` of the coupling ``gamma`` the certificate induces
+    (:func:`certificate_to_gamma`; None for a singular M).
+    """
+    transformed, t_target, scale_m = basis
+    errs = [matcore.fro_norm(t - np.outer(s, s) * cert.corr) for t, s in zip(transformed, cert.comp_scales)]
+    mix_scale = prob.p @ cert.comp_scales
+    gap = matcore.symmetrize(np.outer(mix_scale, mix_scale) * cert.corr - t_target)
+    try:
+        gamma = certificate_to_gamma(prob, cert)
+        induced = validate_gamma_witness(prob, gamma, tol)
+    except np.linalg.LinAlgError:  # a singular basis induces no coupling
+        gamma, induced = None, {"ok": False, "lmin_gamma": -np.inf, "lmin_slack": -np.inf}
+    return errs, (*matcore.is_psd(gap, scale_m), gap), (gamma, induced)
+
+
 def check_correl_with(prob: MixtureProblem, m) -> Verdict:
     """Verify the shared-correlation condition for one candidate basis M.
 
     Builds the correlation matrix entrywise from every component alive on
     that entry (they must agree within ``matcore.EPS_ENGINE``), fills entries no
-    component constrains from the target itself, and then tests that the
-    weighted diagonal scales dominate the transformed target. Holds return
-    a :class:`CorrelCertificate` whose induced coupling
-    (:func:`certificate_to_gamma`) passes :func:`validate_gamma_witness` at
-    ``matcore.EPS_ENGINE`` in the original basis; otherwise the verdict fails with an
-    ``induced_gamma_invalid`` witness holding that coupling. The diagnostics
-    report whether the built correlation is also associated with the
-    diagonal-corrected target.
+    component constrains from the target itself, and then holds exactly when
+    the certificate so built passes :func:`validate_correl_certificate` at
+    ``matcore.EPS_ENGINE``. A certificate that does not fails on the first test
+    it misses: the weighted diagonal scales dominating the transformed target
+    (``dcd_deficit``), its induced coupling (:func:`certificate_to_gamma`)
+    valid in the original basis (``induced_gamma_invalid``, with that
+    coupling), then each M S_i M* matching D_i C D_i (``association_mismatch``,
+    with the furthest component). The diagnostics report whether the built
+    correlation is also associated with the diagonal-corrected target.
     """
     m = _numbers("candidate basis", m, SingularM)
     d = prob.d
@@ -621,7 +629,8 @@ def check_correl_with(prob: MixtureProblem, m) -> Verdict:
     if np.linalg.cond(m) > 1e12:
         raise SingularM("candidate basis is singular or ill-conditioned")
 
-    transformed, t_target, scale_m = _in_basis(prob, m)
+    basis = _in_basis(prob, m)
+    transformed, t_target, scale_m = basis
     diag: dict = {}
 
     corr_sum = np.zeros((d, d))
@@ -666,62 +675,46 @@ def check_correl_with(prob: MixtureProblem, m) -> Verdict:
         w, q = np.linalg.eigh(corr)
         return Verdict(Status.FAILS, lmin_corr, ("merged_correlation_not_psd", q[:, 0]), diag)
 
-    dcd = np.outer(mix_scale, mix_scale) * corr
-    gap = matcore.symmetrize(dcd - t_target)
-    ok, lmin = matcore.is_psd(gap, scale_m)
-
-    sigma_hat = t_target.copy()
-    np.fill_diagonal(sigma_hat, mix_scale**2)
-    diag["sigma_hat_associated"] = bool(matcore.fro_norm(dcd - sigma_hat) <= matcore.EPS_ENGINE * scale_m)
-
+    cert = CorrelCertificate(m, corr, scales)
+    errs, (ok, lmin, gap), (gamma, induced) = _correl_checks(prob, cert, basis, matcore.EPS_ENGINE)
+    # off the diagonal D C D - M S M* is the gap; on it D C D equals the corrected target
+    off = gap.copy()
+    np.fill_diagonal(off, 0.0)
+    diag["sigma_hat_associated"] = bool(matcore.fro_norm(off) <= matcore.EPS_ENGINE * scale_m)
     if not ok:
         w, q = np.linalg.eigh(gap)
         return Verdict(Status.FAILS, lmin, ("dcd_deficit", q[:, 0]), diag)
-
-    stacked = np.vstack([np.diag(s) for s in scales])
-    cert = CorrelCertificate(m, corr, scales, mix_scale, stacked)
     # the tests above ran in the M basis; an ill-conditioned M can pass them
     # with a coupling that is far from PSD in the original basis
-    gamma = certificate_to_gamma(prob, cert)
-    induced = validate_gamma_witness(prob, gamma, matcore.EPS_ENGINE)
     diag["induced_lmin_gamma"] = induced["lmin_gamma"]
     if not induced["ok"]:
         margin = min(induced["lmin_gamma"], induced["lmin_slack"])
-        return Verdict(Status.FAILS, margin, ("induced_gamma_invalid", GammaWitness(gamma, prob.n, d)), diag)
+        return Verdict(Status.FAILS, margin, ("induced_gamma_invalid", GammaWitness(gamma)), diag)
+    i = int(np.argmax(errs))
+    if errs[i] > matcore.EPS_ENGINE * scale_m:
+        return Verdict(Status.FAILS, -errs[i] / scale_m, ("association_mismatch", i), diag)
     return Verdict(Status.HOLDS, lmin, cert, diag)
 
 
 def validate_correl_certificate(prob: MixtureProblem, cert: CorrelCertificate, tol: float = matcore.EPS_CHAIN) -> dict:
-    """Standalone re-validation of a shared-correlation certificate, against the scale in its basis.
-
-    The coupling it induces (:func:`certificate_to_gamma`) must also pass
-    :func:`validate_gamma_witness` at ``tol``.
+    """Standalone re-validation of a shared-correlation certificate, the checks of
+    :func:`check_correl_with` at ``tol``: each M S_i M* equal to D_i C D_i to ``tol``
+    times the sigma^2 in the basis M, D C D - M S M* PSD, and the induced coupling
+    passing :func:`validate_gamma_witness` at ``tol``. M or C not d x d, or
+    ``comp_scales`` not n x d, raises :class:`DimensionMismatch`.
     """
-    transformed, t_target, scale_m = _in_basis(prob, cert.m)
-    assoc_err = 0.0
-    for t, scales in zip(transformed, cert.comp_scales):
-        d_i = np.diag(scales)
-        assoc_err = max(assoc_err, matcore.fro_norm(t - d_i @ cert.corr @ d_i))
-    dcd = np.outer(cert.mix_scale, cert.mix_scale) * cert.corr
-    gap = matcore.symmetrize(dcd - t_target)
-    ok, lmin = matcore.is_psd(gap, scale_m)
-    stack_err = matcore.fro_norm(
-        np.einsum("i,ikl->kl", prob.p, cert.stacked.reshape(prob.n, prob.d, prob.d)) - np.diag(cert.mix_scale)
-    )
-    try:
-        induced = validate_gamma_witness(prob, certificate_to_gamma(prob, cert), tol)
-    except np.linalg.LinAlgError:  # a singular basis induces no coupling
-        induced = {"ok": False, "lmin_gamma": -np.inf}
+    n, d = prob.n, prob.d
+    for name, shape in (("m", (d, d)), ("corr", (d, d)), ("comp_scales", (n, d))):
+        found = np.shape(getattr(cert, name))
+        if found != shape:
+            raise DimensionMismatch(f"certificate {name}: expected shape {shape}, got {found}")
+    basis = _in_basis(prob, cert.m)
+    errs, (ok, lmin, _), (_, induced) = _correl_checks(prob, cert, basis, tol)
+    assoc_err = max(errs)
     return {
-        "ok": bool(
-            assoc_err <= tol * scale_m
-            and ok
-            and stack_err <= matcore.EPS_ROUND * math.sqrt(scale_m)
-            and induced["ok"]
-        ),
+        "ok": bool(assoc_err <= tol * basis[2] and ok and induced["ok"]),
         "association_err": float(assoc_err),
         "lmin_gap": float(lmin),
-        "stack_err": float(stack_err),
         "induced_lmin_gamma": induced["lmin_gamma"],
     }
 

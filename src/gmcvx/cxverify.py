@@ -75,7 +75,6 @@ class TestFunction:
     const: float = 0.0
     slopes: np.ndarray | None = None
     intercepts: np.ndarray | None = None
-    scale: float = 1.0
 
     @property
     def closed_form(self) -> bool:
@@ -83,8 +82,8 @@ class TestFunction:
         return self.kind != "max_affine" or self.slopes.shape[1] == 1 or len(self.slopes) == 2
 
 
-def abs_linear(xi, scale: float = 1.0) -> TestFunction:
-    return TestFunction("abs_linear", xi=np.asarray(xi, dtype=float), scale=scale)
+def abs_linear(xi) -> TestFunction:
+    return TestFunction("abs_linear", xi=np.asarray(xi, dtype=float))
 
 
 def exp_linear(lam: float, xi) -> TestFunction:
@@ -113,7 +112,7 @@ def evaluate(f: TestFunction, xs: np.ndarray) -> np.ndarray:
     """Values of ``f`` at the rows of ``xs``."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     if f.kind == "abs_linear":
-        return f.scale * np.abs(xs @ f.xi)
+        return np.abs(xs @ f.xi)
     if f.kind == "exp_linear":
         return np.exp(f.lam * (xs @ f.xi))
     if f.kind == "quadratic":
@@ -151,7 +150,7 @@ def _closed_forms(means: np.ndarray, covs: np.ndarray, suite: list[TestFunction]
         if f.kind == "exp_linear":
             out[k] = [f.lam * mu + 0.5 * f.lam * f.lam * max(var, 0.0) for mu, var in zip(mu_k, var_k)]
         else:
-            out[k] = [f.scale * _abs_mean(mu, math.sqrt(max(var, 0.0))) for mu, var in zip(mu_k, var_k)]
+            out[k] = [_abs_mean(mu, math.sqrt(max(var, 0.0))) for mu, var in zip(mu_k, var_k)]
     a0 = np.array([a for a, _, _ in rank_one]).reshape(-1, d)
     offsets = np.matmul(a0[:, None, None, :], means[:, :, None])[..., 0, 0].tolist()
     for k, (_, _, envelope), *terms in zip(ranked, rank_one, mus[len(lin) :], variances[len(lin) :], offsets):

@@ -36,8 +36,8 @@ the block roots and both ascents.
 
 What the tasks of a sweep share comes from functions that keep their last
 value (:func:`matcore.last_value`): the block roots, the pair layout, the
-random starts of both ascents and the d = 2 rotation-grid coefficients, so
-a cell computes only what its target changes.
+random starts of the pair-contraction ascent and the d = 2 rotation-grid
+coefficients, so a cell computes only what its target changes.
 """
 
 from __future__ import annotations
@@ -403,11 +403,6 @@ def contraction_ascent(task: FeasibilityTask):
 # ---------------------------------------------------------------------------
 
 
-@matcore.last_value
-def _factor_starts(seed: int, n: int, d: int) -> np.ndarray:
-    return matcore.polar(CounterRng(seed, stream=31).normal_matrix(3 * n * d, n * d).reshape(3, n, d, n * d))
-
-
 def factor_ascent(task: FeasibilityTask):
     """Maximize lambda_min(M M' - target) over the orthogonal factors O_i.
 
@@ -428,7 +423,8 @@ def factor_ascent(task: FeasibilityTask):
     roots = task.roots
     weighted = task.p[:, None, None] * roots
 
-    factors = np.concatenate([np.broadcast_to(np.eye(d, nd), (1, n, d, nd)), _factor_starts(task.seed, n, d)])
+    draws = matcore.polar(CounterRng(task.seed, stream=31).normal_matrix(3 * nd, nd).reshape(3, n, d, nd))
+    factors = np.concatenate([np.broadcast_to(np.eye(d, nd), (1, n, d, nd)), draws])
 
     def evaluate(fs):
         terms = weighted @ fs

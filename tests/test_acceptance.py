@@ -143,8 +143,8 @@ def test_criterion_05_pairwise_versus_full_gap():
     with criterion(5, "pairwise-valid coupling with a negative full spectrum", 10.0):
         prob = fam.three_diag_problem(np.eye(2))
         gamma = fam.three_diag_gamma(17.0 / 3.0, 1.0)
-        blocks = C.validate_pairwise_blocks(prob, gamma)
-        assert all(ok for ok, _ in blocks.values()), blocks
+        check = C.validate_gamma_witness(prob, gamma, matcore.EPS_ENGINE, pairwise=True)
+        assert check["ok"], check
         ok, lmin = matcore.is_psd(gamma, prob.var_scale())
         assert not ok
         assert abs(lmin - (-2.58)) <= 0.02, lmin

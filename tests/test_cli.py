@@ -293,7 +293,7 @@ def test_certificate_round_trip_revalidates(tmp_path, capsys):
     assert code == 0
     doc = json.loads((tmp_path / "prob.json").read_text())
     prob, digest = cli.problem_from_doc(doc)
-    witness = cli.load_certificate(str(cert_path), prob, digest)
+    witness = cli.load_certificate(str(cert_path), digest)
     from gmcvx.conditions import validate_gamma_witness
 
     check = validate_gamma_witness(prob, witness)
@@ -323,8 +323,10 @@ def test_correl_certificate_round_trip(tmp_path, capsys):
     assert code == 0
     stored = json.loads(cert_path.read_text())
     assert stored["kind"] == "correl"
+    # the three arrays a correl certificate is, and the metadata binding it
+    assert set(stored) == {"kind", "m", "corr", "comp_scales", "tolerances", "tool_version", "input_digest"}
     prob, digest = cli.problem_from_doc(doc)
-    cert = cli.load_certificate(str(cert_path), prob, digest)
+    cert = cli.load_certificate(str(cert_path), digest)
     from gmcvx.conditions import check_correl_with, validate_correl_certificate
 
     check = validate_correl_certificate(prob, cert)
@@ -332,6 +334,14 @@ def test_correl_certificate_round_trip(tmp_path, capsys):
     redo = check_correl_with(prob, cert.m)
     assert redo.status.value == report["status"]
     assert redo.margin == pytest.approx(report["margin"], abs=1e-12)
+    # a file that also carries the mixture scales and the stack older versions wrote still loads
+    scales = np.asarray(stored["comp_scales"])
+    stored["mix_scale"] = (prob.p @ scales).tolist()
+    stored["stacked"] = np.vstack([np.diag(s) for s in scales]).tolist()
+    cert_path.write_text(json.dumps(stored))
+    old = cli.load_certificate(str(cert_path), digest)
+    assert all(np.array_equal(getattr(old, key), getattr(cert, key)) for key in ("m", "corr", "comp_scales"))
+    assert validate_correl_certificate(prob, old)["ok"]
 
 
 def test_certificate_digest_mismatch_rejected(tmp_path, capsys):
@@ -448,7 +458,7 @@ def test_couple_deterministic_given_seed(tmp_path, capsys):
     # same bytes as formatting every numpy scalar on its own
     doc = json.loads((tmp_path / "prob.json").read_text())
     prob, digest = cli.problem_from_doc(doc)
-    kernel = coupling.build_kernel(prob, cli.load_certificate(str(cert_path), prob, digest))
+    kernel = coupling.build_kernel(prob, cli.load_certificate(str(cert_path), digest))
     xs, idx, ys = coupling.sample_batch(kernel, 200, CounterRng(9))
     rows = ["x1,x2,i,y1,y2"] + [
         ",".join([repr(float(v)) for v in xs[r]] + [str(int(idx[r]) + 1)] + [repr(float(v)) for v in ys[r]])

@@ -659,8 +659,7 @@ def test_inecovf_three_diag_family_holds():
     prob = fam.three_diag_problem(target)
     v = C.check_inecovf(prob)
     assert v.holds
-    blocks = C.validate_pairwise_blocks(prob, v.witness, tol=1e-7)
-    assert all(ok for ok, _ in blocks.values())
+    assert C.validate_gamma_witness(prob, v.witness, 1e-7, pairwise=True)["ok"]
 
 
 def test_inecovf_equal_components():
@@ -680,14 +679,9 @@ def test_correl_three_diag_threshold_certificate():
     assert v.holds
     cert = v.witness
     assert np.allclose(cert.corr, np.eye(2))
-    assert np.allclose(cert.mix_scale, (2.0 + SQRT2) * np.ones(2))
+    assert np.allclose(prob.p @ cert.comp_scales, (2.0 + SQRT2) * np.ones(2))
     check = C.validate_correl_certificate(prob, cert)
     assert check["ok"], check
-    # weighted stack reproduces the combined scale matrix exactly
-    stacked = cert.stacked.reshape(3, 2, 2)
-    assert np.array_equal(
-        sum(p * s for p, s in zip(prob.p, stacked)), np.diag(cert.mix_scale)
-    )
 
     beyond = fam.three_diag_problem(np.diag([12.0, 12.0]))
     assert C.check_correl_with(beyond, np.eye(2)).fails
@@ -822,6 +816,36 @@ def test_correl_validator_checks_the_induced_coupling(monkeypatch):
     assert not C.validate_correl_certificate(prob, certs[0])["ok"]
 
 
+@pytest.mark.parametrize("deltas", [(-4.9e-9, 0.0, 4.9e-9), (-4.9e-9, 4.9e-9, 4.9e-9)])
+def test_correl_checker_holds_exactly_when_its_certificate_revalidates(deltas, monkeypatch):
+    # component correlations I + delta_i (J - I): every spread is 9.8e-9, under the
+    # matching tolerance, yet I + delta_0 (J - I) is more than EPS_ENGINE from the
+    # merged identity; the coupling it induces still passes, so only the association catches it
+    off = np.ones((3, 3)) - np.eye(3)
+    covs = np.stack([np.eye(3) + delta * off for delta in deltas])
+    prob = C.MixtureProblem(p=np.full(3, 1.0 / 3.0), covs=covs, target=0.5 * np.eye(3))
+    certs = []
+    real = C.certificate_to_gamma
+    monkeypatch.setattr(C, "certificate_to_gamma", lambda prob, cert: certs.append(cert) or real(prob, cert))
+    v = C.check_correl_with(prob, np.eye(3))
+    check = C.validate_correl_certificate(prob, certs[0], matcore.EPS_ENGINE)
+    assert check["association_err"] > matcore.EPS_ENGINE and check["lmin_gap"] >= 0.0
+    assert v.diagnostics["induced_lmin_gamma"] >= -matcore.EPS_ENGINE
+    assert not check["ok"] and v.fails
+    assert v.witness == ("association_mismatch", 0)
+    assert -2e-8 < v.margin < -matcore.EPS_ENGINE
+
+
+@pytest.mark.parametrize("field, shape", [
+    ("m", (3, 3)), ("m", (2,)), ("corr", (3, 3)), ("corr", (2, 1)), ("comp_scales", (2, 2)), ("comp_scales", (3, 3)),
+])
+def test_correl_validator_rejects_arrays_of_another_size(field, shape):
+    prob = fam.three_diag_problem(np.diag([11.0, 11.0]))
+    cert = C.check_correl_with(prob, np.eye(2)).witness
+    with pytest.raises(C.DimensionMismatch, match=f"certificate {field}:"):
+        C.validate_correl_certificate(prob, dataclasses.replace(cert, **{field: np.ones(shape)}))
+
+
 def test_find_correl_user_supplied_basis():
     prob = fam.rank_deficient_pair(0.0)
     # any user basis still fails here, but the generator must try them
@@ -949,8 +973,8 @@ def test_orthogonal_factors_rank_deficient_witness():
 
 
 @pytest.mark.parametrize("validate", [
-    C.validate_gamma_witness, C.validate_pairwise_blocks, C.orthogonal_factors_from_gamma,
-], ids=["gamma_witness", "pairwise_blocks", "orthogonal_factors"])
+    C.validate_gamma_witness, C.orthogonal_factors_from_gamma,
+], ids=["gamma_witness", "orthogonal_factors"])
 def test_coupling_witness_validators_reject_a_witness_of_another_size(validate):
     # n d x n d only: an n = 2 witness was once read in place whatever its size
     for prob in (fam.axis_swap_problem(3.0, 1.0), fam.random_chain_problem(41)):
@@ -959,7 +983,7 @@ def test_coupling_witness_validators_reject_a_witness_of_another_size(validate):
             with pytest.raises(C.DimensionMismatch, match=f"{nd} x {nd}"):
                 validate(prob, np.eye(size))
             with pytest.raises(C.DimensionMismatch):
-                validate(prob, C.GammaWitness(np.eye(size), prob.n, prob.d))
+                validate(prob, C.GammaWitness(np.eye(size)))
         validate(prob, psdfeas.pin_blocks(np.zeros((nd, nd)), prob.covs))  # the right size is read
 
 
@@ -1093,8 +1117,7 @@ def assert_chain_reuses_inecov_holds(monkeypatch, prob, seed=0):
     assert report.inecov.holds
     assert report.inecovf is report.inecov
     # inecov's full-cone witness is a pairwise one: each pair block interlaces the whole
-    assert C.validate_gamma_witness(prob, report.inecovf.witness, pairwise=True)["ok"]
-    assert all(ok for ok, _ in C.validate_pairwise_blocks(prob, report.inecovf.witness).values())
+    assert C.validate_gamma_witness(prob, report.inecovf.witness, matcore.EPS_ENGINE, pairwise=True)["ok"]
 
 
 def test_chain_two_components_decides_coupling_once(monkeypatch):

@@ -16,8 +16,8 @@ from gmcvx.utils import golden_section_minimize
 def test_abs_linear_exact_matches_std():
     law = X.GaussianLaw(np.zeros(2), np.array([[2.0, 0.5], [0.5, 1.0]]))
     xi = np.array([0.6, -0.8])
-    f = X.abs_linear(xi, scale=math.sqrt(math.pi / 2.0))
-    val = X.exact_expectation(law, f)
+    f = X.abs_linear(xi)
+    val = math.sqrt(math.pi / 2.0) * X.exact_expectation(law, f)
     assert val == pytest.approx(math.sqrt(xi @ law.cov @ xi), rel=1e-12)
 
 
@@ -241,11 +241,10 @@ def reference_exact_expectation(mean, cov, f):
         var = float(f.xi @ cov @ f.xi)
         sd = math.sqrt(max(var, 0.0))
         if sd == 0.0:
-            return f.scale * abs(mu)
-        value = sd * math.sqrt(2.0 / math.pi) * math.exp(-0.5 * (mu / sd) ** 2) + mu * math.erf(
+            return abs(mu)
+        return sd * math.sqrt(2.0 / math.pi) * math.exp(-0.5 * (mu / sd) ** 2) + mu * math.erf(
             mu / (sd * math.sqrt(2.0))
         )
-        return f.scale * value
     if f.kind == "exp_linear":
         return math.exp(reference_log_exp_expectation(mean, cov, f))
     if f.kind == "quadratic":

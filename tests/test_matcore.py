@@ -46,8 +46,7 @@ INDEFINITE_GAMMA = RANK_DEFICIENT_GAMMA + np.diag([0.0, 0.0, 0.0, -1e-6])
         (lambda prob: cxverify.quadratic(NAN2), matcore.InvalidMatrix),
         (lambda prob: coupling.build_kernel(prob, NAN_GAMMA), matcore.InvalidMatrix),
         (lambda prob: coupling.build_kernel(prob, np.eye(6)), C.DimensionMismatch),
-        (lambda prob: C.validate_gamma_witness(prob, C.GammaWitness(NAN_GAMMA, 2, 2)), matcore.InvalidMatrix),
-        (lambda prob: C.validate_pairwise_blocks(prob, NAN_GAMMA), matcore.InvalidMatrix),
+        (lambda prob: C.validate_gamma_witness(prob, C.GammaWitness(NAN_GAMMA)), matcore.InvalidMatrix),
         (lambda prob: C.orthogonal_factors_from_gamma(prob, NAN_GAMMA), matcore.InvalidMatrix),
         (lambda prob: C.check_inecov(prob, extra_candidates=[NAN_GAMMA]), matcore.InvalidMatrix),
         (lambda prob: C.check_n2_theta(prob, NAN2), matcore.InvalidMatrix),
@@ -60,7 +59,7 @@ INDEFINITE_GAMMA = RANK_DEFICIENT_GAMMA + np.diag([0.0, 0.0, 0.0, -1e-6])
     ],
     ids=[
         "GaussianLaw", "quadratic", "build_kernel", "build_kernel-wrong-size", "validate_gamma_witness",
-        "validate_pairwise_blocks", "orthogonal_factors_from_gamma", "check_inecov-extra", "check_n2_theta",
+        "orthogonal_factors_from_gamma", "check_inecov-extra", "check_n2_theta",
         "polar_factor", "orthogonal_factors_from_gamma-indefinite",
         "test_convex_order-indefinite-lhs",
     ],
