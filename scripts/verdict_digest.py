@@ -15,10 +15,16 @@
   byte-identical when that field was removed.
 
 Each line gives the set's name, the digest of its full record (statuses
-and margins) and the digest of its statuses alone. The search settings of
-the first two sets are ``LIGHT`` and ``MID`` from ``tests/families.py``,
-which criteria 2 and 6 of ``tests/test_acceptance.py`` use; the sample
-count is the literal criterion 6 passes.
+and margins) and the digest of its statuses alone. A coupling verdict
+holds exactly when its Gamma passes ``validate_gamma_witness`` at
+``EPS_ENGINE``, so for the ``defaults`` set and, with ``--boundary``, for
+both boundary sets, one ``recheck SET CHECKER holds=H revalidated=K`` line
+per coupling checker (inecov, and inecovf re-checked on the pairwise cone)
+counts its Holds and how many of them pass; K should equal H. The search
+settings of the first two sets are ``LIGHT`` and ``MID`` from
+``tests/families.py``, which criteria 2 and 6 of
+``tests/test_acceptance.py`` use; the sample count is the literal
+criterion 6 passes.
 Run it on two checkouts and compare the output lines.
 
 A scale check follows: the ``defaults`` set recomputed with the target
@@ -68,6 +74,7 @@ sys.path.insert(0, str(ROOT / "tests"))
 from families import LIGHT, MID, axis_swap_problem, boundary_problems, random_chain_problem  # noqa: E402
 
 from gmcvx import conditions as C  # noqa: E402
+from gmcvx import matcore  # noqa: E402
 from gmcvx import sweep as S  # noqa: E402
 
 BOUNDARY_EPS = (1e-2, 1e-3)
@@ -125,14 +132,16 @@ def defaults_verdicts(power: int = 0) -> list[dict]:
     return out
 
 
-def boundary_verdicts(n: int) -> dict:
+def boundary_verdicts(n: int) -> tuple[dict, list]:
     """The verdicts of a boundary set of ``n``-component problems: for each ε, one record of every
-    checker per seed."""
+    checker per seed; and every (problem, record) pair."""
     verdicts = {eps: [] for eps in BOUNDARY_EPS}
+    pairs = []
     for seed in range(30):
         for eps, prob in zip(BOUNDARY_EPS, boundary_problems(seed, BOUNDARY_EPS, n=n)):
             verdicts[eps].append(standalone(prob, C.SearchConfig(), seed))
-    return verdicts
+            pairs.append((prob, verdicts[eps][-1]))
+    return verdicts, pairs
 
 
 def boundary_digests(verdicts: dict) -> tuple[str, str, list]:
@@ -154,6 +163,17 @@ def boundary_counts(set_name: str, verdicts: dict) -> list[str]:
         for name in C.CHECKERS:
             counts = {s.value: sum(rec[name].status is s for rec in recs) for s in C.Status}
             lines.append(f"{set_name} eps={eps:g} {name} " + " ".join(f"{k}={n}" for k, n in counts.items() if n))
+    return lines
+
+
+def recheck_lines(set_name: str, pairs: list) -> list[str]:
+    """One line per coupling checker of the (problem, record) ``pairs``: its Holds, and how many of
+    their Gammas pass ``validate_gamma_witness`` at ``EPS_ENGINE`` (pairwise for inecovf)."""
+    lines = []
+    for name, pairwise in (("inecov", False), ("inecovf", True)):
+        holds = [(prob, rec[name].witness) for prob, rec in pairs if rec[name].holds]
+        ok = sum(C.validate_gamma_witness(prob, w, matcore.EPS_ENGINE, pairwise=pairwise)["ok"] for prob, w in holds)
+        lines.append(f"recheck {set_name} {name} holds={len(holds)} revalidated={ok}")
     return lines
 
 
@@ -216,7 +236,7 @@ def main(argv=None) -> int:
     status_changes = 0
     if args.boundary:
         boundary = {"boundary": boundary_verdicts(3), "boundary-n2": boundary_verdicts(2)}
-        sets = {name: lambda v=v: boundary_digests(v) for name, v in boundary.items()}
+        sets = {name: lambda v=v: boundary_digests(v) for name, (v, _) in boundary.items()}
     else:
         unit = defaults_verdicts()
         sets = {"region": region_digests, "chain": chain_digests, "defaults": lambda: json_digests(records_of(unit))}
@@ -229,9 +249,10 @@ def main(argv=None) -> int:
             status_changes += changes
             print("\n".join(lines), flush=True)
     if args.boundary:
-        for name, verdicts in boundary.items():
-            print("\n".join(boundary_counts(name, verdicts)), flush=True)
+        for name, (verdicts, pairs) in boundary.items():
+            print("\n".join(boundary_counts(name, verdicts) + recheck_lines(name, pairs)), flush=True)
     else:
+        print("\n".join(recheck_lines("defaults", list(zip(map(random_chain_problem, range(30)), unit)))), flush=True)
         for power in (-20, 20):
             print(scale_line(power, unit), flush=True)
     if args.dump:

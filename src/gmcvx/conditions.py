@@ -87,9 +87,11 @@ class Verdict:
     scales by c): the directional slack of ``inegsqrt``, and the margin of
     a coupling verdict that fails with ``refuted_by: inegsqrt``. Variance
     units (scaling by c): every other coupling margin (slack eigenvalue,
-    pair-contraction value, minus the cone distance), the ``correl`` slack
-    eigenvalue (``-inf`` when no basis works) and the ``dominates``
-    eigenvalue; :func:`check_correl_with`'s mismatch margins are unitless.
+    pair-contraction value, the smaller lambda_min of an Unknown's
+    coupling), the ``correl`` slack eigenvalue (``-inf`` when no basis
+    works) and the ``dominates`` eigenvalue; :func:`check_correl_with`'s
+    mismatch margins are unitless. A coupling Holds margin is at least
+    -``EPS_ENGINE`` sigma^2, the floor of its re-check, and may be negative.
     """
 
     status: Status
@@ -520,21 +522,16 @@ def _coupling_check(prob, cone, search_cfg, extra_candidates, inegsqrt_verdict, 
     out = psdfeas.solve(task, candidates)
     if "factor_ascent" in vars(task):
         diag["factor_ascent_evals"] = task.factor_ascent[2]
-    diag["cone_dist"] = out.cone_dist
-
+    diag.update(out.check)
     if out.feasible:
-        check = psdfeas.validate_gamma(task, out.gamma, matcore.EPS_ENGINE)
-        diag.update(check)
-        witness = GammaWitness(out.gamma)
-        return Verdict(Status.HOLDS, check["lmin_slack"], witness, diag)
+        return Verdict(Status.HOLDS, out.check["lmin_slack"], GammaWitness(out.gamma), diag)
 
-    tol_var = matcore.EPS_ENGINE * prob.var_scale()
-    if ascent is not None and ascent[0] < -tol_var and ascent[2] is not None:
+    if ascent is not None and ascent[2] is not None:  # a tail is kept only below the acceptance test
         fbar = psdfeas.dual_refutation_value(task, ascent[2])
         diag["dual_bound"] = fbar
-        if fbar < -tol_var:
+        if fbar < -matcore.EPS_ENGINE * prob.var_scale():
             return Verdict(Status.FAILS, ascent[0], ("dual", ascent[2]), diag)
-    return Verdict(Status.UNKNOWN, -out.cone_dist, None, diag)
+    return Verdict(Status.UNKNOWN, min(out.check["lmin_gamma"], out.check["lmin_slack"]), None, diag)
 
 
 def check_inecov(
@@ -546,12 +543,13 @@ def check_inecov(
 ) -> Verdict:
     """Existence of a PSD coupling matrix dominating the target.
 
-    Holds come with a validated :class:`GammaWitness`. Failure is declared
-    only through necessary conditions: a directional violation, or for the
-    two-component case a certified refutation of the pair-contraction
-    program. Otherwise the verdict is Unknown, its margin minus the cone
-    distance of the best coupling found (``cone_dist`` in the diagnostics):
-    the contraction coupling (n = 2), or the best of the candidates and the
+    Holds, with that :class:`GammaWitness`, exactly when the best coupling
+    found passes :func:`validate_gamma_witness` at ``matcore.EPS_ENGINE``.
+    Failure is declared only through necessary conditions: a directional
+    violation, or for n = 2 a certified refutation of the pair-contraction
+    program. Otherwise the verdict is Unknown, its margin min(``lmin_gamma``,
+    ``lmin_slack``) of that coupling (both in the diagnostics): the
+    contraction coupling (n = 2), or the best of the candidates and the
     orthogonal-factor coupling (n >= 3). Extra candidates must be finite
     square matrices (:class:`matcore.InvalidMatrix`); one of the wrong size
     is not used.
@@ -734,10 +732,10 @@ def certificate_to_gamma(prob: MixtureProblem, cert: CorrelCertificate) -> np.nd
 
 def _commuting_basis(prob: MixtureProblem, seed: int):
     family = [prob.target, *prob.covs]
-    tol = matcore.EPS_ENGINE * prob.var_scale() ** 2  # products of two variance-unit matrices
-    for a in family:
-        for b in family:
-            if matcore.fro_norm(a @ b - b @ a) > tol:
+    unit = [f / prob.var_scale() for f in family]  # products of unit-scale matrices cannot overflow
+    for a in unit:
+        for b in unit:
+            if matcore.fro_norm(a @ b - b @ a) > matcore.EPS_ENGINE:
                 return None
     rng = CounterRng(seed, stream=41)
     coeffs = 0.5 + rng.uniforms(len(family))
@@ -747,12 +745,12 @@ def _commuting_basis(prob: MixtureProblem, seed: int):
 
 
 def _orthogonal_product_basis(prob: MixtureProblem, seed: int):
-    tol = matcore.EPS_ENGINE * prob.var_scale() ** 2
+    unit = prob.covs / prob.var_scale()
     for i in range(prob.n):
         for j in range(prob.n):
             if i == j:
                 continue
-            if matcore.fro_norm(prob.covs[i] @ prob.covs[j]) > tol:
+            if matcore.fro_norm(unit[i] @ unit[j]) > matcore.EPS_ENGINE:
                 return None
     rng = CounterRng(seed, stream=43)
     coeffs = 0.5 + rng.uniforms(prob.n)
@@ -908,7 +906,7 @@ def decide(
     a ``correl`` Holds hands its coupling to ``inecov`` as a candidate, and
     ``inecovf`` is the ``inecov`` verdict when n = 2 (one program) or when
     inecov holds (each pair block of its Gamma is a principal submatrix, by
-    Cauchy interlacing no further from the PSD cone). So a single name gets
+    Cauchy interlacing with no smaller a lambda_min). So a single name gets
     its checker's standalone verdict. ``extra_m`` feeds user bases to ``correl``.
     """
     names = tuple(names)

@@ -170,7 +170,8 @@ def _abs_mean(mu: float, sd: float) -> float:
     """E|Z| for Z normal with mean ``mu`` and standard deviation ``sd``."""
     if sd == 0.0:
         return abs(mu)
-    return sd * _SQRT_2_OVER_PI * math.exp(-0.5 * (mu / sd) ** 2) + mu * math.erf(mu / (sd * math.sqrt(2.0)))
+    z = mu / sd
+    return sd * _SQRT_2_OVER_PI * math.exp(-0.5 * (z * z)) + mu * math.erf(mu / (sd * math.sqrt(2.0)))
 
 
 def _rank_one(f: TestFunction) -> tuple:

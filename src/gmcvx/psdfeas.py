@@ -16,17 +16,15 @@ Brent's method, both on the closed-form smallest eigenvalue of a 2 x 2
 matrix affine in (cos phi, sin phi). For the full
 cone with n >= 3 the orthogonal-factor ascent writes
 Gamma_ij = root_i O_i O_j' root_j with orthonormal-row factors O_i, which
-is PSD by construction. Both ascents end at the first evaluation at which
-a start's slack clears the engine tolerance, so the slack of their
-coupling is the one where they stopped, not the most they could reach;
-only an ascent that never clears it takes every step and keeps the tail
-the refutation functional reads.
-:func:`warm_start_from` scores the one candidate list
-(:func:`default_candidates`) with the caller's candidates as one stack
-through the one spectral test (:func:`_spectra`), and :func:`solve`
-returns the best candidate. The engine never claims infeasibility: it
-returns a feasible, exactly block-pinned Gamma or the cone distance of
-the best one it has.
+is PSD by construction. A coupling has one acceptance test,
+:func:`validate_gamma`'s. Both ascents end at the first evaluation at
+which a start's slack passes it at ``matcore.EPS_ENGINE``, not at the most
+slack they could reach; only an ascent that never passes takes every step
+and keeps the tail the refutation functional reads. :func:`warm_start_from`
+ranks the one candidate list (:func:`default_candidates`) with the
+caller's candidates, as one stack through :func:`_lmins`, by how far each
+misses the test, and :func:`solve` returns the best with its report: the
+engine never claims infeasibility.
 
 Everything takes one :class:`FeasibilityTask` of a ``MixtureProblem``,
 which has checked and mirrored every matrix once: nothing in the engine
@@ -91,7 +89,7 @@ class FeasibilityTask:
         prob = self.prob
         self.p, self.blocks, self.target = prob.p, prob.covs, prob.target
         self.n, self.d, self.scale = prob.n, prob.d, prob.var_scale()
-        if self.n == 2:  # the one pair block is the whole Gamma, which _spectra reads in place
+        if self.n == 2:  # the one pair block is the whole Gamma, which _lmins reads in place
             self.cone = PAIRWISE
         layout = _pair_layout(self.p, self.d)
         self.pairs, self.pair_weights, self.pair_slices, self.pair_rows = layout
@@ -150,7 +148,7 @@ class FeasibilityOutcome:
     status: str
     gamma: np.ndarray
     iterations: int  # always 0, kept for the benchmark's tracer
-    cone_dist: float
+    check: dict  # the pick's validate_gamma report at EPS_ENGINE
 
     @property
     def feasible(self) -> bool:
@@ -173,24 +171,24 @@ def pin_blocks(gamma: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     return out
 
 
-def _spectra(task: FeasibilityTask, gammas: np.ndarray, slacks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending spectra of a (k, nd, nd) stack of exactly symmetric Gammas, shape
-    (k, parts, m), and of their (k, d, d) slacks: the one part is the whole Gamma
-    for the full cone, the parts are the pair blocks in order for the pairwise cone.
-    At n = 2 the one pair block is the whole Gamma, read in place rather than gathered."""
+def _lmins(task: FeasibilityTask, gammas: np.ndarray, slacks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest eigenvalues of a (k, nd, nd) stack of exactly symmetric Gammas, the
+    least over their cone parts, and of their (k, d, d) slacks, each shape (k,), from
+    one stacked ``eigvalsh`` each: the one part is the whole Gamma for the full cone,
+    the parts are the pair blocks for the pairwise cone. At n = 2 the one pair block
+    is the whole Gamma, read in place rather than gathered."""
     if task.cone == FULL or task.n == 2:
         parts = gammas[:, None]
     else:
         parts = gammas[:, task.pair_rows[:, :, None], task.pair_rows[:, None, :]]
-    return np.linalg.eigvalsh(parts), np.linalg.eigvalsh(slacks)
+    return np.linalg.eigvalsh(parts)[..., 0].min(axis=-1), np.linalg.eigvalsh(slacks)[:, 0]
 
 
-def _cone_distance(w_gamma: np.ndarray, w_slack: np.ndarray) -> np.ndarray:
-    """Frobenius distance of each (Gamma, S) to the selected cone, from their :func:`_spectra`:
-    the norm of the negative part of the worst Gamma part or of S."""
-    neg_g, neg_s = np.minimum(w_gamma, 0.0), np.minimum(w_slack, 0.0)
-    d_g = np.sqrt((neg_g * neg_g).sum(axis=-1)).max(axis=-1, initial=0.0)
-    return np.maximum(d_g, np.sqrt((neg_s * neg_s).sum(axis=-1)))
+def _acceptance(block_err: float, lmin_gamma: float, lmin_slack: float, tol_abs: float) -> dict:
+    """The one acceptance test of a coupling: its block error at most ``tol_abs`` and
+    the :func:`_lmins` of its cone parts and of its slack at least ``-tol_abs``."""
+    ok = block_err <= tol_abs and lmin_gamma >= -tol_abs and lmin_slack >= -tol_abs
+    return {"ok": ok, "block_err": block_err, "lmin_gamma": lmin_gamma, "lmin_slack": lmin_slack}
 
 
 # ---------------------------------------------------------------------------
@@ -327,21 +325,22 @@ def contraction_ascent(task: FeasibilityTask):
     exact angular grid for a single d = 2 pair, and a cyclic per-pair grid
     polish for several d = 2 pairs; up to ``task.ascent_iters`` evaluations
     from each start, one start drawn from ``task.seed``. The loop ends after
-    the first evaluation at which a start's value exceeds
-    ``matcore.EPS_ENGINE * task.scale``, the tolerance of
-    :func:`warm_start_from`. Returns the best value, the contractions as a
+    the first evaluation at which a start's value is at least
+    ``-matcore.EPS_ENGINE * task.scale``, where the slack passes
+    :func:`validate_gamma`. Returns the best value, the contractions as a
     (pairs, d, d) stack, the exactly symmetric, trace-one average of the
     bottom eigenvectors' outer products over the ascent tail, in start
-    order, which :func:`dual_refutation_value` takes as it is (None when the
-    loop stopped at the tolerance, so a tail is only ever that of a run that
-    took every step), and the number of loop evaluations (0 when there is
-    no loop). Read it through :attr:`FeasibilityTask.ascent`, which runs it once.
+    order, which :func:`dual_refutation_value` takes as it is (None unless
+    the best value is below that threshold, so a tail is only ever that of
+    a run that took every step), and the number of loop evaluations (0 when
+    there is no loop). Read it through :attr:`FeasibilityTask.ascent`.
     """
     pairs = task.root_pairs
     weights, roots_i, roots_j = pairs
     n_pairs = len(weights)
     c0 = task.offset
     d = task.d
+    stop = -matcore.EPS_ENGINE * task.scale
 
     def values_of(ks):
         return np.linalg.eigvalsh(assemble_contraction_slack(c0, pairs, ks))[..., 0]
@@ -351,7 +350,7 @@ def contraction_ascent(task: FeasibilityTask):
         # k = +1 for every pair (roots are nonnegative)
         ks = np.ones((n_pairs, 1, 1))
         val = float(values_of(ks))
-        y = np.array([[1.0]]) if val < 0 else None
+        y = np.array([[1.0]]) if val < stop else None
         return val, ks, y, 0
 
     iters = task.ascent_iters
@@ -373,7 +372,6 @@ def contraction_ascent(task: FeasibilityTask):
         return grad_weights * ((roots_i @ cols) * np.swapaxes(roots_j @ cols, -1, -2))
 
     ks = np.stack(starts)
-    stop = matcore.EPS_ENGINE * task.scale
     best_val, best_ks, tail, evals = np.full(len(ks), -np.inf) if iters else values_of(ks), ks, [], 0
     if iters:
         # ``iters`` evaluations in all, the first scoring the starts: the loop takes
@@ -389,7 +387,7 @@ def contraction_ascent(task: FeasibilityTask):
         if val > best:
             best, best_ks = val, polished
     y_avg = None
-    if tail and best <= stop:  # above it nothing is refuted, and a stopped loop's tail is cut short
+    if tail and best < stop:  # at or above it the slack passes, and a stopped loop's tail is cut short
         vs = np.array(tail)
         y_avg = matcore.symmetrize(sum(vs[:, :, None] * vs[:, None, :]) / len(tail))
         y_avg = y_avg / float(np.trace(y_avg))  # unit eigenvectors: the trace is 1 up to rounding
@@ -411,9 +409,9 @@ def factor_ascent(task: FeasibilityTask):
     by the polar factor, for ``task.ascent_iters`` steps from four starts:
     every O_i = [I_d 0], then three polar-projected draws from
     ``task.seed``. Its one use is a feasible candidate, so it ends after the
-    first evaluation at which a start's value exceeds
-    ``matcore.EPS_ENGINE * task.scale``, the tolerance of
-    :func:`warm_start_from`; otherwise it takes every step. Returns the best
+    first evaluation at which a start's value is at least
+    ``-matcore.EPS_ENGINE * task.scale``, where the slack passes
+    :func:`validate_gamma`; otherwise it takes every step. Returns the best
     value, its coupling matrix Gamma = F F', F the stacked root_i O_i, which
     is PSD by construction, and the number of evaluations.
     Read it through :attr:`FeasibilityTask.factor_ascent`.
@@ -442,7 +440,7 @@ def factor_ascent(task: FeasibilityTask):
 
     best_val = np.full(len(factors), -np.inf)
     best_val, best_factors, _, evals = _batched_ascent(
-        factors, best_val, task.ascent_iters, evaluate, supergradient, matcore.polar, matcore.EPS_ENGINE * task.scale
+        factors, best_val, task.ascent_iters, evaluate, supergradient, matcore.polar, -matcore.EPS_ENGINE * task.scale
     )
     i = int(np.argmax(best_val))
     stacked = (roots @ best_factors[i]).reshape(nd, nd)
@@ -466,9 +464,9 @@ def _batched_ascent(xs: np.ndarray, best_val: np.ndarray, steps: int, evaluate, 
     steps of length 0.5 / sqrt(k), k = 1, 2, ..., each followed by an
     evaluation, and stops when its supergradient, computed only when a step
     follows, vanishes. The whole loop ends after the first evaluation at
-    which some start's value exceeds ``stop``, which both ascents set to
-    the engine tolerance; only a loop that never does so takes every step
-    and keeps whole tails. ``best_val`` holds each
+    which some start's value is at least ``stop``, which both ascents set to
+    the threshold of :func:`validate_gamma`'s slack test; only a loop that
+    never reaches it takes every step and keeps whole tails. ``best_val`` holds each
     start's value before the loop (-inf for none); only a strictly larger
     value replaces it, so each start keeps its first-occurrence best, as if
     the starts ran one after another up to that evaluation.
@@ -488,7 +486,7 @@ def _batched_ascent(xs: np.ndarray, best_val: np.ndarray, steps: int, evaluate, 
         if it > steps - _TAIL_EVALS:
             for start, vec in zip(live, vecs):
                 tails[start].append(vec)
-        if it == steps or vals.max() > stop:
+        if it == steps or vals.max() >= stop:
             break
         grads = supergradient(cur, vecs, aux)
         sq = np.sum((grads * grads).reshape(live.size, grads.shape[1], -1), axis=-1)
@@ -547,41 +545,46 @@ def default_candidates(task: FeasibilityTask) -> list[np.ndarray]:
 
 
 def _score_candidates(task: FeasibilityTask, cands: list) -> list[tuple]:
-    """``(key, pinned Gamma, cone distance)`` of each candidate, keyed as
-    :func:`warm_start_from` ranks them.
+    """``(key, pinned Gamma, report)`` of each candidate, keyed as
+    :func:`warm_start_from` ranks them, the report :func:`validate_gamma`'s
+    at ``matcore.EPS_ENGINE``; pinning leaves no block error.
 
     The candidates are pinned and compressed one by one, then scored as one
-    stack through :func:`_spectra`, whose slack spectra give both the cone
-    distance and the slack margin.
+    stack through :func:`_lmins`. The key is how far a candidate misses the
+    acceptance test, max(0, -lambda_min of its parts, -lambda_min of its
+    slack), then the slack margin.
     """
     pinned = [pin_blocks(matcore.symmetrize(cand), task.blocks) for cand in cands]
     slacks = np.array([mix_compress(g, task.p, task.d) for g in pinned]) - task.target
-    w_gamma, w_slack = _spectra(task, np.array(pinned), slacks)
-    tie = matcore.EPS_ROUND * task.scale
-    res = _cone_distance(w_gamma, w_slack).tolist()
-    return [((r if r > tie else 0.0, -lmin), g, r) for r, lmin, g in zip(res, w_slack[:, 0].tolist(), pinned)]
+    lmin_gamma, lmin_slack = _lmins(task, np.array(pinned), slacks)
+    tol, tie = matcore.EPS_ENGINE * task.scale, matcore.EPS_ROUND * task.scale
+    scored = []
+    for g, lg, ls in zip(pinned, lmin_gamma.tolist(), lmin_slack.tolist()):
+        short = max(0.0, -lg, -ls)
+        scored.append(((short if short > tie else 0.0, -ls), g, _acceptance(0.0, lg, ls, tol)))
+    return scored
 
 
-def warm_start_from(task: FeasibilityTask, candidates) -> tuple[np.ndarray, float]:
-    """Pick the candidate with the smallest combined residual: ``(pinned Gamma,
-    its cone distance)``, the distance as :func:`_cone_distance` gives it.
+def warm_start_from(task: FeasibilityTask, candidates) -> tuple[np.ndarray, dict]:
+    """Pick the candidate that misses the acceptance test least: ``(pinned
+    Gamma, its report)``, the report :func:`validate_gamma`'s at
+    ``matcore.EPS_ENGINE``.
 
-    Residuals within rounding of each other count as ties, broken toward
+    Shortfalls within rounding of each other count as ties, broken toward
     the larger slack margin so already-feasible starts keep their slack;
     ties keep the earlier candidate. A candidate of the wrong shape is not
     scored; at least one must have the right shape.
 
-    For the full cone (so n >= 3), when no candidate is within
-    ``matcore.EPS_ENGINE * task.scale`` of feasible, the coupling of the
-    task's :attr:`~FeasibilityTask.factor_ascent` is scored as one more.
+    For the full cone (so n >= 3), when the pick fails the test, the
+    coupling of the task's :attr:`~FeasibilityTask.factor_ascent` is scored
+    as one more.
     """
     nd = task.n * task.d
     cands = [cand for cand in (np.asarray(c, dtype=float) for c in candidates) if cand.shape == (nd, nd)]
-    scored = _score_candidates(task, cands)
-    if task.cone == FULL and min(key for key, _, _ in scored)[0] > matcore.EPS_ENGINE * task.scale:
-        scored += _score_candidates(task, [task.factor_ascent[1]])
-    _, gamma, dist = min(scored, key=lambda entry: entry[0])
-    return gamma, dist
+    best = min(_score_candidates(task, cands), key=lambda entry: entry[0])
+    if task.cone == FULL and not best[2]["ok"]:
+        best = min([best, *_score_candidates(task, [task.factor_ascent[1]])], key=lambda entry: entry[0])
+    return best[1], best[2]
 
 
 def solve(task: FeasibilityTask, candidates=()) -> FeasibilityOutcome:
@@ -590,31 +593,23 @@ def solve(task: FeasibilityTask, candidates=()) -> FeasibilityOutcome:
 
     For the pairwise cone (which n = 2 always is) that list holds the
     contraction ascent's coupling, which decides the cone; for the full cone
-    the pick falls back to the orthogonal-factor coupling. The
-    outcome is ``FEASIBLE`` when the pick's cone distance is at most
-    ``matcore.EPS_ENGINE * task.scale``, else ``NO_FEASIBLE_CANDIDATE``
-    with that distance.
+    the pick falls back to the orthogonal-factor coupling. The outcome is
+    ``FEASIBLE`` exactly when the pick passes :func:`validate_gamma` at
+    ``matcore.EPS_ENGINE``, else ``NO_FEASIBLE_CANDIDATE``; it carries that
+    report as ``check``.
     """
-    gamma, dist = warm_start_from(task, [*candidates, *default_candidates(task)])
-    status = FEASIBLE if dist <= matcore.EPS_ENGINE * task.scale else NO_FEASIBLE_CANDIDATE
-    return FeasibilityOutcome(status, gamma, 0, dist)
+    gamma, check = warm_start_from(task, [*candidates, *default_candidates(task)])
+    return FeasibilityOutcome(FEASIBLE if check["ok"] else NO_FEASIBLE_CANDIDATE, gamma, 0, check)
 
 
 def validate_gamma(task: FeasibilityTask, gamma: np.ndarray, tol: float) -> dict:
-    """Re-validate a candidate witness against the task constraints, to ``tol`` times its scale."""
+    """Re-validate a candidate witness against the task constraints, to ``tol`` times
+    its scale: the one acceptance test of a coupling (:func:`_acceptance`)."""
     gamma = matcore.symmetrize(gamma)
-    tol_abs = tol * task.scale
     d = task.d
     block_err = max(
         matcore.fro_norm(gamma[i * d : (i + 1) * d, i * d : (i + 1) * d] - task.blocks[i]) for i in range(task.n)
     )
     slack = mix_compress(gamma, task.p, d) - task.target
-    w_gamma, w_slack = _spectra(task, gamma[None], slack[None])
-    lmin_gamma, lmin_slack = float(w_gamma[0, :, 0].min()), float(w_slack[0, 0])
-    ok = block_err <= tol_abs and lmin_gamma >= -tol_abs and lmin_slack >= -tol_abs
-    return {
-        "ok": bool(ok),
-        "block_err": float(block_err),
-        "lmin_gamma": lmin_gamma,
-        "lmin_slack": lmin_slack,
-    }
+    lmin_gamma, lmin_slack = _lmins(task, gamma[None], slack[None])
+    return _acceptance(block_err, float(lmin_gamma[0]), float(lmin_slack[0]), tol * task.scale)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from families import MID, boundary_problems, random_chain_problem
-from gmcvx import cli, coupling, cxverify
+from gmcvx import cli, coupling, cxverify, matcore
 from gmcvx import conditions as C
 from gmcvx.rng import CounterRng
 
@@ -84,6 +84,19 @@ def test_check_inecov_reports_the_pair_ascent_evaluations(tmp_path, capsys):
     assert code == 0
     assert report["status"] == "holds"
     assert 1 < report["diagnostics"]["pair_ascent_evals"] < 10
+
+
+def test_check_inecov_on_the_coupling_boundary_stops_at_the_first_evaluation(tmp_path, capsys):
+    # margin 0: the contraction ascent stops where its slack passes the re-check
+    prob_path = write_json(tmp_path / "prob.json", separation_doc())
+    cert = tmp_path / "cert.json"
+    code, report = run_cli(
+        capsys, "check", "--condition", "inecov", "--input", prob_path, "--emit-certificate", str(cert)
+    )
+    assert code == 0 and report["status"] == "holds"
+    assert report["diagnostics"]["pair_ascent_evals"] <= 2
+    prob, digest = cli.problem_from_doc(separation_doc())
+    assert C.validate_gamma_witness(prob, cli.load_certificate(str(cert), digest), matcore.EPS_ENGINE)["ok"]
 
 
 def test_check_inecov_factor_ascent_certificate_couples(tmp_path, capsys):
@@ -171,8 +184,20 @@ def test_check_inecov_unknown_exit_code(tmp_path, capsys):
     code, report = run_cli(capsys, "check", "--condition", "inecov", "--input", prob)
     assert code == 2
     assert report["status"] == "unknown" and report["witness"] is None
-    assert report["diagnostics"]["cone_dist"] > 0.0
-    assert report["margin"] == -report["diagnostics"]["cone_dist"]
+    diag = report["diagnostics"]
+    assert not diag["ok"] and report["margin"] == min(diag["lmin_gamma"], diag["lmin_slack"]) < 0.0
+
+
+@pytest.mark.parametrize("condition, code", [("correl", 2), ("chain", 1)])
+def test_check_with_a_huge_entry_reports(tmp_path, capsys, condition, code):
+    # sigma^4 is past the largest float: the commuting tests compare unit-scale
+    # products; the chain fails on the directional search, past correl
+    doc = separation_doc()
+    doc["target"][0][0] = 1e155
+    prob = write_json(tmp_path / "prob.json", doc)
+    got, report = run_cli(capsys, "check", "--condition", condition, "--input", prob)
+    correl = report if condition == "correl" else report["diagnostics"]["correl"]
+    assert got == code and correl["status"] == "unknown"
 
 
 def test_check_chain_report(tmp_path, capsys):
@@ -509,6 +534,19 @@ def test_mcverify_identical_laws(tmp_path, capsys):
     code, report = run_cli(capsys, "mcverify", "--input", prob_path, "--samples", "20000")
     assert code == 0
     assert report["status"] == "holds"
+
+
+def test_mcverify_with_a_denormal_component_reports(tmp_path, capsys):
+    # |mu| / sd overflows in the closed form of E|xi . x|; exp(-inf) is 0
+    doc = separation_doc()
+    doc["target"] = [[1.0, 0.0], [0.0, 1.0]]
+    doc["components"] = [
+        {"cov": [[1e-320, 0.0], [0.0, 1e-320]], "mean": [1.0, 0.0]},
+        {"cov": [[4.0, 0.0], [0.0, 4.0]], "mean": [-1.0, 0.0]},
+    ]
+    prob_path = write_json(tmp_path / "prob.json", doc)
+    code, report = run_cli(capsys, "mcverify", "--input", prob_path, "--samples", "0")
+    assert code == 0 and report["status"] == "holds"
 
 
 def test_mcverify_exterior_fails(tmp_path, capsys):

@@ -521,8 +521,9 @@ def test_inecovf_reports_the_pair_ascent_evaluations():
 
 
 def test_pair_ascent_holds_validate_with_a_positive_margin():
-    # the contraction ascent stops once a start's slack clears the engine
-    # tolerance: each n = 2 Holds keeps a validated witness whose margin is that slack
+    # the contraction ascent stops once a start's slack passes the re-check:
+    # each n = 2 Holds keeps a validated witness whose margin is that slack,
+    # on these problems well above the tolerance
     decided = []
     for seed in range(200):
         prob = fam.random_chain_problem(seed)
@@ -536,6 +537,40 @@ def test_pair_ascent_holds_validate_with_a_positive_margin():
         assert check["ok"] and check["lmin_slack"] == v.margin, seed
         assert v.margin > matcore.EPS_ENGINE * prob.var_scale(), seed
     assert len(decided) >= 40
+
+
+def test_coupling_holds_within_the_recheck_tolerance():
+    # the target sits 1.8e-9 above the mixture's reach, inside the re-check's
+    # -EPS_ENGINE sigma^2: Gamma = [[I, I], [I, I]] passes it, so both couplings hold
+    d = 40
+    prob = C.MixtureProblem([0.5, 0.5], np.stack([np.eye(d)] * 2), (1.0 + 1.8e-9) * np.eye(d))
+    verdicts = C.decide(prob, ("inegsqrt", "inecov", "inecovf"))
+    assert all(v.holds for v in verdicts.values())
+    for name, pairwise in (("inecov", False), ("inecovf", True)):
+        v = verdicts[name]
+        assert C.validate_gamma_witness(prob, v.witness, matcore.EPS_ENGINE, pairwise=pairwise)["ok"]
+        assert v.diagnostics["pair_ascent_evals"] <= 2
+
+
+def test_coupling_verdicts_hold_exactly_when_their_recheck_passes():
+    # every Holds re-validates at EPS_ENGINE, every unknown misses the same test
+    # by its margin, and at n = 2 both couplings decide as the directional test does
+    n2 = 0
+    for seed in range(100):
+        prob = fam.random_chain_problem(seed)
+        verdicts = C.decide(prob, ("inegsqrt", "inecov", "inecovf"), fam.MID, seed)
+        for name, pairwise in (("inecov", False), ("inecovf", True)):
+            v = verdicts[name]
+            if v.holds:
+                assert C.validate_gamma_witness(prob, v.witness, matcore.EPS_ENGINE, pairwise=pairwise)["ok"], seed
+            elif v.status is C.Status.UNKNOWN:
+                diag = v.diagnostics
+                assert v.margin == min(diag["lmin_gamma"], diag["lmin_slack"]), seed
+                assert v.margin < -matcore.EPS_ENGINE * prob.var_scale(), seed
+            if prob.n == 2:
+                assert v.status is verdicts["inegsqrt"].status, (seed, name)
+        n2 += prob.n == 2
+    assert n2 >= 40
 
 
 def test_n2_d2_check_scores_each_warm_start_once(monkeypatch):
@@ -614,8 +649,9 @@ def test_inecov_reports_the_factor_ascent_evaluations():
 
 
 def test_factor_ascent_holds_validate_with_a_positive_margin():
-    # the ascent stops once a start's slack clears the engine tolerance: each
-    # n = 3 Holds it decides keeps a validated witness whose margin is that slack
+    # the ascent stops once a start's slack passes the re-check: each n = 3
+    # Holds it decides keeps a validated witness whose margin is that slack,
+    # on these problems well above the tolerance
     decided = []
     for seed in range(200):
         prob = fam.random_chain_problem(seed)

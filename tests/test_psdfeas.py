@@ -58,7 +58,7 @@ def test_exterior_point_hits_iteration_cap_with_residual():
     assert task.n == 3
     out = psdfeas.solve(task)
     assert out.status == psdfeas.NO_FEASIBLE_CANDIDATE and out.iterations == 0
-    assert out.cone_dist > 1e-3
+    assert min(out.check["lmin_gamma"], out.check["lmin_slack"]) < -1e-3
     assert np.array_equal(out.gamma, psdfeas.warm_start_from(task, psdfeas.default_candidates(task))[0])
 
 
@@ -68,7 +68,7 @@ def test_n2_exterior_point_returns_the_warm_start():
     task = psdfeas.FeasibilityTask(prob, psdfeas.FULL)
     out = psdfeas.solve(task)
     assert out.status == psdfeas.NO_FEASIBLE_CANDIDATE and out.iterations == 0
-    assert out.cone_dist > 1e-3
+    assert min(out.check["lmin_gamma"], out.check["lmin_slack"]) < -1e-3
     assert np.array_equal(out.gamma, psdfeas.warm_start_from(task, psdfeas.default_candidates(task))[0])
 
 
@@ -77,12 +77,12 @@ def test_n2_task_takes_the_pairwise_cone_whose_one_block_is_gamma(seed, d):
     task, gamma0 = random_instance(seed, 2, d)
     assert task.cone == psdfeas.PAIRWISE
     assert psdfeas.FeasibilityTask(random_chain_problem(77), psdfeas.FULL).cone == psdfeas.FULL  # n = 3
-    # the one pair block is the whole Gamma, so its spectrum has the bits of Gamma's
+    # the one pair block is the whole Gamma, so its lambda_min has the bits of Gamma's
     indefinite = gamma0 - 2.0 * np.eye(2 * d) * float(np.trace(gamma0))
     rows = task.pair_rows[0]
     assert np.array_equal(indefinite[rows[:, None], rows], indefinite)
-    w_pairs, _ = psdfeas._spectra(task, indefinite[None], np.empty((1, 0, 0)))
-    assert np.array_equal(w_pairs[0, 0], np.linalg.eigvalsh(indefinite))
+    lmin_gamma, _ = psdfeas._lmins(task, indefinite[None], np.eye(d)[None])
+    assert lmin_gamma[0] == np.linalg.eigvalsh(indefinite)[0]
 
 
 @pytest.mark.parametrize("cone", [psdfeas.FULL, psdfeas.PAIRWISE])
@@ -93,7 +93,7 @@ def test_oracle_cross_check_random_instances(seed, cone):
     task, _ = random_instance(seed, n=n, d=2, shrink=0.85, cone=cone)
     assert task.cone == cone
     out = psdfeas.solve(task)
-    assert out.feasible, (out.cone_dist, out.iterations)
+    assert out.feasible, out.check
     assert psdfeas.validate_gamma(task, out.gamma, 1e-7)["ok"]
 
 
@@ -196,8 +196,8 @@ def test_pairwise_solve_is_feasible_at_the_warm_start(seed):
 def test_warm_start_prefers_feasible_candidate():
     prob = rank_deficient_pair(0.0)
     task = psdfeas.FeasibilityTask(prob, psdfeas.FULL)
-    start, _ = psdfeas.warm_start_from(task, [np.zeros((4, 4)), RANK_DEFICIENT_GAMMA])
-    assert np.allclose(start, RANK_DEFICIENT_GAMMA)
+    start, check = psdfeas.warm_start_from(task, [np.zeros((4, 4)), RANK_DEFICIENT_GAMMA])
+    assert np.allclose(start, RANK_DEFICIENT_GAMMA) and check["ok"]
 
 
 def test_warm_start_dominated_target_uses_shared_blocks():
@@ -221,15 +221,14 @@ def test_first_default_candidate_is_block_diagonal():
 
 
 def reference_warm_key(task, cand):
-    """Pinned Gamma and warm-start key of one candidate: the Frobenius
-    distance to the cone from one ``eigvalsh`` per matrix (Gamma, or each
-    pair block, and the slack) and the slack's smallest eigenvalue."""
+    """Pinned Gamma and warm-start key of one candidate: how far it misses the
+    acceptance test, max(0, -lambda_min of Gamma or of each pair block, -lambda_min
+    of the slack), from one ``eigvalsh`` per matrix, and the slack's smallest eigenvalue."""
     pinned = psdfeas.pin_blocks(matcore.symmetrize(cand), task.blocks)
     slack = psdfeas.mix_compress(pinned, task.p, task.d) - task.target
 
-    def neg_norm(a):
-        neg = np.minimum(np.linalg.eigvalsh(a), 0.0)
-        return float(np.sqrt((neg * neg).sum()))
+    def lmin(a):
+        return float(np.linalg.eigvalsh(a)[0])
 
     if task.cone == psdfeas.FULL:
         parts = [pinned]
@@ -237,8 +236,8 @@ def reference_warm_key(task, cand):
         d = task.d
         rows = [[*range(i * d, (i + 1) * d), *range(j * d, (j + 1) * d)] for i, j in task.pairs]
         parts = [pinned[np.ix_(r, r)] for r in rows]
-    res = max([0.0, *map(neg_norm, parts), neg_norm(slack)])
-    return pinned, (res if res > matcore.EPS_ROUND * task.scale else 0.0, -float(np.linalg.eigvalsh(slack)[0]))
+    short = max([0.0, *(-lmin(part) for part in parts), -lmin(slack)])
+    return pinned, (short if short > matcore.EPS_ROUND * task.scale else 0.0, -lmin(slack))
 
 
 def reference_warm_start(task, candidates):
@@ -269,16 +268,16 @@ def reference_warm_start(task, candidates):
     st.sampled_from([1, 2, 3]),
     st.floats(min_value=0.0, max_value=1.0),
 )
-def test_pairwise_cone_distance_is_at_most_the_full_one(seed, n, d, slack_size):
-    # a pair block is a principal submatrix, so by Cauchy interlacing its k-th
-    # smallest eigenvalue is at least Gamma's: any negative part it has is no
-    # larger than Gamma's; Gamma need not be PSD and the slack is shared
+def test_pairwise_shortfall_is_at_most_the_full_one(seed, n, d, slack_size):
+    # a pair block is a principal submatrix, so by Cauchy interlacing its
+    # smallest eigenvalue is at least Gamma's: it misses the acceptance test
+    # by no more than Gamma does; Gamma need not be PSD and the slack is shared
     rng = CounterRng(seed)
     gamma = matcore.symmetrize(rng.normal_matrix(n * d, n * d))
     slack = slack_size * matcore.symmetrize(rng.normal_matrix(d, d))
     prob = MixtureProblem(np.full(n, 1.0 / n), np.stack([np.eye(d)] * n), np.eye(d))
     full, pairwise = (
-        float(psdfeas._cone_distance(*psdfeas._spectra(psdfeas.FeasibilityTask(prob, cone), gamma[None], slack[None]))[0])
+        max(0.0, *(-float(lmin[0]) for lmin in psdfeas._lmins(psdfeas.FeasibilityTask(prob, cone), gamma[None], slack[None])))
         for cone in (psdfeas.FULL, psdfeas.PAIRWISE)
     )
     assert pairwise <= full + 1e-12 * matcore.fro_norm(gamma)
@@ -296,11 +295,10 @@ def test_batched_warm_start_matches_per_candidate_loop(seed, n, d, cone):
     noise = [matcore.symmetrize(rng.normal_matrix(nd, nd)) for _ in range(3)]
     defaults = psdfeas.default_candidates(task)
     cands = [*noise, defaults[0], gamma0, np.zeros((nd + 1, nd + 1)), *defaults, gamma0.copy(), noise[1]]
-    start, dist = psdfeas.warm_start_from(task, cands)
+    start, check = psdfeas.warm_start_from(task, cands)
     assert np.array_equal(start, reference_warm_start(task, cands))
-    # the distance solve() reads has the bits of scoring the start on its own
-    slack = psdfeas.mix_compress(start, task.p, task.d) - task.target
-    assert dist == float(psdfeas._cone_distance(*psdfeas._spectra(task, start[None], slack[None]))[0])
+    # the report solve() reads has the bits of validating the start on its own
+    assert check == psdfeas.validate_gamma(task, start, matcore.EPS_ENGINE)
     for subset in (noise, noise[::-1], defaults):
         assert np.array_equal(psdfeas.warm_start_from(task, subset)[0], reference_warm_start(task, subset))
     # and each candidate's key has the bits of its own scoring, also where
@@ -317,8 +315,9 @@ def test_batched_warm_start_matches_per_candidate_loop_with_factor_ascent():
     prob = random_chain_problem(32)
     task = psdfeas.FeasibilityTask(prob, psdfeas.FULL, seed=32, ascent_iters=200)
     cands = psdfeas.default_candidates(task)
-    start, _ = psdfeas.warm_start_from(task, cands)
+    start, check = psdfeas.warm_start_from(task, cands)
     assert "factor_ascent" in vars(task)
+    assert check == psdfeas.validate_gamma(task, start, matcore.EPS_ENGINE)
     assert np.array_equal(start, reference_warm_start(task, cands))
     assert np.array_equal(start, psdfeas.pin_blocks(matcore.symmetrize(task.factor_ascent[1]), task.blocks))
 
@@ -366,9 +365,10 @@ def reference_ascent(task):
     """:func:`psdfeas.contraction_ascent` as a plain loop, one start after
     another and one pair at a time: each start runs all its evaluations,
     then every start is cut at the first evaluation at which any start's
-    value exceeds ``EPS_ENGINE * scale``. Returns ``(value, contractions,
-    tail average, evaluations)``, the tail average None above that value,
-    and the step at which each start stopped."""
+    value is at least ``-EPS_ENGINE * scale``, where the slack passes the
+    re-check. Returns ``(value, contractions, tail average, evaluations)``,
+    the tail average None from that value up, and the step at which each
+    start stopped."""
     weights, roots_i, roots_j = task.root_pairs
     pairs = list(zip(weights.tolist(), roots_i, roots_j))
     c0, d, iters = task.offset, task.d, task.ascent_iters
@@ -411,8 +411,8 @@ def reference_ascent(task):
                 stepped.append(k if s[0] <= 1.0 else (u * np.minimum(s, 1.0)) @ vt)
             ks = stepped
         runs.append(run)
-    stop = matcore.EPS_ENGINE * task.scale
-    cleared = [k + 1 for run in runs for k, (val, _, _) in enumerate(run) if val > stop]
+    stop = -matcore.EPS_ENGINE * task.scale
+    cleared = [k + 1 for run in runs for k, (val, _, _) in enumerate(run) if val >= stop]
     evals = min(cleared) if cleared else max(len(run) for run in runs)
 
     best_val, best_ks, tail = -np.inf, None, []
@@ -428,7 +428,7 @@ def reference_ascent(task):
         if val > best_val:
             best_val, best_ks = val, polished
     y = None
-    if best_val <= stop:
+    if best_val < stop:
         y = matcore.symmetrize(sum(tail) / len(tail))
         y = y / float(np.trace(y))
     return best_val, np.array(best_ks), y, evals, stops
@@ -465,9 +465,9 @@ def test_contraction_ascent_stops_once_a_start_clears_the_tolerance(seed, n, con
     assert np.array_equal(ks, ref_ks)
     assert y is None and ref_y is None  # a stopped ascent keeps no tail
     assert reference_batched_contraction_ascent(task)[3] == expected
-    # no start cleared it before the last evaluation, which did
-    stop = matcore.EPS_ENGINE * task.scale
-    assert dataclasses.replace(task, ascent_iters=evals - 1).ascent[0] <= stop < val
+    # no start passed the re-check before the last evaluation, which did
+    stop = -matcore.EPS_ENGINE * task.scale
+    assert dataclasses.replace(task, ascent_iters=evals - 1).ascent[0] < stop <= val
     check = psdfeas.validate_gamma(task, task.ascent_gamma, 1e-12)
     assert check["ok"] and abs(check["lmin_slack"] - val) <= 1e-12 * task.scale
 
@@ -528,8 +528,8 @@ def test_batched_ascent_keeps_the_first_start_on_a_tie():
 def reference_factor_ascent(task):
     """:func:`psdfeas.factor_ascent` as a plain loop, one start after another
     and one component at a time: each start runs all its steps, then every
-    start is cut at the first evaluation at which any start's value exceeds
-    ``EPS_ENGINE * scale``. Returns ``(value, Gamma, evaluations)``."""
+    start is cut at the first evaluation at which any start's value is at
+    least ``-EPS_ENGINE * scale``. Returns ``(value, Gamma, evaluations)``."""
     n, d, iters = task.n, task.d, task.ascent_iters
     nd = n * d
     roots = [np.asarray(r) for r in task.roots]
@@ -563,8 +563,8 @@ def reference_factor_ascent(task):
             step = 0.5 / math.sqrt(it + 1)
             os_ = [polar(o + step * g / gnorm) for o, g in zip(os_, grads)]
         runs.append(run)
-    stop = matcore.EPS_ENGINE * task.scale
-    cleared = [k + 1 for run in runs for k, (val, _) in enumerate(run) if val > stop]
+    stop = -matcore.EPS_ENGINE * task.scale
+    cleared = [k + 1 for run in runs for k, (val, _) in enumerate(run) if val >= stop]
     evals = min(cleared) if cleared else max(len(run) for run in runs)
 
     best_val, best_os = -np.inf, None
@@ -606,9 +606,9 @@ def test_factor_ascent_stops_once_a_start_clears_the_tolerance(d):
     ref_val, ref_gamma, ref_evals = reference_factor_ascent(task)
     assert val == ref_val and evals == ref_evals == expected
     assert np.array_equal(gamma, ref_gamma)
-    # no start cleared it before the last evaluation, which did
-    stop = matcore.EPS_ENGINE * task.scale
-    assert dataclasses.replace(task, ascent_iters=evals - 2).factor_ascent[0] <= stop < val
+    # no start passed the re-check before the last evaluation, which did
+    stop = -matcore.EPS_ENGINE * task.scale
+    assert dataclasses.replace(task, ascent_iters=evals - 2).factor_ascent[0] < stop <= val
     check = psdfeas.validate_gamma(task, gamma, 1e-12)
     assert check["ok"] and abs(check["lmin_slack"] - val) <= 1e-12 * task.scale
 
@@ -633,8 +633,8 @@ def reference_batched_contraction_ascent(task):
     """:func:`psdfeas.contraction_ascent` with its own batched loop:
     ``task.ascent_iters`` eigh evaluations from -inf, the first scoring the
     starts, each followed by a step (the last one never scored), ending
-    after the first evaluation at which a start's value exceeds
-    ``EPS_ENGINE * scale``, and then with no tail average; with no
+    after the first evaluation at which a start's value is at least
+    ``-EPS_ENGINE * scale``, and then with no tail average; with no
     iterations the starts are scored by ``eigvalsh``. Returns ``(value,
     contractions, tail average, evaluations)``."""
     pairs = task.root_pairs
@@ -659,7 +659,7 @@ def reference_batched_contraction_ascent(task):
     tails = [[] for _ in starts]
     live = np.arange(len(starts))
     grad_weights = (2.0 * weights)[:, None, None]
-    stop, evals = matcore.EPS_ENGINE * task.scale, 0
+    stop, evals = -matcore.EPS_ENGINE * task.scale, 0
     for it in range(1, iters + 1):
         evals = it
         cur = ks[live]
@@ -671,7 +671,7 @@ def reference_batched_contraction_ascent(task):
         if it > iters - 25:
             for start, y in zip(live, vecs[:, :, None] * vecs[:, None, :]):
                 tails[start].append(y)
-        if vals.max() > stop:
+        if vals.max() >= stop:
             break
         cols = vecs[:, None, :, None]
         grads = grad_weights * ((roots_i @ cols) * np.swapaxes(roots_j @ cols, -1, -2))
@@ -695,7 +695,7 @@ def reference_batched_contraction_ascent(task):
             best, best_ks = val, polished
     y_avg = None
     tail = [y for ys in tails for y in ys]
-    if tail and best <= stop:
+    if tail and best < stop:
         y_avg = matcore.symmetrize(sum(tail) / len(tail))
         y_avg = y_avg / float(np.trace(y_avg))
     return best, best_ks, y_avg, evals
@@ -703,7 +703,7 @@ def reference_batched_contraction_ascent(task):
 
 def reference_batched_factor_ascent(task):
     """:func:`psdfeas.factor_ascent` with its own batched loop, which ends after
-    the first evaluation at which a start's value exceeds ``EPS_ENGINE * scale``."""
+    the first evaluation at which a start's value is at least ``-EPS_ENGINE * scale``."""
     n, d = task.n, task.d
     nd = n * d
     roots = np.array(task.roots).reshape(n, d, d)
@@ -725,7 +725,7 @@ def reference_batched_factor_ascent(task):
         better = vals > best_val[live]
         best_val[live[better]] = vals[better]
         best_factors[live[better]] = cur[better]
-        if it == task.ascent_iters or vals.max() > matcore.EPS_ENGINE * task.scale:
+        if it == task.ascent_iters or vals.max() >= -matcore.EPS_ENGINE * task.scale:
             break
         left = weighted @ vecs[:, None, :, None]
         right = np.swapaxes(m, -1, -2) @ vecs[:, :, None]

@@ -31,3 +31,17 @@ def test_drift_counts_moved_margins():
         "drift chain inecov records=1 status_mismatches=0 max_abs_dmargin=0.000e+00 at=- margins_moved=0",
         "drift chain inecovf records=3 status_mismatches=0 max_abs_dmargin=2.500e-01 at=0 margins_moved=2",
     ]
+
+
+def test_recheck_counts_the_coupling_holds_that_revalidate():
+    from families import axis_swap_problem
+
+    from gmcvx import conditions as C
+
+    probs = [axis_swap_problem(5.0, 0.5), axis_swap_problem(6.1, 0.0)]
+    pairs = [(prob, verdict_digest.standalone(prob, C.SearchConfig(), 0)) for prob in probs]
+    assert [rec["inecov"].holds for _, rec in pairs] == [True, False]
+    assert verdict_digest.recheck_lines("demo", pairs) == [
+        "recheck demo inecov holds=1 revalidated=1",
+        "recheck demo inecovf holds=1 revalidated=1",
+    ]
